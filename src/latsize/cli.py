@@ -25,7 +25,7 @@ from .errors import (
 from .interior import onion_skins
 from .newton import analyze, newton_polygon, parse_laurent
 from .oracle import oracle_box_pareto, oracle_size
-from .polygon import AffineUnimodularMap, LatticePolygon, apply_map, hull
+from .polygon import AffineUnimodularMap, LatticePolygon, Point, apply_map, hull
 from .size import (
     SizeCertificate,
     fit_into,
@@ -97,10 +97,28 @@ def _read_polygon(args: argparse.Namespace) -> LatticePolygon:
                 x, y = line.split()
                 pts.append((int(x), int(y)))
             return hull(pts)
-        if isinstance(doc, dict):
-            doc = doc["vertices"]
-        return hull([(int(x), int(y)) for x, y in doc])
+        return hull(_json_vertices(doc))
     raise ValueError("no input: pass --vertices, --input or --poly")
+
+
+def _json_vertices(doc: object) -> list[Point]:
+    """The vertex list of a JSON document {"vertices": [[x, y], ...]} or [[x, y], ...].
+
+    Coordinates must be JSON integers; anything else is rejected rather than
+    rounded.
+    """
+    if isinstance(doc, dict):
+        if "vertices" not in doc:
+            raise ValueError('JSON input has no "vertices" key')
+        doc = doc["vertices"]
+    if not isinstance(doc, list):
+        raise ValueError("JSON vertices must be a list of [x, y] pairs")
+    pts = []
+    for item in doc:
+        if not (isinstance(item, list) and len(item) == 2 and all(type(c) is int for c in item)):
+            raise ValueError(f"JSON vertex must be a pair of integers, got {json.dumps(item)}")
+        pts.append((item[0], item[1]))
+    return pts
 
 
 def _witness_doc(phi: AffineUnimodularMap) -> dict:

@@ -6,19 +6,44 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegeneratePolygonError, EmptyPolygonError, NotAnInteriorPolygonError
-from .polygon import EMPTY, LatticePolygon, hull, interior_lattice_points
+from .polygon import EMPTY, LatticePolygon, Point, _column_bounds, _cross, hull
+
+
+def _push(chain: list[Point], p: Point, turn: int) -> None:
+    """Append p to a monotone chain, first popping the points p makes redundant.
+
+    ``turn`` is 1 for a lower chain (only left turns survive) and -1 for an
+    upper chain (only right turns survive).
+    """
+    while len(chain) >= 2 and turn * _cross(chain[-2], chain[-1], p) <= 0:
+        chain.pop()
+    chain.append(p)
 
 
 @lru_cache(maxsize=1 << 15)
 def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """Convex hull of the lattice points strictly inside delta.
 
-    Degenerate input has no strict interior, so points and segments map to the
-    empty polygon.
+    Only the two ends (x, lo) and (x, hi) of each interior column are looked
+    at: every interior lattice point lies on the segment between the ends of
+    its column, so the ends have the same convex hull as all interior points.
+    The columns come in increasing x, so the lo ends build the lower chain and
+    the hi ends the upper chain without sorting, and the cost is
+    O(columns x edges) rather than the number of interior points. Degenerate
+    input has no strict interior, so points and segments map to the empty
+    polygon.
     """
     if not delta.is_two_dim:
         return EMPTY
-    return hull(interior_lattice_points(delta))
+    xs = [v[0] for v in delta.vertices]
+    lower: list[Point] = []
+    upper: list[Point] = []
+    for x in range(min(xs), max(xs) + 1):
+        rng = _column_bounds(delta, x, 1)
+        if rng is not None:
+            _push(lower, (x, rng[0]), 1)
+            _push(upper, (x, rng[1]), -1)
+    return hull(lower + upper)
 
 
 def move_out(gamma: LatticePolygon) -> LatticePolygon:

@@ -217,8 +217,5 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
         s2 = 3 * ups - 1
     else:
         s2 = _size_value(inner, "sigma")[0] + 3
-    if ups == 2:
-        s11 = (3, 4)
-    else:
-        s11 = (lattice_width(inner).width + 2, _size_value(inner, "square")[0] + 2)
+    s11 = (3, 4) if ups == 2 else (gonality, _size_value(inner, "square")[0] + 2)
     return NewtonAnalysis(poly, inner, genus, gonality, s2, s11, special, tuple(caveats))

@@ -1,11 +1,12 @@
 """Lattice sizes with respect to the standard triangle and the unit square.
 
-The values are computed by the interior-hull recursion: peel the polygon,
-recurse on the interior hull, and add three (triangle) or two (square) per
-skin unless one of the exceptional rules fires. Every certificate carries a
-witness map, found independently by exact feasibility search at the computed
-value, plus the rule trace whose contributions telescope from the empty-hull
-convention (-2 for the triangle, -1 for the square) to the final value.
+The values are computed by the interior-hull recursion, run as a loop: peel
+the polygon into its onion skins and, from the innermost skin outward, add
+three (triangle) or two (square) per skin unless one of the exceptional rules
+fires. Every certificate carries a witness map, found independently by exact
+feasibility search at the computed value, plus the rule trace whose
+contributions telescope from the empty-hull convention (-2 for the triangle,
+-1 for the square) to the final value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
-from .interior import interior_hull
+from .interior import interior_hull, onion_skins
 from .polygon import (
     AffineUnimodularMap,
     LatticePolygon,
@@ -162,80 +163,78 @@ def _search_value(delta: LatticePolygon, shape: str) -> int:
 
 
 def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[SizeStep, ...]]:
-    base = _BASE[shape]
+    """Value and rule trace from the onion skins of delta, innermost skin first."""
     if delta.is_empty:
-        return base, ()
+        return _BASE[shape], ()
+    skins = onion_skins(delta).skins
+    value, step = _innermost_step(skins[-1], shape)
+    trace = [step]
+    for depth in reversed(range(len(skins) - 1)):
+        value, step = _skin_step(skins[depth], skins[depth + 1], value, shape)
+        trace.append(step)
+    return value, tuple(trace)
+
+
+def _innermost_step(delta: LatticePolygon, shape: str) -> tuple[int, SizeStep]:
+    """Value of a non-empty polygon whose interior hull is empty."""
+    base = _BASE[shape]
     if delta.is_point:
-        return 0, (SizeStep(delta, RULE_SEARCH, -base),)
+        return 0, SizeStep(delta, RULE_SEARCH, -base)
     if delta.is_segment:
         value = integral_length(*delta.vertices)
-        return value, (SizeStep(delta, RULE_SEARCH, value - base),)
-
-    gamma = interior_hull(delta)
+        return value, SizeStep(delta, RULE_SEARCH, value - base)
+    # Interior-free polygons: width-one prisms (in several disguises) and
+    # the twice-dilated standard triangle.
     special = recognize_special(delta)
+    if special is not None:
+        kind, params = special.kind, special.params
+        if kind == "standard_triangle" and params[0] == 2:
+            return 2, SizeStep(delta, RULE_TWO_SIGMA, 2 - base)
+        if kind == "standard_triangle" and params[0] == 1:
+            return 1, SizeStep(delta, RULE_GENERIC, 1 - base)
+        if kind == "rectangle":
+            a, b = params
+            if shape == SIGMA:
+                return a + b, SizeStep(delta, RULE_RECTANGLE, a + b - base, (a, b))
+            if b >= 2:
+                return b, SizeStep(delta, RULE_PRISM, b - base, (b, b))
+            return 1, SizeStep(delta, RULE_GENERIC, 1 - base)
+        if kind == "lawrence_prism":
+            a, b = params
+            if shape == SIGMA:
+                value = a + 1 if a == b else a
+                return value, SizeStep(delta, RULE_PRISM, value - base, (a, b))
+            if a >= 2:
+                return a, SizeStep(delta, RULE_PRISM, a - base, (a, b))
+            return 1, SizeStep(delta, RULE_GENERIC, 1 - base)
+    value = _search_value(delta, shape)
+    return value, SizeStep(delta, RULE_SEARCH, value - base)
 
-    if gamma.is_empty:
-        # Interior-free polygons: width-one prisms (in several disguises) and
-        # the twice-dilated standard triangle.
-        if special is not None:
-            kind, params = special.kind, special.params
-            if kind == "standard_triangle" and params[0] == 2:
-                return 2, (SizeStep(delta, RULE_TWO_SIGMA, 2 - base),)
-            if kind == "standard_triangle" and params[0] == 1:
-                return 1, (SizeStep(delta, RULE_GENERIC, 1 - base),)
-            if kind == "rectangle":
-                a, b = params
-                if shape == SIGMA:
-                    return a + b, (SizeStep(delta, RULE_RECTANGLE, a + b - base, (a, b)),)
-                if b >= 2:
-                    return b, (SizeStep(delta, RULE_PRISM, b - base, (b, b)),)
-                return 1, (SizeStep(delta, RULE_GENERIC, 1 - base),)
-            if kind == "lawrence_prism":
-                a, b = params
-                if shape == SIGMA:
-                    value = a + 1 if a == b else a
-                    return value, (SizeStep(delta, RULE_PRISM, value - base, (a, b)),)
-                if a >= 2:
-                    return a, (SizeStep(delta, RULE_PRISM, a - base, (a, b)),)
-                return 1, (SizeStep(delta, RULE_GENERIC, 1 - base),)
-        value = _search_value(delta, shape)
-        return value, (SizeStep(delta, RULE_SEARCH, value - base),)
 
-    inner_value, inner_trace = _size_value(gamma, shape)
-
-    if not gamma.is_two_dim:
-        if shape == SIGMA and special is not None and special.kind == "rectangle":
+def _skin_step(
+    delta: LatticePolygon, gamma: LatticePolygon, inner_value: int, shape: str
+) -> tuple[int, SizeStep]:
+    """Value of delta from the value of its non-empty interior hull gamma."""
+    if shape == SIGMA:
+        special = recognize_special(delta)
+        if special is not None and special.kind == "rectangle":
             a, b = special.params
-            return a + b, inner_trace + (SizeStep(delta, RULE_RECTANGLE, a + b - inner_value, (a, b)),)
+            return a + b, SizeStep(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
+    if not gamma.is_two_dim:
         table = _table_lookup(delta, shape)
         if table is not None:
-            return table, inner_trace + (SizeStep(delta, RULE_TABLE, table - inner_value),)
-        hit = parallel_edge_exception(delta, gamma, 3)
-        if hit is not None:
-            if hit.s != inner_value:
-                raise InternalConsistencyError(
-                    f"parallel-edge face length {hit.s} disagrees with inner value {inner_value}"
-                )
-            return hit.r, inner_trace + (
-                SizeStep(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s)),
-            )
-        value = _search_value(delta, shape)
-        return value, inner_trace + (SizeStep(delta, RULE_SEARCH, value - inner_value),)
-
-    if shape == SIGMA and special is not None and special.kind == "rectangle":
-        a, b = special.params
-        return a + b, inner_trace + (SizeStep(delta, RULE_RECTANGLE, a + b - inner_value, (a, b)),)
+            return table, SizeStep(delta, RULE_TABLE, table - inner_value)
     hit = parallel_edge_exception(delta, gamma, 3)
     if hit is not None:
         if hit.s != inner_value:
             raise InternalConsistencyError(
                 f"parallel-edge face length {hit.s} disagrees with inner value {inner_value}"
             )
-        return hit.r, inner_trace + (
-            SizeStep(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s)),
-        )
-    value = inner_value + _STEP[shape]
-    return value, inner_trace + (SizeStep(delta, RULE_GENERIC, _STEP[shape]),)
+        return hit.r, SizeStep(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s))
+    if not gamma.is_two_dim:
+        value = _search_value(delta, shape)
+        return value, SizeStep(delta, RULE_SEARCH, value - inner_value)
+    return inner_value + _STEP[shape], SizeStep(delta, RULE_GENERIC, _STEP[shape])
 
 
 def _segment_witness(delta: LatticePolygon, vertical: bool) -> AffineUnimodularMap:

@@ -179,27 +179,38 @@ class WidthStep:
     contribution: int
 
 
+_WIDTH_BASE = {
+    "empty": ("LawrencePrismBase", 1),
+    "point": ("SinglePointInteriorBase", 2),
+    "segment": ("SegmentInteriorBase", 2),
+}
+
+
 def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[WidthStep, ...]]:
     """Lattice width by interior-hull peeling.
 
     Standard triangles are the one exceptional family (their width drops by
     three per peel instead of two); polygons whose interior hull is degenerate
-    are settled by a fixed base table.
+    are settled by a fixed base table. The skins are walked outermost first,
+    without recursion, because a standard triangle ends the chain early; the
+    trace lists the innermost step first.
     """
     if delta.is_empty:
         raise EmptyPolygonError("lattice_width_recursive needs a non-empty polygon")
     if not delta.is_two_dim:
         return 0, (WidthStep(delta, "DegenerateInput", 0),)
-    special = recognize_special(delta)
-    if special is not None and special.kind == "standard_triangle":
-        d = special.params[0]
-        return d, (WidthStep(delta, "StandardTriangleException", d),)
-    gamma = interior_hull(delta)
-    if gamma.is_empty:
-        return 1, (WidthStep(delta, "LawrencePrismBase", 1),)
-    if gamma.is_point:
-        return 2, (WidthStep(delta, "SinglePointInteriorBase", 2),)
-    if gamma.is_segment:
-        return 2, (WidthStep(delta, "SegmentInteriorBase", 2),)
-    inner, trace = lattice_width_recursive(gamma)
-    return inner + 2, trace + (WidthStep(delta, "GenericStep", 2),)
+    generic: list[LatticePolygon] = []
+    skin = delta
+    while True:
+        special = recognize_special(skin)
+        if special is not None and special.kind == "standard_triangle":
+            base = WidthStep(skin, "StandardTriangleException", special.params[0])
+            break
+        gamma = interior_hull(skin)
+        if not gamma.is_two_dim:
+            base = WidthStep(skin, *_WIDTH_BASE[gamma.kind])
+            break
+        generic.append(skin)
+        skin = gamma
+    trace = (base,) + tuple(WidthStep(s, "GenericStep", 2) for s in reversed(generic))
+    return base.contribution + 2 * len(generic), trace

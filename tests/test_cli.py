@@ -103,3 +103,23 @@ def test_input_file_json_and_lines(tmp_path):
 def test_poly_input_for_polygon_commands():
     assert run_command(["sigma", "--poly", "y^2 + x^5 + 1"]).stdout == "5\n"
     assert run_command(["width", "--poly", "y^2 + x^5 + 1"]).stdout == "2\n"
+
+
+def test_json_input_contract(tmp_path):
+    doc = tmp_path / "poly.json"
+    for text in ('{"verts": [[0, 0], [4, 0], [0, 4]]}', '{"vertices": 5}', "[[1.5, 0], [4, 0], [0, 4]]",
+                 "[[1.0, 0], [4, 0], [0, 4]]", "[[true, 0], [4, 0], [0, 4]]", "[[0, 0, 1]]", "null"):
+        doc.write_text(text)
+        assert run_command(["sigma", "--input", str(doc)]).exit_code == 2, text
+    doc.write_text("[[0, 0], [4, 0], [0, 4]]")
+    assert run_command(["sigma", "--input", str(doc)]).stdout == "4\n"
+
+
+def test_deep_onion_chain_needs_no_recursion():
+    # 1000 skins: one recursion level per skin would exceed Python's default limit
+    poly = "x^3000 + y^3000 + 1"
+    assert run_command(["sigma", "--poly", poly]).stdout == "3000\n"
+    width = run_command(["width", "--poly", poly, "--trace", "--json"])
+    assert width.exit_code == 0 and json.loads(width.stdout)["value"] == 3000
+    analysis = run_command(["analyze", "--poly", poly, "--json"])
+    assert analysis.exit_code == 0 and json.loads(analysis.stdout)["s2_bound"] == 3000

@@ -1,8 +1,11 @@
 """Interior hulls, outward shifts and onion skins."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsize import (
+    AffineUnimodularMap,
     DegeneratePolygonError,
     EmptyPolygonError,
     NotAnInteriorPolygonError,
@@ -10,6 +13,8 @@ from latsize import (
     are_equivalent,
     hull,
     interior_hull,
+    interior_lattice_points,
+    lawrence_prism,
     measures,
     move_out,
     onion_skins,
@@ -19,6 +24,8 @@ from latsize import (
     recognize_special,
     standard_triangle,
 )
+
+from latsize.polygon import _column_bounds
 
 from conftest import contains, weierstrass
 
@@ -115,3 +122,71 @@ def test_interior_count_matches_total_of_interior():
         expected = measures(delta).interior_count
         got = 0 if inner.is_empty else measures(inner).total_count
         assert got == expected
+
+
+def _enumerated_hull(delta):
+    """The interior hull by its definition: the hull of every interior lattice point."""
+    return hull(interior_lattice_points(delta))
+
+
+def _assert_skins_enumerated(delta):
+    skins = onion_skins(delta).skins
+    for outer, inner in zip(skins, skins[1:]):
+        assert inner == _enumerated_hull(outer), outer
+    assert _enumerated_hull(skins[-1]).is_empty
+
+
+def test_interior_hull_matches_enumeration_on_census_and_shears(box3_census):
+    for i, delta in enumerate(box3_census):
+        assert interior_hull(delta) == _enumerated_hull(delta), delta
+        moved = apply_map(random_unimodular_map(i), delta)
+        assert interior_hull(moved) == _enumerated_hull(moved), moved
+
+
+def test_onion_skins_match_enumeration_on_random_polygons():
+    for k in (8, 20, 40, 60):
+        for seed in range(40):
+            _assert_skins_enumerated(random_polygon(seed, k))
+
+
+def _thin_sheared():
+    bases = [
+        standard_triangle(1),
+        standard_triangle(2),
+        rectangle(1, 3),
+        rectangle(2, 9),
+        lawrence_prism(7, 3),
+        hull([(0, 0), (5, 0), (0, 3)]),
+        hull([(0, 0), (9, 1), (4, 3)]),
+    ]
+    for base in bases:
+        for m in (5, 17, 61):
+            shear = AffineUnimodularMap(1, m, 0, 1, 0, 0)
+            for phi in (shear, shear.inverse(), shear.compose(AffineUnimodularMap(1, 0, 1, 1, 0, 0))):
+                yield apply_map(phi, base)
+
+
+def test_onion_skins_match_enumeration_on_thin_sheared_polygons():
+    empty_columns = point_columns = 0
+    for delta in _thin_sheared():
+        _assert_skins_enumerated(delta)
+        xs = [x for x, _ in delta.vertices]
+        for x in range(min(xs), max(xs) + 1):
+            rng = _column_bounds(delta, x, 1)
+            empty_columns += rng is None
+            point_columns += rng is not None and rng[0] == rng[1]
+    # the family must exercise the columns a chain scan can get wrong
+    assert empty_columns > 0 and point_columns > 0
+
+
+_points = st.lists(
+    st.tuples(st.integers(-15, 15), st.integers(-15, 15)), min_size=1, max_size=9
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points, st.integers(-12, 12))
+def test_onion_skins_match_enumeration_property(points, m):
+    delta = apply_map(AffineUnimodularMap(1, m, 0, 1, 0, 0), hull(points))
+    assert interior_hull(delta) == _enumerated_hull(delta)
+    _assert_skins_enumerated(delta)
