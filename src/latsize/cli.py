@@ -18,7 +18,6 @@ from .errors import (
     DegeneratePolygonError,
     EmptyPolygonError,
     InternalConsistencyError,
-    NotAnInteriorPolygonError,
     NotTwoDimensionalError,
     ZeroPolynomialError,
 )
@@ -33,7 +32,7 @@ from .size import (
     lattice_size_square,
     minimal_box,
 )
-from .width import lattice_width, lattice_width_recursive
+from .width import Step, lattice_width, lattice_width_recursive
 
 
 @dataclass
@@ -128,13 +127,12 @@ def _witness_doc(phi: AffineUnimodularMap) -> dict:
     }
 
 
-def _trace_doc(steps) -> list[dict]:
+def _trace_doc(steps: tuple[Step, ...]) -> list[dict]:
     out = []
     for step in steps:
         rule = step.rule
-        params = getattr(step, "params", ())
-        if params:
-            rule = f"{rule}({','.join(str(p) for p in params)})"
+        if step.params:
+            rule = f"{rule}({','.join(str(p) for p in step.params)})"
         out.append(
             {
                 "skin": [[x, y] for x, y in step.skin.vertices],
@@ -294,12 +292,7 @@ def run_command(argv: list[str]) -> CommandResult:
     except InternalConsistencyError as exc:
         print(f"latsize: {exc}", file=sys.stderr)
         return CommandResult(4, "")
-    except (
-        NotTwoDimensionalError,
-        EmptyPolygonError,
-        DegeneratePolygonError,
-        NotAnInteriorPolygonError,
-    ) as exc:
+    except (NotTwoDimensionalError, EmptyPolygonError, DegeneratePolygonError) as exc:
         print(f"latsize: {exc}", file=sys.stderr)
         return CommandResult(3, "")
     except (SyntaxError, ZeroPolynomialError, CoordinateGuardError, ValueError, OSError) as exc:

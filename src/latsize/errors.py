@@ -6,7 +6,7 @@ class LatsizeError(Exception):
 
 
 class CoordinateGuardError(LatsizeError, ValueError):
-    """A coordinate exceeds the configured bound (see LATSIZE_GUARD)."""
+    """A point is not a pair of integers, or a coordinate exceeds 2**31 in absolute value."""
 
 
 class EmptyPolygonError(LatsizeError, ValueError):
@@ -15,10 +15,6 @@ class EmptyPolygonError(LatsizeError, ValueError):
 
 class DegeneratePolygonError(LatsizeError, ValueError):
     """An operation that needs a two-dimensional polygon received a point or segment."""
-
-
-class NotAnInteriorPolygonError(LatsizeError, ValueError):
-    """Outward shift hit a non-lattice corner: the input is not an interior hull."""
 
 
 class NotTwoDimensionalError(LatsizeError, ValueError):

@@ -1,12 +1,12 @@
-"""Interior hulls, outward shifts and onion-skin peeling."""
+"""Interior hulls and onion-skin peeling."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegeneratePolygonError, EmptyPolygonError, NotAnInteriorPolygonError
-from .polygon import EMPTY, LatticePolygon, Point, _column_bounds, _cross, hull
+from .errors import EmptyPolygonError
+from .polygon import EMPTY, LatticePolygon, Point, _cross, _interior_columns, hull
 
 
 def _push(chain: list[Point], p: Point, turn: int) -> None:
@@ -35,40 +35,12 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """
     if not delta.is_two_dim:
         return EMPTY
-    xs = [v[0] for v in delta.vertices]
     lower: list[Point] = []
     upper: list[Point] = []
-    for x in range(min(xs), max(xs) + 1):
-        rng = _column_bounds(delta, x, 1)
-        if rng is not None:
-            _push(lower, (x, rng[0]), 1)
-            _push(upper, (x, rng[1]), -1)
+    for x, lo, hi in _interior_columns(delta):
+        _push(lower, (x, lo), 1)
+        _push(upper, (x, hi), -1)
     return hull(lower + upper)
-
-
-def move_out(gamma: LatticePolygon) -> LatticePolygon:
-    """Shift every supporting line one integral unit outward and intersect.
-
-    Defined for interior hulls only: consecutive shifted lines must meet in
-    lattice points, otherwise :class:`NotAnInteriorPolygonError` is raised.
-    """
-    if not gamma.is_two_dim:
-        raise DegeneratePolygonError("outward shift needs a two-dimensional polygon")
-    cons = gamma.edge_constraints
-    n = len(cons)
-    corners = []
-    for i in range(n):
-        a1, b1, c1 = cons[i]
-        a2, b2, c2 = cons[(i + 1) % n]
-        det = a1 * b2 - a2 * b1
-        nx = (c1 + 1) * b2 - (c2 + 1) * b1
-        ny = a1 * (c2 + 1) - a2 * (c1 + 1)
-        if nx % det or ny % det:
-            raise NotAnInteriorPolygonError(
-                f"shifted edges {i} and {(i + 1) % n} meet at the non-lattice point ({nx}/{det}, {ny}/{det})"
-            )
-        corners.append((nx // det, ny // det))
-    return hull(corners)
 
 
 @dataclass(frozen=True)

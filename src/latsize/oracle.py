@@ -124,23 +124,16 @@ def oracle_box_pareto(delta: LatticePolygon, limit: Optional[int] = None) -> Par
 def census(k: int = 3) -> list[LatticePolygon]:
     """Every distinct hull spanned by subsets of the lattice points of [0,k]^2.
 
-    For k <= 3 the 2^((k+1)^2) subsets are enumerated outright and deduplicated
-    by canonical form, which is exact and fast; larger boxes fall back to a
-    seeded sample (structured families are expected to be added by the caller).
+    The 2^((k+1)^2) subsets are enumerated outright and deduplicated by
+    canonical form, which is exact and fast for k <= 3; larger k is rejected.
     """
+    if k > 3:
+        raise ValueError(f"census enumerates boxes up to [0,3]^2, got k={k}")
     pts = [(x, y) for x in range(k + 1) for y in range(k + 1)]
     seen: dict[tuple, LatticePolygon] = {}
-    if len(pts) <= 16:
-        n = len(pts)
-        for mask in range(1, 1 << n):
-            subset = [pts[i] for i in range(n) if mask >> i & 1]
-            poly = hull(subset)
-            seen.setdefault(poly.vertices, poly)
-    else:
-        stream = _splitmix64(k)
-        for _ in range(20000):
-            count = 3 + next(stream) % 8
-            subset = [pts[next(stream) % len(pts)] for _ in range(count)]
-            poly = hull(subset)
-            seen.setdefault(poly.vertices, poly)
+    n = len(pts)
+    for mask in range(1, 1 << n):
+        subset = [pts[i] for i in range(n) if mask >> i & 1]
+        poly = hull(subset)
+        seen.setdefault(poly.vertices, poly)
     return [seen[key] for key in sorted(seen)]

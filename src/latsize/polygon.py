@@ -10,10 +10,9 @@ as point sets, and all values are safe to share between threads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     CoordinateGuardError,
@@ -24,21 +23,19 @@ from .errors import (
 
 Point = tuple[int, int]
 
-_DEFAULT_GUARD = 1 << 31
+_GUARD = 1 << 31
 
 
-def coordinate_guard() -> int:
-    """Largest allowed |coordinate|; lower it with LATSIZE_GUARD when fuzzing."""
-    raw = os.environ.get("LATSIZE_GUARD")
-    return int(raw) if raw else _DEFAULT_GUARD
-
-
-def _check_point(p: Point, guard: int) -> None:
+def _check_point(p: object) -> Point:
+    """p as a tuple, if it is a pair of ints (bools excluded) within the guard."""
+    if not (isinstance(p, (tuple, list)) and len(p) == 2):
+        raise CoordinateGuardError(f"lattice point must be a pair of integers: {p!r}")
     x, y = p
-    if not isinstance(x, int) or not isinstance(y, int):
+    if type(x) is not int or type(y) is not int:
         raise CoordinateGuardError(f"lattice point must have integer coordinates: {p!r}")
-    if abs(x) > guard or abs(y) > guard:
-        raise CoordinateGuardError(f"coordinate exceeds guard {guard}: {p!r}")
+    if abs(x) > _GUARD or abs(y) > _GUARD:
+        raise CoordinateGuardError(f"coordinate exceeds guard {_GUARD}: {p!r}")
+    return (x, y)
 
 
 def integral_length(p: Point, q: Point) -> int:
@@ -125,13 +122,7 @@ EMPTY = LatticePolygon(())
 
 def hull(points: Iterable[Point]) -> LatticePolygon:
     """Convex hull of the given lattice points, in canonical form."""
-    guard = coordinate_guard()
-    pts = []
-    for p in points:
-        p = (p[0], p[1])
-        _check_point(p, guard)
-        pts.append(p)
-    pts = sorted(set(pts))
+    pts = sorted({_check_point(p) for p in points})
     if not pts:
         return EMPTY
     if len(pts) == 1:
@@ -181,11 +172,11 @@ class Measures:
     total_count: int
 
 
-def _column_bounds(delta: LatticePolygon, x: int, slack: int) -> Optional[tuple[int, int]]:
-    """Integer y-range of the column at x, with < (slack=1) or <= (slack=0) edge tests."""
+def _column_bounds(delta: LatticePolygon, x: int) -> Optional[tuple[int, int]]:
+    """Integer y-range of the lattice points strictly inside delta at column x."""
     lo = hi = None
     for a, b, c in delta.edge_constraints:
-        t = c - slack - a * x
+        t = c - 1 - a * x
         if b > 0:
             ub = t // b
             hi = ub if hi is None else min(hi, ub)
@@ -199,37 +190,20 @@ def _column_bounds(delta: LatticePolygon, x: int, slack: int) -> Optional[tuple[
     return lo, hi
 
 
+def _interior_columns(delta: LatticePolygon) -> Iterator[tuple[int, int, int]]:
+    """(x, lo, hi) for every column x of a two-dimensional delta with interior points."""
+    xs = [v[0] for v in delta.vertices]
+    for x in range(min(xs), max(xs) + 1):
+        rng = _column_bounds(delta, x)
+        if rng is not None:
+            yield x, rng[0], rng[1]
+
+
 def interior_lattice_points(delta: LatticePolygon) -> list[Point]:
     """Lattice points strictly inside delta (empty for degenerate polygons)."""
     if not delta.is_two_dim:
         return []
-    xs = [v[0] for v in delta.vertices]
-    out: list[Point] = []
-    for x in range(min(xs), max(xs) + 1):
-        rng = _column_bounds(delta, x, 1)
-        if rng is not None:
-            out.extend((x, y) for y in range(rng[0], rng[1] + 1))
-    return out
-
-
-def lattice_points(delta: LatticePolygon) -> list[Point]:
-    """All lattice points of delta (boundary included)."""
-    if delta.is_empty:
-        return []
-    if delta.is_point:
-        return [delta.vertices[0]]
-    if delta.is_segment:
-        p, q = delta.vertices
-        g = integral_length(p, q)
-        dx, dy = (q[0] - p[0]) // g, (q[1] - p[1]) // g
-        return [(p[0] + k * dx, p[1] + k * dy) for k in range(g + 1)]
-    xs = [v[0] for v in delta.vertices]
-    out: list[Point] = []
-    for x in range(min(xs), max(xs) + 1):
-        rng = _column_bounds(delta, x, 0)
-        if rng is not None:
-            out.extend((x, y) for y in range(rng[0], rng[1] + 1))
-    return out
+    return [(x, y) for x, lo, hi in _interior_columns(delta) for y in range(lo, hi + 1)]
 
 
 def measures(delta: LatticePolygon) -> Measures:
@@ -243,7 +217,7 @@ def measures(delta: LatticePolygon) -> Measures:
         return Measures(0, n, 0, n)
     area2 = delta.area2
     boundary = sum(integral_length(p, q) for p, q in delta.edges())
-    interior = len(interior_lattice_points(delta))
+    interior = sum(hi - lo + 1 for _, lo, hi in _interior_columns(delta))
     if area2 != 2 * interior + boundary - 2:
         raise InternalConsistencyError(
             f"Pick identity failed: area2={area2} boundary={boundary} interior={interior}"
@@ -418,7 +392,14 @@ def recognize_special(delta: LatticePolygon) -> Optional[SpecialShape]:
     unimodular rectangle or Lawrence prism; None otherwise.
 
     When several families match (the unit square is both a rectangle and a
-    width-one prism) the first kind in the order above wins.
+    width-one prism) the first kind in the order above wins. The invariants
+    tested decide equivalence on their own: a triangle with edges d*u, d*w
+    (u, w primitive) has area2 = d^2 |det(u, w)|, so area2 = d^2 makes (u, w) a
+    lattice basis, and area2 = 3 d^2 with all three edges of length d makes
+    delta / d a triangle with three boundary points and, by Pick, one interior
+    point, which is upsilon(1) up to equivalence. Opposite edges that are
+    antiparallel, of equal lengths and with unimodular directions span a
+    parallelogram whose edge frame is a lattice basis, i.e. a rectangle.
     """
     if not delta.is_two_dim:
         raise DegeneratePolygonError("special-shape recognition needs a two-dimensional polygon")
@@ -427,9 +408,9 @@ def recognize_special(delta: LatticePolygon) -> Optional[SpecialShape]:
     lens = [integral_length(p, q) for p, q in delta.edges()]
     if n == 3 and lens[0] == lens[1] == lens[2]:
         d = lens[0]
-        if delta.area2 == d * d and are_equivalent(delta, standard_triangle(d)) is not None:
+        if delta.area2 == d * d:
             return SpecialShape("standard_triangle", (d,))
-        if delta.area2 == 3 * d * d and are_equivalent(delta, upsilon(d)) is not None:
+        if delta.area2 == 3 * d * d:
             return SpecialShape("upsilon", (d,))
     if n == 4:
         prims = [_primitive((q[0] - p[0], q[1] - p[1])) for p, q in delta.edges()]
@@ -441,8 +422,7 @@ def recognize_special(delta: LatticePolygon) -> Optional[SpecialShape]:
         )
         if opposite and abs(prims[0][0] * prims[1][1] - prims[0][1] * prims[1][0]) == 1:
             a, b = sorted((lens[0], lens[1]))
-            if are_equivalent(delta, rectangle(a, b)) is not None:
-                return SpecialShape("rectangle", (a, b))
+            return SpecialShape("rectangle", (a, b))
     for a, b, c in delta.edge_constraints:
         vals = [a * x + b * y for x, y in vs]
         if c - min(vals) == 1:

@@ -20,7 +20,7 @@ from .polygon import (
     AffineUnimodularMap,
     LatticePolygon,
     Point,
-    _extended_gcd,
+    are_equivalent,
     complete_to_basis,
     hull,
     integral_length,
@@ -28,6 +28,7 @@ from .polygon import (
     standard_triangle,
 )
 from .width import (
+    Step,
     _euclidean_width_sq,
     _min_convex,
     _primitive_directions,
@@ -53,23 +54,13 @@ RULE_SEARCH = "DegenerateBaseSearch"
 
 
 @dataclass(frozen=True)
-class SizeStep:
-    """One rule application: the skin it fired on and what it added."""
-
-    skin: LatticePolygon
-    rule: str
-    contribution: int
-    params: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class SizeCertificate:
     """A lattice-size value with its witness map and recursion trace."""
 
     shape: str
     value: int
     witness: Optional[AffineUnimodularMap]
-    trace: tuple[SizeStep, ...]
+    trace: tuple[Step, ...]
 
 
 @dataclass(frozen=True)
@@ -131,8 +122,6 @@ _SQUARE_TABLE: tuple[tuple[LatticePolygon, int], ...] = (
 
 
 def _table_lookup(delta: LatticePolygon, shape: str) -> Optional[int]:
-    from .polygon import are_equivalent
-
     table = _SIGMA_TABLE if shape == SIGMA else _SQUARE_TABLE
     for ref, value in table:
         if are_equivalent(delta, ref) is not None:
@@ -162,7 +151,7 @@ def _search_value(delta: LatticePolygon, shape: str) -> int:
     return d
 
 
-def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[SizeStep, ...]]:
+def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...]]:
     """Value and rule trace from the onion skins of delta, innermost skin first."""
     if delta.is_empty:
         return _BASE[shape], ()
@@ -175,83 +164,68 @@ def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[SizeStep,
     return value, tuple(trace)
 
 
-def _innermost_step(delta: LatticePolygon, shape: str) -> tuple[int, SizeStep]:
+def _innermost_step(delta: LatticePolygon, shape: str) -> tuple[int, Step]:
     """Value of a non-empty polygon whose interior hull is empty."""
     base = _BASE[shape]
     if delta.is_point:
-        return 0, SizeStep(delta, RULE_SEARCH, -base)
+        return 0, Step(delta, RULE_SEARCH, -base)
     if delta.is_segment:
         value = integral_length(*delta.vertices)
-        return value, SizeStep(delta, RULE_SEARCH, value - base)
+        return value, Step(delta, RULE_SEARCH, value - base)
     # Interior-free polygons: width-one prisms (in several disguises) and
     # the twice-dilated standard triangle.
     special = recognize_special(delta)
     if special is not None:
         kind, params = special.kind, special.params
         if kind == "standard_triangle" and params[0] == 2:
-            return 2, SizeStep(delta, RULE_TWO_SIGMA, 2 - base)
+            return 2, Step(delta, RULE_TWO_SIGMA, 2 - base)
         if kind == "standard_triangle" and params[0] == 1:
-            return 1, SizeStep(delta, RULE_GENERIC, 1 - base)
+            return 1, Step(delta, RULE_GENERIC, 1 - base)
         if kind == "rectangle":
             a, b = params
             if shape == SIGMA:
-                return a + b, SizeStep(delta, RULE_RECTANGLE, a + b - base, (a, b))
+                return a + b, Step(delta, RULE_RECTANGLE, a + b - base, (a, b))
             if b >= 2:
-                return b, SizeStep(delta, RULE_PRISM, b - base, (b, b))
-            return 1, SizeStep(delta, RULE_GENERIC, 1 - base)
+                return b, Step(delta, RULE_PRISM, b - base, (b, b))
+            return 1, Step(delta, RULE_GENERIC, 1 - base)
         if kind == "lawrence_prism":
             a, b = params
             if shape == SIGMA:
                 value = a + 1 if a == b else a
-                return value, SizeStep(delta, RULE_PRISM, value - base, (a, b))
+                return value, Step(delta, RULE_PRISM, value - base, (a, b))
             if a >= 2:
-                return a, SizeStep(delta, RULE_PRISM, a - base, (a, b))
-            return 1, SizeStep(delta, RULE_GENERIC, 1 - base)
-    value = _search_value(delta, shape)
-    return value, SizeStep(delta, RULE_SEARCH, value - base)
+                return a, Step(delta, RULE_PRISM, a - base, (a, b))
+            return 1, Step(delta, RULE_GENERIC, 1 - base)
+    raise InternalConsistencyError(
+        f"no rule names the interior-free polygon {list(delta.vertices)}, "
+        "which must be 2*Sigma or of lattice width one"
+    )
 
 
 def _skin_step(
     delta: LatticePolygon, gamma: LatticePolygon, inner_value: int, shape: str
-) -> tuple[int, SizeStep]:
+) -> tuple[int, Step]:
     """Value of delta from the value of its non-empty interior hull gamma."""
     if shape == SIGMA:
         special = recognize_special(delta)
         if special is not None and special.kind == "rectangle":
             a, b = special.params
-            return a + b, SizeStep(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
+            return a + b, Step(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
     if not gamma.is_two_dim:
         table = _table_lookup(delta, shape)
         if table is not None:
-            return table, SizeStep(delta, RULE_TABLE, table - inner_value)
+            return table, Step(delta, RULE_TABLE, table - inner_value)
     hit = parallel_edge_exception(delta, gamma, 3)
     if hit is not None:
         if hit.s != inner_value:
             raise InternalConsistencyError(
                 f"parallel-edge face length {hit.s} disagrees with inner value {inner_value}"
             )
-        return hit.r, SizeStep(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s))
+        return hit.r, Step(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s))
     if not gamma.is_two_dim:
         value = _search_value(delta, shape)
-        return value, SizeStep(delta, RULE_SEARCH, value - inner_value)
-    return inner_value + _STEP[shape], SizeStep(delta, RULE_GENERIC, _STEP[shape])
-
-
-def _segment_witness(delta: LatticePolygon, vertical: bool) -> AffineUnimodularMap:
-    """Map a segment onto conv{(0,0),(L,0)} (or its vertical mirror image)."""
-    p, q = delta.vertices
-    g = integral_length(p, q)
-    prim = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
-    _, s, t = _extended_gcd(prim[0], prim[1])
-    r_len = (s, t)  # r_len . prim == 1
-    r_perp = (-prim[1], prim[0])  # r_perp . prim == 0
-    rows = (r_perp, r_len) if vertical else (r_len, r_perp)
-    phi = AffineUnimodularMap(rows[0][0], rows[0][1], rows[1][0], rows[1][1], 0, 0)
-    img = [phi.apply(v) for v in delta.vertices]
-    return AffineUnimodularMap(
-        rows[0][0], rows[0][1], rows[1][0], rows[1][1],
-        -min(x for x, _ in img), -min(y for _, y in img),
-    )
+        return value, Step(delta, RULE_SEARCH, value - inner_value)
+    return inner_value + _STEP[shape], Step(delta, RULE_GENERIC, _STEP[shape])
 
 
 def fit_into(
@@ -268,6 +242,8 @@ def fit_into(
     """
     if delta.is_empty:
         raise EmptyPolygonError("fit_into needs a non-empty polygon")
+    if shape not in (SIGMA, SQUARE, BOX):
+        raise ValueError(f"target shape must be sigma, square or box, got {shape!r}")
     if shape == BOX:
         a_cap, b_cap = size
         if not (0 <= a_cap <= b_cap):
@@ -283,9 +259,9 @@ def fit_into(
     if delta.is_segment:
         length = integral_length(*delta.vertices)
         if length <= a_cap:
-            return _segment_witness(delta, vertical=False)
+            return are_equivalent(delta, hull([(0, 0), (length, 0)]))
         if shape == BOX and length <= b_cap:
-            return _segment_witness(delta, vertical=True)
+            return are_equivalent(delta, hull([(0, 0), (0, length)]))
         return None
 
     if shape == SIGMA and delta.area2 > a_cap * a_cap:
@@ -378,9 +354,8 @@ def minimal_box(delta: LatticePolygon) -> BoxCertificate:
         x, y = delta.vertices[0]
         return BoxCertificate(0, 0, AffineUnimodularMap.translation(-x, -y))
     if delta.is_segment:
-        return BoxCertificate(
-            0, integral_length(*delta.vertices), _segment_witness(delta, vertical=True)
-        )
+        length = integral_length(*delta.vertices)
+        return BoxCertificate(0, length, are_equivalent(delta, hull([(0, 0), (0, length)])))
     wr = lattice_width(delta)
     a = wr.width
     b, _ = _size_value(delta, SQUARE)

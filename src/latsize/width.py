@@ -171,12 +171,13 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
 
 
 @dataclass(frozen=True)
-class WidthStep:
-    """One rule application in the peeling recursion."""
+class Step:
+    """One rule application in a peeling recursion: the skin it fired on and what it added."""
 
     skin: LatticePolygon
     rule: str
     contribution: int
+    params: tuple[int, ...] = ()
 
 
 _WIDTH_BASE = {
@@ -186,7 +187,7 @@ _WIDTH_BASE = {
 }
 
 
-def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[WidthStep, ...]]:
+def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...]]:
     """Lattice width by interior-hull peeling.
 
     Standard triangles are the one exceptional family (their width drops by
@@ -198,19 +199,19 @@ def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[WidthStep
     if delta.is_empty:
         raise EmptyPolygonError("lattice_width_recursive needs a non-empty polygon")
     if not delta.is_two_dim:
-        return 0, (WidthStep(delta, "DegenerateInput", 0),)
+        return 0, (Step(delta, "DegenerateInput", 0),)
     generic: list[LatticePolygon] = []
     skin = delta
     while True:
         special = recognize_special(skin)
         if special is not None and special.kind == "standard_triangle":
-            base = WidthStep(skin, "StandardTriangleException", special.params[0])
+            base = Step(skin, "StandardTriangleException", special.params[0])
             break
         gamma = interior_hull(skin)
         if not gamma.is_two_dim:
-            base = WidthStep(skin, *_WIDTH_BASE[gamma.kind])
+            base = Step(skin, *_WIDTH_BASE[gamma.kind])
             break
         generic.append(skin)
         skin = gamma
-    trace = (base,) + tuple(WidthStep(s, "GenericStep", 2) for s in reversed(generic))
+    trace = (base,) + tuple(Step(s, "GenericStep", 2) for s in reversed(generic))
     return base.contribution + 2 * len(generic), trace

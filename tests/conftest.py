@@ -30,12 +30,9 @@ def weierstrass(g: int) -> LatticePolygon:
 
 
 def contains(poly: LatticePolygon, pt: tuple[int, int]) -> bool:
-    """Closed containment test through the edge constraints."""
-    if poly.is_two_dim:
-        return all(a * pt[0] + b * pt[1] <= c for a, b, c in poly.edge_constraints)
-    from latsize import lattice_points
-
-    return pt in lattice_points(poly)
+    """Closed containment test through the edge constraints of a two-dimensional polygon."""
+    assert poly.is_two_dim
+    return all(a * pt[0] + b * pt[1] <= c for a, b, c in poly.edge_constraints)
 
 
 def in_sigma(d: int, pt: tuple[int, int]) -> bool:

@@ -83,11 +83,11 @@ def test_exit_code_precondition_failures():
     assert run_command(["peel", "--vertices", ""]).exit_code == 3
 
 
-def test_guard_env_lowers_bound(monkeypatch):
-    monkeypatch.setenv("LATSIZE_GUARD", "6")
-    assert run_command(["sigma", "--vertices", HEPTAGON]).exit_code == 2
-    monkeypatch.delenv("LATSIZE_GUARD")
-    assert run_command(["sigma", "--vertices", HEPTAGON]).exit_code == 0
+def test_guard_bound_exits_2():
+    big = 2**31
+    assert run_command(["sigma", f"--vertices={big + 1},0;0,0;0,1"]).exit_code == 2
+    assert run_command(["sigma", f"--vertices=-{big + 1},0;0,0;0,1"]).exit_code == 2
+    assert run_command(["width", f"--vertices={big},0;0,0;0,1"]).stdout == "1\n"
 
 
 def test_input_file_json_and_lines(tmp_path):

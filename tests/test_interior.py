@@ -1,4 +1,4 @@
-"""Interior hulls, outward shifts and onion skins."""
+"""Interior hulls and onion skins."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from latsize import (
     AffineUnimodularMap,
-    DegeneratePolygonError,
     EmptyPolygonError,
-    NotAnInteriorPolygonError,
     apply_map,
     are_equivalent,
     hull,
@@ -16,7 +14,6 @@ from latsize import (
     interior_lattice_points,
     lawrence_prism,
     measures,
-    move_out,
     onion_skins,
     random_polygon,
     random_unimodular_map,
@@ -27,7 +24,7 @@ from latsize import (
 
 from latsize.polygon import _column_bounds
 
-from conftest import contains, weierstrass
+from conftest import weierstrass
 
 
 def test_interior_of_weierstrass_triangle():
@@ -43,29 +40,6 @@ def test_interior_of_degenerate_is_empty():
     assert interior_hull(hull([(0, 0), (4, 2)])).is_empty
     assert interior_hull(hull([(1, 1)])).is_empty
     assert interior_hull(hull([])).is_empty
-
-
-def test_move_out_reference_shapes():
-    assert move_out(standard_triangle(2)) == hull([(-1, -1), (4, -1), (-1, 4)])
-    assert are_equivalent(move_out(standard_triangle(2)), standard_triangle(5)) is not None
-    assert move_out(rectangle(2, 2)) == hull([(-1, -1), (3, -1), (3, 3), (-1, 3)])
-    assert are_equivalent(move_out(rectangle(2, 2)), rectangle(4, 4)) is not None
-
-
-def test_move_out_accepts_translated_upsilon():
-    # every corner of the shifted triangle is a lattice point here
-    gamma = hull([(0, 0), (2, 1), (1, 2)])
-    assert move_out(gamma) == hull([(-1, -1), (3, 1), (1, 3)])
-
-
-def test_move_out_rejects_fractional_corner():
-    with pytest.raises(NotAnInteriorPolygonError):
-        move_out(hull([(0, 0), (3, 1), (1, 3)]))
-
-
-def test_move_out_needs_two_dimensional_input():
-    with pytest.raises(DegeneratePolygonError):
-        move_out(hull([(0, 0), (3, 0)]))
 
 
 def test_onion_skins_heptagon(heptagon):
@@ -92,20 +66,6 @@ def test_onion_chain_is_consistent():
         for outer, inner in zip(skins, skins[1:]):
             assert interior_hull(outer) == inner
         assert interior_hull(skins[-1]).is_empty
-
-
-def test_move_out_maximality_on_skins():
-    # on true interior hulls, moving out recovers a polygon that contains the
-    # parent and whose interior hull is exactly the skin again
-    for seed in range(500):
-        delta = random_polygon(seed, 5)
-        skins = onion_skins(delta).skins
-        for outer, inner in zip(skins, skins[1:]):
-            if not inner.is_two_dim:
-                continue
-            grown = move_out(inner)
-            assert all(contains(grown, v) for v in outer.vertices)
-            assert interior_hull(grown) == inner
 
 
 def test_interior_hull_equivariance():
@@ -172,7 +132,7 @@ def test_onion_skins_match_enumeration_on_thin_sheared_polygons():
         _assert_skins_enumerated(delta)
         xs = [x for x, _ in delta.vertices]
         for x in range(min(xs), max(xs) + 1):
-            rng = _column_bounds(delta, x, 1)
+            rng = _column_bounds(delta, x)
             empty_columns += rng is None
             point_columns += rng is not None and rng[0] == rng[1]
     # the family must exercise the columns a chain scan can get wrong

@@ -75,3 +75,5 @@ def test_census_is_deterministic_and_complete():
     assert hull([(0, 0), (3, 3)]) in first
     # every canonical hull of box subsets shows up exactly once
     assert len(first) == 2855
+    with pytest.raises(ValueError):
+        census(4)

@@ -9,7 +9,6 @@ from latsize import (
     are_equivalent,
     hull,
     integral_length,
-    lattice_points,
     lawrence_prism,
     measures,
     random_polygon,
@@ -19,6 +18,7 @@ from latsize import (
     standard_triangle,
     upsilon,
 )
+import latsize.polygon
 from latsize.polygon import AffineUnimodularMap
 
 from conftest import HEPTAGON_VERTICES, contains
@@ -65,12 +65,14 @@ def test_coordinate_guard():
         hull([(0.5, 0)])
 
 
-def test_coordinate_guard_env_override(monkeypatch):
-    monkeypatch.setenv("LATSIZE_GUARD", "10")
+@pytest.mark.parametrize(
+    "point",
+    [(1, 2, 3), (1,), 5, (True, 0), (0, False), ("1", 2), (1, None), {1: 2, 3: 4}],
+    ids=["triple", "single", "int", "bool_x", "bool_y", "str", "none", "dict"],
+)
+def test_hull_rejects_malformed_points(point):
     with pytest.raises(CoordinateGuardError):
-        hull([(11, 0)])
-    monkeypatch.delenv("LATSIZE_GUARD")
-    assert hull([(11, 0)]).is_point
+        hull([(0, 0), point, (4, 0)])
 
 
 def test_measures_reference_counts():
@@ -209,5 +211,34 @@ def test_pick_identity_on_random_polygons():
         assert m.area2 == 2 * m.interior_count + m.boundary_count - 2
 
 
-def test_lattice_points_of_segment():
-    assert lattice_points(hull([(0, 0), (6, 4)])) == [(0, 0), (3, 2), (6, 4)]
+def test_measures_counts_interior_without_listing_it(monkeypatch):
+    def refuse(delta):
+        raise AssertionError("measures must not list the interior points")
+
+    monkeypatch.setattr(latsize.polygon, "interior_lattice_points", refuse)
+    m = measures(standard_triangle(3000))
+    assert m.interior_count == 2999 * 2998 // 2
+    assert m.total_count == 3001 * 3002 // 2
+
+
+_REPRESENTATIVE = {
+    "standard_triangle": standard_triangle,
+    "upsilon": upsilon,
+    "rectangle": rectangle,
+    "lawrence_prism": lawrence_prism,
+}
+
+
+def test_recognized_shape_is_equivalent_to_its_representative(box3_census):
+    families = [f(d) for f in (standard_triangle, upsilon) for d in range(1, 7)]
+    families += [f(a, b) for a in range(1, 6) for b in range(a + 1) for f in (rectangle, lawrence_prism)]
+    polygons = [p for p in box3_census + families if p.is_two_dim]
+    polygons += [apply_map(random_unimodular_map(i), p) for i, p in enumerate(polygons)]
+    kinds = set()
+    for delta in polygons:
+        special = recognize_special(delta)
+        if special is not None:
+            kinds.add(special.kind)
+            ref = _REPRESENTATIVE[special.kind](*special.params)
+            assert are_equivalent(delta, ref) is not None, (delta, special)
+    assert kinds == set(_REPRESENTATIVE)

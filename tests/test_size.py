@@ -7,6 +7,7 @@ from latsize import (
     apply_map,
     fit_into,
     hull,
+    integral_length,
     interior_hull,
     lattice_size_sigma,
     lattice_size_square,
@@ -16,11 +17,12 @@ from latsize import (
     oracle_size,
     parallel_edge_exception,
     random_polygon,
+    random_unimodular_map,
     rectangle,
     standard_triangle,
     upsilon,
 )
-from latsize.size import _size_value
+from latsize.size import RULE_SEARCH, _size_value
 
 from conftest import in_box, in_sigma, weierstrass
 
@@ -138,6 +140,16 @@ def test_square_family_laws():
             assert _size_value(lawrence_prism(a, b), "square")[0] == a, (a, b)
 
 
+def test_innermost_two_dim_skin_needs_no_search(box3_census):
+    # an interior-free two-dimensional skin is 2*Sigma or has lattice width one,
+    # and recognize_special names both, so the innermost step never searches
+    for i, delta in enumerate(box3_census):
+        for poly in (delta, apply_map(random_unimodular_map(i), delta)):
+            for shape in ("sigma", "square"):
+                innermost = _size_value(poly, shape)[1][0]
+                assert not (innermost.skin.is_two_dim and innermost.rule == RULE_SEARCH), poly
+
+
 def test_trace_contributions_telescope():
     for seed in range(100):
         delta = random_polygon(seed, 5)
@@ -170,6 +182,29 @@ def test_fit_degenerate_and_box():
         fit_into(seg, "box", (3, 2))
     with pytest.raises(EmptyPolygonError):
         fit_into(hull([]), "sigma", 1)
+
+
+def test_fit_rejects_unknown_shape():
+    for delta in (standard_triangle(3), hull([(1, 1)]), hull([(0, 0), (2, 0)])):
+        with pytest.raises(ValueError):
+            fit_into(delta, "nonsense", 3)
+    with pytest.raises(ValueError):
+        oracle_size(standard_triangle(3), "nonsense")
+
+
+def test_segment_witnesses_reach_both_targets():
+    for dx in range(-6, 7):
+        for dy in range(0, 7):
+            seg = hull([(3, -2), (3 + dx, -2 + dy)])
+            if not seg.is_segment:
+                continue
+            length = integral_length(*seg.vertices)
+            flat = apply_map(fit_into(seg, "sigma", length), seg)
+            assert flat == hull([(0, 0), (length, 0)])
+            assert fit_into(seg, "square", length - 1) is None
+            upright = apply_map(fit_into(seg, "box", (length - 1, length)), seg)
+            assert upright == hull([(0, 0), (0, length)])
+            assert apply_map(minimal_box(seg).witness, seg) == upright
 
 
 def test_fit_witness_is_deterministic(heptagon):
