@@ -274,8 +274,16 @@ def _oracle_command(args: argparse.Namespace) -> str:
 def run_command(argv: list[str]) -> CommandResult:
     """Parse argv, execute and return the exit code plus the stdout payload."""
     parser = _build_parser()
+    # argparse takes "-1,0;0,0;0,1" for an option, so the value of a
+    # space-separated --vertices that starts with a minus sign is glued to it.
+    glued: list[str] = []
+    for arg in argv:
+        if glued and glued[-1] == "--vertices" and arg[:1] == "-" and arg[1:2].isdigit():
+            glued[-1] = f"--vertices={arg}"
+        else:
+            glued.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(glued)
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), "")
     handlers = {

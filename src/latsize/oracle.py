@@ -92,15 +92,13 @@ def oracle_box_pareto(delta: LatticePolygon, limit: Optional[int] = None) -> Par
 
     Feasibility is decided by fit_into on the grid; for each a the minimal
     feasible b is found, and dominated pairs are discarded. The default limit
-    is the square lattice size plus two, which is always large enough to
-    contain every minimal pair.
+    is the square lattice size from oracle_size plus two, which is always
+    large enough to contain every minimal pair.
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_box_pareto needs a non-empty polygon")
     if limit is None:
-        from .size import _size_value
-
-        limit = _size_value(delta, "square")[0] + 2
+        limit = oracle_size(delta, "square") + 2
     front: list[tuple[int, int]] = []
     prev_b: Optional[int] = None
     for a in range(0, limit + 1):

@@ -1,12 +1,18 @@
 """Lattice sizes with respect to the standard triangle and the unit square.
 
 The values are computed by the interior-hull recursion, run as a loop: peel
-the polygon into its onion skins and, from the innermost skin outward, add
-three (triangle) or two (square) per skin unless one of the exceptional rules
-fires. Every certificate carries a witness map, found independently by exact
-feasibility search at the computed value, plus the rule trace whose
-contributions telescope from the empty-hull convention (-2 for the triangle,
--1 for the square) to the final value.
+the polygon into its onion skins and, from the innermost skin outward, apply
+one rule per skin. The innermost skin, whose interior hull is empty, is a
+point, a segment, 2*Sigma or a polygon of lattice width one, each with a
+closed-form value. Every outer skin takes the first of three rules that
+fires: the rectangle rule (triangle only, a + b for [0,a] x [0,b]), then the
+parallel-edge rule (an edge of length r facing a face of length s = inner
+value with r - s >= 3 gives r), then the generic step (inner value plus three
+for the triangle, two for the square). No value is found by search. Every
+certificate carries a witness map, found independently by exact feasibility
+search at the computed value, plus the rule trace whose contributions
+telescope from the empty-hull convention (-2 for the triangle, -1 for the
+square) to the final value.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .polygon import (
     hull,
     integral_length,
     recognize_special,
-    standard_triangle,
 )
 from .width import (
     Step,
@@ -47,6 +52,7 @@ _STEP = {SIGMA: 3, SQUARE: 2}
 RULE_GENERIC = "GenericStep"
 RULE_PRISM = "LawrencePrism"
 RULE_TWO_SIGMA = "TwoSigma"
+# No rule emits RULE_TABLE; the benchmark reports a count for every RULE_* tag.
 RULE_TABLE = "SmallTriangleTable"
 RULE_RECTANGLE = "RectangleAB"
 RULE_PARALLEL = "ParallelEdge"
@@ -108,49 +114,6 @@ def parallel_edge_exception(
     return best
 
 
-_SIGMA_TABLE: tuple[tuple[LatticePolygon, int], ...] = (
-    (hull([(0, 0), (4, 0), (0, 2)]), 4),
-)
-
-_SQUARE_TABLE: tuple[tuple[LatticePolygon, int], ...] = (
-    (standard_triangle(3), 3),
-    (hull([(0, 0), (3, 0), (0, 2)]), 3),
-    (hull([(0, 0), (3, 0), (2, 1), (0, 2)]), 3),
-    (hull([(0, 0), (3, 0), (1, 2), (0, 2)]), 3),
-    (hull([(0, 0), (4, 0), (0, 2)]), 4),
-)
-
-
-def _table_lookup(delta: LatticePolygon, shape: str) -> Optional[int]:
-    table = _SIGMA_TABLE if shape == SIGMA else _SQUARE_TABLE
-    for ref, value in table:
-        if are_equivalent(delta, ref) is not None:
-            return value
-    return None
-
-
-def _search_value(delta: LatticePolygon, shape: str) -> int:
-    """Smallest feasible target size, scanning up from a lower bound.
-
-    Both the lattice width and the longest vertex-to-vertex integral length
-    bound the size from below, so the scan may start at their maximum; the
-    reduction and candidate geometry are computed once and shared across the
-    ascending feasibility tests.
-    """
-    vs = delta.vertices
-    seg = max(
-        integral_length(vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-    )
-    d = max(lattice_width(delta).width, seg, 0)
-    red, psi = _reduce(delta)
-    we2 = _euclidean_width_sq(red)
-    while _fit_two_dim(red, psi, we2, shape, d, d) is None:
-        d += 1
-    return d
-
-
 def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...]]:
     """Value and rule trace from the onion skins of delta, innermost skin first."""
     if delta.is_empty:
@@ -205,16 +168,18 @@ def _innermost_step(delta: LatticePolygon, shape: str) -> tuple[int, Step]:
 def _skin_step(
     delta: LatticePolygon, gamma: LatticePolygon, inner_value: int, shape: str
 ) -> tuple[int, Step]:
-    """Value of delta from the value of its non-empty interior hull gamma."""
+    """Value of delta from the value of its non-empty interior hull gamma.
+
+    The first rule that fires decides: the rectangle rule (triangle only),
+    then the parallel-edge rule with threshold 3, then the generic step. A
+    point or segment gamma goes through the same rules as a two-dimensional
+    one.
+    """
     if shape == SIGMA:
         special = recognize_special(delta)
         if special is not None and special.kind == "rectangle":
             a, b = special.params
             return a + b, Step(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
-    if not gamma.is_two_dim:
-        table = _table_lookup(delta, shape)
-        if table is not None:
-            return table, Step(delta, RULE_TABLE, table - inner_value)
     hit = parallel_edge_exception(delta, gamma, 3)
     if hit is not None:
         if hit.s != inner_value:
@@ -222,9 +187,6 @@ def _skin_step(
                 f"parallel-edge face length {hit.s} disagrees with inner value {inner_value}"
             )
         return hit.r, Step(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s))
-    if not gamma.is_two_dim:
-        value = _search_value(delta, shape)
-        return value, Step(delta, RULE_SEARCH, value - inner_value)
     return inner_value + _STEP[shape], Step(delta, RULE_GENERIC, _STEP[shape])
 
 

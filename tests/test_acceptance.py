@@ -41,7 +41,6 @@ ALL_RULES = {
     "GenericStep",
     "LawrencePrism",
     "TwoSigma",
-    "SmallTriangleTable",
     "RectangleAB",
     "ParallelEdge",
     "DegenerateBaseSearch",

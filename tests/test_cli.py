@@ -13,6 +13,9 @@ def test_sigma_reference_output():
     result = run_command(["sigma", "--vertices", HEPTAGON])
     assert result.exit_code == 0
     assert result.stdout == "10\n"
+    # a leading minus sign in the space-separated form is a coordinate, not an option
+    for argv in (["--vertices", "-1,0;0,0;0,1"], ["--vertices=-1,0;0,0;0,1"]):
+        assert run_command(["sigma", *argv]).stdout == "1\n", argv
 
 
 def test_square_reference_output():

@@ -51,6 +51,14 @@ def test_pareto_reference_sets():
     assert oracle_box_pareto(standard_triangle(2)).pairs == ((2, 2),)
 
 
+def test_pareto_oracle_does_not_use_the_recursion(heptagon, monkeypatch):
+    def no_recursion(*args):
+        raise AssertionError("oracle_box_pareto ran the size recursion")
+
+    monkeypatch.setattr("latsize.size._size_value", no_recursion)
+    assert oracle_box_pareto(heptagon).pairs == ((5, 8),)
+
+
 def test_pareto_pairs_are_feasible_and_minimal():
     for seed in range(40):
         delta = random_polygon(seed, 4)

@@ -122,11 +122,15 @@ def test_square_reference_values():
     assert hit and hit[-1].params == (4, 1)
 
 
-def test_square_small_table_members():
+def test_small_triangles_take_the_parallel_edge_rule():
+    # a long edge facing the single interior point decides these sizes
     for vs in ([(0, 0), (3, 0), (0, 2)], [(0, 0), (3, 0), (2, 1), (0, 2)], [(0, 0), (3, 0), (1, 2), (0, 2)]):
         value, trace = _size_value(hull(vs), "square")
         assert value == 3
-        assert trace[-1].rule == "SmallTriangleTable"
+        assert (trace[-1].rule, trace[-1].params) == ("ParallelEdge", (3, 0))
+    value, trace = _size_value(hull([(0, 0), (4, 0), (0, 2)]), "sigma")
+    assert value == 4
+    assert (trace[-1].rule, trace[-1].params) == ("ParallelEdge", (4, 0))
 
 
 def test_square_family_laws():
@@ -140,14 +144,18 @@ def test_square_family_laws():
             assert _size_value(lawrence_prism(a, b), "square")[0] == a, (a, b)
 
 
-def test_innermost_two_dim_skin_needs_no_search(box3_census):
-    # an interior-free two-dimensional skin is 2*Sigma or has lattice width one,
-    # and recognize_special names both, so the innermost step never searches
+def test_two_dim_skins_need_no_search(box3_census, monkeypatch):
+    # every two-dimensional skin takes a rule, innermost or not: the recursion
+    # never runs the feasibility search that fit_into and the oracle share
+    def no_search(*args):
+        raise AssertionError("_size_value ran the feasibility search")
+
+    monkeypatch.setattr("latsize.size._fit_two_dim", no_search)
     for i, delta in enumerate(box3_census):
         for poly in (delta, apply_map(random_unimodular_map(i), delta)):
             for shape in ("sigma", "square"):
-                innermost = _size_value(poly, shape)[1][0]
-                assert not (innermost.skin.is_two_dim and innermost.rule == RULE_SEARCH), poly
+                for step in _size_value(poly, shape)[1]:
+                    assert not (step.skin.is_two_dim and step.rule == RULE_SEARCH), poly
 
 
 def test_trace_contributions_telescope():
