@@ -87,6 +87,8 @@ def _read_polygon(args: argparse.Namespace) -> LatticePolygon:
             text = fh.read()
         try:
             doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON input is nested too deeply") from None
         except json.JSONDecodeError:
             pts = []
             for line in text.splitlines():

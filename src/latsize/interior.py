@@ -4,9 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import EmptyPolygonError
-from .polygon import EMPTY, LatticePolygon, Point, _cross, _interior_columns, hull
+from .polygon import (
+    EMPTY,
+    LatticePolygon,
+    Point,
+    _column_bounds,
+    _cross,
+    complete_to_basis,
+    hull,
+)
 
 
 def _push(chain: list[Point], p: Point, turn: int) -> None:
@@ -20,26 +29,100 @@ def _push(chain: list[Point], p: Point, turn: int) -> None:
     chain.append(p)
 
 
+def _face_spans(delta: LatticePolygon, edges: list[tuple[Point, int, int]]) -> list[tuple[int, int]]:
+    """Sorted x-spans (left, right) of the interior hull's faces on the inward unit shifts of edges.
+
+    ``edges`` holds (p, a, b) for edges a*x + b*y <= c of delta that start at
+    p. The lattice points on a*x + b*y = c - 1 that satisfy every other edge
+    constraint are the face of the interior hull on that line. They are
+    p + w + t*d for the primitive edge direction d = (-b, a) and an integer t
+    in a range that one pass over the constraints bounds. Only spans with a
+    column strictly inside are kept.
+    """
+    constraints = delta.edge_constraints
+    spans = []
+    for p, a, b in edges:
+        d = (-b, a)
+        w = complete_to_basis(d)  # a*w = -1, so p + w lies on the shifted line
+        o = (p[0] + w[0], p[1] + w[1])
+        # t*k <= r for each constraint; delta is bounded, so t is bounded on
+        # both sides. A parallel opposite edge (k == 0) is left out: if it
+        # cuts the line, delta has no interior point to lose.
+        bounds = [(a2 * d[0] + b2 * d[1], c2 - 1 - a2 * o[0] - b2 * o[1]) for a2, b2, c2 in constraints]
+        t_lo = max(-(r // -k) for k, r in bounds if k < 0)
+        t_hi = min(r // k for k, r in bounds if k > 0)
+        if (t_hi - t_lo) * abs(b) >= 2:
+            spans.append(tuple(sorted((o[0] + t_lo * d[0], o[0] + t_hi * d[0]))))
+    return sorted(spans)
+
+
+def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
+    """The columns of delta that are not strictly inside both a lower and an upper face span.
+
+    Faces come from the lower (b < 0) and upper (b > 0) edges of lattice
+    length >= 2; vertical edges cover no column. Edges of length 1 are left
+    out: on small polygons, where most edges have length 1, their passes cost
+    more than the columns they save. One side's faces are computed only when
+    the other side can have one too. Faces of the interior hull on distinct
+    lines meet at most in a vertex, so the spans of one side have disjoint
+    interiors and one merge pass yields the column ranges strictly inside a
+    span of each side, in increasing x.
+    """
+    vs = delta.vertices
+    lower_edges: list[tuple[Point, int, int]] = []
+    upper_edges: list[tuple[Point, int, int]] = []
+    # q - p = g * (-b, a) for the edge from p to q of lattice length g
+    for p, q, (a, b, _) in zip(vs, vs[1:] + vs[:1], delta.edge_constraints):
+        if b and (p[0] - q[0]) // b >= 2:
+            (lower_edges if b < 0 else upper_edges).append((p, a, b))
+    lower = _face_spans(delta, lower_edges) if upper_edges else []
+    upper = _face_spans(delta, upper_edges) if lower else []
+    xs = [v[0] for v in vs]
+    x = min(xs)
+    i = j = 0
+    while i < len(lower) and j < len(upper):
+        left = max(lower[i][0], upper[j][0])
+        right = min(lower[i][1], upper[j][1])
+        if right - left >= 2:
+            yield from range(x, left + 1)
+            x = right
+        if lower[i][1] < upper[j][1]:
+            i += 1
+        else:
+            j += 1
+    yield from range(x, max(xs) + 1)
+
+
 @lru_cache(maxsize=1 << 15)
 def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """Convex hull of the lattice points strictly inside delta.
 
-    Only the two ends (x, lo) and (x, hi) of each interior column are looked
-    at: every interior lattice point lies on the segment between the ends of
-    its column, so the ends have the same convex hull as all interior points.
-    The columns come in increasing x, so the lo ends build the lower chain and
-    the hi ends the upper chain without sorting, and the cost is
-    O(columns x edges) rather than the number of interior points. Degenerate
-    input has no strict interior, so points and segments map to the empty
-    polygon.
+    Only the two ends (x, lo) and (x, hi) of an interior column are looked at:
+    every interior lattice point lies on the segment between the ends of its
+    column, so the ends have the same convex hull as all interior points. The
+    columns come in increasing x, so the lo ends build the lower chain and the
+    hi ends the upper chain without sorting.
+
+    Columns strictly inside the x-span of a lower face and of an upper face
+    (see _undecided_columns) are skipped. A lower face joins two interior
+    points on a line that no interior point lies below, so a column strictly
+    between them has its lowest interior point on or above that segment: it
+    is no vertex of the hull, unless it is also the column's highest point,
+    which the upper face rules out in the same way. The cost is O(edges^2)
+    for the faces plus O(edges) per column scanned: O(edges) columns when
+    long edges cover the interior, up to every column on slivers that no
+    face covers. Degenerate input has no strict interior, so points and
+    segments map to the empty polygon.
     """
     if not delta.is_two_dim:
         return EMPTY
     lower: list[Point] = []
     upper: list[Point] = []
-    for x, lo, hi in _interior_columns(delta):
-        _push(lower, (x, lo), 1)
-        _push(upper, (x, hi), -1)
+    for x in _undecided_columns(delta):
+        rng = _column_bounds(delta, x)
+        if rng is not None:
+            _push(lower, (x, rng[0]), 1)
+            _push(upper, (x, rng[1]), -1)
     return hull(lower + upper)
 
 

@@ -111,7 +111,8 @@ def test_poly_input_for_polygon_commands():
 def test_json_input_contract(tmp_path):
     doc = tmp_path / "poly.json"
     for text in ('{"verts": [[0, 0], [4, 0], [0, 4]]}', '{"vertices": 5}', "[[1.5, 0], [4, 0], [0, 4]]",
-                 "[[1.0, 0], [4, 0], [0, 4]]", "[[true, 0], [4, 0], [0, 4]]", "[[0, 0, 1]]", "null"):
+                 "[[1.0, 0], [4, 0], [0, 4]]", "[[true, 0], [4, 0], [0, 4]]", "[[0, 0, 1]]", "null",
+                 "[" * 100000, "[" * 100000 + "]" * 100000):
         doc.write_text(text)
         assert run_command(["sigma", "--input", str(doc)]).exit_code == 2, text
     doc.write_text("[[0, 0], [4, 0], [0, 4]]")

@@ -20,8 +20,11 @@ from latsize import (
     rectangle,
     recognize_special,
     standard_triangle,
+    upsilon,
 )
 
+import latsize.interior
+import latsize.polygon
 from latsize.polygon import _column_bounds
 
 from conftest import weierstrass
@@ -137,6 +140,48 @@ def test_onion_skins_match_enumeration_on_thin_sheared_polygons():
             point_columns += rng is not None and rng[0] == rng[1]
     # the family must exercise the columns a chain scan can get wrong
     assert empty_columns > 0 and point_columns > 0
+
+
+def _long_faced():
+    """The four families up to d = 40, whose long edges give long faces, plain and sheared."""
+    for d in range(1, 41):
+        for base in (standard_triangle(d), upsilon(d), rectangle(d, d), rectangle(d, 1 + d // 3),
+                     lawrence_prism(d, d // 2)):
+            yield base
+            yield apply_map(AffineUnimodularMap(1, 7, 0, 1, 0, 0), base)
+            yield apply_map(random_unimodular_map(d), base)
+
+
+def test_onion_skins_match_enumeration_on_long_faces():
+    for delta in _long_faced():
+        _assert_skins_enumerated(delta)
+
+
+def test_onion_skins_match_enumeration_on_large_random_polygons():
+    for k in (100, 200):
+        for seed in range(3):
+            delta = random_polygon(seed, k)
+            _assert_skins_enumerated(delta)
+            _assert_skins_enumerated(apply_map(random_unimodular_map(seed), delta))
+
+
+def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):
+    scanned = []
+
+    def counting(delta, x):
+        scanned.append(x)
+        return _column_bounds(delta, x)
+
+    for module in (latsize.polygon, latsize.interior):
+        monkeypatch.setattr(module, "_column_bounds", counting, raising=False)
+    for delta, inner in (
+        (standard_triangle(3000), standard_triangle(2997).translate((1, 1))),
+        (rectangle(3000, 2000), rectangle(2998, 1998).translate((1, 1))),
+    ):
+        scanned.clear()
+        assert interior_hull.__wrapped__(delta) == inner
+        # O(edges) columns: the outer ones and those next to the face ends
+        assert len(scanned) <= 3 * len(delta.vertices), len(scanned)
 
 
 _points = st.lists(
