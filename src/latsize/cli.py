@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input syntax problems, 3 dimensional or degeneracy
-precondition failures, 4 internal consistency failures (including --verify
-mismatches). All output is deterministic for a fixed input.
+precondition failures (an empty input polygon among them), 4 internal
+consistency failures (including --verify mismatches). All output is
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_polygon(args: argparse.Namespace) -> LatticePolygon:
+    """The input polygon; every polygon command needs at least one point."""
+    delta = _parse_polygon(args)
+    if delta.is_empty:
+        raise EmptyPolygonError("the input polygon is empty")
+    return delta
+
+
+def _parse_polygon(args: argparse.Namespace) -> LatticePolygon:
     if args.poly is not None:
         return newton_polygon(parse_laurent(args.poly))
     if args.vertices is not None:
@@ -159,7 +168,7 @@ def _check(condition: bool, message: str) -> None:
 def _size_command(args: argparse.Namespace, shape: str) -> str:
     delta = _read_polygon(args)
     cert: SizeCertificate = (lattice_size_sigma if shape == "sigma" else lattice_size_square)(delta)
-    if args.verify and not delta.is_empty:
+    if args.verify:
         _check(
             oracle_size(delta, shape) == cert.value,
             f"recursive {shape} value {cert.value} disagrees with the oracle",
@@ -175,7 +184,7 @@ def _size_command(args: argparse.Namespace, shape: str) -> str:
 def _width_command(args: argparse.Namespace) -> str:
     delta = _read_polygon(args)
     result = lattice_width(delta)
-    if args.verify and not delta.is_empty:
+    if args.verify:
         value, _ = lattice_width_recursive(delta)
         _check(value == result.width, f"recursive width {value} disagrees with {result.width}")
     doc: dict = {
@@ -183,7 +192,7 @@ def _width_command(args: argparse.Namespace) -> str:
         "value": result.width,
         "directions": [[a, b] for a, b in result.directions],
     }
-    if args.trace and not delta.is_empty:
+    if args.trace:
         doc["trace"] = _trace_doc(lattice_width_recursive(delta)[1])
     return _emit(doc, args, str(result.width))
 

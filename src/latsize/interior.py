@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import EmptyPolygonError
 from .polygon import (
@@ -93,9 +93,58 @@ def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
     yield from range(x, max(xs) + 1)
 
 
+def _uniform_shift(delta: LatticePolygon) -> Optional[LatticePolygon]:
+    """The polygon {a*x + b*y <= c - 1} over the edges of delta, if it has their shape.
+
+    The vertex between two consecutive edges is the intersection of their
+    shifted lines. Returns None, within one pass over the edges, as soon as
+    a vertex is not integral or an edge does not keep a positive length
+    along its own direction.
+    """
+    cons = delta.edge_constraints
+    a0, b0, _ = cons[-1]
+    xs: list[int] = []
+    ys: list[int] = []
+    for (x, y), (a1, b1, _) in zip(delta.vertices, cons):
+        # v + (ex, ey) / det solves a0*x + b0*y = c0 - 1 and a1*x + b1*y = c1 - 1
+        det = a0 * b1 - b0 * a1
+        ex, ey = b0 - b1, a1 - a0
+        if ex % det or ey % det:
+            return None
+        x += ex // det
+        y += ey // det
+        # the edge from the previous vertex runs along (-b0, a0)
+        if xs and a0 * (y - ys[-1]) - b0 * (x - xs[-1]) <= 0:
+            return None
+        xs.append(x)
+        ys.append(y)
+        a0, b0 = a1, b1
+    if a0 * (ys[0] - ys[-1]) - b0 * (xs[0] - xs[-1]) <= 0:
+        return None
+    moved = list(zip(xs, ys))
+    start = moved.index(min(moved))
+    return LatticePolygon(tuple(moved[start:] + moved[:start]))
+
+
 @lru_cache(maxsize=1 << 15)
 def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """Convex hull of the lattice points strictly inside delta.
+
+    Uniform shift. Let delta have the edges a_i*x + b_i*y <= c_i, in
+    counterclockwise order, and let P be the polygon whose vertex w_i is the
+    intersection of the lines a*x + b*y = c - 1 of the edges i - 1 and i.
+    If every w_i is integral and every w_{i+1} - w_i is a positive multiple
+    of the direction (-b_i, a_i) of edge i, then P is the interior hull.
+    Proof: the edge vectors of P point along the edge directions of delta,
+    which turn counterclockwise once around, so P is a convex polygon whose
+    edge i lies on a_i*x + b_i*y = c_i - 1 with P on the inner side; a convex
+    polygon is the intersection of its edge half-planes, so
+    P = {a_i*x + b_i*y <= c_i - 1 for all i}. With integer coefficients a
+    lattice point is strictly inside delta exactly when it satisfies these
+    constraints, so the interior lattice points are the lattice points of P.
+    They include the vertices w_i and lie in P, so their hull is P. The test
+    costs O(edges), and P is returned in canonical form without scanning a
+    column. On other input the columns are scanned as follows.
 
     Only the two ends (x, lo) and (x, hi) of an interior column are looked at:
     every interior lattice point lies on the segment between the ends of its
@@ -116,6 +165,9 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """
     if not delta.is_two_dim:
         return EMPTY
+    shifted = _uniform_shift(delta)
+    if shifted is not None:
+        return shifted
     lower: list[Point] = []
     upper: list[Point] = []
     for x in _undecided_columns(delta):

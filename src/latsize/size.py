@@ -8,16 +8,26 @@ closed-form value. Every outer skin takes the first of three rules that
 fires: the rectangle rule (triangle only, a + b for [0,a] x [0,b]), then the
 parallel-edge rule (an edge of length r facing a face of length s = inner
 value with r - s >= 3 gives r), then the generic step (inner value plus three
-for the triangle, two for the square). No value is found by search. Every
-certificate carries a witness map, found independently by exact feasibility
-search at the computed value, plus the rule trace whose contributions
-telescope from the empty-hull convention (-2 for the triangle, -1 for the
-square) to the final value.
+for the triangle, two for the square). No value is found by search.
+
+The parallel-edge rule finds the face of the inner skin on an edge's shifted
+line by looking the edge's normal up among the inner skin's edge normals: for
+a skin of n edges around one of m that is O(n + m), plus a pass over the m
+vertices for each long edge whose normal the inner skin lacks (see
+parallel_edge_exception). Its hit at threshold 3 depends on the skin alone,
+so the sigma, square and box chains over one polygon compute it once per
+skin.
+
+Every certificate carries a witness map, found independently by exact
+feasibility search at the computed value, plus the rule trace whose
+contributions telescope from the empty-hull convention (-2 for the triangle,
+-1 for the square) to the final value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
@@ -98,20 +108,65 @@ def parallel_edge_exception(
     nothing). Among the pairs with r - s >= threshold the first one maximizing
     r - s is returned, where r and s are the integral lengths of the edge and
     of the face. A one-dimensional gamma counts as an edge of itself.
+
+    A face of positive length on the line a*x + b*y = c - 1 is the edge of
+    gamma with the outward normal (a, b), so it is found by a dict lookup on
+    gamma's edge normals. Only an edge of delta that could still win and
+    whose normal gamma lacks needs a pass over gamma's vertices, to find a
+    vertex on the line; a point or segment gamma has no edge normals, so its
+    vertices are always scanned. That costs O(n + m) for n edges of delta
+    and m of gamma, plus O(m) per such edge, against O(n * m) for a pass per
+    edge.
     """
     if gamma.is_empty or gamma != interior_hull(delta):
         raise ValueError("gamma must be the (non-empty) interior hull of delta")
+    return _parallel_edge_hit(delta, gamma, threshold)
+
+
+def _parallel_edge_hit(
+    delta: LatticePolygon, gamma: LatticePolygon, threshold: int
+) -> Optional[ParallelEdgeHit]:
+    """parallel_edge_exception without the check that gamma is the interior hull of delta."""
+    gvs = gamma.vertices
+    m = len(gvs)
+    faces: Optional[dict[tuple[int, int], tuple[int, int]]] = None
     best: Optional[ParallelEdgeHit] = None
     for (p, q), (a, b, c) in zip(delta.edges(), delta.edge_constraints):
-        vals = [a * x + b * y for x, y in gamma.vertices]
-        if max(vals) != c - 1:
-            continue
-        face = tuple(v for v, t in zip(gamma.vertices, vals) if t == c - 1)
-        s = integral_length(face[0], face[1]) if len(face) == 2 else 0
         r = integral_length(p, q)
+        # s >= 0, so r bounds r - s
+        if r < threshold or (best is not None and r <= best.r - best.s):
+            continue
+        if faces is None:
+            # outward normal -> (c, index of the edge's first vertex)
+            faces = {(a2, b2): (c2, j) for j, (a2, b2, c2) in enumerate(gamma.edge_constraints)}
+        face = faces.get((a, b))
+        if face is not None:
+            if face[0] != c - 1:
+                continue
+            j = face[1]
+            # the face's vertices in gamma's order, as a filter of gvs gives them
+            tau_prime = (gvs[j], gvs[j + 1]) if j + 1 < m else (gvs[0], gvs[j])
+            s = integral_length(*tau_prime)
+        else:
+            vals = [a * x + b * y for x, y in gvs]
+            if max(vals) != c - 1:
+                continue
+            tau_prime = tuple(v for v, t in zip(gvs, vals) if t == c - 1)
+            s = integral_length(*tau_prime) if len(tau_prime) == 2 else 0
         if r - s >= threshold and (best is None or r - s > best.r - best.s):
-            best = ParallelEdgeHit(r, s, (p, q), face)
+            best = ParallelEdgeHit(r, s, (p, q), tau_prime)
     return best
+
+
+@lru_cache(maxsize=1 << 10)
+def _skin_hit(delta: LatticePolygon) -> Optional[ParallelEdgeHit]:
+    """The parallel-edge hit of an outer skin at threshold 3.
+
+    The hit depends on the skin alone, so the sigma, square and box chains
+    over the same skins compute it once. The memo holds the skins of chains
+    up to 1024 skins deep; longer chains recompute, at O(edges) per skin.
+    """
+    return _parallel_edge_hit(delta, interior_hull(delta), 3)
 
 
 def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...]]:
@@ -180,7 +235,9 @@ def _skin_step(
         if special is not None and special.kind == "rectangle":
             a, b = special.params
             return a + b, Step(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
-    hit = parallel_edge_exception(delta, gamma, 3)
+    if gamma != interior_hull(delta):
+        raise InternalConsistencyError("the inner skin is not the interior hull of the outer one")
+    hit = _skin_hit(delta)
     if hit is not None:
         if hit.s != inner_value:
             raise InternalConsistencyError(

@@ -86,6 +86,14 @@ def test_exit_code_precondition_failures():
     assert run_command(["peel", "--vertices", ""]).exit_code == 3
 
 
+def test_empty_polygon_exits_3(capsys):
+    # the API gives the empty polygon the values -2 and -1; the CLI refuses it
+    for command in ("sigma", "square", "width", "box", "peel"):
+        for vertices in ("--vertices=;", "--vertices="):
+            assert run_command([command, vertices]).exit_code == 3, (command, vertices)
+            assert "the input polygon is empty" in capsys.readouterr().err
+
+
 def test_guard_bound_exits_2():
     big = 2**31
     assert run_command(["sigma", f"--vertices={big + 1},0;0,0;0,1"]).exit_code == 2

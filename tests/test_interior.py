@@ -25,7 +25,7 @@ from latsize import (
 
 import latsize.interior
 import latsize.polygon
-from latsize.polygon import _column_bounds
+from latsize.polygon import _column_bounds, _interior_columns
 
 from conftest import weierstrass
 
@@ -165,7 +165,8 @@ def test_onion_skins_match_enumeration_on_large_random_polygons():
             _assert_skins_enumerated(apply_map(random_unimodular_map(seed), delta))
 
 
-def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):
+def _count_columns(monkeypatch):
+    """Patch _column_bounds wherever it is bound; the returned list collects the columns scanned."""
     scanned = []
 
     def counting(delta, x):
@@ -174,14 +175,67 @@ def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):
 
     for module in (latsize.polygon, latsize.interior):
         monkeypatch.setattr(module, "_column_bounds", counting, raising=False)
-    for delta, inner in (
-        (standard_triangle(3000), standard_triangle(2997).translate((1, 1))),
-        (rectangle(3000, 2000), rectangle(2998, 1998).translate((1, 1))),
-    ):
+    return scanned
+
+
+def _column_end_hull(delta):
+    """The interior hull from the two ends of every interior column, no column skipped."""
+    return hull(pt for x, lo, hi in _interior_columns(delta) for pt in ((x, lo), (x, hi)))
+
+
+def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):
+    # long faces, but a shifted vertex that is fractional or an edge that
+    # shrinks to nothing, so the uniform shift does not apply
+    cases = [hull(vs) for vs in ([(0, 0), (3000, 0), (3000, 1), (0, 2001)],
+                                 [(0, 0), (3000, 0), (3000, 2000), (1, 2000)],
+                                 [(0, 0), (3000, 0), (3000, 2000), (2, 2000)])]
+    expected = [_column_end_hull(delta) for delta in cases]
+    scanned = _count_columns(monkeypatch)
+    for delta, inner in zip(cases, expected):
         scanned.clear()
         assert interior_hull.__wrapped__(delta) == inner
         # O(edges) columns: the outer ones and those next to the face ends
-        assert len(scanned) <= 3 * len(delta.vertices), len(scanned)
+        assert 0 < len(scanned) <= 3 * len(delta.vertices), len(scanned)
+
+
+def _is_uniform_peel(outer, inner):
+    """Whether inner is {a*x + b*y <= c - 1} over the edges a*x + b*y <= c of outer, edge for edge."""
+    return sorted(inner.edge_constraints) == sorted((a, b, c - 1) for a, b, c in outer.edge_constraints)
+
+
+def test_uniform_skins_scan_no_columns(monkeypatch):
+    d = 3000
+    families = [
+        (standard_triangle(d), standard_triangle(d - 3).translate((1, 1))),
+        (upsilon(d), upsilon(d - 1)),
+        (rectangle(d, d), rectangle(d - 2, d - 2).translate((1, 1))),
+        (rectangle(d, 2000), rectangle(d - 2, 1998).translate((1, 1))),
+    ]
+    peels = []
+    for seed in range(3):
+        skins = onion_skins(random_polygon(seed, 1000)).skins
+        peels += zip(skins, skins[1:])
+    uniform = [(outer, inner) for outer, inner in peels if _is_uniform_peel(outer, inner)]
+    # most peels of large random polygons are uniform
+    assert 2 * len(uniform) > len(peels) > 100
+    scanned = _count_columns(monkeypatch)
+    for outer, inner in families + uniform:
+        scanned.clear()
+        assert interior_hull.__wrapped__(outer) == inner
+        assert not scanned, outer
+
+
+def test_interior_hull_is_canonical(box3_census):
+    # the uniform shift builds its polygon without hull(), so its form is checked here
+    polygons = [random_polygon(seed, 1000) for seed in range(3)]
+    polygons += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    polygons += [base for d in (1, 2, 3, 7, 40, 3000)
+                 for base in (standard_triangle(d), upsilon(d), rectangle(d, d), rectangle(d, 1 + d // 3))]
+    polygons += list(_long_faced())
+    for delta in polygons:
+        for skin in onion_skins(delta).skins:
+            inner = interior_hull(skin)
+            assert inner.vertices == hull(inner.vertices).vertices, skin
 
 
 _points = st.lists(

@@ -1,9 +1,13 @@
 """Lattice sizes: recursion rules, witnesses, fits and minimal boxes."""
 
+from collections import Counter
+
 import pytest
 
+import latsize.size
 from latsize import (
     EmptyPolygonError,
+    ParallelEdgeHit,
     apply_map,
     fit_into,
     hull,
@@ -14,6 +18,7 @@ from latsize import (
     lattice_width,
     lawrence_prism,
     minimal_box,
+    onion_skins,
     oracle_size,
     parallel_edge_exception,
     random_polygon,
@@ -58,6 +63,57 @@ def test_parallel_edge_rejects_wrong_gamma():
     delta = standard_triangle(4)
     with pytest.raises(ValueError):
         parallel_edge_exception(delta, standard_triangle(1), 3)
+
+
+def _reference_hit(delta, gamma, threshold):
+    """The parallel-edge scan by its definition: every edge of delta against every vertex of gamma."""
+    best = None
+    for (p, q), (a, b, c) in zip(delta.edges(), delta.edge_constraints):
+        vals = [a * x + b * y for x, y in gamma.vertices]
+        if max(vals) != c - 1:
+            continue
+        face = tuple(v for v, t in zip(gamma.vertices, vals) if t == c - 1)
+        s = integral_length(face[0], face[1]) if len(face) == 2 else 0
+        r = integral_length(p, q)
+        if r - s >= threshold and (best is None or r - s > best.r - best.s):
+            best = ParallelEdgeHit(r, s, (p, q), face)
+    return best
+
+
+def test_parallel_edge_lookup_matches_the_full_scan(box3_census):
+    polygons = list(box3_census)
+    polygons += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    polygons += [random_polygon(seed, k) for k in (5, 20, 40, 80, 160) for seed in range(40)]
+    kinds = Counter()
+    for delta in polygons:
+        skins = onion_skins(delta).skins
+        for outer, inner in zip(skins, skins[1:]):
+            kinds[inner.kind] += 1
+            for threshold in range(5):
+                want = _reference_hit(outer, inner, threshold)
+                kinds["hit"] += want is not None
+                assert parallel_edge_exception(outer, inner, threshold) == want, (outer, threshold)
+    assert kinds["point"] and kinds["segment"] and kinds["polygon"] and kinds["hit"], kinds
+
+
+def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
+    computed = Counter()
+    lookup = latsize.size._parallel_edge_hit
+
+    def counting(delta, gamma, threshold):
+        computed[delta] += 1
+        return lookup(delta, gamma, threshold)
+
+    monkeypatch.setattr(latsize.size, "_parallel_edge_hit", counting)
+    for delta in (random_polygon(3, 160), rectangle(9, 30), standard_triangle(40)):
+        latsize.size._skin_hit.cache_clear()
+        computed.clear()
+        lattice_size_sigma(delta)
+        lattice_size_square(delta)
+        minimal_box(delta)
+        outer = onion_skins(delta).skins[:-1]
+        assert len(outer) >= 3
+        assert computed == Counter(outer), delta
 
 
 # --- triangle size ----------------------------------------------------------
