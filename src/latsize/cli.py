@@ -28,7 +28,6 @@ from .oracle import oracle_box_pareto, oracle_size
 from .polygon import AffineUnimodularMap, LatticePolygon, Point, apply_map, hull
 from .size import (
     SizeCertificate,
-    fit_into,
     lattice_size_sigma,
     lattice_size_square,
     minimal_box,
@@ -174,7 +173,7 @@ def _size_command(args: argparse.Namespace, shape: str) -> str:
             f"recursive {shape} value {cert.value} disagrees with the oracle",
         )
     doc: dict = {"command": shape, "value": cert.value}
-    if args.witness and cert.witness is not None:
+    if args.witness:
         doc["witness"] = _witness_doc(cert.witness)
     if args.trace:
         doc["trace"] = _trace_doc(cert.trace)

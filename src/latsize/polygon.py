@@ -423,13 +423,16 @@ def recognize_special(delta: LatticePolygon) -> Optional[SpecialShape]:
         if opposite and abs(prims[0][0] * prims[1][1] - prims[0][1] * prims[1][0]) == 1:
             a, b = sorted((lens[0], lens[1]))
             return SpecialShape("rectangle", (a, b))
-    for a, b, c in delta.edge_constraints:
-        vals = [a * x + b * y for x, y in vs]
-        if c - min(vals) == 1:
-            top = [v for v in vs if a * v[0] + b * v[1] == c]
-            bot = [v for v in vs if a * v[0] + b * v[1] == c - 1]
-            len_top = integral_length(top[0], top[1]) if len(top) == 2 else 0
-            len_bot = integral_length(bot[0], bot[1]) if len(bot) == 2 else 0
-            hi, lo = max(len_top, len_bot), min(len_top, len_bot)
-            return SpecialShape("lawrence_prism", (hi, lo))
+    # A polygon of lattice width one has its vertices on two adjacent lattice
+    # lines, at most two on each, so only n <= 4 can be a Lawrence prism.
+    if n <= 4:
+        for a, b, c in delta.edge_constraints:
+            vals = [a * x + b * y for x, y in vs]
+            if c - min(vals) == 1:
+                top = [v for v in vs if a * v[0] + b * v[1] == c]
+                bot = [v for v in vs if a * v[0] + b * v[1] == c - 1]
+                len_top = integral_length(top[0], top[1]) if len(top) == 2 else 0
+                len_bot = integral_length(bot[0], bot[1]) if len(bot) == 2 else 0
+                hi, lo = max(len_top, len_bot), min(len_top, len_bot)
+                return SpecialShape("lawrence_prism", (hi, lo))
     return None

@@ -18,10 +18,13 @@ parallel_edge_exception). Its hit at threshold 3 depends on the skin alone,
 so the sigma, square and box chains over one polygon compute it once per
 skin.
 
-Every certificate carries a witness map, found independently by exact
-feasibility search at the computed value, plus the rule trace whose
+Every certificate carries a witness map built from the Gauss-reduced basis
+of the width norm (see _basis_map), without search, plus the rule trace whose
 contributions telescope from the empty-hull convention (-2 for the triangle,
--1 for the square) to the final value.
+-1 for the square) to the final value. The witness must reach the recursion's
+value exactly, or the certificate fails. fit_into, the exact disc search,
+is the oracle only: no certificate calls it, so value (recursion), witness
+(reduced basis) and oracle (disc search) are three independent routes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .polygon import (
     LatticePolygon,
     Point,
     are_equivalent,
-    complete_to_basis,
     hull,
     integral_length,
     recognize_special,
@@ -45,10 +47,9 @@ from .polygon import (
 from .width import (
     Step,
     _euclidean_width_sq,
-    _min_convex,
     _primitive_directions,
     _reduce,
-    lattice_width,
+    _reduced_basis,
     width_along,
 )
 
@@ -75,7 +76,7 @@ class SizeCertificate:
 
     shape: str
     value: int
-    witness: Optional[AffineUnimodularMap]
+    witness: AffineUnimodularMap
     trace: tuple[Step, ...]
 
 
@@ -258,6 +259,11 @@ def fit_into(
     u2) over candidate functional rows, after lattice reduction; None if the
     embedding is infeasible. Candidate rows are complete because any valid row
     u satisfies width(u) <= target and therefore |u| <= target / wE.
+
+    This is the oracle, the feasibility core of oracle_size and
+    oracle_box_pareto. No certificate calls it: the values come from the
+    recursion and the witnesses from _basis_map. Its disc holds about
+    (target / wE)^2 directions, so it is meant for small inputs.
     """
     if delta.is_empty:
         raise EmptyPolygonError("fit_into needs a non-empty polygon")
@@ -290,11 +296,6 @@ def fit_into(
 
     red, psi = _reduce(delta)
     we2 = _euclidean_width_sq(red)
-    return _fit_two_dim(red, psi, we2, shape, a_cap, b_cap)
-
-
-def _fit_two_dim(red, psi, we2, shape, a_cap, b_cap):
-    """Feasibility core on a reduced polygon; see fit_into for the contract."""
     bound_sq = (b_cap * b_cap * we2.denominator) // we2.numerator
     verts = red.vertices
     cands = []
@@ -334,66 +335,65 @@ def _fit_two_dim(red, psi, we2, shape, a_cap, b_cap):
     return None
 
 
-def _certificate(delta: LatticePolygon, shape: str, with_witness: bool) -> SizeCertificate:
+def _basis_map(delta: LatticePolygon, shape: str, value: int) -> AffineUnimodularMap:
+    """The witness map into the target of size value, from the reduced width basis.
+
+    The rows (short, long) of _reduced_basis attain the two successive
+    minima of the width, so they map delta into the box [0, width] x [0, b]
+    with b the least second width of a basis: that is the minimal box, and,
+    as [0, a] x [0, b] lies in b * square, a square witness. For the triangle,
+    the rows (u1, u2) map delta into reach * Sigma with reach =
+    max((u1 + u2) . p) - min(u1 . p) - min(u2 . p); one of the four sign
+    choices (+-short, +-long) attains the lattice size with respect to Sigma
+    (Harrison and Soprunov, lattice size by generalized basis reduction in
+    dimensions two and three). Points and segments are covered too: their
+    reduced widths are (0, 0) and (0, length). The reach must equal value,
+    the recursion's result, or InternalConsistencyError is raised.
+    """
+    if delta.is_empty:
+        return AffineUnimodularMap.identity()
+    short, long = _reduced_basis(delta)
+    best = None
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)) if shape == SIGMA else ((1, 1),):
+        u1, u2 = (s1 * short[0], s1 * short[1]), (s2 * long[0], s2 * long[1])
+        dots1 = [u1[0] * x + u1[1] * y for x, y in delta.vertices]
+        dots2 = [u2[0] * x + u2[1] * y for x, y in delta.vertices]
+        t1, t2 = -min(dots1), -min(dots2)
+        reach = max(map(sum, zip(dots1, dots2))) + t1 + t2 if shape == SIGMA else max(dots2) + t2
+        if best is None or reach < best[0]:
+            best = (reach, u1, u2, t1, t2)
+    reach, u1, u2, t1, t2 = best
+    if reach != value:
+        raise InternalConsistencyError(
+            f"the reduced basis reaches {reach}, but the recursion gives {shape} size {value}"
+        )
+    return AffineUnimodularMap(u1[0], u1[1], u2[0], u2[1], t1, t2)
+
+
+def _certificate(delta: LatticePolygon, shape: str) -> SizeCertificate:
     value, trace = _size_value(delta, shape)
-    witness = None
-    if with_witness:
-        if delta.is_empty:
-            witness = AffineUnimodularMap.identity()
-        else:
-            witness = fit_into(delta, shape, value)
-            if witness is None:
-                raise InternalConsistencyError(
-                    f"recursion produced value {value} but no embedding exists"
-                )
-    return SizeCertificate(shape, value, witness, trace)
+    return SizeCertificate(shape, value, _basis_map(delta, shape, value), trace)
 
 
-def lattice_size_sigma(delta: LatticePolygon, with_witness: bool = True) -> SizeCertificate:
+def lattice_size_sigma(delta: LatticePolygon) -> SizeCertificate:
     """Lattice size of delta with respect to the standard triangle."""
-    return _certificate(delta, SIGMA, with_witness)
+    return _certificate(delta, SIGMA)
 
 
-def lattice_size_square(delta: LatticePolygon, with_witness: bool = True) -> SizeCertificate:
+def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
     """Lattice size of delta with respect to the unit square."""
-    return _certificate(delta, SQUARE, with_witness)
+    return _certificate(delta, SQUARE)
 
 
 def minimal_box(delta: LatticePolygon) -> BoxCertificate:
     """The componentwise-minimal bounding box (lattice width, square size).
 
-    The witness is built from an optimal width direction u1: complete it to a
-    basis and minimize the width of the complementary row over the shear
-    parameter (a convex piecewise-linear function of the shear). The best
-    achievable second width must equal the square lattice size.
+    b is the square size from the recursion; the witness has the rows
+    (short, long) of the reduced width basis (see _basis_map), whose widths
+    are the lattice width a and b. No width direction is searched.
     """
     if delta.is_empty:
         raise EmptyPolygonError("minimal_box needs a non-empty polygon")
-    if delta.is_point:
-        x, y = delta.vertices[0]
-        return BoxCertificate(0, 0, AffineUnimodularMap.translation(-x, -y))
-    if delta.is_segment:
-        length = integral_length(*delta.vertices)
-        return BoxCertificate(0, length, are_equivalent(delta, hull([(0, 0), (0, length)])))
-    wr = lattice_width(delta)
-    a = wr.width
     b, _ = _size_value(delta, SQUARE)
-    best: Optional[tuple[int, int, int]] = None
-    for idx, u1 in enumerate(wr.directions):
-        v0 = complete_to_basis(u1)
-        k, fk = _min_convex(
-            lambda k: width_along(delta, (v0[0] + k * u1[0], v0[1] + k * u1[1]))
-        )
-        if best is None or fk < best[0]:
-            best = (fk, idx, k)
-    fk, idx, k = best
-    if fk != b:
-        raise InternalConsistencyError(
-            f"no width direction reaches second width {b}; best was {fk}"
-        )
-    u1 = wr.directions[idx]
-    v0 = complete_to_basis(u1)
-    u2 = (v0[0] + k * u1[0], v0[1] + k * u1[1])
-    t1 = -min(u1[0] * x + u1[1] * y for x, y in delta.vertices)
-    t2 = -min(u2[0] * x + u2[1] * y for x, y in delta.vertices)
-    return BoxCertificate(a, b, AffineUnimodularMap(u1[0], u1[1], u2[0], u2[1], t1, t2))
+    phi = _basis_map(delta, BOX, b)
+    return BoxCertificate(width_along(delta, (phi.m11, phi.m12)), b, phi)

@@ -107,25 +107,41 @@ def _min_convex(f: Callable[[int], int]) -> tuple[int, int]:
     return lo, f(lo)
 
 
-def _reduce(delta: LatticePolygon) -> tuple[LatticePolygon, AffineUnimodularMap]:
-    """Precondition a two-dimensional polygon by lattice (Gauss) reduction.
+def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point]:
+    """A Gauss-reduced basis (short, long) of the width norm of delta.
 
-    Returns an equivalent polygon whose axis widths are small, plus the map
-    that produced it. This keeps the rigorous direction-enumeration discs
-    small even for badly sheared input.
+    The rows satisfy width(short) <= width(long) <= width(long + k * short)
+    for every integer k, so (Kaib and Schnorr, generalized Gauss reduction)
+    they attain the two successive minima of the width: width(short) is the
+    lattice width and width(long) the least second width of a basis. For a
+    segment the widths are (0, its lattice length), for a point (0, 0).
+
+    Each pass replaces the longer row r1 by r1 + k * r2 when that is
+    strictly narrower, and stops otherwise. The sum of the two widths is a
+    non-negative integer that strictly decreases with every pass that does
+    not stop, so the loop ends; no pass cap is needed.
     """
     r1, r2 = (1, 0), (0, 1)
     w1, w2 = width_along(delta, r1), width_along(delta, r2)
-    for _ in range(64):
+    while True:
         if w1 < w2:
             r1, r2, w1, w2 = r2, r1, w2, w1
         k, fk = _min_convex(lambda k: width_along(delta, (r1[0] + k * r2[0], r1[1] + k * r2[1])))
-        if fk < w1:
-            r1 = (r1[0] + k * r2[0], r1[1] + k * r2[1])
-            w1 = fk
-        else:
-            break
-    psi = AffineUnimodularMap(r1[0], r1[1], r2[0], r2[1], 0, 0)
+        if fk >= w1:
+            return r2, r1
+        r1, w1 = (r1[0] + k * r2[0], r1[1] + k * r2[1]), fk
+
+
+def _reduce(delta: LatticePolygon) -> tuple[LatticePolygon, AffineUnimodularMap]:
+    """Precondition a two-dimensional polygon by lattice (Gauss) reduction.
+
+    Returns the equivalent polygon with the rows (long, short) of
+    _reduced_basis as coordinates, plus the map that produced it. Its axis
+    widths are small, which keeps the rigorous direction-enumeration discs
+    small even for badly sheared input.
+    """
+    short, long = _reduced_basis(delta)
+    psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
     return apply_map(psi, delta), psi
 
 

@@ -3,9 +3,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latsize.size
 from latsize import (
+    AffineUnimodularMap,
     EmptyPolygonError,
     ParallelEdgeHit,
     apply_map,
@@ -16,6 +19,7 @@ from latsize import (
     lattice_size_sigma,
     lattice_size_square,
     lattice_width,
+    lattice_width_recursive,
     lawrence_prism,
     minimal_box,
     onion_skins,
@@ -27,6 +31,7 @@ from latsize import (
     standard_triangle,
     upsilon,
 )
+from latsize.cli import run_command
 from latsize.size import RULE_SEARCH, _size_value
 
 from conftest import in_box, in_sigma, weierstrass
@@ -201,17 +206,29 @@ def test_square_family_laws():
 
 
 def test_two_dim_skins_need_no_search(box3_census, monkeypatch):
-    # every two-dimensional skin takes a rule, innermost or not: the recursion
-    # never runs the feasibility search that fit_into and the oracle share
+    # every two-dimensional skin takes a rule, innermost or not, and every
+    # certificate builds its witness from the reduced basis: no certificate
+    # and no CLI command short of oracle and --verify runs the feasibility
+    # search of fit_into, which only the oracle uses
     def no_search(*args):
-        raise AssertionError("_size_value ran the feasibility search")
+        raise AssertionError("a certificate ran the feasibility search")
 
-    monkeypatch.setattr("latsize.size._fit_two_dim", no_search)
-    for i, delta in enumerate(box3_census):
-        for poly in (delta, apply_map(random_unimodular_map(i), delta)):
-            for shape in ("sigma", "square"):
-                for step in _size_value(poly, shape)[1]:
-                    assert not (step.skin.is_two_dim and step.rule == RULE_SEARCH), poly
+    monkeypatch.setattr("latsize.size.fit_into", no_search)
+    polygons = [poly for i, delta in enumerate(box3_census)
+                for poly in (delta, apply_map(random_unimodular_map(i), delta))]
+    polygons += [hull([(3, -7)]), hull([(0, 0), (6, 4)]), hull([(-2, 5), (1, -4)])]
+    polygons += [hull([(0, 0), (length, 0), (0, 2)]) for length in (300, 1000, 3000)]
+    for poly in polygons:
+        for shape in ("sigma", "square"):
+            for step in _size_value(poly, shape)[1]:
+                assert not (step.skin.is_two_dim and step.rule == RULE_SEARCH), poly
+        lattice_size_sigma(poly)
+        lattice_size_square(poly)
+        minimal_box(poly)
+    for poly in polygons[-6:]:
+        vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in poly.vertices)
+        for command in ("sigma", "square", "box", "width", "peel"):
+            assert run_command([command, vertices, "--witness", "--trace", "--json"]).exit_code == 0
 
 
 def test_trace_contributions_telescope():
@@ -344,3 +361,30 @@ def test_translation_invariance():
     moved = translated(delta, (-11, 23))
     assert _size_value(moved, "sigma")[0] == _size_value(delta, "sigma")[0]
     assert _size_value(moved, "square")[0] == _size_value(delta, "square")[0]
+
+
+_points = st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=9)
+_shift = st.integers(-20, 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points, st.integers(-9, 9), st.integers(-9, 9), _shift, _shift)
+def test_certificates_property(points, m, n, t1, t2):
+    delta = hull(points)
+    shear = AffineUnimodularMap(1, m, 0, 1, t1, t2).compose(AffineUnimodularMap(1, 0, n, 1, 0, 0))
+    results = []
+    for poly in (delta, apply_map(shear, delta)):
+        sig, sq, box = lattice_size_sigma(poly), lattice_size_square(poly), minimal_box(poly)
+        w = lattice_width(poly).width
+        rules = tuple((step.rule, step.contribution) for step in sig.trace + sq.trace)
+        results.append((sig.value, sq.value, w, box.a, box.b, rules))
+        assert all(in_sigma(sig.value, v) for v in apply_map(sig.witness, poly).vertices)
+        assert all(in_box(sq.value, sq.value, v) for v in apply_map(sq.witness, poly).vertices)
+        assert all(in_box(box.a, box.b, v) for v in apply_map(box.witness, poly).vertices)
+        assert w <= sq.value <= sig.value <= 2 * sq.value
+        assert box.a == w == lattice_width_recursive(poly)[0]
+        assert box.b == sq.value
+        # the oracle shares no code with the witness route
+        for shape, value in (("sigma", sig.value), ("square", sq.value)):
+            assert value == 0 or fit_into(poly, shape, value - 1) is None
+    assert results[0] == results[1]

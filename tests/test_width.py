@@ -3,6 +3,7 @@
 import pytest
 
 from latsize import (
+    AffineUnimodularMap,
     EmptyPolygonError,
     apply_map,
     hull,
@@ -17,6 +18,7 @@ from latsize import (
     width_along,
 )
 from latsize.size import _size_value
+from latsize.width import _reduced_basis
 
 from conftest import weierstrass
 
@@ -121,3 +123,29 @@ def test_width_equals_triangle_size_only_for_standard_triangles(box3_census):
         special = recognize_special(delta)
         is_std = special is not None and special.kind == "standard_triangle"
         assert (w == s) == is_std, delta
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_reduced_basis_converges_on_fibonacci_shears():
+    # [[F(n), F(n-1)], [F(n-1), F(n-2)]] is the slowest shear to undo: the
+    # reduction takes about n/2 passes. Entries reach F(44) < 2^30. Peeling
+    # such slivers takes time linear in F(n), so the basis is checked directly.
+    guard = 1 << 31
+    checked = 0
+    for base, widths in ((standard_triangle(1), (1, 1)), (rectangle(2, 5), (2, 5)), (lawrence_prism(4, 1), (1, 4))):
+        for n in range(3, 45):
+            phi = AffineUnimodularMap(_fibonacci(n), _fibonacci(n - 1), _fibonacci(n - 1), _fibonacci(n - 2), 0, 0)
+            points = [phi.apply(v) for v in base.vertices]
+            if max(abs(c) for p in points for c in p) > guard:
+                continue
+            image = hull(points)
+            short, long = _reduced_basis(image)
+            assert (width_along(image, short), width_along(image, long)) == widths, (base, n)
+            checked += 1
+    assert checked == 42 + 40 + 41
