@@ -4,6 +4,17 @@ Exit codes: 0 success, 2 input syntax problems, 3 dimensional or degeneracy
 precondition failures (an empty input polygon among them), 4 internal
 consistency failures (including --verify mismatches). All output is
 deterministic for a fixed input.
+
+runs: peel and every --trace print one entry per run of skins. An entry with
+"count" c and "shift" [[dx,dy],...] stands for the c skins skin + t*shift,
+t = 0..c-1, vertex i moving by shift[i] per skin, each the interior hull of
+the one before; a count-1 entry has zero shifts. peel lists runs and skins
+outermost first, a trace innermost first (a trace entry starts at t = c-1).
+Each skin of a trace entry adds its "contribution"; the rule's parameters
+are those of "skin" and fall per skin along the run: ParallelEdge(r,s) by
+r-s, RectangleAB(a,b) by 2. Plain peel prints a line "SKIN COUNT SHIFT" per
+run, e.g. "0,0;6,0;0,6 2 1,1;-2,1;1,-2" for the skins of 6*Sigma before its
+last one.
 """
 
 from __future__ import annotations
@@ -35,6 +46,20 @@ from .size import (
 from .width import Step, lattice_width, lattice_width_recursive
 
 
+# The paragraph of the module docstring on runs, for --help.
+_RUNS = """\
+runs: peel and every --trace print one entry per run of skins. An entry with
+"count" c and "shift" [[dx,dy],...] stands for the c skins skin + t*shift,
+t = 0..c-1, vertex i moving by shift[i] per skin, each the interior hull of
+the one before; a count-1 entry has zero shifts. peel lists runs and skins
+outermost first, a trace innermost first (a trace entry starts at t = c-1).
+Each skin of a trace entry adds its "contribution"; the rule's parameters
+are those of "skin" and fall per skin along the run: ParallelEdge(r,s) by
+r-s, RectangleAB(a,b) by 2. Plain peel prints a line "SKIN COUNT SHIFT" per
+run, e.g. "0,0;6,0;0,6 2 1,1;-2,1;1,-2" for the skins of 6*Sigma before its
+last one."""
+
+
 @dataclass
 class CommandResult:
     exit_code: int
@@ -45,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latsize",
         description="Exact lattice widths, lattice sizes and Newton-polygon bounds.",
+        epilog=_RUNS,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
@@ -64,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("analyze", "genus/gonality/degree bounds of a Laurent polynomial"),
         ("oracle", "brute-force feasibility-search values"),
     ):
-        p = sub.add_parser(name, parents=[common], help=desc)
+        p = sub.add_parser(name, parents=[common], help=desc, description=desc, epilog=_RUNS,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         if name == "oracle":
             p.add_argument("--shape", choices=["sigma", "square", "box"], default="sigma")
     return parser
@@ -137,19 +165,28 @@ def _witness_doc(phi: AffineUnimodularMap) -> dict:
     }
 
 
+def _run_doc(skin: LatticePolygon, rule: str, contribution: int, count: int, shift: tuple) -> dict:
+    """One JSON entry per run of skins; see RUNS."""
+    return {
+        "skin": [[x, y] for x, y in skin.vertices],
+        "rule": rule,
+        "contribution": contribution,
+        "count": count,
+        "shift": [[dx, dy] for dx, dy in shift or ((0, 0),) * len(skin.vertices)],
+    }
+
+
+def _points(points: list) -> str:
+    return ";".join(f"{x},{y}" for x, y in points)
+
+
 def _trace_doc(steps: tuple[Step, ...]) -> list[dict]:
     out = []
     for step in steps:
         rule = step.rule
         if step.params:
             rule = f"{rule}({','.join(str(p) for p in step.params)})"
-        out.append(
-            {
-                "skin": [[x, y] for x, y in step.skin.vertices],
-                "rule": rule,
-                "contribution": step.contribution,
-            }
-        )
+        out.append(_run_doc(step.skin, rule, step.contribution, step.count, step.shift))
     return out
 
 
@@ -213,16 +250,15 @@ def _box_command(args: argparse.Namespace) -> str:
 
 def _peel_command(args: argparse.Namespace) -> str:
     delta = _read_polygon(args)
-    trace = onion_skins(delta)
+    runs = onion_skins(delta).runs
     doc = {
         "command": "peel",
-        "value": len(trace.skins),
-        "trace": [
-            {"skin": [[x, y] for x, y in skin.vertices], "rule": "Skin", "contribution": 0}
-            for skin in trace.skins
-        ],
+        "value": sum(count for _, _, count in runs),
+        "trace": [_run_doc(skin, "Skin", 0, count, shift) for skin, shift, count in runs],
     }
-    plain = "\n".join(";".join(f"{x},{y}" for x, y in skin.vertices) for skin in trace.skins)
+    plain = "\n".join(
+        f"{_points(entry['skin'])} {entry['count']} {_points(entry['shift'])}" for entry in doc["trace"]
+    )
     return _emit(doc, args, plain)
 
 

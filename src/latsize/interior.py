@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import EmptyPolygonError
@@ -126,7 +125,48 @@ def _uniform_shift(delta: LatticePolygon) -> Optional[LatticePolygon]:
     return LatticePolygon(tuple(moved[start:] + moved[:start]))
 
 
-@lru_cache(maxsize=1 << 15)
+def _edge_falls(delta: LatticePolygon, shift: tuple[Point, ...]) -> Iterator[tuple[int, int]]:
+    """(L_i, delta_i) per edge i of delta: its lattice length and how much one move by shift shortens it.
+
+    Edge i runs from vertex i to vertex i + 1 along the primitive direction
+    (-b_i, a_i); both its vector and shift[i] - shift[i + 1] are multiples of it.
+    """
+    vs = delta.vertices
+    n = len(vs)
+    for i, (a, b, _) in enumerate(delta.edge_constraints):
+        j = i + 1 if i + 1 < n else 0
+        (x0, y0), (x1, y1) = vs[i], vs[j]
+        (s0, t0), (s1, t1) = shift[i], shift[j]
+        if b:
+            yield (x0 - x1) // b, (s1 - s0) // b
+        else:
+            yield (y1 - y0) // a, (t0 - t1) // a
+
+
+def _run_shift(skin: LatticePolygon, inner: LatticePolygon) -> tuple[tuple[Point, ...], int]:
+    """(shift, count) of the run of uniform peels that starts at skin, given its interior hull inner.
+
+    The peel is uniform when inner = {a*x + b*y <= c - 1} over the edges of
+    skin, edge for edge; then shift is the move of each vertex, and count is
+    1 + m for m = min over the edges with delta_i > 0 of
+    floor((L_i - 1) / delta_i) (see interior_hull). Edges with delta_i <= 0
+    never vanish and are left out of the minimum. ((), 1) when the peel is
+    not uniform.
+    """
+    cons = skin.edge_constraints
+    if len(inner.vertices) != len(cons) or inner.edge_constraints != tuple((a, b, c - 1) for a, b, c in cons):
+        return (), 1
+    shift = tuple((x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(skin.vertices, inner.vertices))
+    return shift, 1 + min((length - 1) // fall for length, fall in _edge_falls(skin, shift) if fall > 0)
+
+
+def _moved(delta: LatticePolygon, shift: tuple[Point, ...], t: int) -> LatticePolygon:
+    """Skin t of the run that starts at delta: every vertex moved t times by its shift."""
+    if not t:
+        return delta
+    return LatticePolygon(tuple((x + t * dx, y + t * dy) for (x, y), (dx, dy) in zip(delta.vertices, shift)))
+
+
 def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """Convex hull of the lattice points strictly inside delta.
 
@@ -144,13 +184,44 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     constraints, so the interior lattice points are the lattice points of P.
     They include the vertices w_i and lie in P, so their hull is P. The test
     costs O(edges), and P is returned in canonical form without scanning a
-    column. On other input the columns are scanned as follows.
+    column.
 
-    Only the two ends (x, lo) and (x, hi) of an interior column are looked at:
-    every interior lattice point lies on the segment between the ends of its
-    column, so the ends have the same convex hull as all interior points. The
-    columns come in increasing x, so the lo ends build the lower chain and the
-    hi ends the upper chain without sorting.
+    Runs. Write w_i = v_i + e_i for the vertices v_i of delta. The move e_i
+    solves a*x + b*y = -1 for the edges i - 1 and i, so it depends on the
+    edge normals alone. Both e_i and e_{i+1} lie on the line
+    a_i*x + b_i*y = -1, so e_i - e_{i+1} = delta_i * d_i for the primitive
+    direction d_i = (-b_i, a_i) and an integer delta_i (_edge_falls). Let
+    L_i be the lattice length of edge i and P_t the polygon with vertices
+    v_i + t*e_i, so that edge i of P_t is (L_i - t*delta_i) * d_i.
+    Lemma: if every e_i is integral, then P_{t+1} is the interior hull of
+    P_t for every t < m, m = min over the edges with delta_i > 0 of
+    floor((L_i - 1) / delta_i); the peel of P_m is not uniform. So a run
+    of uniform peels that starts at delta has the m + 1 skins P_0, ..., P_m.
+    Proof: by induction on t, P_t has the edge normals of delta and
+    positive edge lengths, so P_t has the constraints
+    a_i*x + b_i*y <= c_i - t and its uniform shift moves vertex i by the
+    same e_i. That shift is integral,
+    and its edge i has length L_i - (t + 1)*delta_i, which is positive for
+    every i exactly when t + 1 <= m; by the uniform-shift argument above
+    P_{t+1} is then the interior hull of P_t, and for t = m some edge would
+    not keep a positive length, so the peel of P_m is not uniform. An edge
+    with delta_i <= 0 never shortens and bounds nothing. Some delta_i is
+    positive: each peel loses the boundary points of its skin, so the
+    lattice-point counts of P_0, P_1, ... fall strictly and the chain ends.
+    The canonical start vertex (lexicographically least) is the one whose
+    normal cone holds the direction (-1, -epsilon); the P_t share their
+    normal fan, so vertex i of P_t is v_i + t*e_i in canonical order, and
+    skin t of the run costs O(edges) to write down, whatever t is. This is
+    what onion_skins and the recursions over it use (_run_shift): one
+    O(edges) step per run of uniform peels, with a call of this function on
+    its first skin and one on its last, whose peel is not uniform.
+
+    Column scan. On other input only the two ends (x, lo) and (x, hi) of an
+    interior column are looked at: every interior lattice point lies on the
+    segment between the ends of its column, so the ends have the same convex
+    hull as all interior points. The columns come in increasing x, so the lo
+    ends build the lower chain and the hi ends the upper chain without
+    sorting.
 
     Columns strictly inside the x-span of a lower face and of an upper face
     (see _undecided_columns) are skipped. A lower face joins two interior
@@ -178,20 +249,45 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     return hull(lower + upper)
 
 
+# A run of onion skins: (skin, shift, count), see OnionTrace.
+_Run = tuple[LatticePolygon, tuple[Point, ...], int]
+
+
 @dataclass(frozen=True)
 class OnionTrace:
-    """The maximal chain of iterated interior hulls, outermost first."""
+    """The maximal chain of iterated interior hulls, outermost first, in runs.
 
-    skins: tuple[LatticePolygon, ...]
+    A run (skin, shift, count) stands for the count skins
+    skin + t * shift, t = 0, ..., count - 1, where vertex i of skin moves by
+    shift[i] per skin and each skin is the interior hull of the one before
+    (see interior_hull). A skin whose peel is not uniform is a run of count
+    1 with shift (). A chain of s skins in r runs is held in O(r) polygons.
+    """
+
+    runs: tuple[_Run, ...]
+
+    @property
+    def skins(self) -> tuple[LatticePolygon, ...]:
+        """The per-skin form, outermost first; for tests and oracles, as it costs O(skins)."""
+        return tuple(_moved(skin, shift, t) for skin, shift, count in self.runs for t in range(count))
+
+
+def _runs(delta: LatticePolygon) -> Iterator[_Run]:
+    """The runs of the onion skins of a non-empty delta, outermost first, found lazily.
+
+    Each run costs O(edges) plus an interior_hull call on its first skin and,
+    if it has more than one, on its last, whose peel is not uniform.
+    """
+    skin = delta
+    while not skin.is_empty:
+        inner = interior_hull(skin)
+        shift, count = _run_shift(skin, inner) if inner.is_two_dim else ((), 1)
+        yield skin, shift, count
+        skin = interior_hull(_moved(skin, shift, count - 1)) if count > 1 else inner
 
 
 def onion_skins(delta: LatticePolygon) -> OnionTrace:
-    """Peel delta by repeated interior hulls until the interior is empty."""
+    """Peel delta by repeated interior hulls until the interior is empty, one run at a time."""
     if delta.is_empty:
         raise EmptyPolygonError("cannot peel the empty polygon")
-    skins = [delta]
-    while True:
-        nxt = interior_hull(skins[-1])
-        if nxt.is_empty:
-            return OnionTrace(tuple(skins))
-        skins.append(nxt)
+    return OnionTrace(tuple(_runs(delta)))

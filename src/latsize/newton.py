@@ -14,7 +14,7 @@ from .polygon import (
     LatticePolygon,
     SpecialShape,
     hull,
-    measures,
+    integral_length,
     recognize_special,
 )
 from .size import _size_value
@@ -197,16 +197,17 @@ _CAVEAT_RATIONAL = "empty interior: rational-curve conventions (gonality 1, boun
 def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     """Genus, gonality and minimal plane/biprojective degree bounds for f.
 
-    The genus bound counts interior lattice points; the gonality is the
-    interior lattice width plus two; the degree bounds are the interior
-    lattice sizes plus three resp. (2, 2). Dilated upsilon triangles get the
-    sharper degree bounds 3d - 1 and, for d = 2, (3, 4).
+    The genus bound counts interior lattice points, by Pick's formula on
+    the Newton polygon, (area2 - boundary + 2) / 2, in O(edges); the
+    gonality is the interior lattice width plus two; the degree bounds are
+    the interior lattice sizes plus three resp. (2, 2). Dilated upsilon
+    triangles get the sharper degree bounds 3d - 1 and, for d = 2, (3, 4).
     """
     poly = newton_polygon(f)
     if not poly.is_two_dim:
         raise NotTwoDimensionalError("analysis needs a two-dimensional Newton polygon")
     inner = interior_hull(poly)
-    genus = 0 if inner.is_empty else measures(inner).total_count
+    genus = (poly.area2 - sum(integral_length(p, q) for p, q in poly.edges()) + 2) // 2
     special = recognize_special(poly)
     ups = special.params[0] if special is not None and special.kind == "upsilon" else None
     caveats = [_CAVEAT_GENERIC, _CAVEAT_NONDEGENERATE]

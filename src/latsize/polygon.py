@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -386,7 +386,6 @@ class SpecialShape:
     params: tuple[int, ...]
 
 
-@lru_cache(maxsize=1 << 15)
 def recognize_special(delta: LatticePolygon) -> Optional[SpecialShape]:
     """Detect equivalence with a standard triangle, dilated upsilon triangle,
     unimodular rectangle or Lawrence prism; None otherwise.

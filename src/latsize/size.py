@@ -10,13 +10,18 @@ parallel-edge rule (an edge of length r facing a face of length s = inner
 value with r - s >= 3 gives r), then the generic step (inner value plus three
 for the triangle, two for the square). No value is found by search.
 
+The skins come in runs of uniform peels (see onion_skins), and every rule is
+affine in the step along a run, so the loop takes each run in O(edges) and
+its trace has one Step per run, not per skin (see _run_step).
+
 The parallel-edge rule finds the face of the inner skin on an edge's shifted
 line by looking the edge's normal up among the inner skin's edge normals: for
 a skin of n edges around one of m that is O(n + m), plus a pass over the m
 vertices for each long edge whose normal the inner skin lacks (see
-parallel_edge_exception). Its hit at threshold 3 depends on the skin alone,
-so the sigma, square and box chains over one polygon compute it once per
-skin.
+parallel_edge_exception). Inside a run it needs no lookup (see _RunRules);
+on the last skin of each run it takes one, and the memo _rule_runs shares it
+between the sigma, square and box chains over one polygon, so each is
+computed once per run.
 
 Every certificate carries a witness map built from the Gauss-reduced basis
 of the width norm (see _basis_map), without search, plus the rule trace whose
@@ -29,16 +34,18 @@ is the oracle only: no certificate calls it, so value (recursion), witness
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
-from .interior import interior_hull, onion_skins
+from .interior import _edge_falls, _moved, interior_hull, onion_skins
 from .polygon import (
     AffineUnimodularMap,
     LatticePolygon,
     Point,
+    SpecialShape,
     are_equivalent,
     hull,
     integral_length,
@@ -159,32 +166,79 @@ def _parallel_edge_hit(
     return best
 
 
-@lru_cache(maxsize=1 << 10)
-def _skin_hit(delta: LatticePolygon) -> Optional[ParallelEdgeHit]:
-    """The parallel-edge hit of an outer skin at threshold 3.
+# A run of onion skins (see OnionTrace) with the rule data of its skins.
+# rectangle is (a, b) of the first skin if it is a rectangle, which holds for
+# every skin of the run or for none (the skins share edge normals, and a
+# unimodular rectangle [0,a] x [0,b] peels to [1,a-1] x [1,b-1]). hit is
+# (r, r - s) of the parallel-edge hit of the first skin on the second: on a
+# uniform peel every edge faces the edge of the same normal, so r - s is the
+# per-skin fall delta_i of edge i on every skin of the run, and the same edge,
+# the first with the greatest fall >= 3, wins on every skin or on none. end is
+# the last skin, end_hit its hit on the first skin of the next run (None for
+# the last run).
+_RunRules = namedtuple("_RunRules", "skin shift count end rectangle hit end_hit")
 
-    The hit depends on the skin alone, so the sigma, square and box chains
-    over the same skins compute it once. The memo holds the skins of chains
-    up to 1024 skins deep; longer chains recompute, at O(edges) per skin.
+
+@lru_cache(maxsize=1 << 10)
+def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[SpecialShape]]:
+    """The runs of onion_skins(delta) with their rule data, outermost first.
+
+    Returned with recognize_special of the innermost skin, the last skin of
+    the last run. This is the memo on the run trace: sigma, square, minimal_box and analyze over
+    the same polygon build its runs and rule data once. Each run costs
+    O(edges) plus one parallel-edge lookup on its last skin.
     """
-    return _parallel_edge_hit(delta, interior_hull(delta), 3)
+    runs = onion_skins(delta).runs
+    out = []
+    for j, (skin, shift, count) in enumerate(runs):
+        end = _moved(skin, shift, count - 1) if count > 1 else skin
+        special = recognize_special(skin) if skin.is_two_dim else None
+        rectangle = special.params if special is not None and special.kind == "rectangle" else None
+        hit = None
+        if count > 1:
+            for length, fall in _edge_falls(skin, shift):
+                if fall >= 3 and (hit is None or fall > hit[1]):
+                    hit = (length, fall)
+        end_hit = _parallel_edge_hit(end, runs[j + 1][0], 3) if j + 1 < len(runs) else None
+        out.append(_RunRules(skin, shift, count, end, rectangle, hit, end_hit))
+    if count > 1:
+        special = recognize_special(end)
+    return tuple(out), special
 
 
 def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...]]:
-    """Value and rule trace from the onion skins of delta, innermost skin first."""
+    """Value and rule trace from the onion skins of delta, innermost skin first, one run at a time."""
     if delta.is_empty:
         return _BASE[shape], ()
-    skins = onion_skins(delta).skins
-    value, step = _innermost_step(skins[-1], shape)
+    runs, innermost = _rule_runs(delta)
+    value, step = _innermost_step(runs[-1].end, innermost, shape)
     trace = [step]
-    for depth in reversed(range(len(skins) - 1)):
-        value, step = _skin_step(skins[depth], skins[depth + 1], value, shape)
-        trace.append(step)
+    for run in reversed(runs):
+        if run is not runs[-1]:
+            value, step = _end_step(run, value, shape)
+            trace.append(step)
+        if run.count > 1:
+            value, step = _run_step(run, value, shape)
+            inner = trace[-1]
+            if (inner.rule, inner.contribution, inner.params) == (step.rule, step.contribution,
+                                                                   _params_at(step, step.count)):
+                # the skin just inside continues the run: one entry for both
+                trace[-1] = replace(step, count=step.count + 1)
+            else:
+                trace.append(step)
     return value, tuple(trace)
 
 
-def _innermost_step(delta: LatticePolygon, shape: str) -> tuple[int, Step]:
-    """Value of a non-empty polygon whose interior hull is empty."""
+def _params_at(step: Step, t: int) -> tuple[int, ...]:
+    """The params of skin t of a run step: edge lengths, falling linearly along the run."""
+    fall = 2 if step.rule == RULE_RECTANGLE else step.contribution
+    return tuple(p - t * fall for p in step.params)
+
+
+def _innermost_step(
+    delta: LatticePolygon, special: Optional[SpecialShape], shape: str
+) -> tuple[int, Step]:
+    """Value of a non-empty polygon whose interior hull is empty, given recognize_special(delta)."""
     base = _BASE[shape]
     if delta.is_point:
         return 0, Step(delta, RULE_SEARCH, -base)
@@ -193,7 +247,6 @@ def _innermost_step(delta: LatticePolygon, shape: str) -> tuple[int, Step]:
         return value, Step(delta, RULE_SEARCH, value - base)
     # Interior-free polygons: width-one prisms (in several disguises) and
     # the twice-dilated standard triangle.
-    special = recognize_special(delta)
     if special is not None:
         kind, params = special.kind, special.params
         if kind == "standard_triangle" and params[0] == 2:
@@ -221,24 +274,19 @@ def _innermost_step(delta: LatticePolygon, shape: str) -> tuple[int, Step]:
     )
 
 
-def _skin_step(
-    delta: LatticePolygon, gamma: LatticePolygon, inner_value: int, shape: str
-) -> tuple[int, Step]:
-    """Value of delta from the value of its non-empty interior hull gamma.
+def _end_step(run: _RunRules, inner_value: int, shape: str) -> tuple[int, Step]:
+    """Value of the last skin of run from the value of its interior hull, the next run's first skin.
 
     The first rule that fires decides: the rectangle rule (triangle only),
     then the parallel-edge rule with threshold 3, then the generic step. A
-    point or segment gamma goes through the same rules as a two-dimensional
-    one.
+    point or segment interior hull goes through the same rules as a
+    two-dimensional one.
     """
-    if shape == SIGMA:
-        special = recognize_special(delta)
-        if special is not None and special.kind == "rectangle":
-            a, b = special.params
-            return a + b, Step(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
-    if gamma != interior_hull(delta):
-        raise InternalConsistencyError("the inner skin is not the interior hull of the outer one")
-    hit = _skin_hit(delta)
+    delta = run.end
+    if shape == SIGMA and run.rectangle is not None:
+        a, b = (p - 2 * (run.count - 1) for p in run.rectangle)
+        return a + b, Step(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
+    hit = run.end_hit
     if hit is not None:
         if hit.s != inner_value:
             raise InternalConsistencyError(
@@ -246,6 +294,34 @@ def _skin_step(
             )
         return hit.r, Step(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s))
     return inner_value + _STEP[shape], Step(delta, RULE_GENERIC, _STEP[shape])
+
+
+def _run_step(run: _RunRules, inner_value: int, shape: str) -> tuple[int, Step]:
+    """Value of the first skin of run from that of its last, with the Step for all skins but the last.
+
+    Each of these skins peels uniformly to the next one, and the rules are
+    affine in the step: the rectangle (a - 2t) + (b - 2t) falls by 4 per
+    skin, the parallel-edge value r - t * (r - s) by r - s, the generic step
+    by 3 or 2. The rule takes the same branch on every skin (see _RunRules),
+    and the value it gives on the skin just outside the last one must exceed
+    inner_value by the fall, as the per-skin check hit.s == inner value
+    demands; no other skin needs a check, since there the fall is exact.
+    """
+    n = run.count - 1
+    if shape == SIGMA and run.rectangle is not None:
+        a, b = run.rectangle
+        rule, value, fall, params = RULE_RECTANGLE, a + b, 4, (a, b)
+    elif run.hit is not None:
+        r, fall = run.hit
+        rule, value, params = RULE_PARALLEL, r, (r, r - fall)
+    else:
+        fall = _STEP[shape]
+        rule, value, params = RULE_GENERIC, inner_value + n * fall, ()
+    if value - n * fall != inner_value:
+        raise InternalConsistencyError(
+            f"{rule} run of {n} skins falls to {value - n * fall}, not to the inner value {inner_value}"
+        )
+    return value, Step(run.skin, rule, fall, params, n, run.shift)
 
 
 def fit_into(

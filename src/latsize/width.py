@@ -8,8 +8,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import EmptyPolygonError
-from .interior import interior_hull
+from .interior import _moved, _runs
 from .polygon import (
+    EMPTY,
     AffineUnimodularMap,
     LatticePolygon,
     Point,
@@ -188,12 +189,22 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
 
 @dataclass(frozen=True)
 class Step:
-    """One rule application in a peeling recursion: the skin it fired on and what it added."""
+    """One rule application in a peeling recursion: the skin it fired on and what it added.
+
+    A Step with count > 1 covers a run of skins: skin + t * shift for
+    t = 0, ..., count - 1 (vertex i moving by shift[i] per skin, see
+    OnionTrace), each adding contribution. Its params are those of skin,
+    the outermost one; they are lattice lengths that fall along the run,
+    ParallelEdge's (r, s) by r - s and RectangleAB's (a, b) by 2 per skin.
+    A trace is therefore O(runs) long.
+    """
 
     skin: LatticePolygon
     rule: str
     contribution: int
     params: tuple[int, ...] = ()
+    count: int = 1
+    shift: tuple[Point, ...] = ()
 
 
 _WIDTH_BASE = {
@@ -209,25 +220,35 @@ def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...
     Standard triangles are the one exceptional family (their width drops by
     three per peel instead of two); polygons whose interior hull is degenerate
     are settled by a fixed base table. The skins are walked outermost first,
-    without recursion, because a standard triangle ends the chain early; the
-    trace lists the innermost step first.
+    one run of uniform peels at a time (see onion_skins), without recursion,
+    because a standard triangle ends the chain early; the trace lists the
+    innermost step first. Every skin of a run has the edge normals of its
+    first skin, and a triangle with the normals of a standard triangle is one,
+    so the standard-triangle test is decided at the start of each run. The
+    skins of a run before its last have two-dimensional interior hulls (the
+    next skins), so they are generic steps.
     """
     if delta.is_empty:
         raise EmptyPolygonError("lattice_width_recursive needs a non-empty polygon")
     if not delta.is_two_dim:
         return 0, (Step(delta, "DegenerateInput", 0),)
-    generic: list[LatticePolygon] = []
-    skin = delta
+    generic: list[Step] = []
+    runs = _runs(delta)
+    run = next(runs)
     while True:
+        skin, shift, count = run
         special = recognize_special(skin)
         if special is not None and special.kind == "standard_triangle":
             base = Step(skin, "StandardTriangleException", special.params[0])
             break
-        gamma = interior_hull(skin)
-        if not gamma.is_two_dim:
-            base = Step(skin, *_WIDTH_BASE[gamma.kind])
-            break
-        generic.append(skin)
-        skin = gamma
-    trace = (base,) + tuple(Step(s, "GenericStep", 2) for s in reversed(generic))
-    return base.contribution + 2 * len(generic), trace
+        run = next(runs, None)
+        gamma = EMPTY if run is None else run[0]
+        if gamma.is_two_dim:
+            generic.append(Step(skin, "GenericStep", 2, (), count, shift))
+            continue
+        if count > 1:
+            generic.append(Step(skin, "GenericStep", 2, (), count - 1, shift))
+        base = Step(_moved(skin, shift, count - 1), *_WIDTH_BASE[gamma.kind])
+        break
+    trace = (base,) + tuple(reversed(generic))
+    return base.contribution + 2 * sum(step.count for step in generic), trace

@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from latsize import LatticePolygon, census, hull, random_polygon
+from latsize import (
+    AffineUnimodularMap,
+    LatticePolygon,
+    apply_map,
+    census,
+    hull,
+    interior_hull,
+    lawrence_prism,
+    random_polygon,
+    random_unimodular_map,
+    rectangle,
+    standard_triangle,
+    upsilon,
+)
 
 HEPTAGON_VERTICES = [(8, 0), (6, 1), (2, 4), (0, 6), (0, 8), (3, 7), (5, 6)]
 
@@ -41,3 +54,34 @@ def in_sigma(d: int, pt: tuple[int, int]) -> bool:
 
 def in_box(a: int, b: int, pt: tuple[int, int]) -> bool:
     return 0 <= pt[0] <= a and 0 <= pt[1] <= b
+
+
+def reference_skins(delta: LatticePolygon) -> list[LatticePolygon]:
+    """The onion skins of a non-empty delta one peel at a time, without runs."""
+    skins = [delta]
+    while True:
+        inner = interior_hull(skins[-1])
+        if inner.is_empty:
+            return skins
+        skins.append(inner)
+
+
+def long_faced():
+    """The four families up to d = 40, whose long edges give long faces, plain and sheared."""
+    for d in range(1, 41):
+        for base in (standard_triangle(d), upsilon(d), rectangle(d, d), rectangle(d, 1 + d // 3),
+                     lawrence_prism(d, d // 2)):
+            yield base
+            yield apply_map(AffineUnimodularMap(1, 7, 0, 1, 0, 0), base)
+            yield apply_map(random_unimodular_map(d), base)
+
+
+def run_corpus(box3_census):
+    """census(3), one sheared image of each, the four families and random polygons up to k = 1000."""
+    yield from box3_census
+    for i, delta in enumerate(box3_census):
+        yield apply_map(random_unimodular_map(i), delta)
+    yield from long_faced()
+    for k, seeds in ((5, 200), (20, 100), (80, 40), (300, 8), (1000, 3)):
+        for seed in range(seeds):
+            yield random_polygon(seed, k)

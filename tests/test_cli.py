@@ -1,5 +1,6 @@
 """Command-line behavior: reference outputs, JSON stability, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -135,3 +136,82 @@ def test_deep_onion_chain_needs_no_recursion():
     assert width.exit_code == 0 and json.loads(width.stdout)["value"] == 3000
     analysis = run_command(["analyze", "--poly", poly, "--json"])
     assert analysis.exit_code == 0 and json.loads(analysis.stdout)["s2_bound"] == 3000
+
+
+# sha256 of the per-skin output (one entry per skin) that peel --json,
+# peel, and sigma|square|width --trace --json printed before runs
+_PER_SKIN_SHA256 = {
+    ("heptagon", "peel"): "c20f628bc50e562b361f4fc6093c0fcb37616d2528c47ecc65aee64adefd488e",
+    ("heptagon", "sigma"): "fe9780ebbd13fa852838ea21788bcea658ce8a4f68f13b0301f986a2b9d1658c",
+    ("heptagon", "square"): "cfc801cf96b6b9a8b5f25db56e8ad7f679b9d4f1d84088214d865224dda3dbe2",
+    ("heptagon", "width"): "a0b3c7901caba5c4d80d1128b735fdcad87938a2e6e75d678ff5d2b53032070e",
+    ("heptagon", "plain"): "6c236ddc046d3f3e671765dc4f12f8170b08290ea8273e2d996fc9791244207f",
+    ("six_sigma", "peel"): "225db85d94b15c41df194bdcdbb8e52896ebfc17247947f779ad07b9587f9504",
+    ("six_sigma", "sigma"): "cac5ca98b26db0de8dfbd9e3a5194a504111b188456a64021549641efc82140d",
+    ("six_sigma", "square"): "c7bc8b444b165b867cc997ee892e6093ad6cbcf66f99f17b1ba0e45bf8d49d63",
+    ("six_sigma", "width"): "2ccdd1baa32f336a5038b928ef24611d68715127539ecfddfe3118ababca0dcf",
+    ("six_sigma", "plain"): "143db06992ad641df7d405480b962f60d06b9b131faf87e5eaf41accaaddf0b9",
+    ("upsilon5", "peel"): "2935a1e70ff28b61fa57c38258080b2c47c9459aa387fe44bd24c6fc7da053ab",
+    ("upsilon5", "sigma"): "908250c9e3eaab8f49889ef4f11c85a1e614544340b7cc9a8fd0fbfea9434586",
+    ("upsilon5", "square"): "68f57b396d83d258c13cbcdfb32e1b2fa1e6b2c94b733754b0c7f8e345db8b3e",
+    ("upsilon5", "width"): "c53ce975bd5ed5f4267fefc9e930117abf1aaf726a4f11ba878404546df6eb74",
+    ("upsilon5", "plain"): "27c4b132a50664ce232ea60a2f06ebc800d1ef35d29c5b6cf124877558fdca5f",
+    ("random80", "peel"): "71c46db3e2ae6532edd91361340fa21764d66b2e86e6e18c795a457d5cae5d29",
+    ("random80", "sigma"): "9d3519e5a3f89ebc0c3dad971b51b5dc71f8c7821964405595a77116d4e2e796",
+    ("random80", "square"): "aa9424bf273726d742d4be3d5d67b099a2af8035df43126964035c40c177bf0d",
+    ("random80", "width"): "5a0940838852efaaa2559aab99f2192d35f61d756d58f2b2da6935ee8a0cb9cd",
+    ("random80", "plain"): "df0e0bd9122d6a4e53c7d48f44014ba8c5aa451bd9f057967caecb4798bd7666",
+}
+_RUN_INPUTS = {
+    "heptagon": HEPTAGON,
+    "six_sigma": "0,0;6,0;0,6",
+    "upsilon5": "-5,-5;5,0;0,5",
+    "random80": "8,44;39,23;61,22;27,64;11,64",  # random_polygon(0, 80)
+}
+
+
+def _expand_entry(entry, ts):
+    """The per-skin entries of one run entry, by the rule printed under 'runs:' in --help."""
+    name, _, args = entry["rule"].partition("(")
+    params = [int(p) for p in args.rstrip(")").split(",")] if args else []
+    fall = 2 if name == "RectangleAB" else entry["contribution"]
+    for t in ts(entry["count"]):
+        rule = name + (f"({','.join(str(p - t * fall) for p in params)})" if params else "")
+        skin = [[x + t * dx, y + t * dy] for (x, y), (dx, dy) in zip(entry["skin"], entry["shift"])]
+        yield {"skin": skin, "rule": rule, "contribution": entry["contribution"]}
+
+
+def test_run_output_expands_to_the_per_skin_output():
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    runs = skins = 0
+    for name, vertices in _RUN_INPUTS.items():
+        for command in ("peel", "sigma", "square", "width"):
+            argv = [command, f"--vertices={vertices}", "--json"] + ([] if command == "peel" else ["--trace"])
+            doc = json.loads(run_command(argv).stdout)
+            # peel lists skins outermost first, a trace innermost first
+            ts = range if command == "peel" else (lambda count: reversed(range(count)))
+            per_skin = [e for entry in doc["trace"] for e in _expand_entry(entry, ts)]
+            runs += len(doc["trace"])
+            skins += len(per_skin)
+            expanded = json.dumps(dict(doc, trace=per_skin), indent=2) + "\n"
+            assert sha(expanded) == _PER_SKIN_SHA256[name, command], (name, command)
+        lines = []
+        for line in run_command(["peel", f"--vertices={vertices}"]).stdout.splitlines():
+            skin, count, shift = line.split(" ")
+            entry = {"skin": [list(map(int, p.split(","))) for p in skin.split(";")], "count": int(count),
+                     "shift": [list(map(int, p.split(","))) for p in shift.split(";")],
+                     "rule": "Skin", "contribution": 0}
+            lines += [";".join(f"{x},{y}" for x, y in e["skin"]) for e in _expand_entry(entry, range)]
+        assert sha("\n".join(lines) + "\n") == _PER_SKIN_SHA256[name, "plain"], name
+    assert skins > 2 * runs, (skins, runs)
+
+
+def test_help_documents_the_run_format(capsys):
+    import latsize.cli
+
+    for argv in (["--help"], ["peel", "--help"], ["width", "--help"]):
+        assert run_command(argv).exit_code == 0
+        assert latsize.cli._RUNS in capsys.readouterr().out, argv
+    assert latsize.cli._RUNS in latsize.cli.__doc__

@@ -1,5 +1,7 @@
 """Interior hulls and onion skins."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,12 @@ from latsize import (
     hull,
     interior_hull,
     interior_lattice_points,
+    lattice_size_sigma,
+    lattice_size_square,
+    lattice_width_recursive,
     lawrence_prism,
     measures,
+    minimal_box,
     onion_skins,
     random_polygon,
     random_unimodular_map,
@@ -24,10 +30,14 @@ from latsize import (
 )
 
 import latsize.interior
+import latsize.newton
 import latsize.polygon
+import latsize.size
+import latsize.width
+from latsize.cli import run_command
 from latsize.polygon import _column_bounds, _interior_columns
 
-from conftest import weierstrass
+from conftest import long_faced, reference_skins, run_corpus, weierstrass
 
 
 def test_interior_of_weierstrass_triangle():
@@ -142,18 +152,8 @@ def test_onion_skins_match_enumeration_on_thin_sheared_polygons():
     assert empty_columns > 0 and point_columns > 0
 
 
-def _long_faced():
-    """The four families up to d = 40, whose long edges give long faces, plain and sheared."""
-    for d in range(1, 41):
-        for base in (standard_triangle(d), upsilon(d), rectangle(d, d), rectangle(d, 1 + d // 3),
-                     lawrence_prism(d, d // 2)):
-            yield base
-            yield apply_map(AffineUnimodularMap(1, 7, 0, 1, 0, 0), base)
-            yield apply_map(random_unimodular_map(d), base)
-
-
 def test_onion_skins_match_enumeration_on_long_faces():
-    for delta in _long_faced():
+    for delta in long_faced():
         _assert_skins_enumerated(delta)
 
 
@@ -193,7 +193,7 @@ def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):
     scanned = _count_columns(monkeypatch)
     for delta, inner in zip(cases, expected):
         scanned.clear()
-        assert interior_hull.__wrapped__(delta) == inner
+        assert interior_hull(delta) == inner
         # O(edges) columns: the outer ones and those next to the face ends
         assert 0 < len(scanned) <= 3 * len(delta.vertices), len(scanned)
 
@@ -221,7 +221,7 @@ def test_uniform_skins_scan_no_columns(monkeypatch):
     scanned = _count_columns(monkeypatch)
     for outer, inner in families + uniform:
         scanned.clear()
-        assert interior_hull.__wrapped__(outer) == inner
+        assert interior_hull(outer) == inner
         assert not scanned, outer
 
 
@@ -231,11 +231,85 @@ def test_interior_hull_is_canonical(box3_census):
     polygons += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
     polygons += [base for d in (1, 2, 3, 7, 40, 3000)
                  for base in (standard_triangle(d), upsilon(d), rectangle(d, d), rectangle(d, 1 + d // 3))]
-    polygons += list(_long_faced())
+    polygons += list(long_faced())
     for delta in polygons:
         for skin in onion_skins(delta).skins:
             inner = interior_hull(skin)
             assert inner.vertices == hull(inner.vertices).vertices, skin
+
+
+def test_runs_expand_to_the_per_skin_chain(box3_census):
+    skins = runs = 0
+    for delta in run_corpus(box3_census):
+        trace = onion_skins(delta)
+        want = reference_skins(delta)
+        assert list(trace.skins) == want, delta
+        ends = []
+        for skin, shift, count in trace.runs:
+            assert count >= 1 and (count > 1) == bool(shift), skin
+            ends.append(latsize.interior._moved(skin, shift, count - 1))
+        # runs are maximal: the peel that ends a run is not uniform
+        for end, (nxt, _, _) in zip(ends, trace.runs[1:]):
+            assert not _is_uniform_peel(end, nxt), end
+        assert all(skin.vertices == hull(skin.vertices).vertices for skin in trace.skins), delta
+        skins += len(want)
+        runs += len(trace.runs)
+    # thousands of uniform peels are taken inside runs, not one by one
+    assert skins - runs > 5000, (skins, runs)
+
+
+def _count_hull_calls(monkeypatch):
+    """Patch interior_hull wherever it is bound; the returned list collects its arguments."""
+    calls = []
+    orig = latsize.interior.interior_hull
+
+    def counting(delta):
+        calls.append(delta)
+        return orig(delta)
+
+    for module in (latsize.interior, latsize.size, latsize.width, latsize.newton):
+        if vars(module).get("interior_hull") is orig:
+            monkeypatch.setattr(module, "interior_hull", counting)
+    return calls
+
+
+_GUARD = 2**31
+_CHAIN_OPS = (lattice_size_sigma, lattice_size_square, minimal_box, lattice_width_recursive, onion_skins)
+
+
+def test_runs_take_one_interior_hull_call_each(monkeypatch):
+    # d*Sigma, Upsilon_d and a near-square rectangle are one run and a point
+    # or segment, at any size; d = 2^31 has about 7 * 10^8 skins
+    families = [standard_triangle(3000), upsilon(3000), rectangle(3000, 3001),
+                standard_triangle(_GUARD), upsilon(_GUARD // 2), rectangle(_GUARD, _GUARD - 1)]
+    large = [random_polygon(seed, 1000) for seed in range(3)]
+    bounds = []
+    for delta in large:
+        want = reference_skins(delta)
+        peels = zip(want, want[1:] + [hull([])])
+        nonuniform = sum(not _is_uniform_peel(outer, inner) for outer, inner in peels)
+        runs = len(onion_skins(delta).runs)
+        assert len(want) > 2 * runs, delta
+        bounds.append(nonuniform + runs)
+    calls = _count_hull_calls(monkeypatch)
+    for delta, bound in [(delta, 3) for delta in families] + list(zip(large, bounds)):
+        for op in _CHAIN_OPS:
+            latsize.size._rule_runs.cache_clear()
+            calls.clear()
+            op(delta)
+            assert len(calls) <= bound, (op.__name__, delta, len(calls))
+    for delta in families[3:]:
+        vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in delta.vertices)
+        for argv in (["sigma"], ["square"], ["box"], ["peel"], ["width", "--trace"]):
+            latsize.size._rule_runs.cache_clear()
+            calls.clear()
+            assert run_command(argv + [vertices, "--json"]).exit_code == 0, (argv, delta)
+            assert len(calls) <= 3, (argv, delta, len(calls))
+    latsize.size._rule_runs.cache_clear()
+    calls.clear()
+    result = run_command(["analyze", "--poly", f"x^{_GUARD} + y^{_GUARD} + 1", "--json"])
+    assert result.exit_code == 0 and json.loads(result.stdout)["s2_bound"] == _GUARD
+    assert len(calls) <= 4, len(calls)
 
 
 _points = st.lists(

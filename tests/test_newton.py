@@ -5,14 +5,21 @@ from fractions import Fraction
 import pytest
 
 from latsize import (
+    AffineUnimodularMap,
+    LaurentPolynomial,
     NotTwoDimensionalError,
     ZeroPolynomialError,
     analyze,
+    apply_map,
     hull,
+    interior_hull,
+    lawrence_prism,
     measures,
     newton_polygon,
     parse_laurent,
     random_unimodular_map,
+    rectangle,
+    standard_triangle,
     transform_support,
     upsilon,
 )
@@ -121,3 +128,25 @@ def test_s11_bound_is_ordered():
         res = analyze(parse_laurent(text))
         assert res.s11_bound[0] <= res.s11_bound[1]
         assert res.s11_bound <= (res.s2_bound, res.s2_bound)
+
+
+def test_genus_by_pick_matches_the_interior_count(box3_census):
+    # analyze takes the genus from Pick's formula on the Newton polygon; the
+    # column count of measures on its interior hull is the independent oracle
+    polygons = [delta for i, delta in enumerate(box3_census)
+                for delta in (delta, apply_map(random_unimodular_map(i), delta))]
+    polygons += [family(d) for d in range(1, 25) for family in (standard_triangle, upsilon)]
+    polygons += [rectangle(a, b) for a in range(1, 9) for b in range(a, 12)]
+    polygons += [lawrence_prism(a, b) for a in range(1, 12) for b in range(a + 1)]
+    polygons += [apply_map(AffineUnimodularMap(1, 5, 0, 1, 3, -2), delta) for delta in polygons[-300:]]
+    checked = 0
+    for delta in polygons:
+        if not delta.is_two_dim:
+            continue
+        inner = interior_hull(delta)
+        want = 0 if inner.is_empty else measures(inner).total_count
+        assert want == measures(delta).interior_count, delta
+        f = LaurentPolynomial({v: Fraction(1) for v in delta.vertices})
+        assert analyze(f).genus_bound == want, delta
+        checked += 1
+    assert checked > 5000

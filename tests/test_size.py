@@ -32,9 +32,12 @@ from latsize import (
     upsilon,
 )
 from latsize.cli import run_command
-from latsize.size import RULE_SEARCH, _size_value
+from latsize.interior import _moved
+from latsize.polygon import recognize_special
+from latsize.size import RULE_SEARCH, _innermost_step, _size_value
+from latsize.width import _WIDTH_BASE, Step
 
-from conftest import in_box, in_sigma, weierstrass
+from conftest import in_box, in_sigma, reference_skins, run_corpus, weierstrass
 
 
 def translated(poly, t):
@@ -102,6 +105,8 @@ def test_parallel_edge_lookup_matches_the_full_scan(box3_census):
 
 
 def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
+    # one parallel-edge lookup per run, on its last skin, shared by the three
+    # chains; the skins inside a run take theirs from the run's edge falls
     computed = Counter()
     lookup = latsize.size._parallel_edge_hit
 
@@ -110,15 +115,86 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
         return lookup(delta, gamma, threshold)
 
     monkeypatch.setattr(latsize.size, "_parallel_edge_hit", counting)
-    for delta in (random_polygon(3, 160), rectangle(9, 30), standard_triangle(40)):
-        latsize.size._skin_hit.cache_clear()
+    skins = runs = 0
+    for delta in (random_polygon(3, 160), random_polygon(4, 300), rectangle(9, 30), standard_triangle(40)):
+        latsize.size._rule_runs.cache_clear()
         computed.clear()
         lattice_size_sigma(delta)
         lattice_size_square(delta)
         minimal_box(delta)
-        outer = onion_skins(delta).skins[:-1]
-        assert len(outer) >= 3
-        assert computed == Counter(outer), delta
+        trace = onion_skins(delta).runs
+        assert computed == Counter(_moved(skin, shift, count - 1) for skin, shift, count in trace[:-1]), delta
+        skins += sum(count for _, _, count in trace)
+        runs += len(trace)
+    assert skins > 2 * runs, (skins, runs)
+
+
+def _reference_size(delta, shape):
+    """The size recursion one skin at a time, as before runs: value and per-skin trace."""
+    skins = reference_skins(delta)
+    innermost = skins[-1]
+    special = recognize_special(innermost) if innermost.is_two_dim else None
+    value, step = _innermost_step(innermost, special, shape)
+    trace = [step]
+    for outer, inner in zip(skins[-2::-1], skins[:0:-1]):
+        special = recognize_special(outer)
+        hit = _reference_hit(outer, inner, 3)
+        if shape == "sigma" and special is not None and special.kind == "rectangle":
+            a, b = special.params
+            step = Step(outer, "RectangleAB", a + b - value, (a, b))
+        elif hit is not None:
+            assert hit.s == value, outer
+            step = Step(outer, "ParallelEdge", hit.r - value, (hit.r, hit.s))
+        else:
+            step = Step(outer, "GenericStep", 3 if shape == "sigma" else 2)
+        value += step.contribution
+        trace.append(step)
+    return value, tuple(trace)
+
+
+def _reference_width(delta):
+    """The width recursion one skin at a time, as before runs."""
+    generic = []
+    skin = delta
+    while True:
+        special = recognize_special(skin)
+        if special is not None and special.kind == "standard_triangle":
+            base = Step(skin, "StandardTriangleException", special.params[0])
+            break
+        gamma = interior_hull(skin)
+        if not gamma.is_two_dim:
+            base = Step(skin, *_WIDTH_BASE[gamma.kind])
+            break
+        generic.append(Step(skin, "GenericStep", 2))
+        skin = gamma
+    return base.contribution + 2 * len(generic), (base,) + tuple(reversed(generic))
+
+
+def _expand(trace):
+    """The per-skin form of a trace, innermost first, by the expansion rule in the Step docstring."""
+    out = []
+    for step in trace:
+        fall = 2 if step.rule == "RectangleAB" else step.contribution
+        for t in reversed(range(step.count)):
+            moved = [(x + t * dx, y + t * dy) for (x, y), (dx, dy) in zip(step.skin.vertices, step.shift)]
+            skin = hull(moved) if t else step.skin
+            out.append(Step(skin, step.rule, step.contribution, tuple(p - t * fall for p in step.params)))
+    return tuple(out)
+
+
+def test_run_traces_expand_to_the_per_skin_recursion(box3_census):
+    entries = skins = 0
+    for delta in run_corpus(box3_census):
+        for shape in ("sigma", "square"):
+            value, trace = _size_value(delta, shape)
+            assert (value, _expand(trace)) == _reference_size(delta, shape), (delta, shape)
+            entries += len(trace)
+            skins += sum(step.count for step in trace)
+        if delta.is_two_dim:
+            value, trace = lattice_width_recursive(delta)
+            assert (value, _expand(trace)) == _reference_width(delta), delta
+    # thousands of skins are covered by run entries
+    assert skins - entries > 5000, (skins, entries)
 
 
 # --- triangle size ----------------------------------------------------------
@@ -236,7 +312,7 @@ def test_trace_contributions_telescope():
         delta = random_polygon(seed, 5)
         for shape, base in (("sigma", -2), ("square", -1)):
             value, trace = _size_value(delta, shape)
-            assert base + sum(s.contribution for s in trace) == value
+            assert base + sum(s.contribution * s.count for s in trace) == value
 
 
 # --- fits -------------------------------------------------------------------
