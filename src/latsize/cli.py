@@ -5,16 +5,8 @@ precondition failures (an empty input polygon among them), 4 internal
 consistency failures (including --verify mismatches). All output is
 deterministic for a fixed input.
 
-runs: peel and every --trace print one entry per run of skins. An entry with
-"count" c and "shift" [[dx,dy],...] stands for the c skins skin + t*shift,
-t = 0..c-1, vertex i moving by shift[i] per skin, each the interior hull of
-the one before; a count-1 entry has zero shifts. peel lists runs and skins
-outermost first, a trace innermost first (a trace entry starts at t = c-1).
-Each skin of a trace entry adds its "contribution"; the rule's parameters
-are those of "skin" and fall per skin along the run: ParallelEdge(r,s) by
-r-s, RectangleAB(a,b) by 2. Plain peel prints a line "SKIN COUNT SHIFT" per
-run, e.g. "0,0;6,0;0,6 2 1,1;-2,1;1,-2" for the skins of 6*Sigma before its
-last one.
+peel and every --trace print one entry per run of skins; _RUNS, which --help
+prints, gives the format.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from .size import (
 from .width import Step, lattice_width, lattice_width_recursive
 
 
-# The paragraph of the module docstring on runs, for --help.
+# The run format of peel and --trace, printed by --help.
 _RUNS = """\
 runs: peel and every --trace print one entry per run of skins. An entry with
 "count" c and "shift" [[dx,dy],...] stands for the c skins skin + t*shift,
@@ -166,7 +158,7 @@ def _witness_doc(phi: AffineUnimodularMap) -> dict:
 
 
 def _run_doc(skin: LatticePolygon, rule: str, contribution: int, count: int, shift: tuple) -> dict:
-    """One JSON entry per run of skins; see RUNS."""
+    """One JSON entry per run of skins; see _RUNS."""
     return {
         "skin": [[x, y] for x, y in skin.vertices],
         "rule": rule,
@@ -220,8 +212,9 @@ def _size_command(args: argparse.Namespace, shape: str) -> str:
 def _width_command(args: argparse.Namespace) -> str:
     delta = _read_polygon(args)
     result = lattice_width(delta)
+    if args.verify or args.trace:
+        value, trace = lattice_width_recursive(delta)
     if args.verify:
-        value, _ = lattice_width_recursive(delta)
         _check(value == result.width, f"recursive width {value} disagrees with {result.width}")
     doc: dict = {
         "command": "width",
@@ -229,7 +222,7 @@ def _width_command(args: argparse.Namespace) -> str:
         "directions": [[a, b] for a, b in result.directions],
     }
     if args.trace:
-        doc["trace"] = _trace_doc(lattice_width_recursive(delta)[1])
+        doc["trace"] = _trace_doc(trace)
     return _emit(doc, args, str(result.width))
 
 

@@ -92,37 +92,36 @@ def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
     yield from range(x, max(xs) + 1)
 
 
-def _uniform_shift(delta: LatticePolygon) -> Optional[LatticePolygon]:
-    """The polygon {a*x + b*y <= c - 1} over the edges of delta, if it has their shape.
+def _uniform_shift(delta: LatticePolygon) -> Optional[tuple[Point, ...]]:
+    """The moves e_i of the vertices of delta onto {a*x + b*y <= c - 1}, if that has delta's shape.
 
-    The vertex between two consecutive edges is the intersection of their
-    shifted lines. Returns None, within one pass over the edges, as soon as
-    a vertex is not integral or an edge does not keep a positive length
-    along its own direction.
+    Vertex i moves to the intersection of the shifted lines of the edges
+    i - 1 and i. Returns None, within one pass over the edges, as soon as a
+    move is not integral or an edge does not keep a positive length along
+    its own direction.
     """
     cons = delta.edge_constraints
     a0, b0, _ = cons[-1]
-    xs: list[int] = []
-    ys: list[int] = []
+    moves: list[Point] = []
     for (x, y), (a1, b1, _) in zip(delta.vertices, cons):
-        # v + (ex, ey) / det solves a0*x + b0*y = c0 - 1 and a1*x + b1*y = c1 - 1
+        # (ex, ey) / det solves a0*x + b0*y = -1 and a1*x + b1*y = -1
         det = a0 * b1 - b0 * a1
         ex, ey = b0 - b1, a1 - a0
         if ex % det or ey % det:
             return None
-        x += ex // det
-        y += ey // det
-        # the edge from the previous vertex runs along (-b0, a0)
-        if xs and a0 * (y - ys[-1]) - b0 * (x - xs[-1]) <= 0:
+        ex //= det
+        ey //= det
+        # the edge from the previous vertex runs along (-b0, a0) and must keep a positive length
+        if moves and a0 * (y + ey - py) - b0 * (x + ex - px) <= 0:
             return None
-        xs.append(x)
-        ys.append(y)
+        moves.append((ex, ey))
+        px, py = x + ex, y + ey
         a0, b0 = a1, b1
-    if a0 * (ys[0] - ys[-1]) - b0 * (xs[0] - xs[-1]) <= 0:
+    # the closing edge, from the last moved vertex to the first
+    (x, y), (ex, ey) = delta.vertices[0], moves[0]
+    if a0 * (y + ey - py) - b0 * (x + ex - px) <= 0:
         return None
-    moved = list(zip(xs, ys))
-    start = moved.index(min(moved))
-    return LatticePolygon(tuple(moved[start:] + moved[:start]))
+    return tuple(moves)
 
 
 def _edge_falls(delta: LatticePolygon, shift: tuple[Point, ...]) -> Iterator[tuple[int, int]]:
@@ -141,23 +140,6 @@ def _edge_falls(delta: LatticePolygon, shift: tuple[Point, ...]) -> Iterator[tup
             yield (x0 - x1) // b, (s1 - s0) // b
         else:
             yield (y1 - y0) // a, (t0 - t1) // a
-
-
-def _run_shift(skin: LatticePolygon, inner: LatticePolygon) -> tuple[tuple[Point, ...], int]:
-    """(shift, count) of the run of uniform peels that starts at skin, given its interior hull inner.
-
-    The peel is uniform when inner = {a*x + b*y <= c - 1} over the edges of
-    skin, edge for edge; then shift is the move of each vertex, and count is
-    1 + m for m = min over the edges with delta_i > 0 of
-    floor((L_i - 1) / delta_i) (see interior_hull). Edges with delta_i <= 0
-    never vanish and are left out of the minimum. ((), 1) when the peel is
-    not uniform.
-    """
-    cons = skin.edge_constraints
-    if len(inner.vertices) != len(cons) or inner.edge_constraints != tuple((a, b, c - 1) for a, b, c in cons):
-        return (), 1
-    shift = tuple((x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(skin.vertices, inner.vertices))
-    return shift, 1 + min((length - 1) // fall for length, fall in _edge_falls(skin, shift) if fall > 0)
 
 
 def _moved(delta: LatticePolygon, shift: tuple[Point, ...], t: int) -> LatticePolygon:
@@ -184,7 +166,7 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     constraints, so the interior lattice points are the lattice points of P.
     They include the vertices w_i and lie in P, so their hull is P. The test
     costs O(edges), and P is returned in canonical form without scanning a
-    column.
+    column (its start vertex stays the canonical one, see Runs).
 
     Runs. Write w_i = v_i + e_i for the vertices v_i of delta. The move e_i
     solves a*x + b*y = -1 for the edges i - 1 and i, so it depends on the
@@ -212,9 +194,9 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     normal cone holds the direction (-1, -epsilon); the P_t share their
     normal fan, so vertex i of P_t is v_i + t*e_i in canonical order, and
     skin t of the run costs O(edges) to write down, whatever t is. This is
-    what onion_skins and the recursions over it use (_run_shift): one
-    O(edges) step per run of uniform peels, with a call of this function on
-    its first skin and one on its last, whose peel is not uniform.
+    what onion_skins and the recursions over it use (_runs): one O(edges)
+    step per run of uniform peels, with the uniform-shift test on its first
+    skin and a call of this function on its last, whose peel is not uniform.
 
     Column scan. On other input only the two ends (x, lo) and (x, hi) of an
     interior column are looked at: every interior lattice point lies on the
@@ -236,9 +218,9 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """
     if not delta.is_two_dim:
         return EMPTY
-    shifted = _uniform_shift(delta)
-    if shifted is not None:
-        return shifted
+    moves = _uniform_shift(delta)
+    if moves is not None:
+        return _moved(delta, moves, 1)
     lower: list[Point] = []
     upper: list[Point] = []
     for x in _undecided_columns(delta):
@@ -275,15 +257,23 @@ class OnionTrace:
 def _runs(delta: LatticePolygon) -> Iterator[_Run]:
     """The runs of the onion skins of a non-empty delta, outermost first, found lazily.
 
-    Each run costs O(edges) plus an interior_hull call on its first skin and,
-    if it has more than one, on its last, whose peel is not uniform.
+    A skin whose peel is uniform starts a run of count = 1 + m skins, with m
+    the minimum of floor((L_i - 1) / delta_i) over the edges with
+    delta_i > 0 (see interior_hull); edges with delta_i <= 0 never vanish.
+    Each run costs O(edges) for the uniform-shift test on its first skin
+    plus one interior_hull call: on that skin if its peel is not uniform,
+    else on the last skin of the run, whose peel is not uniform.
     """
     skin = delta
     while not skin.is_empty:
-        inner = interior_hull(skin)
-        shift, count = _run_shift(skin, inner) if inner.is_two_dim else ((), 1)
-        yield skin, shift, count
-        skin = interior_hull(_moved(skin, shift, count - 1)) if count > 1 else inner
+        shift = _uniform_shift(skin) if skin.is_two_dim else None
+        if shift is None:
+            yield skin, (), 1
+            skin = interior_hull(skin)
+        else:
+            count = 1 + min((length - 1) // fall for length, fall in _edge_falls(skin, shift) if fall > 0)
+            yield skin, shift, count
+            skin = interior_hull(_moved(skin, shift, count - 1))
 
 
 def onion_skins(delta: LatticePolygon) -> OnionTrace:

@@ -68,9 +68,12 @@ def random_unimodular_map(seed: int) -> AffineUnimodularMap:
 def oracle_size(delta: LatticePolygon, shape: str) -> int:
     """Smallest feasible target size, by ascending fit_into search.
 
-    The scan starts at the lattice width, a lower bound for both target
-    shapes; in particular the search itself certifies that value - 1 is
-    infeasible.
+    The scan starts at lattice_width, a lower bound for both target shapes;
+    in particular the search itself certifies that value - 1 is infeasible.
+    lattice_width is the width along a direction of the reduced basis, never
+    below the true width, so a wrong basis can only start the scan too high:
+    that shows as a --verify mismatch with the recursion, never as a false
+    agreement.
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_size needs a non-empty polygon")

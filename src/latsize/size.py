@@ -27,15 +27,19 @@ Every certificate carries a witness map built from the Gauss-reduced basis
 of the width norm (see _basis_map), without search, plus the rule trace whose
 contributions telescope from the empty-hull convention (-2 for the triangle,
 -1 for the square) to the final value. The witness must reach the recursion's
-value exactly, or the certificate fails. fit_into, the exact disc search,
-is the oracle only: no certificate calls it, so value (recursion), witness
+value exactly, or the certificate fails. The lattice width and its optimal
+directions come from the same basis (see width.lattice_width). fit_into, the
+exact disc search, is the oracle only, and the only code that lists a disc
+of directions: no certificate calls it, so value (recursion), witness
 (reduced basis) and oracle (disc search) are three independent routes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -46,19 +50,13 @@ from .polygon import (
     LatticePolygon,
     Point,
     SpecialShape,
+    apply_map,
     are_equivalent,
     hull,
     integral_length,
     recognize_special,
 )
-from .width import (
-    Step,
-    _euclidean_width_sq,
-    _primitive_directions,
-    _reduce,
-    _reduced_basis,
-    width_along,
-)
+from .width import Step, _reduced_basis, width_along
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -324,6 +322,40 @@ def _run_step(run: _RunRules, inner_value: int, shape: str) -> tuple[int, Step]:
     return value, Step(run.skin, rule, fall, params, n, run.shift)
 
 
+def _euclidean_width_sq(delta: LatticePolygon) -> Fraction:
+    """Squared minimal Euclidean width, exactly.
+
+    The minimal width of a convex polygon is attained over an edge, so it is
+    the least height over all edge supporting lines (rotating calipers with
+    rational squared distances).
+    """
+    best = None
+    for a, b, c in delta.edge_constraints:
+        h = c - min(a * x + b * y for x, y in delta.vertices)
+        w2 = Fraction(h * h, a * a + b * b)
+        if best is None or w2 < best:
+            best = w2
+    return best
+
+
+def _primitive_directions(bound_sq: int) -> list[Point]:
+    """Primitive vectors with |u|^2 <= bound_sq, one per +-pair.
+
+    Normalized to u[0] > 0 or (u[0] == 0 and u[1] > 0), sorted by
+    (|u|^2, u[0], u[1]).
+    """
+    if bound_sq < 1:
+        return []
+    dirs = [(0, 1)]
+    for x in range(1, math.isqrt(bound_sq) + 1):
+        max_y = math.isqrt(bound_sq - x * x)
+        for y in range(-max_y, max_y + 1):
+            if math.gcd(x, y) == 1:
+                dirs.append((x, y))
+    dirs.sort(key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]))
+    return dirs
+
+
 def fit_into(
     delta: LatticePolygon, shape: str, size: Union[int, tuple[int, int]]
 ) -> Optional[AffineUnimodularMap]:
@@ -370,7 +402,11 @@ def fit_into(
     if shape in (SQUARE, BOX) and delta.area2 > 2 * a_cap * b_cap:
         return None
 
-    red, psi = _reduce(delta)
+    # Lattice (Gauss) reduction keeps the disc small even for badly sheared
+    # input: the rows (long, short) of the reduced basis become coordinates.
+    short, long = _reduced_basis(delta)
+    psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
+    red = apply_map(psi, delta)
     we2 = _euclidean_width_sq(red)
     bound_sq = (b_cap * b_cap * we2.denominator) // we2.numerator
     verts = red.vertices

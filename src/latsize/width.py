@@ -1,20 +1,24 @@
-"""Lattice width: exact direction enumeration and the peeling recursion."""
+"""Lattice width: the Gauss-reduced basis of the width norm and the peeling recursion.
+
+lattice_width reads the width and every optimal direction off the reduced
+basis (_reduced_basis), which also gives every size witness (see
+size._basis_map). lattice_width_recursive peels the polygon into onion skins
+and adds up one rule per skin. Neither searches a disc of directions; only
+the oracle size.fit_into does.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .errors import EmptyPolygonError
 from .interior import _moved, _runs
 from .polygon import (
     EMPTY,
-    AffineUnimodularMap,
     LatticePolygon,
     Point,
-    apply_map,
     recognize_special,
 )
 
@@ -39,40 +43,6 @@ def width_along(delta: LatticePolygon, u: Point) -> int:
 
 def _normalize_direction(u: Point) -> Point:
     return u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1])
-
-
-def _euclidean_width_sq(delta: LatticePolygon) -> Fraction:
-    """Squared minimal Euclidean width, exactly.
-
-    The minimal width of a convex polygon is attained over an edge, so it is
-    the least height over all edge supporting lines (rotating calipers with
-    rational squared distances).
-    """
-    best = None
-    for a, b, c in delta.edge_constraints:
-        h = c - min(a * x + b * y for x, y in delta.vertices)
-        w2 = Fraction(h * h, a * a + b * b)
-        if best is None or w2 < best:
-            best = w2
-    return best
-
-
-def _primitive_directions(bound_sq: int) -> list[Point]:
-    """Primitive vectors with |u|^2 <= bound_sq, one per +-pair.
-
-    Normalized to u[0] > 0 or (u[0] == 0 and u[1] > 0), sorted by
-    (|u|^2, u[0], u[1]).
-    """
-    if bound_sq < 1:
-        return []
-    dirs = [(0, 1)]
-    for x in range(1, math.isqrt(bound_sq) + 1):
-        max_y = math.isqrt(bound_sq - x * x)
-        for y in range(-max_y, max_y + 1):
-            if math.gcd(x, y) == 1:
-                dirs.append((x, y))
-    dirs.sort(key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]))
-    return dirs
 
 
 def _min_convex(f: Callable[[int], int]) -> tuple[int, int]:
@@ -133,31 +103,34 @@ def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point]:
         r1, w1 = (r1[0] + k * r2[0], r1[1] + k * r2[1]), fk
 
 
-def _reduce(delta: LatticePolygon) -> tuple[LatticePolygon, AffineUnimodularMap]:
-    """Precondition a two-dimensional polygon by lattice (Gauss) reduction.
-
-    Returns the equivalent polygon with the rows (long, short) of
-    _reduced_basis as coordinates, plus the map that produced it. Its axis
-    widths are small, which keeps the rigorous direction-enumeration discs
-    small even for badly sheared input.
-    """
-    short, long = _reduced_basis(delta)
-    psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
-    return apply_map(psi, delta), psi
-
-
-def _transport(u: Point, psi: AffineUnimodularMap) -> Point:
-    """Pull a functional on psi(delta) back to one on delta (transpose action)."""
-    return (psi.m11 * u[0] + psi.m21 * u[1], psi.m12 * u[0] + psi.m22 * u[1])
-
-
 def lattice_width(delta: LatticePolygon) -> WidthResult:
-    """Exact lattice width with all optimal primitive directions.
+    """Exact lattice width with all optimal primitive directions, from the reduced basis.
 
-    The enumeration is restricted to |u|^2 <= (w0 / wE)^2 where w0 is the
-    smaller axis width and wE the minimal Euclidean width: any direction
-    beating w0 satisfies |u| * wE <= width_along(u) <= w0, so nothing outside
-    the disc can win.
+    With (short, long) = _reduced_basis(delta) and f the width norm,
+    w = f(short) is the lattice width. The optimal directions are those of
+    the eight candidates y * long + x * short, (y, x) in (0, 1), (1, -2..2),
+    (2, +-1), whose width is w. Every primitive direction is
+    +-(y * long + x * short) with y >= 0 and gcd(x, y) = 1, and no other one
+    ties:
+
+    - For real t, let k be an integer nearest to t. Then
+      f(long + t * short) >= f(long + k * short) - |t - k| * f(short)
+      >= f(long) - w / 2 >= w / 2, as the basis is reduced. So
+      f(y * long + x * short) = y * f(long + (x / y) * short) > w for
+      y >= 3, since w > 0 on a two-dimensional polygon.
+    - For y = 2 and odd x, write a = long + ((x - 1) / 2) * short and
+      b = a + short. Then 2 * long + x * short = 2a + short = 2b - short has
+      width at least 2 * f(a) - w and 2 * f(b) - w. As f(a) and f(b) are at
+      least w, it ties only if both a and b tie.
+    - Let K be the set of integers k with f(long + k * short) = w. If K is
+      not empty, then f(long) = w, as the basis is reduced, and K is an
+      interval around 0, as f is convex along the line. The o-symmetric
+      convex body {f <= w} has no nonzero lattice point in its interior, so
+      by Minkowski it holds at most 3^2 lattice points: 0, +-short, a pair
+      for each k in K and a pair for each tie with y = 2. So K has at most
+      three elements and lies in [-2, 2]. A tie with y = 2 puts 0,
+      (x - 1) / 2 and (x + 1) / 2 in K and adds a pair of its own, so then
+      K has two elements and x = +-1.
     """
     if delta.is_empty:
         return WidthResult(-1, ())
@@ -168,23 +141,17 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
         g = math.gcd(q[0] - p[0], q[1] - p[1])
         d = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
         return WidthResult(0, (_normalize_direction((-d[1], d[0])),))
-    red, psi = _reduce(delta)
-    w0 = min(width_along(red, (1, 0)), width_along(red, (0, 1)))
-    we2 = _euclidean_width_sq(red)
-    bound_sq = (w0 * w0 * we2.denominator) // we2.numerator
-    best = None
-    achievers: list[Point] = []
-    for u in _primitive_directions(bound_sq):
-        w = width_along(red, u)
-        if best is None or w < best:
-            best, achievers = w, [u]
-        elif w == best:
-            achievers.append(u)
+    short, long = _reduced_basis(delta)
+    w = width_along(delta, short)
+    candidates = (
+        (y * long[0] + x * short[0], y * long[1] + x * short[1])
+        for y, x in ((0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1))
+    )
     dirs = sorted(
-        (_normalize_direction(_transport(u, psi)) for u in achievers),
+        (_normalize_direction(u) for u in candidates if width_along(delta, u) == w),
         key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]),
     )
-    return WidthResult(best, tuple(dirs))
+    return WidthResult(w, tuple(dirs))
 
 
 @dataclass(frozen=True)

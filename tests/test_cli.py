@@ -69,6 +69,17 @@ def test_verify_flags_pass():
     assert run_command(["analyze", "--poly", "y^2 + x^9 + 1", "--verify"]).exit_code == 0
 
 
+def test_width_verify_trace_peels_once(monkeypatch):
+    import latsize.cli
+
+    calls = []
+    recursive = latsize.cli.lattice_width_recursive
+    monkeypatch.setattr(latsize.cli, "lattice_width_recursive", lambda d: calls.append(d) or recursive(d))
+    doc = json.loads(run_command(["width", "--vertices", HEPTAGON, "--verify", "--trace", "--json"]).stdout)
+    assert len(calls) == 1
+    assert sum(entry["contribution"] * entry["count"] for entry in doc["trace"]) == doc["value"] == 5
+
+
 def test_oracle_subcommand():
     assert run_command(["oracle", "--shape", "sigma", "--vertices", HEPTAGON]).stdout == "10\n"
     assert run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2"]).stdout == "2,5\n"
@@ -214,4 +225,5 @@ def test_help_documents_the_run_format(capsys):
     for argv in (["--help"], ["peel", "--help"], ["width", "--help"]):
         assert run_command(argv).exit_code == 0
         assert latsize.cli._RUNS in capsys.readouterr().out, argv
-    assert latsize.cli._RUNS in latsize.cli.__doc__
+    # the format is written once, in _RUNS; the module docstring points to it
+    assert "_RUNS" in latsize.cli.__doc__ and latsize.cli._RUNS not in latsize.cli.__doc__

@@ -17,7 +17,7 @@ from latsize import (
     upsilon,
     width_along,
 )
-from latsize.size import _size_value
+from latsize.size import _euclidean_width_sq, _primitive_directions, _size_value
 from latsize.width import _reduced_basis
 
 from conftest import weierstrass
@@ -72,6 +72,48 @@ def test_width_directions_achieve_width():
         assert result.directions
         for u in result.directions:
             assert width_along(delta, u) == result.width
+
+
+def _disc_width(delta):
+    """Width and optimal directions of a two-dimensional delta by a scan of a disc of directions.
+
+    With w the width along the first direction that lattice_width reports,
+    an optimal u has |u| * wE <= width(u) <= w for the Euclidean width wE,
+    so the disc |u|^2 <= (w / wE)^2 holds every optimal direction.
+    """
+    result = lattice_width(delta)
+    w = width_along(delta, result.directions[0])
+    we2 = _euclidean_width_sq(delta)
+    widths = {u: width_along(delta, u) for u in _primitive_directions(w * w * we2.denominator // we2.numerator)}
+    best = min(widths.values())
+    return best, tuple(u for u, v in widths.items() if v == best)
+
+
+@pytest.mark.parametrize(
+    "vertices, directions",
+    [
+        # short = (0, 1), long = (1, 0): 2 * long - short ties
+        ([(0, 0), (1, 0), (2, 2), (1, 2)], ((0, 1), (1, 0), (1, -1), (2, -1))),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1)], ((0, 1), (1, 0), (1, -1), (1, 1))),
+        ([(0, 0), (1, 0), (0, 1)], ((0, 1), (1, 0), (1, 1))),
+    ],
+)
+def test_width_lists_every_optimal_direction(vertices, directions):
+    delta = hull(vertices)
+    assert lattice_width(delta).directions == directions
+    assert _disc_width(delta) == (lattice_width(delta).width, directions)
+
+
+def test_width_directions_match_the_disc_scan(box3_census):
+    checked = 0
+    for n, delta in enumerate(box3_census):
+        if not delta.is_two_dim:
+            continue
+        for image in (delta, *(apply_map(random_unimodular_map(2 * n + j), delta) for j in range(2))):
+            result = lattice_width(image)
+            assert (result.width, result.directions) == _disc_width(image), image
+            checked += 1
+    assert checked > 7000
 
 
 def test_recursive_standard_triangle_trace():
