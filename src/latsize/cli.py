@@ -31,11 +31,13 @@ from .oracle import oracle_box_pareto, oracle_size
 from .polygon import AffineUnimodularMap, LatticePolygon, Point, apply_map, hull
 from .size import (
     SizeCertificate,
+    Step,
     lattice_size_sigma,
     lattice_size_square,
+    lattice_width_recursive,
     minimal_box,
 )
-from .width import Step, lattice_width, lattice_width_recursive
+from .width import lattice_width
 
 
 # The run format of peel and --trace, printed by --help.
@@ -259,19 +261,26 @@ def _analyze_command(args: argparse.Namespace) -> str:
     if args.poly is None:
         raise ValueError("analyze needs --poly")
     result = analyze(parse_laurent(args.poly))
-    if args.verify:
-        inner = result.interior
-        if not inner.is_empty:
-            ups = result.special.params[0] if result.special and result.special.kind == "upsilon" else None
-            if ups is None:
-                _check(
-                    oracle_size(inner, "sigma") + 3 == result.s2_bound,
-                    "plane-degree bound disagrees with the oracle",
-                )
-                _check(
-                    oracle_size(inner, "square") + 2 == result.s11_bound[1],
-                    "bidegree bound disagrees with the oracle",
-                )
+    inner = result.interior
+    if args.verify and not inner.is_empty:
+        # every bound that the recursion gives; Upsilon_d has its own s2 for
+        # d >= 2 and its own gonality and s11 for d = 2
+        special = result.special
+        ups = special.params[0] if special is not None and special.kind == "upsilon" else None
+        if ups != 2:
+            _check(
+                lattice_width_recursive(inner)[0] + 2 == result.gonality,
+                "gonality disagrees with the recursive width of the interior",
+            )
+            _check(
+                oracle_size(inner, "square") + 2 == result.s11_bound[1],
+                "bidegree bound disagrees with the oracle",
+            )
+        if ups is None or ups < 2:
+            _check(
+                oracle_size(inner, "sigma") + 3 == result.s2_bound,
+                "plane-degree bound disagrees with the oracle",
+            )
     doc = {
         "command": "analyze",
         "value": result.genus_bound,

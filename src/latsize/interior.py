@@ -194,7 +194,7 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     normal cone holds the direction (-1, -epsilon); the P_t share their
     normal fan, so vertex i of P_t is v_i + t*e_i in canonical order, and
     skin t of the run costs O(edges) to write down, whatever t is. This is
-    what onion_skins and the recursions over it use (_runs): one O(edges)
+    what onion_skins, and through it the recursions, use: one O(edges)
     step per run of uniform peels, with the uniform-shift test on its first
     skin and a call of this function on its last, whose peel is not uniform.
 
@@ -254,8 +254,8 @@ class OnionTrace:
         return tuple(_moved(skin, shift, t) for skin, shift, count in self.runs for t in range(count))
 
 
-def _runs(delta: LatticePolygon) -> Iterator[_Run]:
-    """The runs of the onion skins of a non-empty delta, outermost first, found lazily.
+def onion_skins(delta: LatticePolygon) -> OnionTrace:
+    """Peel delta by repeated interior hulls until the interior is empty, one run at a time.
 
     A skin whose peel is uniform starts a run of count = 1 + m skins, with m
     the minimum of floor((L_i - 1) / delta_i) over the edges with
@@ -264,20 +264,17 @@ def _runs(delta: LatticePolygon) -> Iterator[_Run]:
     plus one interior_hull call: on that skin if its peel is not uniform,
     else on the last skin of the run, whose peel is not uniform.
     """
+    if delta.is_empty:
+        raise EmptyPolygonError("cannot peel the empty polygon")
+    runs: list[_Run] = []
     skin = delta
     while not skin.is_empty:
         shift = _uniform_shift(skin) if skin.is_two_dim else None
         if shift is None:
-            yield skin, (), 1
+            runs.append((skin, (), 1))
             skin = interior_hull(skin)
         else:
             count = 1 + min((length - 1) // fall for length, fall in _edge_falls(skin, shift) if fall > 0)
-            yield skin, shift, count
+            runs.append((skin, shift, count))
             skin = interior_hull(_moved(skin, shift, count - 1))
-
-
-def onion_skins(delta: LatticePolygon) -> OnionTrace:
-    """Peel delta by repeated interior hulls until the interior is empty, one run at a time."""
-    if delta.is_empty:
-        raise EmptyPolygonError("cannot peel the empty polygon")
-    return OnionTrace(tuple(_runs(delta)))
+    return OnionTrace(tuple(runs))

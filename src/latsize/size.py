@@ -1,27 +1,31 @@
-"""Lattice sizes with respect to the standard triangle and the unit square.
+"""The peeling recursions: lattice width and lattice sizes with respect to Sigma and the square.
 
-The values are computed by the interior-hull recursion, run as a loop: peel
-the polygon into its onion skins and, from the innermost skin outward, apply
-one rule per skin. The innermost skin, whose interior hull is empty, is a
-point, a segment, 2*Sigma or a polygon of lattice width one, each with a
-closed-form value. Every outer skin takes the first of three rules that
-fires: the rectangle rule (triangle only, a + b for [0,a] x [0,b]), then the
-parallel-edge rule (an edge of length r facing a face of length s = inner
-value with r - s >= 3 gives r), then the generic step (inner value plus three
-for the triangle, two for the square). No value is found by search.
+The paper reads the lattice width, the lattice size with respect to the
+standard triangle Sigma and that with respect to the unit square from one
+recursion over one chain of interior hulls. So does this module: the memo
+_rule_runs peels a polygon once into its onion skins, in runs of uniform
+peels (see onion_skins), with the rule data of every run, and
+lattice_width_recursive, lattice_size_sigma, lattice_size_square and
+minimal_box all read that one chain, as does newton.analyze.
 
-The skins come in runs of uniform peels (see onion_skins), and every rule is
-affine in the step along a run, so the loop takes each run in O(edges) and
-its trace has one Step per run, not per skin (see _run_step).
+The width recursion adds 2 per skin, except that a standard triangle d*Sigma
+ends the chain with d and a skin whose interior hull is a point, a segment or
+empty ends it with a fixed base (_WIDTH_BASE). The size recursions start from
+the innermost skin, whose interior hull is empty: a point, a segment, 2*Sigma
+or a polygon of lattice width one, each with a closed-form value. Every outer
+skin takes the first of three rules that fires: the rectangle rule (triangle
+only, a + b for [0,a] x [0,b]), then the parallel-edge rule (an edge of
+length r facing a face of length s = inner value with r - s >= 3 gives r),
+then the generic step (inner value plus three for the triangle, two for the
+square). No value is found by search.
 
-The parallel-edge rule finds the face of the inner skin on an edge's shifted
-line by looking the edge's normal up among the inner skin's edge normals: for
-a skin of n edges around one of m that is O(n + m), plus a pass over the m
-vertices for each long edge whose normal the inner skin lacks (see
-parallel_edge_exception). Inside a run it needs no lookup (see _RunRules);
-on the last skin of each run it takes one, and the memo _rule_runs shares it
-between the sigma, square and box chains over one polygon, so each is
-computed once per run.
+Every rule is affine in the step along a run, so one rule function, _step,
+takes a segment of n skins in O(1): the body of a run (all its skins but the
+last, which peel uniformly) and the last skin of a run (n = 1) alike, and
+its trace has one Step per segment, not per skin. The parallel-edge hit of
+a body comes from the run's edge falls; that of a last skin from one lookup
+of the edge normals of the next run's first skin (_parallel_edge_hit), done
+once per run in the memo.
 
 Every certificate carries a witness map built from the Gauss-reduced basis
 of the width norm (see _basis_map), without search, plus the rule trace whose
@@ -46,6 +50,7 @@ from typing import Optional, Union
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .interior import _edge_falls, _moved, interior_hull, onion_skins
 from .polygon import (
+    EMPTY,
     AffineUnimodularMap,
     LatticePolygon,
     Point,
@@ -56,7 +61,7 @@ from .polygon import (
     integral_length,
     recognize_special,
 )
-from .width import Step, _reduced_basis, width_along
+from .width import _reduced_basis, width_along
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -164,17 +169,40 @@ def _parallel_edge_hit(
     return best
 
 
-# A run of onion skins (see OnionTrace) with the rule data of its skins.
-# rectangle is (a, b) of the first skin if it is a rectangle, which holds for
-# every skin of the run or for none (the skins share edge normals, and a
-# unimodular rectangle [0,a] x [0,b] peels to [1,a-1] x [1,b-1]). hit is
-# (r, r - s) of the parallel-edge hit of the first skin on the second: on a
-# uniform peel every edge faces the edge of the same normal, so r - s is the
-# per-skin fall delta_i of edge i on every skin of the run, and the same edge,
-# the first with the greatest fall >= 3, wins on every skin or on none. end is
-# the last skin, end_hit its hit on the first skin of the next run (None for
-# the last run).
-_RunRules = namedtuple("_RunRules", "skin shift count end rectangle hit end_hit")
+@dataclass(frozen=True)
+class Step:
+    """One rule application in a peeling recursion: the skin it fired on and what it added.
+
+    A Step with count > 1 covers a run of skins: skin + t * shift for
+    t = 0, ..., count - 1 (vertex i moving by shift[i] per skin, see
+    OnionTrace), each adding contribution. Its params are those of skin,
+    the outermost one; they are lattice lengths that fall along the run,
+    ParallelEdge's (r, s) by r - s and RectangleAB's (a, b) by 2 per skin.
+    A trace is therefore O(runs) long.
+    """
+
+    skin: LatticePolygon
+    rule: str
+    contribution: int
+    params: tuple[int, ...] = ()
+    count: int = 1
+    shift: tuple[Point, ...] = ()
+
+
+# A run of onion skins (see OnionTrace) with the rule data of its skins,
+# as the segments that _step takes: (skin, shift, n, rectangle, hit).
+# special is recognize_special of the first skin (None for a point or
+# segment). If that is a rectangle, so is every skin of the run (the skins
+# share edge normals, and a unimodular rectangle [0,a] x [0,b] peels to
+# [1,a-1] x [1,b-1]). body is the segment of the count - 1 skins before the
+# last (None if count is 1); its hit is (r, r - s) of the parallel-edge hit
+# of the first skin on the second: on a uniform peel every edge faces the
+# edge of the same normal, so r - s is the per-skin fall delta_i of edge i on
+# every skin of the run, and the same edge, the first with the greatest
+# fall >= 3, wins on every skin or on none. last is the segment of the last
+# skin, end, with its hit on the first skin of the next run (None for the
+# last run).
+_RunRules = namedtuple("_RunRules", "skin shift count end special body last")
 
 
 @lru_cache(maxsize=1 << 10)
@@ -182,41 +210,95 @@ def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[S
     """The runs of onion_skins(delta) with their rule data, outermost first.
 
     Returned with recognize_special of the innermost skin, the last skin of
-    the last run. This is the memo on the run trace: sigma, square, minimal_box and analyze over
-    the same polygon build its runs and rule data once. Each run costs
-    O(edges) plus one parallel-edge lookup on its last skin.
+    the last run. This is the one chain of every recursion: its readers are
+    lattice_width_recursive and _size_value, and through _size_value
+    lattice_size_sigma, lattice_size_square, minimal_box and newton.analyze,
+    so all of them over the same polygon peel it and recognize its run
+    starts once. Each run costs O(edges) plus one recognize_special on its
+    first skin and one parallel-edge lookup on its last.
     """
     runs = onion_skins(delta).runs
     out = []
     for j, (skin, shift, count) in enumerate(runs):
-        end = _moved(skin, shift, count - 1) if count > 1 else skin
+        end = _moved(skin, shift, count - 1)
         special = recognize_special(skin) if skin.is_two_dim else None
         rectangle = special.params if special is not None and special.kind == "rectangle" else None
-        hit = None
+        body = last = None
         if count > 1:
+            hit = None
             for length, fall in _edge_falls(skin, shift):
                 if fall >= 3 and (hit is None or fall > hit[1]):
                     hit = (length, fall)
-        end_hit = _parallel_edge_hit(end, runs[j + 1][0], 3) if j + 1 < len(runs) else None
-        out.append(_RunRules(skin, shift, count, end, rectangle, hit, end_hit))
+            body = (skin, shift, count - 1, rectangle, hit)
+        if j + 1 < len(runs):
+            end_hit = _parallel_edge_hit(end, runs[j + 1][0], 3)
+            last = (end, (), 1, rectangle and tuple(p - 2 * (count - 1) for p in rectangle),
+                    end_hit and (end_hit.r, end_hit.r - end_hit.s))
+        out.append(_RunRules(skin, shift, count, end, special, body, last))
     if count > 1:
         special = recognize_special(end)
     return tuple(out), special
 
 
+_WIDTH_BASE = {
+    "empty": ("LawrencePrismBase", 1),
+    "point": ("SinglePointInteriorBase", 2),
+    "segment": ("SegmentInteriorBase", 2),
+}
+
+
+def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...]]:
+    """Lattice width by interior-hull peeling, read off the chain of _rule_runs.
+
+    Standard triangles are the one exceptional family (their width drops by
+    three per peel instead of two); polygons whose interior hull is degenerate
+    are settled by a fixed base table. The runs are walked outermost first,
+    because a standard triangle ends the chain early; the trace lists the
+    innermost step first. Every skin of a run has the edge normals of its
+    first skin, and a triangle with the normals of a standard triangle is one,
+    so the standard-triangle test is decided at the start of each run. The
+    skins of a run before its last have two-dimensional interior hulls (the
+    next skins), so they are generic steps.
+    """
+    if delta.is_empty:
+        raise EmptyPolygonError("lattice_width_recursive needs a non-empty polygon")
+    if not delta.is_two_dim:
+        return 0, (Step(delta, "DegenerateInput", 0),)
+    runs, _ = _rule_runs(delta)
+    generic: list[Step] = []
+    for j, run in enumerate(runs):
+        if run.special is not None and run.special.kind == "standard_triangle":
+            base = Step(run.skin, "StandardTriangleException", run.special.params[0])
+            break
+        gamma = runs[j + 1].skin if j + 1 < len(runs) else EMPTY
+        if gamma.is_two_dim:
+            generic.append(Step(run.skin, RULE_GENERIC, 2, (), run.count, run.shift))
+            continue
+        if run.count > 1:
+            generic.append(Step(run.skin, RULE_GENERIC, 2, (), run.count - 1, run.shift))
+        base = Step(run.end, *_WIDTH_BASE[gamma.kind])
+        break
+    trace = (base,) + tuple(reversed(generic))
+    return base.contribution + 2 * sum(step.count for step in generic), trace
+
+
 def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...]]:
-    """Value and rule trace from the onion skins of delta, innermost skin first, one run at a time."""
+    """Value and rule trace from the onion skins of delta, innermost skin first, one segment at a time.
+
+    Each run is up to two segments for _step (see _RunRules), taken inside
+    out: its last skin, then its body.
+    """
     if delta.is_empty:
         return _BASE[shape], ()
     runs, innermost = _rule_runs(delta)
     value, step = _innermost_step(runs[-1].end, innermost, shape)
     trace = [step]
     for run in reversed(runs):
-        if run is not runs[-1]:
-            value, step = _end_step(run, value, shape)
+        if run.last is not None:
+            value, step = _step(run.last, value, shape)
             trace.append(step)
-        if run.count > 1:
-            value, step = _run_step(run, value, shape)
+        if run.body is not None:
+            value, step = _step(run.body, value, shape)
             inner = trace[-1]
             if (inner.rule, inner.contribution, inner.params) == (step.rule, step.contribution,
                                                                    _params_at(step, step.count)):
@@ -272,54 +354,37 @@ def _innermost_step(
     )
 
 
-def _end_step(run: _RunRules, inner_value: int, shape: str) -> tuple[int, Step]:
-    """Value of the last skin of run from the value of its interior hull, the next run's first skin.
+def _step(segment: tuple, inner_value: int, shape: str) -> tuple[int, Step]:
+    """Value of a segment (skin, shift, n, rectangle, hit) from inner_value, that of the skin inside it.
 
-    The first rule that fires decides: the rectangle rule (triangle only),
-    then the parallel-edge rule with threshold 3, then the generic step. A
-    point or segment interior hull goes through the same rules as a
-    two-dimensional one.
+    The segment is the n skins skin + t * shift, t = 0..n-1. rectangle is
+    (a, b) if skin is the rectangle [0,a] x [0,b], hit the (r, r - s) of its
+    parallel-edge hit with r - s >= 3, if any. The first rule that fires
+    decides, on every skin of the segment alike (see _RunRules): the
+    rectangle rule (triangle only), then the parallel-edge rule, then the
+    generic step. A point or segment inner skin goes through the same rules
+    as a two-dimensional one. Each rule is affine in t: the rectangle
+    (a - 2t) + (b - 2t) falls by 4 per skin, the parallel-edge value
+    r - t * (r - s) by r - s, the generic step by 3 or 2. So the value of
+    skin n, just inside the segment, must be inner_value, as the per-skin
+    check s == inner value demands; no other skin needs a check, since there
+    the fall is exact.
     """
-    delta = run.end
-    if shape == SIGMA and run.rectangle is not None:
-        a, b = (p - 2 * (run.count - 1) for p in run.rectangle)
-        return a + b, Step(delta, RULE_RECTANGLE, a + b - inner_value, (a, b))
-    hit = run.end_hit
-    if hit is not None:
-        if hit.s != inner_value:
-            raise InternalConsistencyError(
-                f"parallel-edge face length {hit.s} disagrees with inner value {inner_value}"
-            )
-        return hit.r, Step(delta, RULE_PARALLEL, hit.r - inner_value, (hit.r, hit.s))
-    return inner_value + _STEP[shape], Step(delta, RULE_GENERIC, _STEP[shape])
-
-
-def _run_step(run: _RunRules, inner_value: int, shape: str) -> tuple[int, Step]:
-    """Value of the first skin of run from that of its last, with the Step for all skins but the last.
-
-    Each of these skins peels uniformly to the next one, and the rules are
-    affine in the step: the rectangle (a - 2t) + (b - 2t) falls by 4 per
-    skin, the parallel-edge value r - t * (r - s) by r - s, the generic step
-    by 3 or 2. The rule takes the same branch on every skin (see _RunRules),
-    and the value it gives on the skin just outside the last one must exceed
-    inner_value by the fall, as the per-skin check hit.s == inner value
-    demands; no other skin needs a check, since there the fall is exact.
-    """
-    n = run.count - 1
-    if shape == SIGMA and run.rectangle is not None:
-        a, b = run.rectangle
+    skin, shift, n, rectangle, hit = segment
+    if shape == SIGMA and rectangle is not None:
+        a, b = rectangle
         rule, value, fall, params = RULE_RECTANGLE, a + b, 4, (a, b)
-    elif run.hit is not None:
-        r, fall = run.hit
+    elif hit is not None:
+        r, fall = hit
         rule, value, params = RULE_PARALLEL, r, (r, r - fall)
     else:
         fall = _STEP[shape]
         rule, value, params = RULE_GENERIC, inner_value + n * fall, ()
     if value - n * fall != inner_value:
         raise InternalConsistencyError(
-            f"{rule} run of {n} skins falls to {value - n * fall}, not to the inner value {inner_value}"
+            f"{rule} over {n} skins falls to {value - n * fall}, not to the inner value {inner_value}"
         )
-    return value, Step(run.skin, rule, fall, params, n, run.shift)
+    return value, Step(skin, rule, fall, params, n, shift)
 
 
 def _euclidean_width_sq(delta: LatticePolygon) -> Fraction:
@@ -452,8 +517,8 @@ def _basis_map(delta: LatticePolygon, shape: str, value: int) -> AffineUnimodula
 
     The rows (short, long) of _reduced_basis attain the two successive
     minima of the width, so they map delta into the box [0, width] x [0, b]
-    with b the least second width of a basis: that is the minimal box, and,
-    as [0, a] x [0, b] lies in b * square, a square witness. For the triangle,
+    with b the least second width of a basis: that is a square witness, as
+    [0, width] x [0, b] lies in b * square, and the minimal box. For the triangle,
     the rows (u1, u2) map delta into reach * Sigma with reach =
     max((u1 + u2) . p) - min(u1 . p) - min(u2 . p); one of the four sign
     choices (+-short, +-long) attains the lattice size with respect to Sigma
@@ -500,12 +565,13 @@ def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
 def minimal_box(delta: LatticePolygon) -> BoxCertificate:
     """The componentwise-minimal bounding box (lattice width, square size).
 
-    b is the square size from the recursion; the witness has the rows
-    (short, long) of the reduced width basis (see _basis_map), whose widths
-    are the lattice width a and b. No width direction is searched.
+    This is the square certificate read as a box: b is the square size from
+    the recursion, and the witness has the rows (short, long) of the reduced
+    width basis (see _basis_map), whose widths are the lattice width a and
+    b. No width direction is searched.
     """
     if delta.is_empty:
         raise EmptyPolygonError("minimal_box needs a non-empty polygon")
-    b, _ = _size_value(delta, SQUARE)
-    phi = _basis_map(delta, BOX, b)
-    return BoxCertificate(width_along(delta, (phi.m11, phi.m12)), b, phi)
+    square = _certificate(delta, SQUARE)
+    phi = square.witness
+    return BoxCertificate(width_along(delta, (phi.m11, phi.m12)), square.value, phi)

@@ -1,10 +1,10 @@
-"""Lattice width: the Gauss-reduced basis of the width norm and the peeling recursion.
+"""Lattice width from the Gauss-reduced basis of the width norm.
 
 lattice_width reads the width and every optimal direction off the reduced
 basis (_reduced_basis), which also gives every size witness (see
-size._basis_map). lattice_width_recursive peels the polygon into onion skins
-and adds up one rule per skin. Neither searches a disc of directions; only
-the oracle size.fit_into does.
+size._basis_map) and the coordinates of the oracle size.fit_into. No disc of
+directions is searched here; only that oracle does. The width by peeling,
+lattice_width_recursive, is one of the recursions in size.py.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EmptyPolygonError
-from .interior import _moved, _runs
-from .polygon import (
-    EMPTY,
-    LatticePolygon,
-    Point,
-    recognize_special,
-)
+from .polygon import LatticePolygon, Point
 
 
 @dataclass(frozen=True)
@@ -152,70 +146,3 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
         key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]),
     )
     return WidthResult(w, tuple(dirs))
-
-
-@dataclass(frozen=True)
-class Step:
-    """One rule application in a peeling recursion: the skin it fired on and what it added.
-
-    A Step with count > 1 covers a run of skins: skin + t * shift for
-    t = 0, ..., count - 1 (vertex i moving by shift[i] per skin, see
-    OnionTrace), each adding contribution. Its params are those of skin,
-    the outermost one; they are lattice lengths that fall along the run,
-    ParallelEdge's (r, s) by r - s and RectangleAB's (a, b) by 2 per skin.
-    A trace is therefore O(runs) long.
-    """
-
-    skin: LatticePolygon
-    rule: str
-    contribution: int
-    params: tuple[int, ...] = ()
-    count: int = 1
-    shift: tuple[Point, ...] = ()
-
-
-_WIDTH_BASE = {
-    "empty": ("LawrencePrismBase", 1),
-    "point": ("SinglePointInteriorBase", 2),
-    "segment": ("SegmentInteriorBase", 2),
-}
-
-
-def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...]]:
-    """Lattice width by interior-hull peeling.
-
-    Standard triangles are the one exceptional family (their width drops by
-    three per peel instead of two); polygons whose interior hull is degenerate
-    are settled by a fixed base table. The skins are walked outermost first,
-    one run of uniform peels at a time (see onion_skins), without recursion,
-    because a standard triangle ends the chain early; the trace lists the
-    innermost step first. Every skin of a run has the edge normals of its
-    first skin, and a triangle with the normals of a standard triangle is one,
-    so the standard-triangle test is decided at the start of each run. The
-    skins of a run before its last have two-dimensional interior hulls (the
-    next skins), so they are generic steps.
-    """
-    if delta.is_empty:
-        raise EmptyPolygonError("lattice_width_recursive needs a non-empty polygon")
-    if not delta.is_two_dim:
-        return 0, (Step(delta, "DegenerateInput", 0),)
-    generic: list[Step] = []
-    runs = _runs(delta)
-    run = next(runs)
-    while True:
-        skin, shift, count = run
-        special = recognize_special(skin)
-        if special is not None and special.kind == "standard_triangle":
-            base = Step(skin, "StandardTriangleException", special.params[0])
-            break
-        run = next(runs, None)
-        gamma = EMPTY if run is None else run[0]
-        if gamma.is_two_dim:
-            generic.append(Step(skin, "GenericStep", 2, (), count, shift))
-            continue
-        if count > 1:
-            generic.append(Step(skin, "GenericStep", 2, (), count - 1, shift))
-        base = Step(_moved(skin, shift, count - 1), *_WIDTH_BASE[gamma.kind])
-        break
-    trace = (base,) + tuple(reversed(generic))
-    return base.contribution + 2 * sum(step.count for step in generic), trace

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from latsize import WidthResult
 from latsize.cli import run_command
 
 HEPTAGON = "8,0;6,1;2,4;0,6;0,8;3,7;5,6"
@@ -67,6 +68,25 @@ def test_verify_flags_pass():
     assert run_command(["width", "--vertices", HEPTAGON, "--verify"]).exit_code == 0
     assert run_command(["box", "--vertices", "0,0;5,0;0,2", "--verify"]).exit_code == 0
     assert run_command(["analyze", "--poly", "y^2 + x^9 + 1", "--verify"]).exit_code == 0
+
+
+def test_analyze_verify_checks_upsilon_triangles(monkeypatch):
+    # analyze takes s11 from the recursion on Upsilon_d for every d != 2, and
+    # s2 for d = 1, so --verify checks them there too, and the gonality's
+    # width against the width recursion
+    import latsize.newton
+
+    def argv(d):
+        return ["analyze", "--poly", f"x^-{d}*y^-{d} + x^{d} + y^{d}", "--verify"]
+
+    assert all(run_command(argv(d)).exit_code == 0 for d in (1, 2, 3, 4))
+    size_value, width = latsize.newton._size_value, latsize.newton.lattice_width
+    wrong_square = ("_size_value", lambda delta, shape: (size_value(delta, shape)[0] + (shape == "square"), ()))
+    wrong_width = ("lattice_width", lambda delta: WidthResult(width(delta).width + 1, ()))
+    for name, wrong in (wrong_square, wrong_width):
+        with monkeypatch.context() as patch:
+            patch.setattr(latsize.newton, name, wrong)
+            assert run_command(argv(3)).exit_code == 4, name
 
 
 def test_width_verify_trace_peels_once(monkeypatch):

@@ -33,7 +33,6 @@ import latsize.interior
 import latsize.newton
 import latsize.polygon
 import latsize.size
-import latsize.width
 from latsize.cli import run_command
 from latsize.polygon import _column_bounds, _interior_columns
 
@@ -267,7 +266,7 @@ def _count_hull_calls(monkeypatch):
         calls.append(delta)
         return orig(delta)
 
-    for module in (latsize.interior, latsize.size, latsize.width, latsize.newton):
+    for module in (latsize.interior, latsize.size, latsize.newton):
         if vars(module).get("interior_hull") is orig:
             monkeypatch.setattr(module, "interior_hull", counting)
     return calls

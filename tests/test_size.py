@@ -10,6 +10,7 @@ import latsize.size
 from latsize import (
     AffineUnimodularMap,
     EmptyPolygonError,
+    InternalConsistencyError,
     ParallelEdgeHit,
     apply_map,
     fit_into,
@@ -34,8 +35,7 @@ from latsize import (
 from latsize.cli import run_command
 from latsize.interior import _moved
 from latsize.polygon import recognize_special
-from latsize.size import RULE_SEARCH, _innermost_step, _size_value
-from latsize.width import _WIDTH_BASE, Step
+from latsize.size import _WIDTH_BASE, RULE_SEARCH, Step, _innermost_step, _size_value, _step
 
 from conftest import in_box, in_sigma, reference_skins, run_corpus, weierstrass
 
@@ -105,25 +105,38 @@ def test_parallel_edge_lookup_matches_the_full_scan(box3_census):
 
 
 def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
-    # one parallel-edge lookup per run, on its last skin, shared by the three
-    # chains; the skins inside a run take theirs from the run's edge falls
-    computed = Counter()
-    lookup = latsize.size._parallel_edge_hit
+    # one chain for the four recursions: one parallel-edge lookup per run, on
+    # its last skin, and one recognize_special per two-dimensional run start
+    # and on the innermost skin, shared by width, sigma, square and box; the
+    # skins inside a run take their hits from the run's edge falls
+    computed, recognized = Counter(), Counter()
+    lookup, recognize = latsize.size._parallel_edge_hit, latsize.size.recognize_special
 
     def counting(delta, gamma, threshold):
         computed[delta] += 1
         return lookup(delta, gamma, threshold)
 
+    def counting_special(delta):
+        recognized[delta] += 1
+        return recognize(delta)
+
     monkeypatch.setattr(latsize.size, "_parallel_edge_hit", counting)
+    monkeypatch.setattr(latsize.size, "recognize_special", counting_special)
     skins = runs = 0
     for delta in (random_polygon(3, 160), random_polygon(4, 300), rectangle(9, 30), standard_triangle(40)):
         latsize.size._rule_runs.cache_clear()
         computed.clear()
+        recognized.clear()
+        lattice_width_recursive(delta)
         lattice_size_sigma(delta)
         lattice_size_square(delta)
         minimal_box(delta)
         trace = onion_skins(delta).runs
         assert computed == Counter(_moved(skin, shift, count - 1) for skin, shift, count in trace[:-1]), delta
+        innermost = _moved(*trace[-1][:2], trace[-1][2] - 1)
+        # the innermost skin is looked at once, also when it starts its run
+        looked_at = {skin for skin, _, _ in trace} | {innermost}
+        assert recognized == Counter(skin for skin in looked_at if skin.is_two_dim), delta
         skins += sum(count for _, _, count in trace)
         runs += len(trace)
     assert skins > 2 * runs, (skins, runs)
@@ -299,12 +312,31 @@ def test_two_dim_skins_need_no_search(box3_census, monkeypatch):
             for step in _size_value(poly, shape)[1]:
                 assert not (step.skin.is_two_dim and step.rule == RULE_SEARCH), poly
         lattice_size_sigma(poly)
-        lattice_size_square(poly)
-        minimal_box(poly)
+        box = minimal_box(poly)
+        assert (box.witness, box.a) == (lattice_size_square(poly).witness, lattice_width(poly).width), poly
     for poly in polygons[-6:]:
         vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in poly.vertices)
         for command in ("sigma", "square", "box", "width", "peel"):
             assert run_command([command, vertices, "--witness", "--trace", "--json"]).exit_code == 0
+
+
+def test_each_segment_step_checks_its_inner_value():
+    # the rule of a segment, less its fall over the segment, must give the
+    # inner value; a wrong inner value fails on every kind of segment
+    (outer, _), _ = latsize.size._rule_runs(rectangle(4, 9))
+    rectangle_end = outer.last  # [1,3] x [1,8] around a segment of length 5
+    assert outer.count == 2 and rectangle_end[2:] == (1, (2, 7), None)
+    (outer, _), _ = latsize.size._rule_runs(weierstrass(4))
+    parallel_end = outer.last  # r = 9 around a segment of length 3
+    assert outer.count == 1 and parallel_end[2:] == (1, None, (9, 6))
+    (run,), _ = latsize.size._rule_runs(standard_triangle(40))
+    body = run.body  # 40 * Sigma down to 4 * Sigma, then Sigma
+    assert run.count == 14 and body[2:] == (13, None, (40, 3))
+    for segment, inner, value in ((rectangle_end, 5, 9), (parallel_end, 3, 9), (body, 1, 40)):
+        assert _step(segment, inner, "sigma")[0] == value
+        for wrong in (inner - 1, inner + 1):
+            with pytest.raises(InternalConsistencyError, match="not to the inner value"):
+                _step(segment, wrong, "sigma")
 
 
 def test_trace_contributions_telescope():
