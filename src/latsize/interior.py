@@ -196,14 +196,29 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     skin t of the run costs O(edges) to write down, whatever t is. This is
     what onion_skins, and through it the recursions, use: one O(edges)
     step per run of uniform peels, with the uniform-shift test on its first
-    skin and a call of this function on its last, whose peel is not uniform.
+    skin and the column scan on its last, whose peel the lemma shows is not
+    uniform, so no skin is tested twice.
 
-    Column scan. On other input only the two ends (x, lo) and (x, hi) of an
-    interior column are looked at: every interior lattice point lies on the
-    segment between the ends of its column, so the ends have the same convex
-    hull as all interior points. The columns come in increasing x, so the lo
-    ends build the lower chain and the hi ends the upper chain without
-    sorting.
+    On other input the interior hull comes from the column scan
+    (_column_hull). Degenerate input has no strict interior, so points and
+    segments map to the empty polygon.
+    """
+    if not delta.is_two_dim:
+        return EMPTY
+    moves = _uniform_shift(delta)
+    if moves is not None:
+        return _moved(delta, moves, 1)
+    return _column_hull(delta)
+
+
+def _column_hull(delta: LatticePolygon) -> LatticePolygon:
+    """The interior hull of a two-dimensional delta by a scan of its columns, with no uniform-shift test.
+
+    Only the two ends (x, lo) and (x, hi) of an interior column are looked
+    at: every interior lattice point lies on the segment between the ends of
+    its column, so the ends have the same convex hull as all interior
+    points. The columns come in increasing x, so the lo ends build the lower
+    chain and the hi ends the upper chain without sorting.
 
     Columns strictly inside the x-span of a lower face and of an upper face
     (see _undecided_columns) are skipped. A lower face joins two interior
@@ -213,14 +228,8 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     which the upper face rules out in the same way. The cost is O(edges^2)
     for the faces plus O(edges) per column scanned: O(edges) columns when
     long edges cover the interior, up to every column on slivers that no
-    face covers. Degenerate input has no strict interior, so points and
-    segments map to the empty polygon.
+    face covers.
     """
-    if not delta.is_two_dim:
-        return EMPTY
-    moves = _uniform_shift(delta)
-    if moves is not None:
-        return _moved(delta, moves, 1)
     lower: list[Point] = []
     upper: list[Point] = []
     for x in _undecided_columns(delta):
@@ -260,21 +269,25 @@ def onion_skins(delta: LatticePolygon) -> OnionTrace:
     A skin whose peel is uniform starts a run of count = 1 + m skins, with m
     the minimum of floor((L_i - 1) / delta_i) over the edges with
     delta_i > 0 (see interior_hull); edges with delta_i <= 0 never vanish.
-    Each run costs O(edges) for the uniform-shift test on its first skin
-    plus one interior_hull call: on that skin if its peel is not uniform,
-    else on the last skin of the run, whose peel is not uniform.
+    Each two-dimensional run costs one uniform-shift test, on its first
+    skin, plus one column scan (_column_hull): on that skin if its peel is
+    not uniform, else on the last skin of the run, whose peel the run lemma
+    shows is not uniform, so it is not tested again. A point or segment is
+    the last skin, in a run of its own.
     """
     if delta.is_empty:
         raise EmptyPolygonError("cannot peel the empty polygon")
     runs: list[_Run] = []
     skin = delta
-    while not skin.is_empty:
-        shift = _uniform_shift(skin) if skin.is_two_dim else None
+    while skin.is_two_dim:
+        shift = _uniform_shift(skin)
         if shift is None:
             runs.append((skin, (), 1))
-            skin = interior_hull(skin)
+            skin = _column_hull(skin)
         else:
             count = 1 + min((length - 1) // fall for length, fall in _edge_falls(skin, shift) if fall > 0)
             runs.append((skin, shift, count))
-            skin = interior_hull(_moved(skin, shift, count - 1))
+            skin = _column_hull(_moved(skin, shift, count - 1))
+    if not skin.is_empty:
+        runs.append((skin, (), 1))
     return OnionTrace(tuple(runs))

@@ -32,10 +32,20 @@ of the width norm (see _basis_map), without search, plus the rule trace whose
 contributions telescope from the empty-hull convention (-2 for the triangle,
 -1 for the square) to the final value. The witness must reach the recursion's
 value exactly, or the certificate fails. The lattice width and its optimal
-directions come from the same basis (see width.lattice_width). fit_into, the
-exact disc search, is the oracle only, and the only code that lists a disc
-of directions: no certificate calls it, so value (recursion), witness
-(reduced basis) and oracle (disc search) are three independent routes.
+directions come from the same basis (see width.lattice_width), which is
+memoised per polygon (width._reduced_basis): the width, the witnesses, the
+box and the oracle's frame share one reduction, as the recursions share one
+chain. These two memos, each of the last 1024 polygons, are the package's
+only caches; they stay apart so that lattice_width, which needs the basis
+alone, never peels.
+
+fit_into, the exact disc search, is the oracle only, and the only code that
+lists a disc of directions: no certificate calls it, so value (recursion),
+witness (reduced basis) and oracle (disc search) are three independent
+routes. The oracle reads the reduced basis too, but only as a coordinate
+frame that keeps its disc small; the disc is complete in any unimodular
+frame, so a basis that is not reduced could make the oracle slow, but could
+not change whether it finds a map.
 """
 
 from __future__ import annotations
@@ -437,6 +447,14 @@ def fit_into(
     oracle_box_pareto. No certificate calls it: the values come from the
     recursion and the witnesses from _basis_map. Its disc holds about
     (target / wE)^2 directions, so it is meant for small inputs.
+
+    It takes the memoised reduced basis of width._reduced_basis as its
+    coordinate frame, the one the witnesses read, but stays an independent
+    route: the frame is only a unimodular change of coordinates, the disc
+    bound |u|^2 <= target^2 / wE^2 holds in any such frame, and the disc
+    search, not the basis, picks the rows. A basis that is not reduced
+    would only make the disc larger, so "recursion == oracle" still
+    compares two routes.
     """
     if delta.is_empty:
         raise EmptyPolygonError("fit_into needs a non-empty polygon")
@@ -526,6 +544,10 @@ def _basis_map(delta: LatticePolygon, shape: str, value: int) -> AffineUnimodula
     dimensions two and three). Points and segments are covered too: their
     reduced widths are (0, 0) and (0, length). The reach must equal value,
     the recursion's result, or InternalConsistencyError is raised.
+
+    The basis is memoised per polygon, so the Sigma and square witnesses
+    (and minimal_box, which is the square witness) reuse the reduction that
+    lattice_width or an earlier witness of the same polygon made.
     """
     if delta.is_empty:
         return AffineUnimodularMap.identity()
@@ -568,7 +590,10 @@ def minimal_box(delta: LatticePolygon) -> BoxCertificate:
     This is the square certificate read as a box: b is the square size from
     the recursion, and the witness has the rows (short, long) of the reduced
     width basis (see _basis_map), whose widths are the lattice width a and
-    b. No width direction is searched.
+    b. No width direction is searched. The chain of _rule_runs and the
+    memoised basis are those of the square size, so after
+    lattice_size_square on the same polygon the box peels nothing and
+    reduces nothing.
     """
     if delta.is_empty:
         raise EmptyPolygonError("minimal_box needs a non-empty polygon")

@@ -2,7 +2,9 @@
 
 lattice_width reads the width and every optimal direction off the reduced
 basis (_reduced_basis), which also gives every size witness (see
-size._basis_map) and the coordinates of the oracle size.fit_into. No disc of
+size._basis_map) and the coordinate frame of the oracle size.fit_into. The
+basis is memoised per polygon, so these readers share one reduction; the
+memo holds no onion skins, so lattice_width never peels. No disc of
 directions is searched here; only that oracle does. The width by peeling,
 lattice_width_recursive, is one of the recursions in size.py.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import EmptyPolygonError
@@ -72,8 +75,9 @@ def _min_convex(f: Callable[[int], int]) -> tuple[int, int]:
     return lo, f(lo)
 
 
+@lru_cache(maxsize=1 << 10)
 def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point]:
-    """A Gauss-reduced basis (short, long) of the width norm of delta.
+    """A Gauss-reduced basis (short, long) of the width norm of delta, memoised per polygon.
 
     The rows satisfy width(short) <= width(long) <= width(long + k * short)
     for every integer k, so (Kaib and Schnorr, generalized Gauss reduction)
@@ -85,6 +89,12 @@ def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point]:
     strictly narrower, and stops otherwise. The sum of the two widths is a
     non-negative integer that strictly decreases with every pass that does
     not stop, so the loop ends; no pass cap is needed.
+
+    The memo makes lattice_width, the Sigma and square witnesses (and so
+    minimal_box) and the frame of fit_into over one polygon run one
+    reduction between them. Its key is the polygon, as for size._rule_runs,
+    and it keeps no skins, so a width-only caller starts no peel. The basis
+    is a tuple of tuples, so no reader can change a cached entry.
     """
     r1, r2 = (1, 0), (0, 1)
     w1, w2 = width_along(delta, r1), width_along(delta, r2)

@@ -258,17 +258,23 @@ def test_runs_expand_to_the_per_skin_chain(box3_census):
 
 
 def _count_hull_calls(monkeypatch):
-    """Patch interior_hull wherever it is bound; the returned list collects its arguments."""
+    """Patch the peels: interior_hull where another module binds it, and the column scan of onion_skins.
+
+    The returned list collects their arguments.
+    """
     calls = []
+
+    def counting(orig):
+        def count(delta):
+            calls.append(delta)
+            return orig(delta)
+        return count
+
     orig = latsize.interior.interior_hull
-
-    def counting(delta):
-        calls.append(delta)
-        return orig(delta)
-
-    for module in (latsize.interior, latsize.size, latsize.newton):
+    for module in (latsize.size, latsize.newton):
         if vars(module).get("interior_hull") is orig:
-            monkeypatch.setattr(module, "interior_hull", counting)
+            monkeypatch.setattr(module, "interior_hull", counting(orig))
+    monkeypatch.setattr(latsize.interior, "_column_hull", counting(latsize.interior._column_hull))
     return calls
 
 
@@ -309,6 +315,29 @@ def test_runs_take_one_interior_hull_call_each(monkeypatch):
     result = run_command(["analyze", "--poly", f"x^{_GUARD} + y^{_GUARD} + 1", "--json"])
     assert result.exit_code == 0 and json.loads(result.stdout)["s2_bound"] == _GUARD
     assert len(calls) <= 4, len(calls)
+
+
+def test_onion_skins_test_each_run_start_once(monkeypatch):
+    # the uniform-shift test runs once per two-dimensional run start: a
+    # skin whose peel is not uniform goes straight to the column scan, and
+    # the last skin of a run, whose peel the run lemma shows is not uniform,
+    # is not tested at all
+    tested = []
+    orig = latsize.interior._uniform_shift
+
+    def counting(delta):
+        tested.append(delta)
+        return orig(delta)
+
+    monkeypatch.setattr(latsize.interior, "_uniform_shift", counting)
+    n = 10**3
+    quadrilateral = hull([(-n, -n), (n, -n + 5), (n - 7, n), (-n + 3, n - 1)])
+    for delta in (random_polygon(3, 160), random_polygon(4, 300), quadrilateral):
+        tested.clear()
+        runs = onion_skins(delta).runs
+        starts = [skin for skin, _, _ in runs if skin.is_two_dim]
+        assert tested == starts, (delta, len(tested), len(starts))
+        assert any(count > 1 for _, _, count in runs) and any(count == 1 for _, _, count in runs[:-1]), delta
 
 
 _points = st.lists(

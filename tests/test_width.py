@@ -5,11 +5,16 @@ import pytest
 from latsize import (
     AffineUnimodularMap,
     EmptyPolygonError,
+    analyze,
     apply_map,
     hull,
+    lattice_size_sigma,
+    lattice_size_square,
     lattice_width,
     lattice_width_recursive,
     lawrence_prism,
+    minimal_box,
+    parse_laurent,
     random_polygon,
     random_unimodular_map,
     rectangle,
@@ -174,20 +179,66 @@ def _fibonacci(n):
     return a
 
 
-def test_reduced_basis_converges_on_fibonacci_shears():
-    # [[F(n), F(n-1)], [F(n-1), F(n-2)]] is the slowest shear to undo: the
-    # reduction takes about n/2 passes. Entries reach F(44) < 2^30. Peeling
-    # such slivers takes time linear in F(n), so the basis is checked directly.
+def _fibonacci_shears(top=44):
+    """(base, its two successive width minima, n, image) under the n-th Fibonacci shear, 3 <= n <= top.
+
+    [[F(n), F(n-1)], [F(n-1), F(n-2)]] is the slowest shear to undo: the
+    reduction takes about n/2 passes. Images with a coordinate beyond 2^31
+    are left out; the entries reach F(44) < 2^30.
+    """
     guard = 1 << 31
-    checked = 0
     for base, widths in ((standard_triangle(1), (1, 1)), (rectangle(2, 5), (2, 5)), (lawrence_prism(4, 1), (1, 4))):
-        for n in range(3, 45):
+        for n in range(3, top + 1):
             phi = AffineUnimodularMap(_fibonacci(n), _fibonacci(n - 1), _fibonacci(n - 1), _fibonacci(n - 2), 0, 0)
             points = [phi.apply(v) for v in base.vertices]
-            if max(abs(c) for p in points for c in p) > guard:
-                continue
-            image = hull(points)
-            short, long = _reduced_basis(image)
-            assert (width_along(image, short), width_along(image, long)) == widths, (base, n)
-            checked += 1
+            if max(abs(c) for p in points for c in p) <= guard:
+                yield base, widths, n, hull(points)
+
+
+def test_reduced_basis_converges_on_fibonacci_shears():
+    # peeling such slivers takes time linear in F(n), so the basis is checked directly
+    checked = 0
+    for base, widths, n, image in _fibonacci_shears():
+        short, long = _reduced_basis(image)
+        assert (width_along(image, short), width_along(image, long)) == widths, (base, n)
+        checked += 1
     assert checked == 42 + 40 + 41
+
+
+_CHAIN = (lattice_width, lattice_size_sigma, lattice_size_square, minimal_box)
+
+
+def test_one_reduction_per_polygon(box3_census):
+    # the width, both witnesses, the box and analyze read one memoised
+    # basis: whichever of them runs first reduces, the others hit the memo
+    polygons = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    polygons += [random_polygon(seed, 160) for seed in range(3)]
+    polygons += [image for base, _, _, image in _fibonacci_shears(20) if base == standard_triangle(1)]
+    for delta in polygons:
+        # points and segments too: their witnesses read the basis
+        for ops in (_CHAIN, _CHAIN[::-1]):
+            _reduced_basis.cache_clear()
+            for op in ops + ops:
+                op(delta)
+            assert _reduced_basis.cache_info().misses == 1, (delta, ops[0].__name__)
+    # analyze reads the basis of its interior only, through the gonality's width
+    _reduced_basis.cache_clear()
+    hyperelliptic = analyze(parse_laurent("y^2 + x^9 + x + 1"))
+    assert hyperelliptic.interior.is_segment and _reduced_basis.cache_info().misses == 0
+    for _ in range(2):
+        quintic = analyze(parse_laurent("x^5 + y^5 + 1"))
+    assert quintic.interior.is_two_dim and _reduced_basis.cache_info().misses == 1
+
+
+def test_memoised_basis_is_the_fresh_reduction(box3_census):
+    images = [image for _, _, _, image in _fibonacci_shears()]
+    images += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    for image in images:
+        assert _reduced_basis(image) == _reduced_basis.__wrapped__(image), image
+    # a certificate does not depend on which reader filled the memo
+    for delta in images[-len(box3_census):]:
+        _reduced_basis.cache_clear()
+        sigma_first = (lattice_size_sigma(delta), lattice_size_square(delta), minimal_box(delta))
+        _reduced_basis.cache_clear()
+        box_first = minimal_box(delta)
+        assert (lattice_size_sigma(delta), lattice_size_square(delta), box_first) == sigma_first, delta
