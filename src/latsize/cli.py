@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     CoordinateGuardError,
@@ -54,8 +53,7 @@ run, e.g. "0,0;6,0;0,6 2 1,1;-2,1;1,-2" for the skins of 6*Sigma before its
 last one."""
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     stdout: str
 

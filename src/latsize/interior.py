@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyPolygonError
 from .polygon import (
@@ -244,8 +243,7 @@ def _column_hull(delta: LatticePolygon) -> LatticePolygon:
 _Run = tuple[LatticePolygon, tuple[Point, ...], int]
 
 
-@dataclass(frozen=True)
-class OnionTrace:
+class OnionTrace(NamedTuple):
     """The maximal chain of iterated interior hulls, outermost first, in runs.
 
     A run (skin, shift, count) stands for the count skins

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import NotTwoDimensionalError, ZeroPolynomialError
 from .interior import interior_hull
@@ -21,8 +20,7 @@ from .size import _size_value
 from .width import lattice_width
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(NamedTuple):
     """Finite exponent-to-coefficient mapping; zero coefficients are dropped."""
 
     terms: Mapping[tuple[int, int], Fraction]
@@ -175,8 +173,7 @@ def transform_support(f: LaurentPolynomial, phi: AffineUnimodularMap) -> Laurent
     return LaurentPolynomial(out)
 
 
-@dataclass(frozen=True)
-class NewtonAnalysis:
+class NewtonAnalysis(NamedTuple):
     """Curve invariants and model-degree bounds read off a Newton polygon."""
 
     polygon: LatticePolygon

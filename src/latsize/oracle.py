@@ -8,8 +8,7 @@ platform reproduces the identical corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyPolygonError
 from .polygon import AffineUnimodularMap, LatticePolygon, hull
@@ -83,8 +82,7 @@ def oracle_size(delta: LatticePolygon, shape: str) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class ParetoSet:
+class ParetoSet(NamedTuple):
     """Product-order minimal feasible boxes (a, b) with a <= b."""
 
     pairs: tuple[tuple[int, int], ...]

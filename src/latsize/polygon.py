@@ -5,14 +5,21 @@ immutable and canonical: counterclockwise vertex order starting at the
 lexicographically smallest vertex, segments store their two extreme lattice
 points in sorted order. Structural equality therefore coincides with equality
 as point sets, and all values are safe to share between threads.
+
+The package's plain result records (Measures and SpecialShape here, and
+those of width, size, interior, newton, oracle and cli) are
+typing.NamedTuples, so they unpack and compare equal to a tuple of the same
+fields. LatticePolygon and AffineUnimodularMap are slotted, immutable
+classes instead (_Frozen): a polygon is the key of the memos of size and
+width and holds cached properties, and a map checks its determinant however
+it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     CoordinateGuardError,
@@ -52,16 +59,56 @@ def _primitive(v: Point) -> Point:
     return (v[0] // g, v[1] // g)
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class _Frozen:
+    """Base of the slotted value classes: equal and hashed by class and _key(), never changed.
+
+    A subclass defines _key(), its fields in the constructor's order, and
+    sets them in __init__ with object.__setattr__; after that, setting or
+    deleting an attribute raises AttributeError. pickle and copy rebuild an
+    instance through its constructor, so they validate as it does.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key()
+
+
+class LatticePolygon(_Frozen):
     """Convex hull of lattice points, possibly degenerate.
 
     ``vertices`` is empty, a single point, a sorted extreme pair, or the
     strictly convex counterclockwise vertex cycle starting at the
     lexicographically smallest vertex. Build instances through :func:`hull`.
+
+    A polygon is the key of the memos of size and width and caches area2
+    and edge_constraints in its instance dict, so it is a slotted, immutable
+    class rather than a tuple: equal and hashed by class and vertices only,
+    never equal to a plain tuple, and unchangeable once built.
     """
 
-    vertices: tuple[Point, ...]
+    __slots__ = ("vertices", "__dict__")
+    __match_args__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[Point, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+
+    def _key(self) -> tuple:
+        return (self.vertices,)
 
     @property
     def is_empty(self) -> bool:
@@ -162,8 +209,7 @@ def lawrence_prism(a: int, b: int) -> LatticePolygon:
     return hull([(0, 0), (a, 0), (b, 1), (0, 1)])
 
 
-@dataclass(frozen=True)
-class Measures:
+class Measures(NamedTuple):
     """Exact lattice-point counts of a polygon."""
 
     area2: int
@@ -225,20 +271,28 @@ def measures(delta: LatticePolygon) -> Measures:
     return Measures(area2, boundary, interior, interior + boundary)
 
 
-@dataclass(frozen=True)
-class AffineUnimodularMap:
-    """x -> M x + t with integer M, det M = +-1 and integer translation t."""
+class AffineUnimodularMap(_Frozen):
+    """x -> M x + t with integer M, det M = +-1 and integer translation t.
 
-    m11: int
-    m12: int
-    m21: int
-    m22: int
-    t1: int
-    t2: int
+    Immutable, equal and hashed by its six fields; every way to build one,
+    copies included, rejects a determinant other than +-1.
+    """
 
-    def __post_init__(self) -> None:
-        if self.det not in (1, -1):
-            raise ValueError(f"matrix determinant must be +-1, got {self.det}")
+    __slots__ = __match_args__ = ("m11", "m12", "m21", "m22", "t1", "t2")
+
+    def __init__(self, m11: int, m12: int, m21: int, m22: int, t1: int, t2: int) -> None:
+        det = m11 * m22 - m12 * m21
+        if det not in (1, -1):
+            raise ValueError(f"matrix determinant must be +-1, got {det}")
+        for name, value in zip(self.__slots__, (m11, m12, m21, m22, t1, t2)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.m11, self.m12, self.m21, self.m22, self.t1, self.t2)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def det(self) -> int:
@@ -378,8 +432,7 @@ def are_equivalent(d1: LatticePolygon, d2: LatticePolygon) -> Optional[AffineUni
     return None
 
 
-@dataclass(frozen=True)
-class SpecialShape:
+class SpecialShape(NamedTuple):
     """A recognized named shape: kind plus its integer parameters."""
 
     kind: str  # "standard_triangle" | "upsilon" | "rectangle" | "lawrence_prism"

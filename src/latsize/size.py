@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .interior import _edge_falls, _moved, interior_hull, onion_skins
@@ -90,8 +89,7 @@ RULE_PARALLEL = "ParallelEdge"
 RULE_SEARCH = "DegenerateBaseSearch"
 
 
-@dataclass(frozen=True)
-class SizeCertificate:
+class SizeCertificate(NamedTuple):
     """A lattice-size value with its witness map and recursion trace."""
 
     shape: str
@@ -100,8 +98,7 @@ class SizeCertificate:
     trace: tuple[Step, ...]
 
 
-@dataclass(frozen=True)
-class BoxCertificate:
+class BoxCertificate(NamedTuple):
     """The product-order minimal box (lattice width, square lattice size)."""
 
     a: int
@@ -109,8 +106,7 @@ class BoxCertificate:
     witness: AffineUnimodularMap
 
 
-@dataclass(frozen=True)
-class ParallelEdgeHit:
+class ParallelEdgeHit(NamedTuple):
     """An edge of the polygon facing a face of its interior hull at unit distance."""
 
     r: int
@@ -179,8 +175,7 @@ def _parallel_edge_hit(
     return best
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One rule application in a peeling recursion: the skin it fired on and what it added.
 
     A Step with count > 1 covers a run of skins: skin + t * shift for
@@ -313,7 +308,7 @@ def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...
             if (inner.rule, inner.contribution, inner.params) == (step.rule, step.contribution,
                                                                    _params_at(step, step.count)):
                 # the skin just inside continues the run: one entry for both
-                trace[-1] = replace(step, count=step.count + 1)
+                trace[-1] = step._replace(count=step.count + 1)
             else:
                 trace.append(step)
     return value, tuple(trace)

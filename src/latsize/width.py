@@ -12,16 +12,14 @@ lattice_width_recursive, is one of the recursions in size.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import EmptyPolygonError
 from .polygon import LatticePolygon, Point
 
 
-@dataclass(frozen=True)
-class WidthResult:
+class WidthResult(NamedTuple):
     """Minimal directional extent and every primitive direction achieving it."""
 
     width: int

@@ -1,9 +1,32 @@
 """The public surface of the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import latsize
+from latsize import (
+    AffineUnimodularMap,
+    analyze,
+    hull,
+    interior_hull,
+    lattice_size_sigma,
+    lattice_width,
+    lattice_width_recursive,
+    measures,
+    minimal_box,
+    onion_skins,
+    oracle_box_pareto,
+    parallel_edge_exception,
+    parse_laurent,
+    rectangle,
+    recognize_special,
+    standard_triangle,
+    upsilon,
+)
+from latsize.cli import run_command
 
 PUBLIC = {
     "AffineUnimodularMap", "BoxCertificate", "CoordinateGuardError", "DegeneratePolygonError",
@@ -57,3 +80,61 @@ def test_no_dead_private_helpers():
     unused = [(module, name) for module, name, index in defined
               if not any(name in names for key, names in reads.items() if key != (module, index))]
     assert unused == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI call is a fresh process, so what `import latsize.cli` loads
+    # is paid per call; dataclasses alone pulls in inspect, ast, dis and tokenize
+    src = Path(latsize.__file__).resolve().parent.parent
+    code = "import sys, latsize.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n", out
+
+
+_REPRS = {
+    "LatticePolygon": "LatticePolygon<polygon>[(0, 0), (2, 0), (0, 1)]",
+    "AffineUnimodularMap": "AffineUnimodularMap(m11=1, m12=2, m21=0, m22=-1, t1=3, t2=-4)",
+    "WidthResult": "WidthResult(width=2, directions=((0, 1), (1, 0), (1, 1)))",
+    "SizeCertificate": "SizeCertificate(shape='sigma', value=1, witness=AffineUnimodularMap(m11=0, m12=1, "
+    "m21=1, m22=0, t1=0, t2=0), trace=(Step(skin=LatticePolygon<polygon>[(0, 0), (1, 0), (0, 1)], "
+    "rule='GenericStep', contribution=3, params=(), count=1, shift=()),))",
+    "BoxCertificate": "BoxCertificate(a=1, b=2, witness=AffineUnimodularMap(m11=1, m12=0, m21=0, m22=1, "
+    "t1=0, t2=0))",
+    "ParallelEdgeHit": "ParallelEdgeHit(r=4, s=1, tau=((0, 0), (4, 0)), tau_prime=((1, 1), (2, 1)))",
+    "Step": "Step(skin=LatticePolygon<polygon>[(0, 0), (6, 0), (6, 6), (0, 6)], rule='GenericStep', "
+    "contribution=2, params=(), count=2, shift=((1, 1), (-1, 1), (-1, -1), (1, -1)))",
+    "OnionTrace": "OnionTrace(runs=((LatticePolygon<polygon>[(-2, -2), (2, 0), (0, 2)], ((1, 1), (-1, 0), "
+    "(0, -1)), 2), (LatticePolygon<point>[(0, 0)], (), 1)))",
+    "LaurentPolynomial": "LaurentPolynomial(terms={(0, 2): Fraction(1, 1), (3, 0): Fraction(1, 1), "
+    "(0, 0): Fraction(-1, 2)})",
+    "NewtonAnalysis": "NewtonAnalysis(polygon=LatticePolygon<polygon>[(0, 0), (3, 0), (0, 3)], "
+    "interior=LatticePolygon<point>[(1, 1)], genus_bound=1, gonality=2, s2_bound=3, s11_bound=(2, 2), "
+    "special=SpecialShape(kind='standard_triangle', params=(3,)), caveats=('bounds are attained only for "
+    "sufficiently generic coefficients', 'genus and gonality formulas assume a nondegenerate polynomial'))",
+    "ParetoSet": "ParetoSet(pairs=((1, 2),))",
+    "Measures": "Measures(area2=4, boundary_count=6, interior_count=0, total_count=6)",
+    "SpecialShape": "SpecialShape(kind='upsilon', params=(2,))",
+    "CommandResult": "CommandResult(exit_code=0, stdout='1\\n')",
+}
+
+
+def test_record_reprs_are_pinned():
+    # one instance of each record type; its repr names every field in order
+    records = [
+        hull([(0, 0), (2, 0), (0, 1)]),
+        AffineUnimodularMap(1, 2, 0, -1, 3, -4),
+        lattice_width(standard_triangle(2)),
+        lattice_size_sigma(standard_triangle(1)),
+        minimal_box(rectangle(1, 2)),
+        parallel_edge_exception(standard_triangle(4), interior_hull(standard_triangle(4)), 3),
+        lattice_width_recursive(rectangle(6, 6))[1][-1],
+        onion_skins(upsilon(2)),
+        parse_laurent("y^2 + x^3 - 1/2"),
+        analyze(parse_laurent("x^3 + y^3 + 1")),
+        oracle_box_pareto(rectangle(1, 2)),
+        measures(standard_triangle(2)),
+        recognize_special(upsilon(2)),
+        run_command(["width", "--vertices", "0,0;1,0;0,1"]),
+    ]
+    assert {type(record).__name__: repr(record) for record in records} == _REPRS

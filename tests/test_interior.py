@@ -16,11 +16,14 @@ from latsize import (
     interior_lattice_points,
     lattice_size_sigma,
     lattice_size_square,
+    lattice_width,
     lattice_width_recursive,
     lawrence_prism,
     measures,
     minimal_box,
+    newton_polygon,
     onion_skins,
+    parse_laurent,
     random_polygon,
     random_unimodular_map,
     rectangle,
@@ -195,6 +198,19 @@ def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):
         assert interior_hull(delta) == inner
         # O(edges) columns: the outer ones and those next to the face ends
         assert 0 < len(scanned) <= 3 * len(delta.vertices), len(scanned)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5, step 3: a non-uniform peel scans the "
+                   "x-extent of the skin, not width + 1 columns along the reduced basis")
+def test_hyperelliptic_peel_scans_at_most_width_plus_one_columns(monkeypatch):
+    # the Newton polygon of y^2 + x^N + 1, conv{(0,0), (N,0), (0,2)}, has
+    # width 2 but N + 1 columns; its first peel is not uniform, and at
+    # N = 2^31 sigma on it does not end
+    delta = newton_polygon(parse_laurent("y^2 + x^100000 + 1"))
+    latsize.size._rule_runs.cache_clear()
+    scanned = _count_columns(monkeypatch)
+    lattice_size_sigma(delta)
+    assert len(scanned) <= lattice_width(delta).width + 1, len(scanned)
 
 
 def _is_uniform_peel(outer, inner):

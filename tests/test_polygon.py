@@ -1,5 +1,8 @@
 """Hulls, measures, unimodular maps, equivalence and shape recognition."""
 
+import copy
+import pickle
+
 import pytest
 
 from latsize import (
@@ -7,8 +10,10 @@ from latsize import (
     EmptyPolygonError,
     apply_map,
     are_equivalent,
+    LatticePolygon,
     hull,
     integral_length,
+    lattice_width,
     lawrence_prism,
     measures,
     random_polygon,
@@ -116,8 +121,62 @@ def test_map_compose_inverse_roundtrip():
 
 
 def test_map_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        AffineUnimodularMap(2, 0, 0, 1, 0, 0)
+    for fields in ((2, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 5, 5), (2, 1, 1, 2, 0, 0)):
+        with pytest.raises(ValueError):
+            AffineUnimodularMap(*fields)
+        # a map forged past the constructor: every other way to build one checks again
+        forged = object.__new__(AffineUnimodularMap)
+        for name, value in zip(("m11", "m12", "m21", "m22", "t1", "t2"), fields):
+            object.__setattr__(forged, name, value)
+        identity = AffineUnimodularMap.identity()
+        for build in (lambda: identity.compose(forged), lambda: forged.compose(identity), forged.inverse,
+                      lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
+                      lambda: pickle.loads(pickle.dumps(forged))):
+            with pytest.raises(ValueError):
+                build()
+
+
+class _SubPolygon(LatticePolygon):
+    pass
+
+
+class _SubMap(AffineUnimodularMap):
+    pass
+
+
+def test_polygons_and_maps_are_immutable_values():
+    # a polygon is a memo key and a map part of every certificate: equal and
+    # hash equal exactly when class and fields match, never equal to a
+    # tuple, unchangeable, and copied through the constructor
+    square = hull([(1, 1), (0, 0), (1, 0), (0, 1)])
+    phi = AffineUnimodularMap(1, 2, 0, -1, 3, -4)
+    cases = [
+        (square, LatticePolygon(((0, 0), (1, 0), (1, 1), (0, 1))),
+         [rectangle(1, 2), square.translate((1, 0)), _SubPolygon(square.vertices),
+          square.vertices, (square.vertices,)]),
+        (phi, AffineUnimodularMap(1, 2, 0, -1, 3, -4),
+         [AffineUnimodularMap(1, 2, 0, -1, 3, -5), phi.inverse(), _SubMap(1, 2, 0, -1, 3, -4),
+          (1, 2, 0, -1, 3, -4)]),
+    ]
+    for value, twin, others in cases:
+        assert value == twin and hash(value) == hash(twin) and value is not twin
+        assert all(value != other and other != value for other in others), value
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and hash(clone) == hash(value)
+    assert square.area2 == 2 and square.edge_constraints == ((0, -1, 0), (1, 0, 1), (0, 1, 1), (-1, 0, 0))
+    for value, name in ((square, "vertices"), (square, "area2"), (square, "edge_constraints"),
+                        (square, "extra"), (phi, "m11"), (phi, "t2"), (phi, "extra"),
+                        (lattice_width(square), "width")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert square == cases[0][1] and square.area2 == 2 and phi.apply((0, 0)) == (3, -4)
+    match (square, phi):
+        case (LatticePolygon(vertices), AffineUnimodularMap(m11, m12, m21, m22, t1, t2)):
+            assert vertices == square.vertices and (m11, m12, m21, m22, t1, t2) == (1, 2, 0, -1, 3, -4)
+        case _:
+            pytest.fail("positional patterns no longer match")
 
 
 def test_random_pairs_preserve_measures_and_stay_equivalent():

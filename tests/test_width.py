@@ -22,7 +22,7 @@ from latsize import (
     upsilon,
     width_along,
 )
-from latsize.size import _euclidean_width_sq, _primitive_directions, _size_value
+from latsize.size import _euclidean_width_sq, _primitive_directions, _rule_runs, _size_value
 from latsize.width import _reduced_basis
 
 from conftest import weierstrass
@@ -210,17 +210,24 @@ _CHAIN = (lattice_width, lattice_size_sigma, lattice_size_square, minimal_box)
 
 def test_one_reduction_per_polygon(box3_census):
     # the width, both witnesses, the box and analyze read one memoised
-    # basis: whichever of them runs first reduces, the others hit the memo
+    # basis: whichever of them runs first reduces, the others hit the memo,
+    # also on an equal polygon built separately, as the chain memo does
     polygons = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
     polygons += [random_polygon(seed, 160) for seed in range(3)]
     polygons += [image for base, _, _, image in _fibonacci_shears(20) if base == standard_triangle(1)]
     for delta in polygons:
+        twin = hull(delta.vertices[::-1])
+        assert twin == delta and twin is not delta
         # points and segments too: their witnesses read the basis
         for ops in (_CHAIN, _CHAIN[::-1]):
             _reduced_basis.cache_clear()
-            for op in ops + ops:
+            _rule_runs.cache_clear()
+            for op in ops:
                 op(delta)
+            for op in ops:
+                op(twin)
             assert _reduced_basis.cache_info().misses == 1, (delta, ops[0].__name__)
+            assert _rule_runs.cache_info().misses == 1, (delta, ops[0].__name__)
     # analyze reads the basis of its interior only, through the gonality's width
     _reduced_basis.cache_clear()
     hyperelliptic = analyze(parse_laurent("y^2 + x^9 + x + 1"))
