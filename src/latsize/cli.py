@@ -58,6 +58,18 @@ class CommandResult(NamedTuple):
     stdout: str
 
 
+# The help of each option but --shape; _COMMANDS says which command takes which.
+_HELP = {
+    "--input": "vertex file: JSON {\"vertices\": [[x,y],...]} or lines 'x y'",
+    "--vertices": "inline vertices 'x,y;x,y;...'",
+    "--poly": "Laurent polynomial, e.g. 'y^2 + x^5 + 1'",
+    "--json": "emit a JSON document",
+    "--witness": "include the witness map",
+    "--trace": "include the recursion trace",
+    "--verify": "cross-check against the oracle",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latsize",
@@ -66,25 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="vertex file: JSON {\"vertices\": [[x,y],...]} or lines 'x y'")
-    common.add_argument("--vertices", help="inline vertices 'x,y;x,y;...'")
-    common.add_argument("--poly", help="Laurent polynomial, e.g. 'y^2 + x^5 + 1'")
-    common.add_argument("--json", action="store_true", help="emit a JSON document")
-    common.add_argument("--witness", action="store_true", help="include the witness map")
-    common.add_argument("--trace", action="store_true", help="include the recursion trace")
-    common.add_argument("--verify", action="store_true", help="cross-check against the oracle")
-    for name, desc in (
-        ("width", "lattice width with optimal directions"),
-        ("sigma", "lattice size w.r.t. the standard triangle"),
-        ("square", "lattice size w.r.t. the unit square"),
-        ("box", "minimal (width, square-size) bounding box"),
-        ("peel", "onion skins of iterated interior hulls"),
-        ("analyze", "genus/gonality/degree bounds of a Laurent polynomial"),
-        ("oracle", "brute-force feasibility-search values"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=desc, description=desc, epilog=_RUNS,
+    for name, (_, desc, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=desc, description=desc, epilog=_RUNS,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
+        if name == "analyze":
+            p.add_argument("--poly", required=True, help=_HELP["--poly"])
+        else:
+            source = p.add_mutually_exclusive_group(required=True)
+            for flag in ("--input", "--vertices", "--poly"):
+                source.add_argument(flag, help=_HELP[flag])
+        for flag in flags.split():
+            p.add_argument(flag, action="store_true", help=_HELP[flag])
         if name == "oracle":
             p.add_argument("--shape", choices=["sigma", "square", "box"], default="sigma")
     return parser
@@ -110,24 +114,23 @@ def _parse_polygon(args: argparse.Namespace) -> LatticePolygon:
             x, y = chunk.split(",")
             pts.append((int(x), int(y)))
         return hull(pts)
-    if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise ValueError("JSON input is nested too deeply") from None
-        except json.JSONDecodeError:
-            pts = []
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                x, y = line.split()
-                pts.append((int(x), int(y)))
-            return hull(pts)
-        return hull(_json_vertices(doc))
-    raise ValueError("no input: pass --vertices, --input or --poly")
+    # the input group of the parser makes --input the one source left
+    with open(args.input, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+    except json.JSONDecodeError:
+        pts = []
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            x, y = line.split()
+            pts.append((int(x), int(y)))
+        return hull(pts)
+    return hull(_json_vertices(doc))
 
 
 def _json_vertices(doc: object) -> list[Point]:
@@ -193,7 +196,8 @@ def _check(condition: bool, message: str) -> None:
         raise InternalConsistencyError(message)
 
 
-def _size_command(args: argparse.Namespace, shape: str) -> str:
+def _size_command(args: argparse.Namespace) -> str:
+    shape = args.command  # sigma or square
     delta = _read_polygon(args)
     cert: SizeCertificate = (lattice_size_sigma if shape == "sigma" else lattice_size_square)(delta)
     if args.verify:
@@ -256,8 +260,6 @@ def _peel_command(args: argparse.Namespace) -> str:
 
 
 def _analyze_command(args: argparse.Namespace) -> str:
-    if args.poly is None:
-        raise ValueError("analyze needs --poly")
     result = analyze(parse_laurent(args.poly))
     inner = result.interior
     if args.verify and not inner.is_empty:
@@ -317,6 +319,23 @@ def _oracle_command(args: argparse.Namespace) -> str:
     return _emit({"command": "oracle", "value": value}, args, str(value))
 
 
+# Each command: its handler, its description and the flags the handler reads
+# (oracle reads --shape too). Every command but analyze also takes exactly one
+# input source, and analyze takes --poly, so argparse rejects a flag that
+# would do nothing, a second source or none with exit code 2.
+_COMMANDS = {
+    "width": (_width_command, "lattice width with optimal directions", "--json --trace --verify"),
+    "sigma": (_size_command, "lattice size w.r.t. the standard triangle",
+              "--json --witness --trace --verify"),
+    "square": (_size_command, "lattice size w.r.t. the unit square", "--json --witness --trace --verify"),
+    "box": (_box_command, "minimal (width, square-size) bounding box", "--json --witness --verify"),
+    "peel": (_peel_command, "onion skins of iterated interior hulls", "--json"),
+    "analyze": (_analyze_command, "genus/gonality/degree bounds of a Laurent polynomial",
+                "--json --verify"),
+    "oracle": (_oracle_command, "brute-force feasibility-search values", "--json"),
+}
+
+
 def run_command(argv: list[str]) -> CommandResult:
     """Parse argv, execute and return the exit code plus the stdout payload."""
     parser = _build_parser()
@@ -332,17 +351,8 @@ def run_command(argv: list[str]) -> CommandResult:
         args = parser.parse_args(glued)
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), "")
-    handlers = {
-        "width": _width_command,
-        "sigma": lambda a: _size_command(a, "sigma"),
-        "square": lambda a: _size_command(a, "square"),
-        "box": _box_command,
-        "peel": _peel_command,
-        "analyze": _analyze_command,
-        "oracle": _oracle_command,
-    }
     try:
-        return CommandResult(0, handlers[args.command](args))
+        return CommandResult(0, _COMMANDS[args.command][0](args))
     except InternalConsistencyError as exc:
         print(f"latsize: {exc}", file=sys.stderr)
         return CommandResult(4, "")

@@ -88,18 +88,17 @@ class ParetoSet(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-def oracle_box_pareto(delta: LatticePolygon, limit: Optional[int] = None) -> ParetoSet:
-    """All product-order minimal boxes [0,a] x [0,b] with a <= b <= limit.
+def oracle_box_pareto(delta: LatticePolygon) -> ParetoSet:
+    """All product-order minimal boxes [0,a] x [0,b] with a <= b.
 
     Feasibility is decided by fit_into on the grid; for each a the minimal
-    feasible b is found, and dominated pairs are discarded. The default limit
-    is the square lattice size from oracle_size plus two, which is always
-    large enough to contain every minimal pair.
+    feasible b is found, and dominated pairs are discarded. Sides are
+    searched up to the square lattice size from oracle_size plus two, which
+    is always large enough to contain every minimal pair.
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_box_pareto needs a non-empty polygon")
-    if limit is None:
-        limit = oracle_size(delta, "square") + 2
+    limit = oracle_size(delta, "square") + 2
     front: list[tuple[int, int]] = []
     prev_b: Optional[int] = None
     for a in range(0, limit + 1):

@@ -253,7 +253,15 @@ def interior_lattice_points(delta: LatticePolygon) -> list[Point]:
 
 
 def measures(delta: LatticePolygon) -> Measures:
-    """Area and lattice-point counts, with the Pick identity as a cross-check."""
+    """Area and lattice-point counts, with the Pick identity as a cross-check.
+
+    The interior count is taken column by column, not from Pick's formula,
+    so that measures is the independent count that Pick's formula (the
+    genus in newton.analyze) and the interior hulls are tested against. That
+    walk costs O(x-extent * edges): on a 2-core x86 VM about 1 microsecond
+    per column, 1 s on standard_triangle(10**6) and about 36 minutes at the
+    2^31 coordinate guard. It is kept on purpose, as the reference count.
+    """
     if delta.is_empty:
         raise EmptyPolygonError("measures of the empty polygon are undefined")
     if delta.is_point:

@@ -22,10 +22,9 @@ square). No value is found by search.
 Every rule is affine in the step along a run, so one rule function, _step,
 takes a segment of n skins in O(1): the body of a run (all its skins but the
 last, which peel uniformly) and the last skin of a run (n = 1) alike, and
-its trace has one Step per segment, not per skin. The parallel-edge hit of
-a body comes from the run's edge falls; that of a last skin from one lookup
-of the edge normals of the next run's first skin (_parallel_edge_hit), done
-once per run in the memo.
+its trace has one Step per segment, not per skin. Each segment takes its
+parallel-edge hit from one lookup of the edge normals of the skin after its
+first (_parallel_edge_hit), done once per segment in the memo.
 
 Every certificate carries a witness map built from the Gauss-reduced basis
 of the width norm (see _basis_map), without search, plus the rule trace whose
@@ -57,7 +56,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
-from .interior import _edge_falls, _moved, interior_hull, onion_skins
+from .interior import _moved, interior_hull, onion_skins
 from .polygon import (
     EMPTY,
     AffineUnimodularMap,
@@ -200,13 +199,11 @@ class Step(NamedTuple):
 # segment). If that is a rectangle, so is every skin of the run (the skins
 # share edge normals, and a unimodular rectangle [0,a] x [0,b] peels to
 # [1,a-1] x [1,b-1]). body is the segment of the count - 1 skins before the
-# last (None if count is 1); its hit is (r, r - s) of the parallel-edge hit
-# of the first skin on the second: on a uniform peel every edge faces the
-# edge of the same normal, so r - s is the per-skin fall delta_i of edge i on
-# every skin of the run, and the same edge, the first with the greatest
-# fall >= 3, wins on every skin or on none. last is the segment of the last
-# skin, end, with its hit on the first skin of the next run (None for the
-# last run).
+# last (None if count is 1), with the parallel-edge hit of the first skin on
+# the second; each edge's r - s is the same on every skin of the run, so the
+# same edge wins on every skin of the run or on none. last is the segment of
+# the last skin, end, with its hit on the first skin of the next run (None
+# for the last run).
 _RunRules = namedtuple("_RunRules", "skin shift count end special body last")
 
 
@@ -220,7 +217,7 @@ def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[S
     lattice_size_sigma, lattice_size_square, minimal_box and newton.analyze,
     so all of them over the same polygon peel it and recognize its run
     starts once. Each run costs O(edges) plus one recognize_special on its
-    first skin and one parallel-edge lookup on its last.
+    first skin and one parallel-edge lookup per segment.
     """
     runs = onion_skins(delta).runs
     out = []
@@ -230,15 +227,10 @@ def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[S
         rectangle = special.params if special is not None and special.kind == "rectangle" else None
         body = last = None
         if count > 1:
-            hit = None
-            for length, fall in _edge_falls(skin, shift):
-                if fall >= 3 and (hit is None or fall > hit[1]):
-                    hit = (length, fall)
-            body = (skin, shift, count - 1, rectangle, hit)
+            body = (skin, shift, count - 1, rectangle, _parallel_edge_hit(skin, _moved(skin, shift, 1), 3))
         if j + 1 < len(runs):
-            end_hit = _parallel_edge_hit(end, runs[j + 1][0], 3)
             last = (end, (), 1, rectangle and tuple(p - 2 * (count - 1) for p in rectangle),
-                    end_hit and (end_hit.r, end_hit.r - end_hit.s))
+                    _parallel_edge_hit(end, runs[j + 1][0], 3))
         out.append(_RunRules(skin, shift, count, end, special, body, last))
     if count > 1:
         special = recognize_special(end)
@@ -363,25 +355,23 @@ def _step(segment: tuple, inner_value: int, shape: str) -> tuple[int, Step]:
     """Value of a segment (skin, shift, n, rectangle, hit) from inner_value, that of the skin inside it.
 
     The segment is the n skins skin + t * shift, t = 0..n-1. rectangle is
-    (a, b) if skin is the rectangle [0,a] x [0,b], hit the (r, r - s) of its
-    parallel-edge hit with r - s >= 3, if any. The first rule that fires
-    decides, on every skin of the segment alike (see _RunRules): the
-    rectangle rule (triangle only), then the parallel-edge rule, then the
-    generic step. A point or segment inner skin goes through the same rules
-    as a two-dimensional one. Each rule is affine in t: the rectangle
-    (a - 2t) + (b - 2t) falls by 4 per skin, the parallel-edge value
-    r - t * (r - s) by r - s, the generic step by 3 or 2. So the value of
-    skin n, just inside the segment, must be inner_value, as the per-skin
-    check s == inner value demands; no other skin needs a check, since there
-    the fall is exact.
+    (a, b) if skin is the rectangle [0,a] x [0,b], hit its parallel-edge hit
+    with r - s >= 3, if any. The first rule that fires decides, on every
+    skin of the segment alike (see _RunRules): the rectangle rule (triangle
+    only), then the parallel-edge rule, then the generic step. A point or
+    segment inner skin goes through the same rules as a two-dimensional one.
+    Each rule is affine in t: the rectangle (a - 2t) + (b - 2t) falls by 4
+    per skin, the parallel-edge value r - t * (r - s) by r - s, the generic
+    step by 3 or 2. So the value of skin n, just inside the segment, must be
+    inner_value, as the per-skin check s == inner value demands; no other
+    skin needs a check, since there the fall is exact.
     """
     skin, shift, n, rectangle, hit = segment
     if shape == SIGMA and rectangle is not None:
         a, b = rectangle
         rule, value, fall, params = RULE_RECTANGLE, a + b, 4, (a, b)
     elif hit is not None:
-        r, fall = hit
-        rule, value, params = RULE_PARALLEL, r, (r, r - fall)
+        rule, value, fall, params = RULE_PARALLEL, hit.r, hit.r - hit.s, (hit.r, hit.s)
     else:
         fall = _STEP[shape]
         rule, value, params = RULE_GENERIC, inner_value + n * fall, ()

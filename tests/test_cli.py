@@ -1,6 +1,7 @@
 """Command-line behavior: reference outputs, JSON stability, exit codes."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -247,3 +248,46 @@ def test_help_documents_the_run_format(capsys):
         assert latsize.cli._RUNS in capsys.readouterr().out, argv
     # the format is written once, in _RUNS; the module docstring points to it
     assert "_RUNS" in latsize.cli.__doc__ and latsize.cli._RUNS not in latsize.cli.__doc__
+
+
+# The options that every command accepted when all commands shared one flag
+# set, and the (command, option) pairs whose handler never read the option:
+# argparse must reject those, not accept and ignore them.
+_OPTIONS = ("--input", "--vertices", "--poly", "--json", "--witness", "--trace", "--verify")
+_DEAD = {("width", "--witness"), ("box", "--trace"), ("peel", "--witness"), ("peel", "--trace"),
+         ("peel", "--verify"), ("analyze", "--input"), ("analyze", "--vertices"), ("analyze", "--witness"),
+         ("analyze", "--trace"), ("oracle", "--witness"), ("oracle", "--trace"), ("oracle", "--verify")}
+
+
+def test_every_option_does_something(tmp_path):
+    import latsize.cli
+
+    vertex_file = tmp_path / "poly.txt"
+    vertex_file.write_text("0 0\n3 0\n0 3\n")
+    values = {"--input": str(vertex_file), "--vertices": "0,0;3,0;0,3", "--poly": "x^3 + y^3 + 1",
+              "--shape": "box"}
+    sources = ("--input", "--vertices", "--poly")
+    commands = ("width", "sigma", "square", "box", "peel", "analyze", "oracle")
+    pairs = {(command, option) for command in commands for option in _OPTIONS} | {("oracle", "--shape")}
+    assert len(pairs) == 50 and _DEAD < pairs
+    for command, option in sorted(pairs):
+        tested = [option, values[option]] if option in values else [option]
+        if option in sources and (command, option) not in _DEAD:
+            argv = [command, *tested]
+        else:
+            required = "--poly" if command == "analyze" else "--vertices"
+            argv = [command, required, values[required], *tested]
+        assert run_command(argv).exit_code == (2 if (command, option) in _DEAD else 0), argv
+    # the parser holds exactly the live pairs
+    sub = latsize.cli._build_parser()._subparsers._group_actions[0]
+    built = {(command, option) for command, parser in sub.choices.items()
+             for action in parser._actions if action.dest != "help" for option in action.option_strings}
+    assert built == pairs - _DEAD and len(built) == 38
+    # exactly one input source: none, two or three exit 2
+    for command in set(commands) - {"analyze"}:
+        assert run_command([command]).exit_code == 2, command
+        for n in (2, 3):
+            for chosen in itertools.combinations(sources, n):
+                argv = [command] + [arg for option in chosen for arg in (option, values[option])]
+                assert run_command(argv).exit_code == 2, argv
+    assert run_command(["analyze"]).exit_code == 2

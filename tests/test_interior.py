@@ -167,12 +167,18 @@ def test_onion_skins_match_enumeration_on_large_random_polygons():
             _assert_skins_enumerated(apply_map(random_unimodular_map(seed), delta))
 
 
-def _count_columns(monkeypatch):
-    """Patch _column_bounds wherever it is bound; the returned list collects the columns scanned."""
+def _count_columns(monkeypatch, budget=None):
+    """Patch _column_bounds wherever it is bound; the returned list collects the columns scanned.
+
+    With a budget, a scan past that many columns raises, so that a scan of
+    far more columns fails at once instead of running on.
+    """
     scanned = []
 
     def counting(delta, x):
         scanned.append(x)
+        if budget is not None and len(scanned) > budget:
+            raise AssertionError(f"more than {budget} columns scanned")
         return _column_bounds(delta, x)
 
     for module in (latsize.polygon, latsize.interior):
@@ -198,6 +204,20 @@ def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):
         assert interior_hull(delta) == inner
         # O(edges) columns: the outer ones and those next to the face ends
         assert 0 < len(scanned) <= 3 * len(delta.vertices), len(scanned)
+
+
+def test_faces_skip_the_columns_of_flat_skins_at_the_guard(monkeypatch):
+    # rectangle(2^31, 1) has no interior point, and the uniform run of the
+    # quadrilateral ends in a rectangle of height one with 7 * 10^8 columns;
+    # the faces on the two long edges skip all but the outer columns only
+    # because _face_spans leaves the parallel opposite edge out
+    cases = [(rectangle(2**31, 1), 1, 4),
+             (hull([(0, 0), (2**31, 0), (2**31, 1431655765), (1, 1431655765)]), 715827882, 8)]
+    scanned = _count_columns(monkeypatch, budget=64)
+    for delta, count, columns in cases:
+        scanned.clear()
+        assert onion_skins(delta).runs[-1][2] == count
+        assert len(scanned) <= columns, len(scanned)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5, step 3: a non-uniform peel scans the "

@@ -105,10 +105,11 @@ def test_parallel_edge_lookup_matches_the_full_scan(box3_census):
 
 
 def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
-    # one chain for the four recursions: one parallel-edge lookup per run, on
-    # its last skin, and one recognize_special per two-dimensional run start
-    # and on the innermost skin, shared by width, sigma, square and box; the
-    # skins inside a run take their hits from the run's edge falls
+    # one chain for the four recursions: one parallel-edge lookup per run
+    # end, on its last skin, plus one per run of count > 1, on its first
+    # skin for the skins before the last, and one recognize_special per
+    # two-dimensional run start and on the innermost skin, shared by width,
+    # sigma, square and box
     computed, recognized = Counter(), Counter()
     lookup, recognize = latsize.size._parallel_edge_hit, latsize.size.recognize_special
 
@@ -132,7 +133,8 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
         lattice_size_square(delta)
         minimal_box(delta)
         trace = onion_skins(delta).runs
-        assert computed == Counter(_moved(skin, shift, count - 1) for skin, shift, count in trace[:-1]), delta
+        ends = Counter(_moved(skin, shift, count - 1) for skin, shift, count in trace[:-1])
+        assert computed == ends + Counter(skin for skin, _, count in trace if count > 1), delta
         innermost = _moved(*trace[-1][:2], trace[-1][2] - 1)
         # the innermost skin is looked at once, also when it starts its run
         looked_at = {skin for skin, _, _ in trace} | {innermost}
@@ -316,8 +318,9 @@ def test_two_dim_skins_need_no_search(box3_census, monkeypatch):
         assert (box.witness, box.a) == (lattice_size_square(poly).witness, lattice_width(poly).width), poly
     for poly in polygons[-6:]:
         vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in poly.vertices)
-        for command in ("sigma", "square", "box", "width", "peel"):
-            assert run_command([command, vertices, "--witness", "--trace", "--json"]).exit_code == 0
+        for command, flags in (("sigma", ["--witness", "--trace"]), ("square", ["--witness", "--trace"]),
+                               ("box", ["--witness"]), ("width", ["--trace"]), ("peel", [])):
+            assert run_command([command, vertices, *flags, "--json"]).exit_code == 0
 
 
 def test_each_segment_step_checks_its_inner_value():
@@ -328,10 +331,10 @@ def test_each_segment_step_checks_its_inner_value():
     assert outer.count == 2 and rectangle_end[2:] == (1, (2, 7), None)
     (outer, _), _ = latsize.size._rule_runs(weierstrass(4))
     parallel_end = outer.last  # r = 9 around a segment of length 3
-    assert outer.count == 1 and parallel_end[2:] == (1, None, (9, 6))
+    assert outer.count == 1 and parallel_end[2:4] == (1, None) and parallel_end[4][:2] == (9, 3)
     (run,), _ = latsize.size._rule_runs(standard_triangle(40))
     body = run.body  # 40 * Sigma down to 4 * Sigma, then Sigma
-    assert run.count == 14 and body[2:] == (13, None, (40, 3))
+    assert run.count == 14 and body[2:4] == (13, None) and body[4][:2] == (40, 37)
     for segment, inner, value in ((rectangle_end, 5, 9), (parallel_end, 3, 9), (body, 1, 40)):
         assert _step(segment, inner, "sigma")[0] == value
         for wrong in (inner - 1, inner + 1):
