@@ -70,6 +70,21 @@ _HELP = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it rejects an argument it does not know with its own usage.
+
+    argparse hands a subparser's unknown arguments up to the main parser,
+    whose error shows the top-level usage and neither names the command nor
+    lists its flags.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latsize",
@@ -77,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_RUNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (_, desc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc, epilog=_RUNS,
                            formatter_class=argparse.RawDescriptionHelpFormatter)

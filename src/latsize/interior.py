@@ -9,10 +9,8 @@ from .polygon import (
     EMPTY,
     LatticePolygon,
     Point,
-    _column_bounds,
     _cross,
     complete_to_basis,
-    hull,
 )
 
 
@@ -55,7 +53,7 @@ def _face_spans(delta: LatticePolygon, edges: list[tuple[Point, int, int]]) -> l
 
 
 def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
-    """The columns of delta that are not strictly inside both a lower and an upper face span.
+    """delta's columns between its end columns, except those strictly inside a lower and an upper face span.
 
     Faces come from the lower (b < 0) and upper (b > 0) edges of lattice
     length >= 2; vertical edges cover no column. Edges of length 1 are left
@@ -64,7 +62,8 @@ def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
     the other side can have one too. Faces of the interior hull on distinct
     lines meet at most in a vertex, so the spans of one side have disjoint
     interiors and one merge pass yields the column ranges strictly inside a
-    span of each side, in increasing x.
+    span of each side, in increasing x. The two end columns hold only
+    boundary points and are left out.
     """
     vs = delta.vertices
     lower_edges: list[tuple[Point, int, int]] = []
@@ -75,8 +74,7 @@ def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
             (lower_edges if b < 0 else upper_edges).append((p, a, b))
     lower = _face_spans(delta, lower_edges) if upper_edges else []
     upper = _face_spans(delta, upper_edges) if lower else []
-    xs = [v[0] for v in vs]
-    x = min(xs)
+    x = vs[0][0] + 1
     i = j = 0
     while i < len(lower) and j < len(upper):
         left = max(lower[i][0], upper[j][0])
@@ -88,7 +86,7 @@ def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
             i += 1
         else:
             j += 1
-    yield from range(x, max(xs) + 1)
+    yield from range(x, max(v[0] for v in vs))
 
 
 def _uniform_shift(delta: LatticePolygon) -> Optional[tuple[Point, ...]]:
@@ -142,10 +140,17 @@ def _edge_falls(delta: LatticePolygon, shift: tuple[Point, ...]) -> Iterator[tup
 
 
 def _moved(delta: LatticePolygon, shift: tuple[Point, ...], t: int) -> LatticePolygon:
-    """Skin t of the run that starts at delta: every vertex moved t times by its shift."""
+    """Skin t of the run that starts at delta: every vertex moved t times by its shift.
+
+    By the run lemma (see interior_hull) the skin has the edge constraints
+    (a, b, c - t) of delta's (a, b, c), edge for edge, so they are seeded
+    into its cache rather than computed again.
+    """
     if not t:
         return delta
-    return LatticePolygon(tuple((x + t * dx, y + t * dy) for (x, y), (dx, dy) in zip(delta.vertices, shift)))
+    skin = LatticePolygon(tuple((x + t * dx, y + t * dy) for (x, y), (dx, dy) in zip(delta.vertices, shift)))
+    skin.__dict__["edge_constraints"] = tuple((a, b, c - t) for a, b, c in delta.edge_constraints)
+    return skin
 
 
 def interior_hull(delta: LatticePolygon) -> LatticePolygon:
@@ -199,7 +204,9 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     uniform, so no skin is tested twice.
 
     On other input the interior hull comes from the column scan
-    (_column_hull). Degenerate input has no strict interior, so points and
+    (_column_hull): one pass over the columns that the faces on long edges
+    leave undecided, with O(1) amortised per column, and the hull read off
+    its two chains. Degenerate input has no strict interior, so points and
     segments map to the empty polygon.
     """
     if not delta.is_two_dim:
@@ -216,8 +223,14 @@ def _column_hull(delta: LatticePolygon) -> LatticePolygon:
     Only the two ends (x, lo) and (x, hi) of an interior column are looked
     at: every interior lattice point lies on the segment between the ends of
     its column, so the ends have the same convex hull as all interior
-    points. The columns come in increasing x, so the lo ends build the lower
-    chain and the hi ends the upper chain without sorting.
+    points. The interior of column x is the integers strictly between the
+    lower and upper boundary of delta over x: lo = floor(L(x)) + 1 and
+    hi = ceil(U(x)) - 1, by integer division on the boundary edge that spans
+    x. The lower boundary is the chain vs[0], vs[1], ... up to the lowest
+    vertex of the rightmost column, the upper one vs[0], vs[n - 1], ... up
+    to its highest vertex; the columns come in increasing x, so one pointer
+    per chain finds the spanning edges in a single pass. The two end
+    columns hold only boundary points and are not scanned.
 
     Columns strictly inside the x-span of a lower face and of an upper face
     (see _undecided_columns) are skipped. A lower face joins two interior
@@ -225,18 +238,50 @@ def _column_hull(delta: LatticePolygon) -> LatticePolygon:
     between them has its lowest interior point on or above that segment: it
     is no vertex of the hull, unless it is also the column's highest point,
     which the upper face rules out in the same way. The cost is O(edges^2)
-    for the faces plus O(edges) per column scanned: O(edges) columns when
-    long edges cover the interior, up to every column on slivers that no
-    face covers.
+    for the faces plus O(1) amortised per column scanned: O(edges) columns
+    when long edges cover the interior, up to every column on slivers that
+    no face covers.
+
+    The lo ends build a strictly convex lower chain and the hi ends a
+    strictly concave upper chain, so the hull is read off them with no
+    sort: the lower chain, the right end of the upper chain if it is a new
+    point, the upper chain reversed without its ends, and its left end if
+    it is a new point. That starts at the least point and runs
+    counterclockwise, the canonical form. A single column gives a point or
+    a vertical segment; equal chains mean every interior point lies on one
+    line, and the hull is the segment between their ends.
     """
+    vs = delta.vertices
     lower: list[Point] = []
     upper: list[Point] = []
+    # the lower edge (x0, y0) -> (x1, y1) is vs[i] -> vs[i + 1], the upper
+    # edge (u0, v0) -> (u1, v1) is vs[-j] -> vs[-j - 1]
+    i = j = 0
+    (x0, y0), (x1, y1) = vs[0], vs[1]
+    (u0, v0), (u1, v1) = vs[0], vs[-1]
     for x in _undecided_columns(delta):
-        rng = _column_bounds(delta, x)
-        if rng is not None:
-            _push(lower, (x, rng[0]), 1)
-            _push(upper, (x, rng[1]), -1)
-    return hull(lower + upper)
+        while x1 < x:
+            i += 1
+            x0, y0 = x1, y1
+            x1, y1 = vs[i + 1]
+        while u1 < x:
+            j += 1
+            u0, v0 = u1, v1
+            u1, v1 = vs[-j - 1]
+        lo = y0 + (y1 - y0) * (x - x0) // (x1 - x0) + 1
+        hi = v0 - (v0 - v1) * (x - u0) // (u1 - u0) - 1
+        if lo <= hi:
+            _push(lower, (x, lo), 1)
+            _push(upper, (x, hi), -1)
+    if not lower:
+        return EMPTY
+    if len(lower) == 1:
+        return LatticePolygon((lower[0],) if lower == upper else (lower[0], upper[0]))
+    if lower == upper:
+        return LatticePolygon((lower[0], lower[-1]))
+    right = [upper[-1]] if upper[-1] != lower[-1] else []
+    left = [upper[0]] if upper[0] != lower[0] else []
+    return LatticePolygon(tuple(lower + right + upper[-2:0:-1] + left))
 
 
 # A run of onion skins: (skin, shift, count), see OnionTrace.

@@ -56,6 +56,18 @@ def in_box(a: int, b: int, pt: tuple[int, int]) -> bool:
     return 0 <= pt[0] <= a and 0 <= pt[1] <= b
 
 
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def fibonacci_shear(n: int) -> AffineUnimodularMap:
+    """[[F(n), F(n-1)], [F(n-1), F(n-2)]]: the slowest shear to undo, it maps a polygon to a sliver."""
+    return AffineUnimodularMap(fibonacci(n), fibonacci(n - 1), fibonacci(n - 1), fibonacci(n - 2), 0, 0)
+
+
 def reference_skins(delta: LatticePolygon) -> list[LatticePolygon]:
     """The onion skins of a non-empty delta one peel at a time, without runs."""
     skins = [delta]

@@ -291,3 +291,17 @@ def test_every_option_does_something(tmp_path):
                 argv = [command] + [arg for option in chosen for arg in (option, values[option])]
                 assert run_command(argv).exit_code == 2, argv
     assert run_command(["analyze"]).exit_code == 2
+
+
+def test_unknown_flag_names_the_command(capsys):
+    # a flag the command does not take is reported with that command's usage
+    cases = [("peel", "--verify"), ("box", "--trace"), ("width", "--witness"), ("oracle", "--trace")]
+    for command, option in cases:
+        assert run_command([command, "--vertices", "0,0;3,0;0,3", option]).exit_code == 2, (command, option)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: latsize {command} [-h]"), err
+        assert f"latsize {command}: error: unrecognized arguments: {option}" in err, err
+    assert run_command(["analyze", "--poly", "x + y + 1", "--input", "poly.txt"]).exit_code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: latsize analyze [-h] --poly POLY [--json] [--verify]"), err
+    assert "latsize analyze: error: unrecognized arguments: --input poly.txt" in err, err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from latsize import (
     AffineUnimodularMap,
     EmptyPolygonError,
+    LatticePolygon,
     apply_map,
     are_equivalent,
     hull,
@@ -39,7 +40,7 @@ import latsize.size
 from latsize.cli import run_command
 from latsize.polygon import _column_bounds, _interior_columns
 
-from conftest import long_faced, reference_skins, run_corpus, weierstrass
+from conftest import fibonacci_shear, long_faced, reference_skins, run_corpus, weierstrass
 
 
 def test_interior_of_weierstrass_triangle():
@@ -168,27 +169,79 @@ def test_onion_skins_match_enumeration_on_large_random_polygons():
 
 
 def _count_columns(monkeypatch, budget=None):
-    """Patch _column_bounds wherever it is bound; the returned list collects the columns scanned.
+    """Patch the column source of the column scan; the returned list collects the columns it evaluates.
 
-    With a budget, a scan past that many columns raises, so that a scan of
-    far more columns fails at once instead of running on.
+    _column_hull evaluates every column that _undecided_columns yields, and
+    no other. With a budget, a scan past that many columns raises, so that a
+    scan of far more columns fails at once instead of running on.
     """
     scanned = []
+    orig = latsize.interior._undecided_columns
 
-    def counting(delta, x):
-        scanned.append(x)
-        if budget is not None and len(scanned) > budget:
-            raise AssertionError(f"more than {budget} columns scanned")
-        return _column_bounds(delta, x)
+    def counting(delta):
+        for x in orig(delta):
+            scanned.append(x)
+            if budget is not None and len(scanned) > budget:
+                raise AssertionError(f"more than {budget} columns scanned")
+            yield x
 
-    for module in (latsize.polygon, latsize.interior):
-        monkeypatch.setattr(module, "_column_bounds", counting, raising=False)
+    monkeypatch.setattr(latsize.interior, "_undecided_columns", counting)
     return scanned
 
 
 def _column_end_hull(delta):
     """The interior hull from the two ends of every interior column, no column skipped."""
     return hull(pt for x, lo, hi in _interior_columns(delta) for pt in ((x, lo), (x, hi)))
+
+
+def _lens(n):
+    """hull{(i, i^2), (i, 2n^2 - i^2) : i < n}: 2n vertices, and every peel is not uniform."""
+    return hull([(i, i * i) for i in range(n)] + [(i, 2 * n * n - i * i) for i in range(n)])
+
+
+def test_column_scan_matches_the_per_column_reference():
+    # the scan reads lo and hi off the boundary edge over each column; the
+    # reference takes both from every edge constraint. Checked on the skins
+    # that the scan peels in a chain, the last skin of each run, and on one
+    # image of each under a unimodular map; the interior hull is
+    # equivariant, so the image's reference is the image of the skin's
+    big = 10**3
+    families = [_lens(n) for n in (10, 50, 120)]
+    families += [hull([(-big, -big), (big, -big + 5), (big - 7, big), (-big + 3, big - 1)]),
+                 newton_polygon(parse_laurent("y^2 + x^10000 + 1"))]
+    families += [apply_map(fibonacci_shear(n), base) for n in range(2, 21)
+                 for base in (standard_triangle(1), standard_triangle(7))]
+    skins = [latsize.interior._moved(skin, shift, count - 1)
+             for delta in families for skin, shift, count in onion_skins(delta).runs]
+    # interiors of one point, a vertical segment, a diagonal segment and none
+    skins += [standard_triangle(3), rectangle(2, 5), hull([(-1, 0), (0, -1), (4, 3), (3, 4)]),
+              standard_triangle(2)]
+    kinds = set()
+    for i, skin in enumerate(skin for skin in skins if skin.is_two_dim):
+        phi = random_unimodular_map(i)
+        inner = _column_end_hull(skin)
+        kinds.add(inner.kind)
+        assert latsize.interior._column_hull(skin) == inner, skin
+        assert latsize.interior._column_hull(apply_map(phi, skin)) == apply_map(phi, inner), (phi, skin)
+    assert kinds == {"empty", "point", "segment", "polygon"}
+    segments = [_column_end_hull(skin) for skin in skins[-3:-1]]
+    assert segments == [hull([(1, 1), (1, 4)]), hull([(0, 0), (3, 3)])]
+
+
+def test_run_skins_carry_their_edge_constraints(box3_census):
+    # skin t of a run has the constraints (a, b, c - t) of its start's, so
+    # _moved seeds them; they must equal the ones computed from the vertices
+    polygons = [random_polygon(seed, 1000) for seed in range(3)]
+    polygons += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    seeded = 0
+    for delta in polygons:
+        for skin, shift, count in onion_skins(delta).runs:
+            for t in range(1, count):
+                moved = latsize.interior._moved(skin, shift, t)
+                assert "edge_constraints" in vars(moved)
+                assert moved.edge_constraints == LatticePolygon(moved.vertices).edge_constraints, (skin, t)
+                seeded += 1
+    assert seeded > 500, seeded
 
 
 def test_interior_hull_scans_few_columns_when_faces_cover_them(monkeypatch):

@@ -3,7 +3,6 @@
 import pytest
 
 from latsize import (
-    AffineUnimodularMap,
     EmptyPolygonError,
     analyze,
     apply_map,
@@ -25,7 +24,7 @@ from latsize import (
 from latsize.size import _euclidean_width_sq, _primitive_directions, _rule_runs, _size_value
 from latsize.width import _reduced_basis
 
-from conftest import weierstrass
+from conftest import fibonacci_shear, weierstrass
 
 
 def test_width_along_reference_values(heptagon):
@@ -172,13 +171,6 @@ def test_width_equals_triangle_size_only_for_standard_triangles(box3_census):
         assert (w == s) == is_std, delta
 
 
-def _fibonacci(n):
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
 def _fibonacci_shears(top=44):
     """(base, its two successive width minima, n, image) under the n-th Fibonacci shear, 3 <= n <= top.
 
@@ -189,8 +181,7 @@ def _fibonacci_shears(top=44):
     guard = 1 << 31
     for base, widths in ((standard_triangle(1), (1, 1)), (rectangle(2, 5), (2, 5)), (lawrence_prism(4, 1), (1, 4))):
         for n in range(3, top + 1):
-            phi = AffineUnimodularMap(_fibonacci(n), _fibonacci(n - 1), _fibonacci(n - 1), _fibonacci(n - 2), 0, 0)
-            points = [phi.apply(v) for v in base.vertices]
+            points = [fibonacci_shear(n).apply(v) for v in base.vertices]
             if max(abs(c) for p in points for c in p) <= guard:
                 yield base, widths, n, hull(points)
 
