@@ -69,7 +69,7 @@ from .polygon import (
     integral_length,
     recognize_special,
 )
-from .width import _reduced_basis, width_along
+from .width import _reduced_basis
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -472,7 +472,7 @@ def fit_into(
 
     # Lattice (Gauss) reduction keeps the disc small even for badly sheared
     # input: the rows (long, short) of the reduced basis become coordinates.
-    short, long = _reduced_basis(delta)
+    short, long = _reduced_basis(delta)[:2]
     psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
     red = apply_map(psi, delta)
     we2 = _euclidean_width_sq(red)
@@ -521,14 +521,22 @@ def _basis_map(delta: LatticePolygon, shape: str, value: int) -> AffineUnimodula
     The rows (short, long) of _reduced_basis attain the two successive
     minima of the width, so they map delta into the box [0, width] x [0, b]
     with b the least second width of a basis: that is a square witness, as
-    [0, width] x [0, b] lies in b * square, and the minimal box. For the triangle,
-    the rows (u1, u2) map delta into reach * Sigma with reach =
-    max((u1 + u2) . p) - min(u1 . p) - min(u2 . p); one of the four sign
-    choices (+-short, +-long) attains the lattice size with respect to Sigma
-    (Harrison and Soprunov, lattice size by generalized basis reduction in
-    dimensions two and three). Points and segments are covered too: their
-    reduced widths are (0, 0) and (0, length). The reach must equal value,
-    the recursion's result, or InternalConsistencyError is raised.
+    [0, width] x [0, b] lies in b * square, and the minimal box. Its reach
+    is b = width(long), which the memo entry holds. For the triangle, the
+    rows (u1, u2) map delta into reach * Sigma with
+    reach = max((u1 + u2) . p) - min(u1 . p) - min(u2 . p); one of the four
+    sign choices (+-short, +-long) attains the lattice size with respect to
+    Sigma (Harrison and Soprunov, lattice size by generalized basis
+    reduction in dimensions two and three). Points and segments are covered
+    too: their reduced widths are (0, 0) and (0, length). The reach must
+    equal value, the recursion's result, or InternalConsistencyError is
+    raised.
+
+    One pass over the vertices gives the dot products of short and long;
+    the four sign choices read their reaches off the extremes of the two
+    lists and of their sums and differences. The choices are tried in the
+    fixed order (1, 1), (1, -1), (-1, 1), (-1, -1), and the first least
+    reach wins.
 
     The basis is memoised per polygon, so the Sigma and square witnesses
     (and minimal_box, which is the square witness) reuse the reduction that
@@ -536,22 +544,30 @@ def _basis_map(delta: LatticePolygon, shape: str, value: int) -> AffineUnimodula
     """
     if delta.is_empty:
         return AffineUnimodularMap.identity()
-    short, long = _reduced_basis(delta)
-    best = None
-    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)) if shape == SIGMA else ((1, 1),):
-        u1, u2 = (s1 * short[0], s1 * short[1]), (s2 * long[0], s2 * long[1])
-        dots1 = [u1[0] * x + u1[1] * y for x, y in delta.vertices]
-        dots2 = [u2[0] * x + u2[1] * y for x, y in delta.vertices]
-        t1, t2 = -min(dots1), -min(dots2)
-        reach = max(map(sum, zip(dots1, dots2))) + t1 + t2 if shape == SIGMA else max(dots2) + t2
-        if best is None or reach < best[0]:
-            best = (reach, u1, u2, t1, t2)
-    reach, u1, u2, t1, t2 = best
+    short, long, _, (_, b, _) = _reduced_basis(delta)
+    dots1 = [short[0] * x + short[1] * y for x, y in delta.vertices]
+    dots2 = [long[0] * x + long[1] * y for x, y in delta.vertices]
+    lo1, lo2 = min(dots1), min(dots2)
+    if shape == SIGMA:
+        hi1, hi2 = max(dots1), max(dots2)
+        sums = [s + t for s, t in zip(dots1, dots2)]
+        diffs = [s - t for s, t in zip(dots1, dots2)]
+        reaches = (  # of (s1 * short, s2 * long), in the order of the signs below
+            max(sums) - lo1 - lo2,
+            max(diffs) - lo1 + hi2,
+            hi1 - min(diffs) - lo2,
+            hi1 + hi2 - min(sums),
+        )
+        reach = min(reaches)
+        s1, s2 = ((1, 1), (1, -1), (-1, 1), (-1, -1))[reaches.index(reach)]
+        t1, t2 = (-lo1, hi1)[s1 < 0], (-lo2, hi2)[s2 < 0]
+    else:
+        reach, s1, s2, t1, t2 = b, 1, 1, -lo1, -lo2
     if reach != value:
         raise InternalConsistencyError(
             f"the reduced basis reaches {reach}, but the recursion gives {shape} size {value}"
         )
-    return AffineUnimodularMap(u1[0], u1[1], u2[0], u2[1], t1, t2)
+    return AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
 
 
 def _certificate(delta: LatticePolygon, shape: str) -> SizeCertificate:
@@ -575,13 +591,13 @@ def minimal_box(delta: LatticePolygon) -> BoxCertificate:
     This is the square certificate read as a box: b is the square size from
     the recursion, and the witness has the rows (short, long) of the reduced
     width basis (see _basis_map), whose widths are the lattice width a and
-    b. No width direction is searched. The chain of _rule_runs and the
-    memoised basis are those of the square size, so after
-    lattice_size_square on the same polygon the box peels nothing and
-    reduces nothing.
+    b; a is read from the memo entry of the basis, not measured again. No
+    width direction is searched. The chain of _rule_runs and the memoised
+    basis are those of the square size, so after lattice_size_square on
+    the same polygon the box peels nothing and reduces nothing (it does
+    walk the runs and check the witness again).
     """
     if delta.is_empty:
         raise EmptyPolygonError("minimal_box needs a non-empty polygon")
     square = _certificate(delta, SQUARE)
-    phi = square.witness
-    return BoxCertificate(width_along(delta, (phi.m11, phi.m12)), square.value, phi)
+    return BoxCertificate(_reduced_basis(delta)[2], square.value, square.witness)

@@ -4,9 +4,11 @@ lattice_width reads the width and every optimal direction off the reduced
 basis (_reduced_basis), which also gives every size witness (see
 size._basis_map) and the coordinate frame of the oracle size.fit_into. The
 basis is memoised per polygon, so these readers share one reduction; the
-memo holds no onion skins, so lattice_width never peels. No disc of
-directions is searched here; only that oracle does. The width by peeling,
-lattice_width_recursive, is one of the recursions in size.py.
+memo holds no onion skins, so lattice_width never peels. The memo entry
+also keeps the widths the reduction measured along its final line, so a
+warm lattice_width measures at most four more directions, most often none.
+No disc of directions is searched here; only that oracle does. The width
+by peeling, lattice_width_recursive, is one of the recursions in size.py.
 """
 
 from __future__ import annotations
@@ -40,15 +42,29 @@ def _normalize_direction(u: Point) -> Point:
     return u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1])
 
 
-def _min_convex(f: Callable[[int], int]) -> tuple[int, int]:
-    """A deterministic integer argmin of a coercive convex function, with its value."""
-    f0, f1 = f(0), f(1)
-    if f0 <= f1:
+def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, int]:
+    """A deterministic integer argmin of a coercive convex function, with its value.
+
+    known maps integers to their values of f and must hold f(0), which
+    the caller knows already. A galloping search from 0 brackets the
+    argmin and a bisection finds the smallest k with f(k) <= f(k + 1).
+    The two share points, so every value is looked up in known first, and
+    f is called only for a k not in it; that value is added to known, so
+    the caller finds there every value of the pass. known always ends up
+    with f(1), and with f(-1) whenever f(0) <= f(1).
+    """
+    def at(k: int) -> int:
+        v = known.get(k)
+        if v is None:
+            v = known[k] = f(k)
+        return v
+
+    if at(0) <= at(1):
         lo = 0
         step = 1
         while True:
             nxt = lo - step
-            if f(nxt) >= f(nxt + step):
+            if at(nxt) >= at(nxt + step):
                 break
             lo = nxt
             step *= 2
@@ -58,7 +74,7 @@ def _min_convex(f: Callable[[int], int]) -> tuple[int, int]:
         step = 1
         while True:
             nxt = hi + step
-            if f(nxt) >= f(nxt - step):
+            if at(nxt) >= at(nxt - step):
                 break
             hi = nxt
             step *= 2
@@ -66,49 +82,64 @@ def _min_convex(f: Callable[[int], int]) -> tuple[int, int]:
     # smallest k with f(k) <= f(k + 1); predicate is monotone by convexity
     while lo < hi:
         mid = (lo + hi) // 2
-        if f(mid) <= f(mid + 1):
+        if at(mid) <= at(mid + 1):
             hi = mid
         else:
             lo = mid + 1
-    return lo, f(lo)
+    return lo, at(lo)
 
 
 @lru_cache(maxsize=1 << 10)
-def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point]:
-    """A Gauss-reduced basis (short, long) of the width norm of delta, memoised per polygon.
+def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int, int, int]]:
+    """A Gauss-reduced basis (short, long) of the width norm of delta, with widths, memoised per polygon.
 
-    The rows satisfy width(short) <= width(long) <= width(long + k * short)
-    for every integer k, so (Kaib and Schnorr, generalized Gauss reduction)
-    they attain the two successive minima of the width: width(short) is the
-    lattice width and width(long) the least second width of a basis. For a
-    segment the widths are (0, its lattice length), for a point (0, 0).
+    The entry is (short, long, w, (f(long - short), f(long), f(long + short)))
+    for the width norm f = width_along(delta, .). The rows satisfy
+    w = f(short) <= f(long) <= f(long + k * short) for every integer k, so
+    (Kaib and Schnorr, generalized Gauss reduction) they attain the two
+    successive minima of the width: w is the lattice width and f(long) the
+    least second width of a basis. For a segment the widths are
+    (0, its lattice length), for a point (0, 0).
 
     Each pass replaces the longer row r1 by r1 + k * r2 when that is
     strictly narrower, and stops otherwise. The sum of the two widths is a
     non-negative integer that strictly decreases with every pass that does
     not stop, so the loop ends; no pass cap is needed.
 
+    No width is measured twice. The widths along the line r1 + j * r2 of a
+    pass are kept in a dict, seen, that _min_convex reads and fills. When
+    r1 moves to r1 + k * r2, the line stays and seen is shifted by k. When
+    the rows swap, the new line r2 + j * r1 meets the old one at
+    j = +-1 (r2 +- r1 = +-(r1 +- r2), of the same width), so those two
+    widths carry over. The final pass, along long + j * short, finds
+    f(long) <= f(long + short), so seen then holds j = -1, 0 and 1, and the
+    entry keeps those widths: lattice_width reads its tie set from them,
+    and the square witness its reach f(long).
+
     The memo makes lattice_width, the Sigma and square witnesses (and so
     minimal_box) and the frame of fit_into over one polygon run one
     reduction between them. Its key is the polygon, as for size._rule_runs,
-    and it keeps no skins, so a width-only caller starts no peel. The basis
-    is a tuple of tuples, so no reader can change a cached entry.
+    and it keeps no skins, so a width-only caller starts no peel. The entry
+    holds only tuples and ints, so no reader can change a cached entry.
     """
     r1, r2 = (1, 0), (0, 1)
     w1, w2 = width_along(delta, r1), width_along(delta, r2)
+    seen = {0: w1}
     while True:
         if w1 < w2:
+            seen = {j: seen[j] for j in (-1, 1) if j in seen} | {0: w2}
             r1, r2, w1, w2 = r2, r1, w2, w1
-        k, fk = _min_convex(lambda k: width_along(delta, (r1[0] + k * r2[0], r1[1] + k * r2[1])))
+        k, fk = _min_convex(lambda k: width_along(delta, (r1[0] + k * r2[0], r1[1] + k * r2[1])), seen)
         if fk >= w1:
-            return r2, r1
+            return r2, r1, w2, (seen[-1], w1, seen[1])
         r1, w1 = (r1[0] + k * r2[0], r1[1] + k * r2[1]), fk
+        seen = {j - k: v for j, v in seen.items()}
 
 
 def lattice_width(delta: LatticePolygon) -> WidthResult:
     """Exact lattice width with all optimal primitive directions, from the reduced basis.
 
-    With (short, long) = _reduced_basis(delta) and f the width norm,
+    With (short, long, w, _) = _reduced_basis(delta) and f the width norm,
     w = f(short) is the lattice width. The optimal directions are those of
     the eight candidates y * long + x * short, (y, x) in (0, 1), (1, -2..2),
     (2, +-1), whose width is w. Every primitive direction is
@@ -133,6 +164,13 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
       three elements and lies in [-2, 2]. A tie with y = 2 puts 0,
       (x - 1) / 2 and (x + 1) / 2 in K and adds a pair of its own, so then
       K has two elements and x = +-1.
+
+    The candidates come from the final pass of the reduction: the memo
+    entry holds the widths of short, long and long +- short, so only the
+    other four are measured, and only where they can tie:
+    long +- 2 * short if long +- short ties (K is an interval around 0),
+    and 2 * long +- short if long and long +- short both tie (the second
+    point). When +-short is the only optimal direction, nothing is measured.
     """
     if delta.is_empty:
         return WidthResult(-1, ())
@@ -143,14 +181,15 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
         g = math.gcd(q[0] - p[0], q[1] - p[1])
         d = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
         return WidthResult(0, (_normalize_direction((-d[1], d[0])),))
-    short, long = _reduced_basis(delta)
-    w = width_along(delta, short)
-    candidates = (
-        (y * long[0] + x * short[0], y * long[1] + x * short[1])
-        for y, x in ((0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1))
-    )
-    dirs = sorted(
-        (_normalize_direction(u) for u in candidates if width_along(delta, u) == w),
-        key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]),
-    )
+    short, long, w, (f_minus, f_long, f_plus) = _reduced_basis(delta)
+    dirs = [short]
+    if f_long == w:
+        dirs.append(long)
+        for x, fx in ((-1, f_minus), (1, f_plus)):
+            if fx == w:
+                a = (long[0] + x * short[0], long[1] + x * short[1])
+                dirs.append(a)
+                further = ((a[0] + x * short[0], a[1] + x * short[1]), (a[0] + long[0], a[1] + long[1]))
+                dirs.extend(u for u in further if width_along(delta, u) == w)
+    dirs = sorted(map(_normalize_direction, dirs), key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]))
     return WidthResult(w, tuple(dirs))

@@ -36,6 +36,7 @@ from latsize.cli import run_command
 from latsize.interior import _moved
 from latsize.polygon import recognize_special
 from latsize.size import _WIDTH_BASE, RULE_SEARCH, Step, _innermost_step, _size_value, _step
+from latsize.width import _reduced_basis
 
 from conftest import in_box, in_sigma, reference_skins, run_corpus, weierstrass
 
@@ -401,6 +402,26 @@ def test_segment_witnesses_reach_both_targets():
 
 def test_fit_witness_is_deterministic(heptagon):
     assert fit_into(heptagon, "sigma", 10) == fit_into(heptagon, "sigma", 10)
+
+
+def test_sigma_witness_is_the_first_least_sign_choice(box3_census):
+    # each of the four sign choices (+-short, +-long) from its own dot lists,
+    # in the fixed order; ties between choices are common, so the order shows
+    ties = 0
+    for i, delta in enumerate(box3_census):
+        image = apply_map(random_unimodular_map(i), delta)
+        short, long = _reduced_basis(image)[:2]
+        choices = []
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            u1, u2 = (s1 * short[0], s1 * short[1]), (s2 * long[0], s2 * long[1])
+            dots1 = [u1[0] * x + u1[1] * y for x, y in image.vertices]
+            dots2 = [u2[0] * x + u2[1] * y for x, y in image.vertices]
+            reach = max(s + t for s, t in zip(dots1, dots2)) - min(dots1) - min(dots2)
+            choices.append((reach, AffineUnimodularMap(*u1, *u2, -min(dots1), -min(dots2))))
+        least = min(reach for reach, _ in choices)
+        ties += [reach for reach, _ in choices].count(least) > 1
+        assert lattice_size_sigma(image).witness == next(phi for reach, phi in choices if reach == least), image
+    assert ties > 100
 
 
 # --- minimal boxes ----------------------------------------------------------

@@ -100,12 +100,33 @@ def _disc_width(delta):
         ([(0, 0), (1, 0), (2, 2), (1, 2)], ((0, 1), (1, 0), (1, -1), (2, -1))),
         ([(1, 0), (0, 1), (-1, 0), (0, -1)], ((0, 1), (1, 0), (1, -1), (1, 1))),
         ([(0, 0), (1, 0), (0, 1)], ((0, 1), (1, 0), (1, 1))),
+        # short = (0, 1), long = (1, 0): long - 2 * short ties
+        ([(0, 0), (2, 1), (2, 2), (0, 1)], ((0, 1), (1, 0), (1, -1), (1, -2))),
+        # short = (1, 0), long = (-3, 1): long + 2 * short ties
+        ([(1, 3), (2, 4), (3, 7), (2, 6)], ((1, 0), (1, -1), (2, -1), (3, -1))),
     ],
 )
 def test_width_lists_every_optimal_direction(vertices, directions):
     delta = hull(vertices)
     assert lattice_width(delta).directions == directions
     assert _disc_width(delta) == (lattice_width(delta).width, directions)
+
+
+def _sheared_disc_width(base, phi):
+    """_disc_width of apply_map(phi, base) for a linear phi, from a disc scan of base.
+
+    The image's width along u is the base's along phi^T u, so its optimal
+    directions are phi^-T of the base's. This keeps the scan small on
+    slivers, whose own disc is huge, and keeps it apart from the reduced
+    basis.
+    """
+    width, directions = _disc_width(base)
+    det = phi.det
+    mapped = (
+        (det * (phi.m22 * v[0] - phi.m21 * v[1]), det * (phi.m11 * v[1] - phi.m12 * v[0])) for v in directions
+    )
+    mapped = (u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1]) for u in mapped)
+    return width, tuple(sorted(mapped, key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1])))
 
 
 def test_width_directions_match_the_disc_scan(box3_census):
@@ -118,6 +139,12 @@ def test_width_directions_match_the_disc_scan(box3_census):
             assert (result.width, result.directions) == _disc_width(image), image
             checked += 1
     assert checked > 7000
+    slivers = 0
+    for base, _, n, image in _fibonacci_shears(20):
+        result = lattice_width(image)
+        assert (result.width, result.directions) == _sheared_disc_width(base, fibonacci_shear(n)), (base, n)
+        slivers += 1
+    assert slivers == 3 * 18
 
 
 def test_recursive_standard_triangle_trace():
@@ -190,8 +217,11 @@ def test_reduced_basis_converges_on_fibonacci_shears():
     # peeling such slivers takes time linear in F(n), so the basis is checked directly
     checked = 0
     for base, widths, n, image in _fibonacci_shears():
-        short, long = _reduced_basis(image)
+        short, long, w, line = _reduced_basis(image)
         assert (width_along(image, short), width_along(image, long)) == widths, (base, n)
+        # the entry's widths are those of short and long + x * short, |x| <= 1
+        assert w == width_along(image, short), (base, n)
+        assert line == tuple(width_along(image, (long[0] + x * short[0], long[1] + x * short[1])) for x in (-1, 0, 1))
         checked += 1
     assert checked == 42 + 40 + 41
 
@@ -240,3 +270,59 @@ def test_memoised_basis_is_the_fresh_reduction(box3_census):
         _reduced_basis.cache_clear()
         box_first = minimal_box(delta)
         assert (lattice_size_sigma(delta), lattice_size_square(delta), box_first) == sigma_first, delta
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """Every direction that width.width_along is asked for while the fixture is active, in order."""
+    from latsize import width
+
+    log = []
+
+    def counting(delta, u):
+        log.append(u)
+        return width_along(delta, u)
+
+    monkeypatch.setattr(width, "width_along", counting)
+    return log
+
+
+def _work_corpus(box3_census):
+    images = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    return images + [image for _, _, _, image in _fibonacci_shears()]
+
+
+def test_a_reduction_measures_each_direction_once(box3_census, measured):
+    # the line search keeps what it measured, within a pass and from one
+    # pass to the next, so no direction (or its negative) is measured twice
+    for image in _work_corpus(box3_census):
+        measured.clear()
+        _reduced_basis.__wrapped__(image)
+        normalized = [u if u > (0, 0) else (-u[0], -u[1]) for u in measured]
+        assert len(set(normalized)) == len(normalized), (image, measured)
+
+
+def test_warm_lattice_width_measures_at_most_four_directions(box3_census, measured):
+    # the tie set of long + x * short for |x| <= 1 comes from the memo entry;
+    # only long +- 2 * short and 2 * long +- short can be measured again
+    counts = []
+    for image in _work_corpus(box3_census):
+        _reduced_basis(image)
+        measured.clear()
+        lattice_width(image)
+        counts.append(len(measured))
+    assert max(counts) <= 4
+    assert counts.count(0) > len(counts) // 2
+
+
+def test_lattice_width_of_a_thin_triangle_measures_nothing(measured):
+    # +-short is the only optimal direction of conv{(0,0), (5,0), (0,2)}
+    thin = hull([(0, 0), (5, 0), (0, 2)])
+    images = [apply_map(random_unimodular_map(seed), thin) for seed in range(50)]
+    images += [apply_map(fibonacci_shear(n), thin) for n in range(3, 30)]
+    for image in images:
+        _reduced_basis(image)
+        measured.clear()
+        result = lattice_width(image)
+        assert result.width == 2 and len(result.directions) == 1, image
+        assert measured == [], image
