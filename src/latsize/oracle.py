@@ -1,18 +1,19 @@
 """Brute-force ground truth and deterministic test-corpus generation.
 
 Everything here is independent of the recursive algorithms: sizes are found
-by ascending feasibility search, Pareto sets by grid feasibility, and random
-inputs come from a fixed 64-bit mixing function (splitmix64) so every
-platform reproduces the identical corpus.
+by doubling and bisection over the feasibility test size.fit_into, Pareto
+sets by a walk along the least feasible box side, and random inputs come
+from a fixed 64-bit mixing function (splitmix64) so every platform
+reproduces the identical corpus.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .errors import EmptyPolygonError
 from .polygon import AffineUnimodularMap, LatticePolygon, hull
-from .size import BOX, fit_into
+from .size import BOX, SQUARE, fit_into
 from .width import lattice_width
 
 _MASK = (1 << 64) - 1
@@ -65,21 +66,35 @@ def random_unimodular_map(seed: int) -> AffineUnimodularMap:
 
 
 def oracle_size(delta: LatticePolygon, shape: str) -> int:
-    """Smallest feasible target size, by ascending fit_into search.
+    """Smallest feasible target size, by doubling and bisection over fit_into.
 
-    The scan starts at lattice_width, a lower bound for both target shapes;
-    in particular the search itself certifies that value - 1 is infeasible.
+    Feasibility is monotone in the size, as d * target lies in
+    (d + 1) * target. The search starts at lattice_width, a lower bound for
+    both target shapes, doubles until fit_into finds a map, then bisects
+    between the last infeasible size and the first feasible one. So it ends
+    with value - 1 tested infeasible, and the search itself certifies the
+    value; a value equal to the width is certified by that lower bound.
+    A value >= 1 takes at most 2 * ceil(log2(value)) + 3 calls of fit_into.
     lattice_width is the width along a direction of the reduced basis, never
-    below the true width, so a wrong basis can only start the scan too high:
-    that shows as a --verify mismatch with the recursion, never as a false
-    agreement.
+    below the true width, so a wrong basis can only start the search too
+    high: that shows as a --verify mismatch with the recursion, never as a
+    false agreement.
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_size needs a non-empty polygon")
-    d = max(lattice_width(delta).width, 0)
-    while fit_into(delta, shape, d) is None:
-        d += 1
-    return d
+    lo = max(lattice_width(delta).width, 0)
+    if fit_into(delta, shape, lo) is not None:
+        return lo
+    hi = max(2 * lo, 1)
+    while fit_into(delta, shape, hi) is None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fit_into(delta, shape, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class ParetoSet(NamedTuple):
@@ -89,34 +104,24 @@ class ParetoSet(NamedTuple):
 
 
 def oracle_box_pareto(delta: LatticePolygon) -> ParetoSet:
-    """All product-order minimal boxes [0,a] x [0,b] with a <= b.
+    """All product-order minimal boxes [0,a] x [0,b] with a <= b, with b up to the square size.
 
-    Feasibility is decided by fit_into on the grid; for each a the minimal
-    feasible b is found, and dominated pairs are discarded. Sides are
-    searched up to the square lattice size from oracle_size plus two, which
-    is always large enough to contain every minimal pair.
+    Let s = oracle_size(delta, "square"). Every feasible box has b >= s, as
+    [0,a] x [0,b] lies in b * square, and (s, s) is feasible. So the least
+    feasible b never rises as a rises and is s from some a on: the walk
+    starts at a = lattice_width, a lower bound for a, and raises a until
+    fit_into places delta in [0,a] x [0,s]. That costs at most
+    s - width + 1 calls beyond oracle_size. Sides b > s are not searched: a
+    minimal pair (a', b) with b > s would need a' below that a, and the
+    reduced basis gives the box (width, s) (see size.minimal_box).
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_box_pareto needs a non-empty polygon")
-    limit = oracle_size(delta, "square") + 2
-    front: list[tuple[int, int]] = []
-    prev_b: Optional[int] = None
-    for a in range(0, limit + 1):
-        if prev_b is not None and prev_b <= a:
-            break  # every further pair is dominated by (prev_a, prev_b)
-        b = a
-        found = None
-        while b <= limit:
-            if fit_into(delta, BOX, (a, b)) is not None:
-                found = b
-                break
-            b += 1
-        if found is None:
-            continue
-        if prev_b is None or found < prev_b:
-            front.append((a, found))
-            prev_b = found
-    return ParetoSet(tuple(front))
+    s = oracle_size(delta, SQUARE)
+    a = max(lattice_width(delta).width, 0)
+    while fit_into(delta, BOX, (a, s)) is None:
+        a += 1
+    return ParetoSet(((a, s),))
 
 
 def census(k: int = 3) -> list[LatticePolygon]:

@@ -405,16 +405,12 @@ def are_equivalent(d1: LatticePolygon, d2: LatticePolygon) -> Optional[AffineUni
         (p1, q1), (p2, q2) = d1.vertices, d2.vertices
         u1 = _primitive((q1[0] - p1[0], q1[1] - p1[1]))
         u2 = _primitive((q2[0] - p2[0], q2[1] - p2[1]))
-        w1, w2 = complete_to_basis(u1), complete_to_basis(u2)
-        # M = B2 B1^{-1} for the column bases B_i = (u_i | w_i), each of det 1.
-        m11 = u2[0] * w1[1] - w2[0] * u1[1]
-        m12 = -u2[0] * w1[0] + w2[0] * u1[0]
-        m21 = u2[1] * w1[1] - w2[1] * u1[1]
-        m22 = -u2[1] * w1[0] + w2[1] * u1[0]
+        # the frames (u_i, w_i) both have det 1, so M exists and is unimodular
+        m = _solve_frame(u1, complete_to_basis(u1), u2, complete_to_basis(u2))
         phi = AffineUnimodularMap(
-            m11, m12, m21, m22,
-            p2[0] - (m11 * p1[0] + m12 * p1[1]),
-            p2[1] - (m21 * p1[0] + m22 * p1[1]),
+            m[0], m[1], m[2], m[3],
+            p2[0] - (m[0] * p1[0] + m[1] * p1[1]),
+            p2[1] - (m[2] * p1[0] + m[3] * p1[1]),
         )
         return phi if apply_map(phi, d1) == d2 else None
     n = len(d1.vertices)

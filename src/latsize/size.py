@@ -38,20 +38,19 @@ chain. These two memos, each of the last 1024 polygons, are the package's
 only caches; they stay apart so that lattice_width, which needs the basis
 alone, never peels.
 
-fit_into, the exact disc search, is the oracle only, and the only code that
-lists a disc of directions: no certificate calls it, so value (recursion),
-witness (reduced basis) and oracle (disc search) are three independent
-routes. The oracle reads the reduced basis too, but only as a coordinate
-frame that keeps its disc small; the disc is complete in any unimodular
-frame, so a basis that is not reduced could make the oracle slow, but could
-not change whether it finds a map.
+fit_into, the exact feasibility search, is the oracle only, and the only
+code that lists the lattice points of the width body {u : width(u) <= b}:
+no certificate calls it, so value (recursion), witness (reduced basis) and
+oracle (search over the width body) are three independent routes. The
+oracle reads the reduced basis too, but only as its frame and for the
+bound on the rows of the body, and it checks that the basis is reduced
+before it trusts that bound; the search, not the basis, picks the rows.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
@@ -63,13 +62,12 @@ from .polygon import (
     LatticePolygon,
     Point,
     SpecialShape,
-    apply_map,
     are_equivalent,
     hull,
     integral_length,
     recognize_special,
 )
-from .width import _reduced_basis
+from .width import _min_convex, _reduced_basis
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -382,40 +380,6 @@ def _step(segment: tuple, inner_value: int, shape: str) -> tuple[int, Step]:
     return value, Step(skin, rule, fall, params, n, shift)
 
 
-def _euclidean_width_sq(delta: LatticePolygon) -> Fraction:
-    """Squared minimal Euclidean width, exactly.
-
-    The minimal width of a convex polygon is attained over an edge, so it is
-    the least height over all edge supporting lines (rotating calipers with
-    rational squared distances).
-    """
-    best = None
-    for a, b, c in delta.edge_constraints:
-        h = c - min(a * x + b * y for x, y in delta.vertices)
-        w2 = Fraction(h * h, a * a + b * b)
-        if best is None or w2 < best:
-            best = w2
-    return best
-
-
-def _primitive_directions(bound_sq: int) -> list[Point]:
-    """Primitive vectors with |u|^2 <= bound_sq, one per +-pair.
-
-    Normalized to u[0] > 0 or (u[0] == 0 and u[1] > 0), sorted by
-    (|u|^2, u[0], u[1]).
-    """
-    if bound_sq < 1:
-        return []
-    dirs = [(0, 1)]
-    for x in range(1, math.isqrt(bound_sq) + 1):
-        max_y = math.isqrt(bound_sq - x * x)
-        for y in range(-max_y, max_y + 1):
-            if math.gcd(x, y) == 1:
-                dirs.append((x, y))
-    dirs.sort(key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]))
-    return dirs
-
-
 def fit_into(
     delta: LatticePolygon, shape: str, size: Union[int, tuple[int, int]]
 ) -> Optional[AffineUnimodularMap]:
@@ -424,22 +388,34 @@ def fit_into(
     Targets: ``size * standard triangle`` ("sigma"), ``size * unit square``
     ("square") or the box [0,a] x [0,b] ("box", size = (a, b) with a <= b).
     Returns the first witness in the deterministic order (|u1|^2, u1, |u2|^2,
-    u2) over candidate functional rows, after lattice reduction; None if the
-    embedding is infeasible. Candidate rows are complete because any valid row
-    u satisfies width(u) <= target and therefore |u| <= target / wE.
+    u2) over candidate functional rows, in the frame of the reduced basis;
+    None if the embedding is infeasible.
+
+    A row of a witness has width at most b, the larger side of the target,
+    so the candidate rows are the primitive lattice points of the width
+    body {u : f(u) <= b}, f the width norm. They are listed row by row in
+    the frame of the reduced basis (short, long, w) of width._reduced_basis,
+    as u = y * long + x * short with y >= 0, and each is taken with -u:
+
+    - Row y = 0 holds +-short only.
+    - Rows y >= 1 hold points only up to y = 2b / (2 * f(long) - w), since
+      f(y * long + x * short) = y * f(long + (x / y) * short)
+      >= y * (f(long) - w / 2), as the lattice_width docstring shows.
+    - Along a row f is convex in x, so the row's points form an interval:
+      it is walked outward from the argmin that width._min_convex finds,
+      while f <= b, keeping the x with gcd(x, y) = 1.
+
+    That bound needs only w <= f(long) <= f(long +- short), by convexity
+    along the line long + t * short. The memo entry holds those widths, and
+    a basis that breaks them raises InternalConsistencyError rather than
+    drop a row. The basis thus gives the frame and the row bound, while the
+    search over the width body, not the basis, picks the rows, so
+    "recursion == oracle" still compares two routes.
 
     This is the oracle, the feasibility core of oracle_size and
     oracle_box_pareto. No certificate calls it: the values come from the
-    recursion and the witnesses from _basis_map. Its disc holds about
-    (target / wE)^2 directions, so it is meant for small inputs.
-
-    It takes the memoised reduced basis of width._reduced_basis as its
-    coordinate frame, the one the witnesses read, but stays an independent
-    route: the frame is only a unimodular change of coordinates, the disc
-    bound |u|^2 <= target^2 / wE^2 holds in any such frame, and the disc
-    search, not the basis, picks the rows. A basis that is not reduced
-    would only make the disc larger, so "recursion == oracle" still
-    compares two routes.
+    recursion and the witnesses from _basis_map. The pairs of candidates
+    cost up to the square of their number, so it is meant for small inputs.
     """
     if delta.is_empty:
         raise EmptyPolygonError("fit_into needs a non-empty polygon")
@@ -470,22 +446,35 @@ def fit_into(
     if shape in (SQUARE, BOX) and delta.area2 > 2 * a_cap * b_cap:
         return None
 
-    # Lattice (Gauss) reduction keeps the disc small even for badly sheared
-    # input: the rows (long, short) of the reduced basis become coordinates.
-    short, long = _reduced_basis(delta)[:2]
+    # The rows (long, short) of the reduced basis become coordinates: the
+    # functional y * long + x * short takes the values y * p + x * q on the
+    # pairs (p, q) of verts, the images of the vertices under psi.
+    short, long, w, (f_minus, f_long, f_plus) = _reduced_basis(delta)
+    if not w <= f_long <= min(f_minus, f_plus):
+        raise InternalConsistencyError(
+            f"the basis {short}, {long} of widths {w} and {f_minus}, {f_long}, {f_plus} is not reduced"
+        )
     psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
-    red = apply_map(psi, delta)
-    we2 = _euclidean_width_sq(red)
-    bound_sq = (b_cap * b_cap * we2.denominator) // we2.numerator
-    verts = red.vertices
+    verts = [(long[0] * x + long[1] * y, short[0] * x + short[1] * y) for x, y in delta.vertices]
+
+    def width(y: int, x: int) -> int:
+        dots = [y * p + x * q for p, q in verts]
+        return max(dots) - min(dots)
+
+    body = [(0, 1)] if w <= b_cap else []
+    for y in range(1, 2 * b_cap // (2 * f_long - w) + 1):
+        x0 = _min_convex(lambda x, y=y: width(y, x), {0: width(y, 0)})[0]
+        for x, step in ((x0, 1), (x0 - 1, -1)):
+            while width(y, x) <= b_cap:
+                if math.gcd(x, y) == 1:
+                    body.append((y, x))
+                x += step
     cands = []
-    for u in _primitive_directions(bound_sq):
-        dots = tuple(u[0] * x + u[1] * y for x, y in verts)
-        w = max(dots) - min(dots)
-        if w <= b_cap:
-            cands.append((u, dots, w))
-            neg = tuple(-t for t in dots)
-            cands.append(((-u[0], -u[1]), neg, w))
+    for u in body:
+        dots = tuple(u[0] * p + u[1] * q for p, q in verts)
+        f_u = max(dots) - min(dots)
+        cands.append((u, dots, f_u))
+        cands.append(((-u[0], -u[1]), tuple(-t for t in dots), f_u))
     cands.sort(key=lambda c: (c[0][0] * c[0][0] + c[0][1] * c[0][1], c[0][0], c[0][1]))
 
     if shape == SIGMA:

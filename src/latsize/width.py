@@ -7,8 +7,10 @@ basis is memoised per polygon, so these readers share one reduction; the
 memo holds no onion skins, so lattice_width never peels. The memo entry
 also keeps the widths the reduction measured along its final line, so a
 warm lattice_width measures at most four more directions, most often none.
-No disc of directions is searched here; only that oracle does. The width
-by peeling, lattice_width_recursive, is one of the recursions in size.py.
+No set of directions is searched here; only that oracle searches, over the
+lattice points of the width body {u : width(u) <= b}, row by row in this
+frame. The width by peeling, lattice_width_recursive, is one of the
+recursions in size.py.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from latsize import (
     rectangle,
     standard_triangle,
     upsilon,
+    width_along,
 )
 from latsize.cli import run_command
 from latsize.interior import _moved
@@ -398,6 +399,18 @@ def test_segment_witnesses_reach_both_targets():
             upright = apply_map(fit_into(seg, "box", (length - 1, length)), seg)
             assert upright == hull([(0, 0), (0, length)])
             assert apply_map(minimal_box(seg).witness, seg) == upright
+
+
+def test_fit_rejects_a_basis_that_is_not_reduced(monkeypatch):
+    # the row bound of the width body holds only if w <= f(long) <= f(long +- short)
+    delta = hull([(0, 0), (5, 0), (0, 2)])
+    short, long, w, _ = _reduced_basis(delta)
+    bad = (long[0] + 3 * short[0], long[1] + 3 * short[1])
+    widths = tuple(width_along(delta, (bad[0] + j * short[0], bad[1] + j * short[1])) for j in (-1, 0, 1))
+    assert fit_into(delta, "square", 5) is not None
+    monkeypatch.setattr("latsize.size._reduced_basis", lambda d: (short, bad, w, widths))
+    with pytest.raises(InternalConsistencyError):
+        fit_into(delta, "square", 5)
 
 
 def test_fit_witness_is_deterministic(heptagon):

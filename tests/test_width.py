@@ -21,10 +21,11 @@ from latsize import (
     upsilon,
     width_along,
 )
-from latsize.size import _euclidean_width_sq, _primitive_directions, _rule_runs, _size_value
+from latsize.size import _rule_runs, _size_value
 from latsize.width import _reduced_basis
 
 from conftest import fibonacci_shear, weierstrass
+from disc import _euclidean_width_sq, _primitive_directions
 
 
 def test_width_along_reference_values(heptagon):
