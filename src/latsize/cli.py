@@ -58,7 +58,8 @@ class CommandResult(NamedTuple):
     stdout: str
 
 
-# The help of each option but --shape; _COMMANDS says which command takes which.
+# The help of each option but --shape and --verify; _COMMANDS says which
+# command takes which.
 _HELP = {
     "--input": "vertex file: JSON {\"vertices\": [[x,y],...]} or lines 'x y'",
     "--vertices": "inline vertices 'x,y;x,y;...'",
@@ -66,7 +67,16 @@ _HELP = {
     "--json": "emit a JSON document",
     "--witness": "include the witness map",
     "--trace": "include the recursion trace",
-    "--verify": "cross-check against the oracle",
+}
+
+# The help of --verify, per command: the second route each one checks against.
+_VERIFY = {
+    "width": "check against the width by peeling (the width --trace recursion)",
+    "sigma": "check against the oracle's feasibility search (oracle --shape sigma)",
+    "square": "check against the oracle's feasibility search (oracle --shape square)",
+    "box": "check against the oracle's minimal boxes (oracle --shape box)",
+    "analyze": "check the gonality against the width by peeling of the interior, "
+               "and s2 and s11 against the oracle on the interior",
 }
 
 
@@ -103,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
             for flag in ("--input", "--vertices", "--poly"):
                 source.add_argument(flag, help=_HELP[flag])
         for flag in flags.split():
-            p.add_argument(flag, action="store_true", help=_HELP[flag])
+            text = _VERIFY[name] if flag == "--verify" else _HELP[flag]
+            p.add_argument(flag, action="store_true", help=text)
         if name == "oracle":
             p.add_argument("--shape", choices=["sigma", "square", "box"], default="sigma")
     return parser
@@ -325,7 +336,7 @@ def _oracle_command(args: argparse.Namespace) -> str:
         pareto = oracle_box_pareto(delta)
         doc = {
             "command": "oracle",
-            "value": [list(p) for p in pareto.pairs][0] if len(pareto.pairs) == 1 else None,
+            "value": list(pareto.pairs[0]),
             "pareto": [list(p) for p in pareto.pairs],
         }
         plain = " ".join(f"{a},{b}" for a, b in pareto.pairs)

@@ -16,8 +16,7 @@ from .polygon import (
     integral_length,
     recognize_special,
 )
-from .size import _size_value
-from .width import lattice_width
+from .size import SIGMA, _basis_map, minimal_box
 
 
 class LaurentPolynomial(NamedTuple):
@@ -195,9 +194,10 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     """Genus, gonality and minimal plane/biprojective degree bounds for f.
 
     The genus bound counts interior lattice points, by Pick's formula on
-    the Newton polygon, (area2 - boundary + 2) / 2, in O(edges); the
-    gonality is the interior lattice width plus two; the degree bounds are
-    the interior lattice sizes plus three resp. (2, 2). Dilated upsilon
+    the Newton polygon, (area2 - boundary + 2) / 2, in O(edges). An empty
+    interior gives gonality 1 and bounds 1, (1, 1); otherwise the gonality
+    and s11 are the interior's minimal box plus 2 and (2, 2), and s2 its
+    Sigma reach plus three, all off its reduced basis. Dilated upsilon
     triangles get the sharper degree bounds 3d - 1 and, for d = 2, (3, 4).
     """
     poly = newton_polygon(f)
@@ -207,13 +207,11 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     genus = (poly.area2 - sum(integral_length(p, q) for p, q in poly.edges()) + 2) // 2
     special = recognize_special(poly)
     ups = special.params[0] if special is not None and special.kind == "upsilon" else None
-    caveats = [_CAVEAT_GENERIC, _CAVEAT_NONDEGENERATE]
+    caveats = (_CAVEAT_GENERIC, _CAVEAT_NONDEGENERATE)
     if inner.is_empty:
-        caveats.append(_CAVEAT_RATIONAL)
-    gonality = 3 if ups == 2 else lattice_width(inner).width + 2
-    if ups is not None and ups >= 2:
-        s2 = 3 * ups - 1
-    else:
-        s2 = _size_value(inner, "sigma")[0] + 3
-    s11 = (3, 4) if ups == 2 else (gonality, _size_value(inner, "square")[0] + 2)
-    return NewtonAnalysis(poly, inner, genus, gonality, s2, s11, special, tuple(caveats))
+        return NewtonAnalysis(poly, inner, genus, 1, 1, (1, 1), special, caveats + (_CAVEAT_RATIONAL,))
+    box = minimal_box(inner)
+    gonality = 3 if ups == 2 else box.a + 2
+    s2 = 3 * ups - 1 if ups is not None and ups >= 2 else _basis_map(inner, SIGMA)[0] + 3
+    s11 = (3, 4) if ups == 2 else (gonality, box.b + 2)
+    return NewtonAnalysis(poly, inner, genus, gonality, s2, s11, special, caveats)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .errors import EmptyPolygonError
+from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import AffineUnimodularMap, LatticePolygon, hull
 from .size import BOX, SQUARE, fit_into
 from .width import lattice_width
@@ -73,17 +73,19 @@ def oracle_size(delta: LatticePolygon, shape: str) -> int:
     both target shapes, doubles until fit_into finds a map, then bisects
     between the last infeasible size and the first feasible one. So it ends
     with value - 1 tested infeasible, and the search itself certifies the
-    value; a value equal to the width is certified by that lower bound.
-    A value >= 1 takes at most 2 * ceil(log2(value)) + 3 calls of fit_into.
-    lattice_width is the width along a direction of the reduced basis, never
-    below the true width, so a wrong basis can only start the search too
-    high: that shows as a --verify mismatch with the recursion, never as a
-    false agreement.
+    value. A value >= 1 takes at most 2 * ceil(log2(value)) + 3 calls of
+    fit_into. lattice_width is the width along a direction of the reduced
+    basis, never below the true width, so a wrong basis can only start the
+    search too high. The search does not trust it: when the start fits,
+    start - 1 is tested too, and InternalConsistencyError is raised if it
+    fits.
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_size needs a non-empty polygon")
     lo = max(lattice_width(delta).width, 0)
     if fit_into(delta, shape, lo) is not None:
+        if lo > 0 and fit_into(delta, shape, lo - 1) is not None:
+            raise InternalConsistencyError(f"{shape} size {lo - 1} fits, below the lattice width {lo}")
         return lo
     hi = max(2 * lo, 1)
     while fit_into(delta, shape, hi) is None:
@@ -110,17 +112,21 @@ def oracle_box_pareto(delta: LatticePolygon) -> ParetoSet:
     [0,a] x [0,b] lies in b * square, and (s, s) is feasible. So the least
     feasible b never rises as a rises and is s from some a on: the walk
     starts at a = lattice_width, a lower bound for a, and raises a until
-    fit_into places delta in [0,a] x [0,s]. That costs at most
-    s - width + 1 calls beyond oracle_size. Sides b > s are not searched: a
-    minimal pair (a', b) with b > s would need a' below that a, and the
-    reduced basis gives the box (width, s) (see size.minimal_box).
+    fit_into places delta in [0,a] x [0,s]; if that is the start, a - 1 is
+    tested too, as oracle_size does, and InternalConsistencyError is raised
+    if it fits. That costs at most s - width + 2 calls beyond oracle_size.
+    Sides b > s are not searched: a minimal pair (a', b) with b > s would
+    need a' below that a, and the reduced basis gives the box (width, s)
+    (see size.minimal_box).
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_box_pareto needs a non-empty polygon")
     s = oracle_size(delta, SQUARE)
-    a = max(lattice_width(delta).width, 0)
+    a = start = max(lattice_width(delta).width, 0)
     while fit_into(delta, BOX, (a, s)) is None:
         a += 1
+    if a == start > 0 and fit_into(delta, BOX, (a - 1, s)) is not None:
+        raise InternalConsistencyError(f"the box ({a - 1}, {s}) fits, below the lattice width {a}")
     return ParetoSet(((a, s),))
 
 

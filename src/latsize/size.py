@@ -5,8 +5,8 @@ standard triangle Sigma and that with respect to the unit square from one
 recursion over one chain of interior hulls. So does this module: the memo
 _rule_runs peels a polygon once into its onion skins, in runs of uniform
 peels (see onion_skins), with the rule data of every run, and
-lattice_width_recursive, lattice_size_sigma, lattice_size_square and
-minimal_box all read that one chain, as does newton.analyze.
+lattice_width_recursive, lattice_size_sigma and lattice_size_square, its
+only readers, read that one chain.
 
 The width recursion adds 2 per skin, except that a standard triangle d*Sigma
 ends the chain with d and a skin whose interior hull is a point, a segment or
@@ -32,19 +32,18 @@ contributions telescope from the empty-hull convention (-2 for the triangle,
 -1 for the square) to the final value. The witness must reach the recursion's
 value exactly, or the certificate fails. The lattice width and its optimal
 directions come from the same basis (see width.lattice_width), which is
-memoised per polygon (width._reduced_basis): the width, the witnesses, the
-box and the oracle's frame share one reduction, as the recursions share one
-chain. These two memos, each of the last 1024 polygons, are the package's
-only caches; they stay apart so that lattice_width, which needs the basis
-alone, never peels.
+memoised per polygon (width._reduced_basis) and checked on every read
+(width._checked_basis): the width, the witnesses, the box and the oracle's
+frame share one reduction, as the recursions share one chain. These two
+memos, each of the last 1024 polygons, are the package's only caches; they
+stay apart so that lattice_width and minimal_box never peel.
 
 fit_into, the exact feasibility search, is the oracle only, and the only
 code that lists the lattice points of the width body {u : width(u) <= b}:
 no certificate calls it, so value (recursion), witness (reduced basis) and
 oracle (search over the width body) are three independent routes. The
 oracle reads the reduced basis too, but only as its frame and for the
-bound on the rows of the body, and it checks that the basis is reduced
-before it trusts that bound; the search, not the basis, picks the rows.
+bound on the rows of the body; the search, not the basis, picks the rows.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .polygon import (
     integral_length,
     recognize_special,
 )
-from .width import _min_convex, _reduced_basis
+from .width import _checked_basis, _min_convex
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -212,10 +211,10 @@ def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[S
     Returned with recognize_special of the innermost skin, the last skin of
     the last run. This is the one chain of every recursion: its readers are
     lattice_width_recursive and _size_value, and through _size_value
-    lattice_size_sigma, lattice_size_square, minimal_box and newton.analyze,
-    so all of them over the same polygon peel it and recognize its run
-    starts once. Each run costs O(edges) plus one recognize_special on its
-    first skin and one parallel-edge lookup per segment.
+    lattice_size_sigma and lattice_size_square, so the three of them over
+    the same polygon peel it and recognize its run starts once. Each run
+    costs O(edges) plus one recognize_special on its first skin and one
+    parallel-edge lookup per segment.
     """
     runs = onion_skins(delta).runs
     out = []
@@ -406,15 +405,14 @@ def fit_into(
       while f <= b, keeping the x with gcd(x, y) = 1.
 
     That bound needs only w <= f(long) <= f(long +- short), by convexity
-    along the line long + t * short. The memo entry holds those widths, and
-    a basis that breaks them raises InternalConsistencyError rather than
-    drop a row. The basis thus gives the frame and the row bound, while the
+    along the line long + t * short, and width._checked_basis raises
+    InternalConsistencyError on a basis that breaks them rather than let a
+    row drop. The basis thus gives the frame and the row bound, while the
     search over the width body, not the basis, picks the rows, so
     "recursion == oracle" still compares two routes.
 
     This is the oracle, the feasibility core of oracle_size and
-    oracle_box_pareto. No certificate calls it: the values come from the
-    recursion and the witnesses from _basis_map. The pairs of candidates
+    oracle_box_pareto; no certificate calls it. The pairs of candidates
     cost up to the square of their number, so it is meant for small inputs.
     """
     if delta.is_empty:
@@ -449,11 +447,7 @@ def fit_into(
     # The rows (long, short) of the reduced basis become coordinates: the
     # functional y * long + x * short takes the values y * p + x * q on the
     # pairs (p, q) of verts, the images of the vertices under psi.
-    short, long, w, (f_minus, f_long, f_plus) = _reduced_basis(delta)
-    if not w <= f_long <= min(f_minus, f_plus):
-        raise InternalConsistencyError(
-            f"the basis {short}, {long} of widths {w} and {f_minus}, {f_long}, {f_plus} is not reduced"
-        )
+    short, long, w, (_, f_long, _) = _checked_basis(delta)
     psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
     verts = [(long[0] * x + long[1] * y, short[0] * x + short[1] * y) for x, y in delta.vertices]
 
@@ -504,36 +498,29 @@ def fit_into(
     return None
 
 
-def _basis_map(delta: LatticePolygon, shape: str, value: int) -> AffineUnimodularMap:
-    """The witness map into the target of size value, from the reduced width basis.
+def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
+    """The reach of the reduced width basis for the target shape, with its witness map.
 
-    The rows (short, long) of _reduced_basis attain the two successive
-    minima of the width, so they map delta into the box [0, width] x [0, b]
-    with b the least second width of a basis: that is a square witness, as
-    [0, width] x [0, b] lies in b * square, and the minimal box. Its reach
-    is b = width(long), which the memo entry holds. For the triangle, the
-    rows (u1, u2) map delta into reach * Sigma with
-    reach = max((u1 + u2) . p) - min(u1 . p) - min(u2 . p); one of the four
-    sign choices (+-short, +-long) attains the lattice size with respect to
-    Sigma (Harrison and Soprunov, lattice size by generalized basis
-    reduction in dimensions two and three). Points and segments are covered
-    too: their reduced widths are (0, 0) and (0, length). The reach must
-    equal value, the recursion's result, or InternalConsistencyError is
-    raised.
+    The rows (short, long) of the checked basis map delta into the minimal
+    box [0, width] x [0, b] (see minimal_box), which lies in b * square: so
+    the square reach is b = width(long), which the memo entry holds, with
+    that witness. For the triangle, the rows (u1, u2) map delta into
+    reach * Sigma with reach = max((u1 + u2) . p) - min(u1 . p) - min(u2 . p);
+    one of the four sign choices (+-short, +-long) attains the lattice size
+    with respect to Sigma (Harrison and Soprunov, lattice size by generalized
+    basis reduction in dimensions two and three). Points and segments are
+    covered too: their reduced widths are (0, 0) and (0, length). The empty
+    polygon reaches the empty-hull convention (-2 or -1) with the identity.
 
     One pass over the vertices gives the dot products of short and long;
     the four sign choices read their reaches off the extremes of the two
     lists and of their sums and differences. The choices are tried in the
     fixed order (1, 1), (1, -1), (-1, 1), (-1, -1), and the first least
     reach wins.
-
-    The basis is memoised per polygon, so the Sigma and square witnesses
-    (and minimal_box, which is the square witness) reuse the reduction that
-    lattice_width or an earlier witness of the same polygon made.
     """
     if delta.is_empty:
-        return AffineUnimodularMap.identity()
-    short, long, _, (_, b, _) = _reduced_basis(delta)
+        return _BASE[shape], AffineUnimodularMap.identity()
+    short, long, _, (_, b, _) = _checked_basis(delta)
     dots1 = [short[0] * x + short[1] * y for x, y in delta.vertices]
     dots2 = [long[0] * x + long[1] * y for x, y in delta.vertices]
     lo1, lo2 = min(dots1), min(dots2)
@@ -552,16 +539,17 @@ def _basis_map(delta: LatticePolygon, shape: str, value: int) -> AffineUnimodula
         t1, t2 = (-lo1, hi1)[s1 < 0], (-lo2, hi2)[s2 < 0]
     else:
         reach, s1, s2, t1, t2 = b, 1, 1, -lo1, -lo2
-    if reach != value:
-        raise InternalConsistencyError(
-            f"the reduced basis reaches {reach}, but the recursion gives {shape} size {value}"
-        )
-    return AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
+    return reach, AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
 
 
 def _certificate(delta: LatticePolygon, shape: str) -> SizeCertificate:
     value, trace = _size_value(delta, shape)
-    return SizeCertificate(shape, value, _basis_map(delta, shape, value), trace)
+    reach, witness = _basis_map(delta, shape)
+    if reach != value:
+        raise InternalConsistencyError(
+            f"the reduced basis reaches {reach}, but the recursion gives {shape} size {value}"
+        )
+    return SizeCertificate(shape, value, witness, trace)
 
 
 def lattice_size_sigma(delta: LatticePolygon) -> SizeCertificate:
@@ -575,18 +563,14 @@ def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
 
 
 def minimal_box(delta: LatticePolygon) -> BoxCertificate:
-    """The componentwise-minimal bounding box (lattice width, square size).
+    """The componentwise-minimal bounding box (lattice width, square size), off the reduced basis.
 
-    This is the square certificate read as a box: b is the square size from
-    the recursion, and the witness has the rows (short, long) of the reduced
-    width basis (see _basis_map), whose widths are the lattice width a and
-    b; a is read from the memo entry of the basis, not measured again. No
-    width direction is searched. The chain of _rule_runs and the memoised
-    basis are those of the square size, so after lattice_size_square on
-    the same polygon the box peels nothing and reduces nothing (it does
-    walk the runs and check the witness again).
+    A box [0,a'] x [0,b'] with a' <= b' has independent rows of widths at
+    most a' and b', so the successive minima a = w and b = f(long) of the
+    checked basis bound a' and b' from below: (a, b) is the least box, b
+    the square size, and its witness the square one of _basis_map.
     """
     if delta.is_empty:
         raise EmptyPolygonError("minimal_box needs a non-empty polygon")
-    square = _certificate(delta, SQUARE)
-    return BoxCertificate(_reduced_basis(delta)[2], square.value, square.witness)
+    b, witness = _basis_map(delta, SQUARE)
+    return BoxCertificate(_checked_basis(delta)[2], b, witness)

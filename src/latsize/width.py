@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .errors import EmptyPolygonError
+from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import LatticePolygon, Point
 
 
@@ -138,6 +138,20 @@ def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int,
         seen = {j - k: v for j, v in seen.items()}
 
 
+def _checked_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int, int, int]]:
+    """_reduced_basis(delta), checked: w <= f(long) <= f(long +- short), or InternalConsistencyError.
+
+    By convexity along long + k * short, that makes w and f(long) the two
+    successive minima of the width (Kaib and Schnorr), which the width, the
+    witnesses, the box and the rows of fit_into rest on.
+    """
+    entry = short, long, w, (f_minus, f_long, f_plus) = _reduced_basis(delta)
+    if not w <= f_long <= min(f_minus, f_plus):
+        raise InternalConsistencyError(f"the basis {short}, {long} of widths {w} and "
+                                       f"{f_minus}, {f_long}, {f_plus} is not reduced")
+    return entry
+
+
 def lattice_width(delta: LatticePolygon) -> WidthResult:
     """Exact lattice width with all optimal primitive directions, from the reduced basis.
 
@@ -183,7 +197,7 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
         g = math.gcd(q[0] - p[0], q[1] - p[1])
         d = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
         return WidthResult(0, (_normalize_direction((-d[1], d[0])),))
-    short, long, w, (f_minus, f_long, f_plus) = _reduced_basis(delta)
+    short, long, w, (f_minus, f_long, f_plus) = _checked_basis(delta)
     dirs = [short]
     if f_long == w:
         dirs.append(long)

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from latsize import WidthResult
 from latsize.cli import run_command
 
 HEPTAGON = "8,0;6,1;2,4;0,6;0,8;3,7;5,6"
@@ -72,22 +71,24 @@ def test_verify_flags_pass():
 
 
 def test_analyze_verify_checks_upsilon_triangles(monkeypatch):
-    # analyze takes s11 from the recursion on Upsilon_d for every d != 2, and
-    # s2 for d = 1, so --verify checks them there too, and the gonality's
-    # width against the width recursion
+    # analyze takes the gonality and s11 from the minimal box of the interior
+    # on Upsilon_d for every d != 2, and s2 from its Sigma reach for d = 1,
+    # so --verify checks them there too: the box's width against the width
+    # recursion, its second side and the reach against the oracle
     import latsize.newton
 
     def argv(d):
         return ["analyze", "--poly", f"x^-{d}*y^-{d} + x^{d} + y^{d}", "--verify"]
 
     assert all(run_command(argv(d)).exit_code == 0 for d in (1, 2, 3, 4))
-    size_value, width = latsize.newton._size_value, latsize.newton.lattice_width
-    wrong_square = ("_size_value", lambda delta, shape: (size_value(delta, shape)[0] + (shape == "square"), ()))
-    wrong_width = ("lattice_width", lambda delta: WidthResult(width(delta).width + 1, ()))
-    for name, wrong in (wrong_square, wrong_width):
+    box, basis_map = latsize.newton.minimal_box, latsize.newton._basis_map
+    wrong_width = ("minimal_box", lambda delta: box(delta)._replace(a=box(delta).a + 1), 3)
+    wrong_square = ("minimal_box", lambda delta: box(delta)._replace(b=box(delta).b + 1), 3)
+    wrong_sigma = ("_basis_map", lambda delta, shape: (basis_map(delta, shape)[0] + 1, None), 1)
+    for name, wrong, d in (wrong_width, wrong_square, wrong_sigma):
         with monkeypatch.context() as patch:
             patch.setattr(latsize.newton, name, wrong)
-            assert run_command(argv(3)).exit_code == 4, name
+            assert run_command(argv(d)).exit_code == 4, name
 
 
 def test_width_verify_trace_peels_once(monkeypatch):

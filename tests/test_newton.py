@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import latsize.interior
 from latsize import (
     AffineUnimodularMap,
     LaurentPolynomial,
@@ -13,8 +14,10 @@ from latsize import (
     apply_map,
     hull,
     interior_hull,
+    lattice_width_recursive,
     lawrence_prism,
     measures,
+    minimal_box,
     newton_polygon,
     parse_laurent,
     random_unimodular_map,
@@ -23,6 +26,7 @@ from latsize import (
     transform_support,
     upsilon,
 )
+from latsize.size import _size_value
 
 
 def test_parse_supports():
@@ -150,3 +154,52 @@ def test_genus_by_pick_matches_the_interior_count(box3_census):
         assert analyze(f).genus_bound == want, delta
         checked += 1
     assert checked > 5000
+
+
+def _support(delta):
+    return LaurentPolynomial({v: Fraction(1) for v in delta.vertices})
+
+
+def _bounds_by_recursion(result):
+    """(gonality, s2, s11) of an analysis as the chain of its interior gives them."""
+    inner, special = result.interior, result.special
+    ups = special.params[0] if special is not None and special.kind == "upsilon" else None
+    # the empty interior: width -1 and the empty-hull conventions -2 and -1
+    width = -1 if inner.is_empty else lattice_width_recursive(inner)[0]
+    gonality = 3 if ups == 2 else width + 2
+    s2 = 3 * ups - 1 if ups is not None and ups >= 2 else _size_value(inner, "sigma")[0] + 3
+    s11 = (3, 4) if ups == 2 else (gonality, _size_value(inner, "square")[0] + 2)
+    return gonality, s2, s11
+
+
+def test_basis_bounds_agree_with_the_recursion(box3_census):
+    # analyze reads the reduced basis of the interior; the recursions are a
+    # second route to the same bounds (test_size compares minimal_box)
+    polygons = box3_census + [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    polys = [_support(delta) for delta in polygons if delta.is_two_dim]
+    polys += [parse_laurent(f"y^2 + x^{2 * g + 1} + 1") for g in range(1, 40)]
+    polys += [parse_laurent(f"x^-{d}*y^-{d} + x^{d} + y^{d}") for d in range(1, 16)]
+    empty = 0
+    for f in polys:
+        result = analyze(f)
+        assert (result.gonality, result.s2_bound, result.s11_bound) == _bounds_by_recursion(result), f
+        empty += result.interior.is_empty
+    assert 0 < empty < len(polys) // 2
+
+
+def test_analyze_and_minimal_box_walk_no_chain(box3_census, monkeypatch):
+    # the one peel of analyze is the interior hull of the Newton polygon
+    def no_chain(*args):
+        raise AssertionError("the chain of a polygon was walked")
+
+    monkeypatch.setattr("latsize.size._size_value", no_chain)
+    monkeypatch.setattr("latsize.size._rule_runs", no_chain)
+    for delta in box3_census:
+        minimal_box(delta)
+        if delta.is_two_dim:
+            analyze(_support(delta))
+    scanned = []
+    column_hull = latsize.interior._column_hull
+    monkeypatch.setattr(latsize.interior, "_column_hull", lambda delta: scanned.append(delta) or column_hull(delta))
+    result = analyze(parse_laurent("x^2147483648 + y^2147483648 + 1"))
+    assert result.s2_bound == 2**31 and len(scanned) <= 1

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+import latsize.oracle
+
 from latsize import (
     EmptyPolygonError,
+    InternalConsistencyError,
     apply_map,
     census,
     fit_into,
@@ -17,6 +20,7 @@ from latsize import (
     rectangle,
     standard_triangle,
 )
+from latsize.cli import run_command
 from latsize.oracle import _splitmix64
 
 from disc import disc_box_pareto, disc_fit_into, disc_oracle_size
@@ -88,6 +92,25 @@ def test_oracle_work_is_bounded_by_count(monkeypatch):
     calls.clear()
     assert oracle_box_pareto(hull([(0, 0), (300, 0), (0, 2)])).pairs == ((2, 300),)
     assert len(calls) <= 2 * 300
+
+
+def test_oracle_tests_one_below_its_start(monkeypatch):
+    # the search starts at lattice_width; when the start fits, start - 1 is
+    # tested too, so a width that is too high does not agree with itself
+    calls = []
+    monkeypatch.setattr("latsize.oracle.fit_into", lambda *args: calls.append(args[2]) or fit_into(*args))
+    assert oracle_size(standard_triangle(3), "sigma") == 3 and calls == [3, 2]
+    calls.clear()
+    assert oracle_box_pareto(hull([(0, 0), (7, 0), (0, 2)])).pairs == ((2, 7),)
+    assert calls[-2:] == [(2, 7), (1, 7)]
+    width = latsize.oracle.lattice_width
+    monkeypatch.setattr("latsize.oracle.lattice_width", lambda d: width(d)._replace(width=width(d).width + 1))
+    with pytest.raises(InternalConsistencyError, match="below the lattice width"):
+        oracle_size(standard_triangle(3), "sigma")
+    with pytest.raises(InternalConsistencyError, match="below the lattice width"):
+        oracle_box_pareto(hull([(0, 0), (7, 0), (0, 2)]))
+    for command, vertices in (("sigma", "0,0;3,0;0,3"), ("square", "0,0;3,0;0,3"), ("box", "0,0;7,0;0,2")):
+        assert run_command([command, "--vertices", vertices, "--verify"]).exit_code == 4, command
 
 
 def test_pareto_pairs_are_feasible_and_minimal():

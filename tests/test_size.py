@@ -401,16 +401,28 @@ def test_segment_witnesses_reach_both_targets():
             assert apply_map(minimal_box(seg).witness, seg) == upright
 
 
-def test_fit_rejects_a_basis_that_is_not_reduced(monkeypatch):
-    # the row bound of the width body holds only if w <= f(long) <= f(long +- short)
-    delta = hull([(0, 0), (5, 0), (0, 2)])
-    short, long, w, _ = _reduced_basis(delta)
-    bad = (long[0] + 3 * short[0], long[1] + 3 * short[1])
-    widths = tuple(width_along(delta, (bad[0] + j * short[0], bad[1] + j * short[1])) for j in (-1, 0, 1))
-    assert fit_into(delta, "square", 5) is not None
-    monkeypatch.setattr("latsize.size._reduced_basis", lambda d: (short, bad, w, widths))
-    with pytest.raises(InternalConsistencyError):
-        fit_into(delta, "square", 5)
+def test_every_basis_reader_rejects_a_basis_one_pass_short(monkeypatch):
+    # the check w <= f(long) <= f(long +- short) is made where the memo entry
+    # is read, so a basis one Gauss pass short of reduced, with its widths
+    # measured honestly, stops the width, the box, the square witness and
+    # the oracle alike
+    thin = hull([(0, 0), (5, 0), (0, 2)])
+    for delta in (thin, apply_map(random_unimodular_map(7), thin)):
+        short, long, _, _ = _reduced_basis(delta)
+
+        def entry(r1, r2):
+            line = tuple(width_along(delta, (r2[0] + j * r1[0], r2[1] + j * r1[1])) for j in (-1, 0, 1))
+            return r1, r2, width_along(delta, r1), line
+
+        # a pass along the line takes long + 3 * short back to long; a swap
+        # puts the narrower row first
+        for bad in (entry(short, (long[0] + 3 * short[0], long[1] + 3 * short[1])), entry(long, short)):
+            with monkeypatch.context() as patch:
+                patch.setattr("latsize.width._reduced_basis", lambda d, bad=bad: bad)
+                for op in (lattice_width, minimal_box, lattice_size_square, lambda d: fit_into(d, "square", 5)):
+                    with pytest.raises(InternalConsistencyError):
+                        op(delta)
+        assert fit_into(delta, "square", 5) is not None
 
 
 def test_fit_witness_is_deterministic(heptagon):
@@ -463,12 +475,15 @@ def test_minimal_box_degenerate():
         minimal_box(hull([]))
 
 
-def test_minimal_box_second_width_matches_square_size():
-    for seed in range(200):
-        delta = random_polygon(seed, 5)
+def test_minimal_box_second_width_matches_square_size(box3_census):
+    # the box reads the reduced basis; the recursions are a second route
+    polygons = [random_polygon(seed, 5) for seed in range(200)]
+    polygons += [d for i, delta in enumerate(box3_census) for d in (delta, apply_map(random_unimodular_map(i), delta))]
+    polygons += [weierstrass(g) for g in range(1, 40)] + [upsilon(d) for d in range(1, 16)]
+    for delta in polygons:
         cert = minimal_box(delta)
-        assert cert.a == lattice_width(delta).width
-        assert cert.b == _size_value(delta, "square")[0]
+        assert cert.a == lattice_width(delta).width == lattice_width_recursive(delta)[0], delta
+        assert cert.b == _size_value(delta, "square")[0], delta
         image = apply_map(cert.witness, delta)
         assert all(in_box(cert.a, cert.b, v) for v in image.vertices)
 

@@ -250,13 +250,16 @@ def test_one_reduction_per_polygon(box3_census):
                 op(twin)
             assert _reduced_basis.cache_info().misses == 1, (delta, ops[0].__name__)
             assert _rule_runs.cache_info().misses == 1, (delta, ops[0].__name__)
-    # analyze reads the basis of its interior only, through the gonality's width
+    # analyze reads the basis of its interior only, through the minimal box
+    # and the Sigma reach, a segment interior too, and peels no interior
     _reduced_basis.cache_clear()
+    _rule_runs.cache_clear()
     hyperelliptic = analyze(parse_laurent("y^2 + x^9 + x + 1"))
-    assert hyperelliptic.interior.is_segment and _reduced_basis.cache_info().misses == 0
+    assert hyperelliptic.interior.is_segment and _reduced_basis.cache_info().misses == 1
     for _ in range(2):
         quintic = analyze(parse_laurent("x^5 + y^5 + 1"))
-    assert quintic.interior.is_two_dim and _reduced_basis.cache_info().misses == 1
+    assert quintic.interior.is_two_dim and _reduced_basis.cache_info().misses == 2
+    assert _rule_runs.cache_info().misses == 0
 
 
 def test_memoised_basis_is_the_fresh_reduction(box3_census):
