@@ -7,6 +7,14 @@ deterministic for a fixed input.
 
 peel and every --trace print one entry per run of skins; _RUNS, which --help
 prints, gives the format.
+
+sigma and square read their value off the reduced basis and do not peel.
+The square value rests on the basis being reduced, which every call checks
+(width._checked_basis). The Sigma value also rests on the best of the
+basis's four sign choices, and is checked against the size recursion only
+under --trace or --verify, and in the tests: both flags read the
+certificate's trace, which runs the recursion and exits 4 unless its value
+agrees. No flag of its own turns the check on.
 """
 
 from __future__ import annotations
@@ -66,14 +74,14 @@ _HELP = {
     "--poly": "Laurent polynomial, e.g. 'y^2 + x^5 + 1'",
     "--json": "emit a JSON document",
     "--witness": "include the witness map",
-    "--trace": "include the recursion trace",
+    "--trace": "include the recursion trace (sigma, square: its value must agree, or exit 4)",
 }
 
 # The help of --verify, per command: the second route each one checks against.
 _VERIFY = {
     "width": "check against the width by peeling (the width --trace recursion)",
-    "sigma": "check against the oracle's feasibility search (oracle --shape sigma)",
-    "square": "check against the oracle's feasibility search (oracle --shape square)",
+    "sigma": "check against the recursion (sigma --trace) and the oracle (oracle --shape sigma)",
+    "square": "check against the recursion (square --trace) and the oracle (oracle --shape square)",
     "box": "check against the oracle's minimal boxes (oracle --shape box)",
     "analyze": "check the gonality against the width by peeling of the interior, "
                "and s2 and s11 against the oracle on the interior",
@@ -226,16 +234,16 @@ def _size_command(args: argparse.Namespace) -> str:
     shape = args.command  # sigma or square
     delta = _read_polygon(args)
     cert: SizeCertificate = (lattice_size_sigma if shape == "sigma" else lattice_size_square)(delta)
+    # reading the trace runs the recursion, and raises unless its value is cert.value
+    trace = cert.trace if args.verify or args.trace else ()
     if args.verify:
-        _check(
-            oracle_size(delta, shape) == cert.value,
-            f"recursive {shape} value {cert.value} disagrees with the oracle",
-        )
+        _check(oracle_size(delta, shape) == cert.value,
+               f"{shape} value {cert.value} disagrees with the oracle")
     doc: dict = {"command": shape, "value": cert.value}
     if args.witness:
         doc["witness"] = _witness_doc(cert.witness)
     if args.trace:
-        doc["trace"] = _trace_doc(cert.trace)
+        doc["trace"] = _trace_doc(trace)
     return _emit(doc, args, str(cert.value))
 
 

@@ -278,11 +278,10 @@ def test_faces_skip_the_columns_of_flat_skins_at_the_guard(monkeypatch):
 def test_hyperelliptic_peel_scans_at_most_width_plus_one_columns(monkeypatch):
     # the Newton polygon of y^2 + x^N + 1, conv{(0,0), (N,0), (0,2)}, has
     # width 2 but N + 1 columns; its first peel is not uniform, and at
-    # N = 2^31 sigma on it does not end
+    # N = 2^31 peel and every --trace on it do not end
     delta = newton_polygon(parse_laurent("y^2 + x^100000 + 1"))
-    latsize.size._rule_runs.cache_clear()
     scanned = _count_columns(monkeypatch)
-    lattice_size_sigma(delta)
+    onion_skins(delta)
     assert len(scanned) <= lattice_width(delta).width + 1, len(scanned)
 
 
