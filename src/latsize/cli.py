@@ -74,7 +74,7 @@ _HELP = {
     "--poly": "Laurent polynomial, e.g. 'y^2 + x^5 + 1'",
     "--json": "emit a JSON document",
     "--witness": "include the witness map",
-    "--trace": "include the recursion trace (sigma, square: its value must agree, or exit 4)",
+    "--trace": "include the recursion trace (its value must agree, or exit 4)",
 }
 
 # The help of --verify, per command: the second route each one checks against.
@@ -234,7 +234,6 @@ def _size_command(args: argparse.Namespace) -> str:
     shape = args.command  # sigma or square
     delta = _read_polygon(args)
     cert: SizeCertificate = (lattice_size_sigma if shape == "sigma" else lattice_size_square)(delta)
-    # reading the trace runs the recursion, and raises unless its value is cert.value
     trace = cert.trace if args.verify or args.trace else ()
     if args.verify:
         _check(oracle_size(delta, shape) == cert.value,
@@ -252,7 +251,6 @@ def _width_command(args: argparse.Namespace) -> str:
     result = lattice_width(delta)
     if args.verify or args.trace:
         value, trace = lattice_width_recursive(delta)
-    if args.verify:
         _check(value == result.width, f"recursive width {value} disagrees with {result.width}")
     doc: dict = {
         "command": "width",

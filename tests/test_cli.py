@@ -102,6 +102,16 @@ def test_width_verify_trace_peels_once(monkeypatch):
     assert sum(entry["contribution"] * entry["count"] for entry in doc["trace"]) == doc["value"] == 5
 
 
+def test_width_trace_and_verify_check_the_value(monkeypatch):
+    import latsize.cli
+
+    width = latsize.cli.lattice_width
+    monkeypatch.setattr(latsize.cli, "lattice_width", lambda d: width(d)._replace(width=width(d).width + 1))
+    assert run_command(["width", "--vertices", HEPTAGON]).exit_code == 0
+    for flag in ("--trace", "--verify"):
+        assert run_command(["width", "--vertices", HEPTAGON, flag]).exit_code == 4, flag
+
+
 def test_oracle_subcommand():
     assert run_command(["oracle", "--shape", "sigma", "--vertices", HEPTAGON]).stdout == "10\n"
     assert run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2"]).stdout == "2,5\n"

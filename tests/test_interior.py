@@ -367,7 +367,18 @@ def _count_hull_calls(monkeypatch):
 
 
 _GUARD = 2**31
-_CHAIN_OPS = (lattice_size_sigma, lattice_size_square, minimal_box, lattice_width_recursive, onion_skins)
+
+
+def _sigma_trace(delta):
+    return lattice_size_sigma(delta).trace
+
+
+def _square_trace(delta):
+    return lattice_size_square(delta).trace
+
+
+# the size values read the reduced basis; their traces walk the chain
+_CHAIN_OPS = (_sigma_trace, _square_trace, minimal_box, lattice_width_recursive, onion_skins)
 
 
 def test_runs_take_one_interior_hull_call_each(monkeypatch):
@@ -393,7 +404,8 @@ def test_runs_take_one_interior_hull_call_each(monkeypatch):
             assert len(calls) <= bound, (op.__name__, delta, len(calls))
     for delta in families[3:]:
         vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in delta.vertices)
-        for argv in (["sigma"], ["square"], ["box"], ["peel"], ["width", "--trace"]):
+        for argv in (["sigma"], ["sigma", "--trace"], ["square"], ["square", "--trace"], ["box"], ["peel"],
+                     ["width", "--trace"]):
             latsize.size._rule_runs.cache_clear()
             calls.clear()
             assert run_command(argv + [vertices, "--json"]).exit_code == 0, (argv, delta)
