@@ -7,14 +7,6 @@ deterministic for a fixed input.
 
 peel and every --trace print one entry per run of skins; _RUNS, which --help
 prints, gives the format.
-
-sigma and square read their value off the reduced basis and do not peel.
-The square value rests on the basis being reduced, which every call checks
-(width._checked_basis). The Sigma value also rests on the best of the
-basis's four sign choices, and is checked against the size recursion only
-under --trace or --verify, and in the tests: both flags read the
-certificate's trace, which runs the recursion and exits 4 unless its value
-agrees. No flag of its own turns the check on.
 """
 
 from __future__ import annotations
@@ -80,8 +72,8 @@ _HELP = {
 # The help of --verify, per command: the second route each one checks against.
 _VERIFY = {
     "width": "check against the width by peeling (the width --trace recursion)",
-    "sigma": "check against the recursion (sigma --trace) and the oracle (oracle --shape sigma)",
-    "square": "check against the recursion (square --trace) and the oracle (oracle --shape square)",
+    "sigma": "check against the oracle's feasibility search (oracle --shape sigma)",
+    "square": "check against the oracle's feasibility search (oracle --shape square)",
     "box": "check against the oracle's minimal boxes (oracle --shape box)",
     "analyze": "check the gonality against the width by peeling of the interior, "
                "and s2 and s11 against the oracle on the interior",
@@ -234,15 +226,16 @@ def _size_command(args: argparse.Namespace) -> str:
     shape = args.command  # sigma or square
     delta = _read_polygon(args)
     cert: SizeCertificate = (lattice_size_sigma if shape == "sigma" else lattice_size_square)(delta)
-    trace = cert.trace if args.verify or args.trace else ()
     if args.verify:
-        _check(oracle_size(delta, shape) == cert.value,
-               f"{shape} value {cert.value} disagrees with the oracle")
+        _check(
+            oracle_size(delta, shape) == cert.value,
+            f"recursive {shape} value {cert.value} disagrees with the oracle",
+        )
     doc: dict = {"command": shape, "value": cert.value}
     if args.witness:
         doc["witness"] = _witness_doc(cert.witness)
     if args.trace:
-        doc["trace"] = _trace_doc(trace)
+        doc["trace"] = _trace_doc(cert.trace)
     return _emit(doc, args, str(cert.value))
 
 

@@ -1,12 +1,12 @@
-"""The peeling recursions, and the lattice sizes with respect to Sigma and the square.
+"""The peeling recursions: lattice width and lattice sizes with respect to Sigma and the square.
 
 The paper reads the lattice width, the lattice size with respect to the
 standard triangle Sigma and that with respect to the unit square from one
 recursion over one chain of interior hulls. So does this module: the memo
 _rule_runs peels a polygon once into its onion skins, in runs of uniform
 peels (see onion_skins), with the rule data of every run, and
-lattice_width_recursive and _size_value, its only readers, read that one
-chain.
+lattice_width_recursive, lattice_size_sigma and lattice_size_square, its
+only readers, read that one chain.
 
 The width recursion adds 2 per skin, except that a standard triangle d*Sigma
 ends the chain with d and a skin whose interior hull is a point, a segment or
@@ -26,27 +26,24 @@ its trace has one Step per segment, not per skin. Each segment takes its
 parallel-edge hit from one lookup of the edge normals of the skin after its
 first (_parallel_edge_hit), done once per segment in the memo.
 
-lattice_size_sigma and lattice_size_square do not peel: each reads its value
-and witness map off the Gauss-reduced basis of the width norm (see
-_basis_map), without search. The certificate keeps the polygon, and its
-trace, read on demand, runs the recursion (_size_value), whose contributions
-telescope from the empty-hull convention (-2 for the triangle, -1 for the
-square) to the final value; the trace fails unless that value is the
-basis's. The lattice width and its optimal directions come from the same
-basis (see width.lattice_width), which is memoised per polygon
-(width._reduced_basis) and checked on every read (width._checked_basis):
-the width, both sizes, their witnesses, the box and the oracle's frame
-share one reduction, as the recursions share one chain. These two memos,
-each of the last 1024 polygons, are the package's only caches; they stay
-apart so that no default width, size or box call peels.
+Every certificate carries a witness map built from the Gauss-reduced basis
+of the width norm (see _basis_map), without search, plus the rule trace whose
+contributions telescope from the empty-hull convention (-2 for the triangle,
+-1 for the square) to the final value. The witness must reach the recursion's
+value exactly, or the certificate fails. The lattice width and its optimal
+directions come from the same basis (see width.lattice_width), which is
+memoised per polygon (width._reduced_basis) and checked on every read
+(width._checked_basis): the width, the witnesses, the box and the oracle's
+frame share one reduction, as the recursions share one chain. These two
+memos, each of the last 1024 polygons, are the package's only caches; they
+stay apart so that lattice_width and minimal_box never peel.
 
 fit_into, the exact feasibility search, is the oracle only, and the only
 code that lists the lattice points of the width body {u : width(u) <= b}:
-no certificate calls it, so value and witness (reduced basis), trace
-(recursion) and oracle (search over the width body) are three independent
-routes. The oracle reads the reduced basis too, but only as its frame and
-for the bound on the rows of the body; the search, not the basis, picks the
-rows.
+no certificate calls it, so value (recursion), witness (reduced basis) and
+oracle (search over the width body) are three independent routes. The
+oracle reads the reduced basis too, but only as its frame and for the
+bound on the rows of the body; the search, not the basis, picks the rows.
 """
 
 from __future__ import annotations
@@ -89,26 +86,12 @@ RULE_SEARCH = "DegenerateBaseSearch"
 
 
 class SizeCertificate(NamedTuple):
-    """A lattice size off the reduced basis, with its witness map and the polygon it sizes.
-
-    The rule trace is not stored: reading trace peels polygon and runs the
-    recursion, and raises InternalConsistencyError unless the recursion's
-    value equals value.
-    """
+    """A lattice-size value with its witness map and recursion trace."""
 
     shape: str
     value: int
     witness: AffineUnimodularMap
-    polygon: LatticePolygon
-
-    @property
-    def trace(self) -> tuple[Step, ...]:
-        value, trace = _size_value(self.polygon, self.shape)
-        if value != self.value:
-            raise InternalConsistencyError(
-                f"the reduced basis reaches {self.value}, but the recursion gives {self.shape} size {value}"
-            )
-        return trace
+    trace: tuple[Step, ...]
 
 
 class BoxCertificate(NamedTuple):
@@ -227,8 +210,8 @@ def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[S
 
     Returned with recognize_special of the innermost skin, the last skin of
     the last run. This is the one chain of every recursion: its readers are
-    lattice_width_recursive and _size_value, and through _size_value the
-    trace of a SizeCertificate, so the width recursion and both traces over
+    lattice_width_recursive and _size_value, and through _size_value
+    lattice_size_sigma and lattice_size_square, so the three of them over
     the same polygon peel it and recognize its run starts once. Each run
     costs O(edges) plus one recognize_special on its first skin and one
     parallel-edge lookup per segment.
@@ -516,24 +499,18 @@ def fit_into(
 
 
 def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
-    """The lattice size of delta for the target shape, the reduced width basis's reach, with its witness.
-
-    This is the one route to the value of lattice_size_sigma,
-    lattice_size_square, minimal_box and the s2 and s11 bounds of analyze;
-    the recursion checks it only where a certificate's trace is read.
+    """The reach of the reduced width basis for the target shape, with its witness map.
 
     The rows (short, long) of the checked basis map delta into the minimal
     box [0, width] x [0, b] (see minimal_box), which lies in b * square: so
-    the square reach is b = width(long), the second successive minimum of
-    the width norm (Kaib and Schnorr) and so the square size, which the
-    memo entry holds, with that witness. For the triangle, the rows
-    (u1, u2) map delta into reach * Sigma with
-    reach = max((u1 + u2) . p) - min(u1 . p) - min(u2 . p); one of the four
-    sign choices (+-short, +-long) attains the lattice size with respect to
-    Sigma (Harrison and Soprunov, lattice size by generalized basis
-    reduction in dimensions two and three). Points and segments are covered
-    too: their reduced widths are (0, 0) and (0, length). The empty polygon
-    reaches the empty-hull convention (-2 or -1) with the identity.
+    the square reach is b = width(long), which the memo entry holds, with
+    that witness. For the triangle, the rows (u1, u2) map delta into
+    reach * Sigma with reach = max((u1 + u2) . p) - min(u1 . p) - min(u2 . p);
+    one of the four sign choices (+-short, +-long) attains the lattice size
+    with respect to Sigma (Harrison and Soprunov, lattice size by generalized
+    basis reduction in dimensions two and three). Points and segments are
+    covered too: their reduced widths are (0, 0) and (0, length). The empty
+    polygon reaches the empty-hull convention (-2 or -1) with the identity.
 
     One pass over the vertices gives the dot products of short and long;
     the four sign choices read their reaches off the extremes of the two
@@ -565,14 +542,24 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     return reach, AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
 
 
+def _certificate(delta: LatticePolygon, shape: str) -> SizeCertificate:
+    value, trace = _size_value(delta, shape)
+    reach, witness = _basis_map(delta, shape)
+    if reach != value:
+        raise InternalConsistencyError(
+            f"the reduced basis reaches {reach}, but the recursion gives {shape} size {value}"
+        )
+    return SizeCertificate(shape, value, witness, trace)
+
+
 def lattice_size_sigma(delta: LatticePolygon) -> SizeCertificate:
     """Lattice size of delta with respect to the standard triangle."""
-    return SizeCertificate(SIGMA, *_basis_map(delta, SIGMA), delta)
+    return _certificate(delta, SIGMA)
 
 
 def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
     """Lattice size of delta with respect to the unit square."""
-    return SizeCertificate(SQUARE, *_basis_map(delta, SQUARE), delta)
+    return _certificate(delta, SQUARE)
 
 
 def minimal_box(delta: LatticePolygon) -> BoxCertificate:

