@@ -132,14 +132,7 @@ def _parse_polygon(args: argparse.Namespace) -> LatticePolygon:
     if args.poly is not None:
         return newton_polygon(parse_laurent(args.poly))
     if args.vertices is not None:
-        pts = []
-        for chunk in args.vertices.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            x, y = chunk.split(",")
-            pts.append((int(x), int(y)))
-        return hull(pts)
+        return _pairs(args.vertices.split(";"), ",")
     # the input group of the parser makes --input the one source left
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -148,15 +141,23 @@ def _parse_polygon(args: argparse.Namespace) -> LatticePolygon:
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
     except json.JSONDecodeError:
-        pts = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            x, y = line.split()
-            pts.append((int(x), int(y)))
-        return hull(pts)
+        return _pairs(text.splitlines(), None)
     return hull(_json_vertices(doc))
+
+
+def _pairs(chunks: list[str], sep: Optional[str]) -> LatticePolygon:
+    """The hull of the pairs 'x<sep>y' of chunks; blank chunks are skipped.
+
+    sep None splits at whitespace. A chunk that is not two integers raises
+    ValueError, which exits 2.
+    """
+    pts = []
+    for chunk in chunks:
+        chunk = chunk.strip()
+        if chunk:
+            x, y = chunk.split(sep)
+            pts.append((int(x), int(y)))
+    return hull(pts)
 
 
 def _json_vertices(doc: object) -> list[Point]:

@@ -9,20 +9,10 @@ from .polygon import (
     EMPTY,
     LatticePolygon,
     Point,
-    _cross,
+    _from_chains,
+    _push,
     complete_to_basis,
 )
-
-
-def _push(chain: list[Point], p: Point, turn: int) -> None:
-    """Append p to a monotone chain, first popping the points p makes redundant.
-
-    ``turn`` is 1 for a lower chain (only left turns survive) and -1 for an
-    upper chain (only right turns survive).
-    """
-    while len(chain) >= 2 and turn * _cross(chain[-2], chain[-1], p) <= 0:
-        chain.pop()
-    chain.append(p)
 
 
 def _face_spans(delta: LatticePolygon, edges: list[tuple[Point, int, int]]) -> list[tuple[int, int]]:
@@ -243,13 +233,10 @@ def _column_hull(delta: LatticePolygon) -> LatticePolygon:
     no face covers.
 
     The lo ends build a strictly convex lower chain and the hi ends a
-    strictly concave upper chain, so the hull is read off them with no
-    sort: the lower chain, the right end of the upper chain if it is a new
-    point, the upper chain reversed without its ends, and its left end if
-    it is a new point. That starts at the least point and runs
-    counterclockwise, the canonical form. A single column gives a point or
-    a vertical segment; equal chains mean every interior point lies on one
-    line, and the hull is the segment between their ends.
+    strictly concave upper chain, by polygon._push as in hull, and
+    polygon._from_chains gives the hull read off its two chains. The
+    columns come in increasing x, so the scan sorts nothing and does not
+    call hull().
     """
     vs = delta.vertices
     lower: list[Point] = []
@@ -273,15 +260,7 @@ def _column_hull(delta: LatticePolygon) -> LatticePolygon:
         if lo <= hi:
             _push(lower, (x, lo), 1)
             _push(upper, (x, hi), -1)
-    if not lower:
-        return EMPTY
-    if len(lower) == 1:
-        return LatticePolygon((lower[0],) if lower == upper else (lower[0], upper[0]))
-    if lower == upper:
-        return LatticePolygon((lower[0], lower[-1]))
-    right = [upper[-1]] if upper[-1] != lower[-1] else []
-    left = [upper[0]] if upper[0] != lower[0] else []
-    return LatticePolygon(tuple(lower + right + upper[-2:0:-1] + left))
+    return _from_chains(lower, upper)
 
 
 # A run of onion skins: (skin, shift, count), see OnionTrace.

@@ -29,117 +29,9 @@ class LaurentPolynomial(NamedTuple):
         return frozenset(self.terms)
 
 
-_TOKEN = re.compile(r"(\d+)|([xy])|(\^)|(\*)|(/)|(\+)|(-)|(\s+)|(.)")
-
-_INT, _VAR, _CARET, _STAR, _SLASH, _PLUS, _MINUS = range(7)
-
-
-def _tokenize(text: str) -> list[tuple[int, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex - 1
-        if kind == 7:  # whitespace
-            continue
-        if kind == 8:
-            raise SyntaxError(f"unexpected character {m.group()!r} at position {m.start()}")
-        tokens.append((kind, m.group(), m.start()))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def _peek(self) -> Optional[int]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def _take(self) -> tuple[int, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _fail(self, what: str) -> None:
-        pos = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
-        raise SyntaxError(f"expected {what} at position {pos}")
-
-    def parse(self) -> dict[tuple[int, int], Fraction]:
-        terms: dict[tuple[int, int], Fraction] = {}
-        if not self.tokens:
-            raise SyntaxError("empty polynomial at position 0")
-        sign = 1
-        if self._peek() in (_PLUS, _MINUS):
-            sign = -1 if self._take()[0] == _MINUS else 1
-        while True:
-            coeff, expo = self._term()
-            key = expo
-            total = terms.get(key, Fraction(0)) + sign * coeff
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
-            nxt = self._peek()
-            if nxt is None:
-                break
-            if nxt in (_PLUS, _MINUS):
-                sign = -1 if self._take()[0] == _MINUS else 1
-                continue
-            self._fail("'+' or '-'")
-        return terms
-
-    def _integer(self) -> int:
-        neg = False
-        if self._peek() == _MINUS:
-            self._take()
-            neg = True
-        if self._peek() != _INT:
-            self._fail("an integer")
-        value = int(self._take()[1])
-        return -value if neg else value
-
-    def _term(self) -> tuple[Fraction, tuple[int, int]]:
-        coeff = Fraction(1)
-        saw_anything = False
-        if self._peek() == _INT or (
-            self._peek() == _MINUS
-            and self.i + 1 < len(self.tokens)
-            and self.tokens[self.i + 1][0] == _INT
-        ):
-            num = self._integer()
-            if self._peek() == _SLASH:
-                self._take()
-                den_pos = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
-                den = self._integer()
-                if den == 0:
-                    raise SyntaxError(f"zero denominator at position {den_pos}")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            saw_anything = True
-            if self._peek() == _STAR:
-                self._take()
-                if self._peek() != _VAR:
-                    self._fail("a variable after '*'")
-        ex = ey = 0
-        while self._peek() == _VAR:
-            name = self._take()[1]
-            e = 1
-            if self._peek() == _CARET:
-                self._take()
-                e = self._integer()
-            if name == "x":
-                ex += e
-            else:
-                ey += e
-            saw_anything = True
-            if self._peek() == _STAR:
-                self._take()
-                if self._peek() != _VAR:
-                    self._fail("a variable after '*'")
-        if not saw_anything:
-            self._fail("a term")
-        return coeff, (ex, ey)
+# An integer or a one-character token (group 1), or any other character
+# but whitespace (group 2); whitespace is skipped.
+_TOKEN = re.compile(r"(\d+|[xy^*/+-])|(\S)")
 
 
 def parse_laurent(text: str) -> LaurentPolynomial:
@@ -150,8 +42,86 @@ def parse_laurent(text: str) -> LaurentPolynomial:
     (possibly negative) exponent after '^'; '*' between parts is optional.
     Raises SyntaxError with a position on malformed input and
     ZeroPolynomialError if everything cancels.
+
+    That grammar is the contract, and one walk over the tokens implements
+    it: each term takes an optional sign (required between terms, where
+    the token after a term must be '+', '-' or the end), then parts, each
+    a coefficient (first part only) or a factor, with a '*' after a part
+    only if a variable follows. The token list ends in a sentinel "" at
+    position len(text), which no rule accepts, so every error reads its
+    position off the current token.
     """
-    terms = _Parser(text).parse()
+    toks: list[str] = []
+    pos: list[int] = []
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise SyntaxError(f"unexpected character {m.group()!r} at position {m.start()}")
+        toks.append(m.group())
+        pos.append(m.start())
+    if not toks:
+        raise SyntaxError("empty polynomial at position 0")
+    toks.append("")
+    pos.append(len(text))
+    i = 0
+
+    def expected(what: str) -> SyntaxError:
+        return SyntaxError(f"expected {what} at position {pos[i]}")
+
+    def integer() -> int:
+        nonlocal i
+        neg = toks[i] == "-"
+        if neg:
+            i += 1
+        if not toks[i].isdecimal():
+            raise expected("an integer")
+        i += 1
+        return -int(toks[i - 1]) if neg else int(toks[i - 1])
+
+    terms: dict[tuple[int, int], Fraction] = {}
+    while True:
+        sign = 1
+        if toks[i] in ("+", "-"):
+            sign = -1 if toks[i] == "-" else 1
+            i += 1
+        start, coeff, ex, ey = i, Fraction(1), 0, 0
+        while True:
+            if toks[i] in ("x", "y"):
+                var = toks[i]
+                i += 1
+                e = 1
+                if toks[i] == "^":
+                    i += 1
+                    e = integer()
+                if var == "x":
+                    ex += e
+                else:
+                    ey += e
+            elif i == start and (toks[i].isdecimal() or toks[i] == "-" and toks[i + 1].isdecimal()):
+                num, den = integer(), 1
+                if toks[i] == "/":
+                    i += 1
+                    den_pos = pos[i]
+                    den = integer()
+                    if not den:
+                        raise SyntaxError(f"zero denominator at position {den_pos}")
+                coeff = Fraction(num, den)
+            else:
+                break
+            if toks[i] == "*":
+                i += 1
+                if toks[i] not in ("x", "y"):
+                    raise expected("a variable after '*'")
+        if i == start:
+            raise expected("a term")
+        total = terms.get((ex, ey), 0) + sign * coeff
+        if total:
+            terms[ex, ey] = total
+        else:
+            terms.pop((ex, ey), None)
+        if not toks[i]:
+            break
+        if toks[i] not in ("+", "-"):
+            raise expected("'+' or '-'")
     if not terms:
         raise ZeroPolynomialError(f"all terms cancel in {text!r}")
     return LaurentPolynomial(terms)

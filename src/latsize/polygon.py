@@ -6,6 +6,12 @@ lexicographically smallest vertex, segments store their two extreme lattice
 points in sorted order. Structural equality therefore coincides with equality
 as point sets, and all values are safe to share between threads.
 
+One monotone-chain builder makes every hull: _push grows a lower and an
+upper chain and _from_chains reads the canonical polygon off them. hull
+feeds them the sorted points; the column scan of interior._column_hull
+feeds them the ends of each interior column, already in order, so it
+sorts nothing.
+
 The package's plain result records (Measures and SpecialShape here, and
 those of width, size, interior, newton, oracle and cli) are
 typing.NamedTuples, so they unpack and compare equal to a tuple of the same
@@ -48,10 +54,6 @@ def _check_point(p: object) -> Point:
 def integral_length(p: Point, q: Point) -> int:
     """Number of primitive lattice steps from p to q; gcd(0, 0) is 0."""
     return math.gcd(q[0] - p[0], q[1] - p[1])
-
-
-def _cross(o: Point, a: Point, b: Point) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _primitive(v: Point) -> Point:
@@ -167,26 +169,57 @@ class LatticePolygon(_Frozen):
 EMPTY = LatticePolygon(())
 
 
-def hull(points: Iterable[Point]) -> LatticePolygon:
-    """Convex hull of the given lattice points, in canonical form."""
-    pts = sorted({_check_point(p) for p in points})
-    if not pts:
+def _push(chain: list[Point], p: Point, turn: int) -> None:
+    """Append p to a monotone chain, first popping the points p makes redundant.
+
+    ``turn`` is 1 for a lower chain (only left turns survive) and -1 for an
+    upper chain (only right turns survive).
+    """
+    x, y = p
+    while len(chain) >= 2:
+        (ox, oy), (ax, ay) = chain[-2], chain[-1]
+        if turn * ((ax - ox) * (y - oy) - (ay - oy) * (x - ox)) > 0:
+            break
+        chain.pop()
+    chain.append(p)
+
+
+def _from_chains(lower: list[Point], upper: list[Point]) -> LatticePolygon:
+    """The canonical hull of a strictly convex lower chain and a strictly concave upper chain.
+
+    Both chains are built by _push in increasing x, from the least column
+    of the points to the greatest, and the upper one starts and ends at
+    least as high as the lower one. The hull is the lower chain, the right end of the upper chain if
+    it is a new point, the upper chain reversed without its ends, and its
+    left end if it is a new point. That starts at the least point and runs
+    counterclockwise, the canonical form. Empty chains give the empty
+    polygon and a single column a point or a vertical segment; equal chains
+    mean every point lies on one line, and the hull is the segment between
+    their ends.
+    """
+    if not lower:
         return EMPTY
-    if len(pts) == 1:
-        return LatticePolygon((pts[0],))
-    if all(_cross(pts[0], pts[-1], p) == 0 for p in pts):
-        return LatticePolygon((pts[0], pts[-1]))
+    if len(lower) == 1:
+        return LatticePolygon((lower[0],) if lower == upper else (lower[0], upper[0]))
+    if lower == upper:
+        return LatticePolygon((lower[0], lower[-1]))
+    right = [upper[-1]] if upper[-1] != lower[-1] else []
+    left = [upper[0]] if upper[0] != lower[0] else []
+    return LatticePolygon(tuple(lower + right + upper[-2:0:-1] + left))
+
+
+def hull(points: Iterable[Point]) -> LatticePolygon:
+    """Convex hull of the given lattice points, in canonical form.
+
+    Andrew's monotone chain: the sorted points build a lower and an upper
+    chain, which share their ends, and _from_chains reads the hull off them.
+    """
     lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
     upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return LatticePolygon(tuple(lower[:-1] + upper[:-1]))
+    for p in sorted({_check_point(p) for p in points}):
+        _push(lower, p, 1)
+        _push(upper, p, -1)
+    return _from_chains(lower, upper)
 
 
 def standard_triangle(d: int) -> LatticePolygon:

@@ -1,21 +1,20 @@
 """Lattice width from the Gauss-reduced basis of the width norm.
 
-lattice_width reads the width and every optimal direction off the reduced
-basis (_reduced_basis), which also gives every size witness (see
-size._basis_map) and the coordinate frame of the oracle size.fit_into. The
-basis is memoised per polygon, so these readers share one reduction; the
-memo holds no onion skins, so lattice_width never peels. The memo entry
-also keeps the widths the reduction measured along its final line, so a
-warm lattice_width measures at most four more directions, most often none.
-No set of directions is searched here; only that oracle searches, over the
-lattice points of the width body {u : width(u) <= b}, row by row in this
-frame. The width by peeling, lattice_width_recursive, is one of the
-recursions in size.py.
+lattice_width reads the width and every optimal direction of a segment or
+a polygon off the reduced basis (_reduced_basis), which also gives every
+size witness (see size._basis_map) and the coordinate frame of the oracle
+size.fit_into. The basis is memoised per polygon, so these readers share
+one reduction; the memo holds no onion skins, so lattice_width never
+peels. The memo entry also keeps the widths the reduction measured along
+its final line, so a warm lattice_width measures at most four more
+directions, most often none. No set of directions is searched here; only
+that oracle searches, over the lattice points of the width body
+{u : width(u) <= b}, row by row in this frame. The width by peeling,
+lattice_width_recursive, is one of the recursions in size.py.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -187,16 +186,16 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
     long +- 2 * short if long +- short ties (K is an interval around 0),
     and 2 * long +- short if long and long +- short both tie (the second
     point). When +-short is the only optimal direction, nothing is measured.
+
+    A segment reads the basis too: short is its one normal, of width 0,
+    and f(long) its lattice length, never 0 = w, so +-short is its one
+    optimal direction. A point keeps a branch of its own, as every
+    direction ties there.
     """
     if delta.is_empty:
         return WidthResult(-1, ())
     if delta.is_point:
         return WidthResult(0, ((0, 1), (1, 0)))
-    if delta.is_segment:
-        p, q = delta.vertices
-        g = math.gcd(q[0] - p[0], q[1] - p[1])
-        d = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
-        return WidthResult(0, (_normalize_direction((-d[1], d[0])),))
     short, long, w, (f_minus, f_long, f_plus) = _checked_basis(delta)
     dirs = [short]
     if f_long == w:

@@ -150,9 +150,16 @@ def test_input_file_json_and_lines(tmp_path):
     as_json.write_text(json.dumps({"vertices": [[0, 0], [4, 0], [0, 4]]}))
     assert run_command(["sigma", "--input", str(as_json)]).stdout == "4\n"
     as_lines = tmp_path / "poly.txt"
-    as_lines.write_text("0 0\n4 0\n0 4\n")
+    as_lines.write_text("\n  0 0\n\n4\t0  \n0 4\n   \n")
     assert run_command(["sigma", "--input", str(as_lines)]).stdout == "4\n"
     assert run_command(["sigma", "--input", str(tmp_path / "missing.txt")]).exit_code == 2
+    # these lines and --vertices share one pair reader: blank chunks are
+    # skipped, and a chunk that is not two integers exits 2
+    assert run_command(["sigma", "--vertices", " ; 0,0 ;;4, 0; 0,4 ;"]).stdout == "4\n"
+    for bad in ("0,0;4,0,1;0,4", "0,0;4;0,4", "0,0;a,0;0,4"):
+        assert run_command(["sigma", "--vertices", bad]).exit_code == 2, bad
+        as_lines.write_text(bad.replace(",", " ").replace(";", "\n"))
+        assert run_command(["sigma", "--input", str(as_lines)]).exit_code == 2, bad
 
 
 def test_poly_input_for_polygon_commands():

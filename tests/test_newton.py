@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latsize.interior
 from latsize import (
@@ -27,6 +29,8 @@ from latsize import (
     upsilon,
 )
 from latsize.size import _size_value
+
+from laurent_reference import reference_parse
 
 
 def test_parse_supports():
@@ -63,6 +67,29 @@ def test_parse_errors_carry_positions():
         parse_laurent("x - x")
     with pytest.raises(ZeroPolynomialError):
         parse_laurent("x*y - y*x + 0")
+
+
+def _parse_outcome(parse, text):
+    """The terms in insertion order, or the type and message of the exception."""
+    try:
+        return list(parse(text).items())
+    except (SyntaxError, ZeroPolynomialError) as exc:
+        return type(exc), str(exc)
+
+
+# The grammar's characters, whitespace, a letter it rejects and a non-ASCII
+# decimal digit (ARABIC-INDIC THREE), which \d and int() accept.
+_LAURENT_ALPHABET = "0123456789xy^*/+- \nz\u0663"
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    st.text(_LAURENT_ALPHABET, max_size=16),
+    st.lists(st.sampled_from(["x", "y", "^", "*", "/", "+", "-", " ", "2", "0", "13"]), max_size=10).map("".join),
+))
+def test_parse_matches_the_reference_parser(text):
+    new = _parse_outcome(lambda t: parse_laurent(t).terms, text)
+    assert new == _parse_outcome(reference_parse, text)
 
 
 def test_newton_polygon_reference_shapes():

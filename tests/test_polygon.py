@@ -37,11 +37,19 @@ def test_hull_unit_square():
 
 def test_hull_collinear_becomes_segment():
     assert hull([(0, 0), (1, 0), (3, 0)]).vertices == ((0, 0), (3, 0))
+    # unsorted, with duplicates: the chains collapse to their ends
+    assert hull([(3, 0), (1, 0), (-2, 0), (3, 0), (1, 0)]).vertices == ((-2, 0), (3, 0))
+    assert hull([(1, 5), (1, -2), (1, 0), (1, 5)]).vertices == ((1, -2), (1, 5))
+    # diagonal and anti-diagonal sets whose ends are not first or last in the input
+    assert hull([(2, 3), (-2, -3), (4, 6), (0, 0), (2, 3)]).vertices == ((-2, -3), (4, 6))
+    assert hull([(2, 2), (0, 4), (3, 1), (4, 0), (1, 3)]).vertices == ((0, 4), (4, 0))
 
 
 def test_hull_degenerate_kinds():
     assert hull([]).is_empty
     assert hull([(2, 5), (2, 5)]).vertices == ((2, 5),)
+    assert hull([(5, 1), (2, 7)]).vertices == ((2, 7), (5, 1))
+    assert hull([(5, 1), (5, -7)]).vertices == ((5, -7), (5, 1))
 
 
 def test_hull_input_order_irrelevant():

@@ -65,9 +65,15 @@ def test_width_degenerate_conventions():
     assert lattice_width(hull([])).directions == ()
     point = lattice_width(hull([(3, 4)]))
     assert point.width == 0 and point.directions
-    seg = lattice_width(hull([(0, 0), (6, 4)]))
-    assert seg.width == 0
-    assert seg.directions == ((2, -3),) or seg.directions == ((-2, 3),)
+    # a segment's one optimal direction is its normal, normalised
+    assert lattice_width(hull([(0, 0), (6, 4)])) == (0, ((2, -3),))
+    assert lattice_width(hull([(-3, 2), (5, 2)])) == (0, ((0, 1),))
+    assert lattice_width(hull([(4, -1), (4, 7)])) == (0, ((1, 0),))
+    g = 2**31
+    assert lattice_width(hull([(-g, 5), (g, 5)])) == (0, ((0, 1),))
+    assert lattice_width(hull([(3, -g), (3, g)])) == (0, ((1, 0),))
+    assert lattice_width(hull([(g, -g), (-g, g)])) == (0, ((1, 1),))
+    assert lattice_width(hull([(-g, -g), (g, g - 1)])) == (0, ((2 * g - 1, -2 * g),))
 
 
 def test_width_directions_achieve_width():
