@@ -27,7 +27,7 @@ from .errors import (
 from .interior import onion_skins
 from .newton import analyze, newton_polygon, parse_laurent
 from .oracle import oracle_box_pareto, oracle_size
-from .polygon import AffineUnimodularMap, LatticePolygon, Point, apply_map, hull
+from .polygon import AffineUnimodularMap, LatticePolygon, Point, hull
 from .size import (
     SizeCertificate,
     Step,
@@ -122,27 +122,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_polygon(args: argparse.Namespace) -> LatticePolygon:
     """The input polygon; every polygon command needs at least one point."""
-    delta = _parse_polygon(args)
+    if args.poly is not None:
+        delta = newton_polygon(parse_laurent(args.poly))
+    elif args.vertices is not None:
+        delta = _pairs(args.vertices.split(";"), ",")
+    else:
+        # the input group of the parser makes --input the one source left
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON input is nested too deeply") from None
+        except json.JSONDecodeError:
+            delta = _pairs(text.splitlines(), None)
+        else:
+            delta = hull(_json_vertices(doc))
     if delta.is_empty:
         raise EmptyPolygonError("the input polygon is empty")
     return delta
-
-
-def _parse_polygon(args: argparse.Namespace) -> LatticePolygon:
-    if args.poly is not None:
-        return newton_polygon(parse_laurent(args.poly))
-    if args.vertices is not None:
-        return _pairs(args.vertices.split(";"), ",")
-    # the input group of the parser makes --input the one source left
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON input is nested too deeply") from None
-    except json.JSONDecodeError:
-        return _pairs(text.splitlines(), None)
-    return hull(_json_vertices(doc))
 
 
 def _pairs(chunks: list[str], sep: Optional[str]) -> LatticePolygon:

@@ -1,15 +1,15 @@
 """Brute-force ground truth and deterministic test-corpus generation.
 
-Everything here is independent of the recursive algorithms: sizes are found
-by doubling and bisection over the feasibility test size.fit_into, Pareto
-sets by a walk along the least feasible box side, and random inputs come
+Everything here is independent of the recursive algorithms: sizes and the
+least box side of a Pareto set are found by one search, doubling and
+bisection over the feasibility test size.fit_into, and random inputs come
 from a fixed 64-bit mixing function (splitmix64) so every platform
 reproduces the identical corpus.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import AffineUnimodularMap, LatticePolygon, hull
@@ -65,38 +65,49 @@ def random_unimodular_map(seed: int) -> AffineUnimodularMap:
     return AffineUnimodularMap.translation(t1, t2).compose(phi)
 
 
-def oracle_size(delta: LatticePolygon, shape: str) -> int:
-    """Smallest feasible target size, by doubling and bisection over fit_into.
+def _least_fit(delta: LatticePolygon, fits: Callable[[int], bool], target: Callable[[int], str]) -> int:
+    """The least side d >= 0 with fits(d), by doubling and bisection from the lattice width.
 
-    Feasibility is monotone in the size, as d * target lies in
-    (d + 1) * target. The search starts at lattice_width, a lower bound for
-    both target shapes, doubles until fit_into finds a map, then bisects
-    between the last infeasible size and the first feasible one. So it ends
-    with value - 1 tested infeasible, and the search itself certifies the
-    value. A value >= 1 takes at most 2 * ceil(log2(value)) + 3 calls of
-    fit_into. lattice_width is the width along a direction of the reduced
-    basis, never below the true width, so a wrong basis can only start the
-    search too high. The search does not trust it: when the start fits,
-    start - 1 is tested too, and InternalConsistencyError is raised if it
-    fits.
+    fits must be monotone in d, as the feasibility of a target that grows
+    with d is. The search starts at lattice_width, a lower bound for every
+    target here, doubles until fits holds, then bisects between the last
+    side that does not fit and the first that does. So it ends with
+    value - 1 tested infeasible, and the search itself certifies the value.
+    A value >= 1 takes at most 2 * ceil(log2(value)) + 3 tests.
+    lattice_width is the width along a direction of the reduced basis,
+    never below the true width, so a wrong basis can only start the search
+    too high. The search does not trust it: when the start fits, start - 1
+    is tested too, and InternalConsistencyError is raised if it fits; its
+    message names target(start - 1).
     """
-    if delta.is_empty:
-        raise EmptyPolygonError("oracle_size needs a non-empty polygon")
     lo = max(lattice_width(delta).width, 0)
-    if fit_into(delta, shape, lo) is not None:
-        if lo > 0 and fit_into(delta, shape, lo - 1) is not None:
-            raise InternalConsistencyError(f"{shape} size {lo - 1} fits, below the lattice width {lo}")
+    if fits(lo):
+        if lo > 0 and fits(lo - 1):
+            raise InternalConsistencyError(f"{target(lo - 1)} fits, below the lattice width {lo}")
         return lo
     hi = max(2 * lo, 1)
-    while fit_into(delta, shape, hi) is None:
+    while not fits(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fit_into(delta, shape, mid) is None:
-            lo = mid
-        else:
+        if fits(mid):
             hi = mid
+        else:
+            lo = mid
     return hi
+
+
+def oracle_size(delta: LatticePolygon, shape: str) -> int:
+    """Smallest feasible target size, by the least-fit search over fit_into.
+
+    Feasibility is monotone in the size, as d * target lies in
+    (d + 1) * target, so _least_fit finds the size from the lattice width
+    up, tests size - 1 infeasible, and raises InternalConsistencyError if
+    a size below the lattice width fits.
+    """
+    if delta.is_empty:
+        raise EmptyPolygonError("oracle_size needs a non-empty polygon")
+    return _least_fit(delta, lambda d: fit_into(delta, shape, d) is not None, lambda d: f"{shape} size {d}")
 
 
 class ParetoSet(NamedTuple):
@@ -110,23 +121,22 @@ def oracle_box_pareto(delta: LatticePolygon) -> ParetoSet:
 
     Let s = oracle_size(delta, "square"). Every feasible box has b >= s, as
     [0,a] x [0,b] lies in b * square, and (s, s) is feasible. So the least
-    feasible b never rises as a rises and is s from some a on: the walk
-    starts at a = lattice_width, a lower bound for a, and raises a until
-    fit_into places delta in [0,a] x [0,s]; if that is the start, a - 1 is
-    tested too, as oracle_size does, and InternalConsistencyError is raised
-    if it fits. That costs at most s - width + 2 calls beyond oracle_size.
+    feasible b never rises as a rises and is s from some a on, and the one
+    minimal pair with b = s is (a, s) for the least a with [0,a] x [0,s]
+    feasible. _least_fit finds that a, as oracle_size finds a size, with
+    InternalConsistencyError if a side below the lattice width fits. A
+    side a > s counts as fitting without a call of fit_into, which takes
+    a <= b only; the side s itself is tested. As the reduced basis gives
+    the box (width, s) (see size.minimal_box), the search tests the width
+    and width - 1 only: at most two calls beyond oracle_size.
     Sides b > s are not searched: a minimal pair (a', b) with b > s would
-    need a' below that a, and the reduced basis gives the box (width, s)
-    (see size.minimal_box).
+    need a' below that a, which is the lattice width.
     """
     if delta.is_empty:
         raise EmptyPolygonError("oracle_box_pareto needs a non-empty polygon")
     s = oracle_size(delta, SQUARE)
-    a = start = max(lattice_width(delta).width, 0)
-    while fit_into(delta, BOX, (a, s)) is None:
-        a += 1
-    if a == start > 0 and fit_into(delta, BOX, (a - 1, s)) is not None:
-        raise InternalConsistencyError(f"the box ({a - 1}, {s}) fits, below the lattice width {a}")
+    a = _least_fit(delta, lambda a: a > s or fit_into(delta, BOX, (a, s)) is not None,
+                   lambda a: f"the box ({a}, {s})")
     return ParetoSet(((a, s),))
 
 

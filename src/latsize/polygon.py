@@ -420,10 +420,17 @@ def _solve_frame(d1: Point, d2: Point, f1: Point, f2: Point) -> Optional[tuple[i
 def are_equivalent(d1: LatticePolygon, d2: LatticePolygon) -> Optional[AffineUnimodularMap]:
     """A unimodular map sending d1 onto d2 exactly, or None.
 
-    Two-dimensional polygons are matched by mapping the edge frame at the
-    first vertex of d1 onto the frame at every vertex of d2, in both
-    orientations; a candidate is accepted only if the induced affine map has
-    determinant +-1 and reproduces d2.
+    A segment and a two-dimensional polygon are matched by one loop over
+    frames: a point of each polygon with two directions there. The frame
+    of d1 is matched with each frame of d2 in turn; a pair is accepted only
+    if the linear map between the frames is integral with determinant +-1
+    and the affine map it induces reproduces d2. A segment has one frame
+    at its first vertex: its primitive direction u, completed to a basis
+    (u, u') with det 1, so the linear map always exists and the check
+    fails only if the lengths differ.
+    A polygon has the edge frame (next, previous edge direction) at its
+    first vertex, and d2 a frame at every vertex in both orientations:
+    2n pairs.
     """
     if d1.kind != d2.kind:
         return None
@@ -432,40 +439,32 @@ def are_equivalent(d1: LatticePolygon, d2: LatticePolygon) -> Optional[AffineUni
     if d1.is_point:
         p, q = d1.vertices[0], d2.vertices[0]
         return AffineUnimodularMap.translation(q[0] - p[0], q[1] - p[1])
-    if d1.is_segment:
-        if integral_length(*d1.vertices) != integral_length(*d2.vertices):
-            return None
-        (p1, q1), (p2, q2) = d1.vertices, d2.vertices
-        u1 = _primitive((q1[0] - p1[0], q1[1] - p1[1]))
-        u2 = _primitive((q2[0] - p2[0], q2[1] - p2[1]))
-        # the frames (u_i, w_i) both have det 1, so M exists and is unimodular
-        m = _solve_frame(u1, complete_to_basis(u1), u2, complete_to_basis(u2))
-        phi = AffineUnimodularMap(
-            m[0], m[1], m[2], m[3],
-            p2[0] - (m[0] * p1[0] + m[1] * p1[1]),
-            p2[1] - (m[2] * p1[0] + m[3] * p1[1]),
-        )
-        return phi if apply_map(phi, d1) == d2 else None
     n = len(d1.vertices)
     if n != len(d2.vertices) or d1.area2 != d2.area2:
         return None
-    v0 = d1.vertices[0]
-    d_next = _primitive((d1.vertices[1][0] - v0[0], d1.vertices[1][1] - v0[1]))
-    d_prev = _primitive((d1.vertices[-1][0] - v0[0], d1.vertices[-1][1] - v0[1]))
-    for j, w in enumerate(d2.vertices):
-        f_next = _primitive((d2.vertices[(j + 1) % n][0] - w[0], d2.vertices[(j + 1) % n][1] - w[1]))
-        f_prev = _primitive((d2.vertices[j - 1][0] - w[0], d2.vertices[j - 1][1] - w[1]))
-        for g1, g2 in ((f_next, f_prev), (f_prev, f_next)):
-            m = _solve_frame(d_next, d_prev, g1, g2)
-            if m is None:
-                continue
-            phi = AffineUnimodularMap(
-                m[0], m[1], m[2], m[3],
-                w[0] - (m[0] * v0[0] + m[1] * v0[1]),
-                w[1] - (m[2] * v0[0] + m[3] * v0[1]),
-            )
-            if apply_map(phi, d1) == d2:
-                return phi
+
+    def edge(vs: tuple[Point, ...], j: int, k: int) -> Point:
+        return _primitive((vs[k % n][0] - vs[j][0], vs[k % n][1] - vs[j][1]))
+
+    v0, vs2 = d1.vertices[0], d2.vertices
+    if d1.is_segment:
+        u1, u2 = edge(d1.vertices, 0, 1), edge(vs2, 0, 1)
+        frame, targets = (u1, complete_to_basis(u1)), [(vs2[0], u2, complete_to_basis(u2))]
+    else:
+        frame = edge(d1.vertices, 0, 1), edge(d1.vertices, 0, -1)
+        edges2 = ((w, edge(vs2, j, j + 1), edge(vs2, j, j - 1)) for j, w in enumerate(vs2))
+        targets = (t for w, f_next, f_prev in edges2 for t in ((w, f_next, f_prev), (w, f_prev, f_next)))
+    for w, g1, g2 in targets:
+        m = _solve_frame(*frame, g1, g2)
+        if m is None:
+            continue
+        phi = AffineUnimodularMap(
+            m[0], m[1], m[2], m[3],
+            w[0] - (m[0] * v0[0] + m[1] * v0[1]),
+            w[1] - (m[2] * v0[0] + m[3] * v0[1]),
+        )
+        if apply_map(phi, d1) == d2:
+            return phi
     return None
 
 

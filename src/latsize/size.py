@@ -386,9 +386,14 @@ def fit_into(
 
     Targets: ``size * standard triangle`` ("sigma"), ``size * unit square``
     ("square") or the box [0,a] x [0,b] ("box", size = (a, b) with a <= b).
-    Returns the first witness in the deterministic order (|u1|^2, u1, |u2|^2,
-    u2) over candidate functional rows, in the frame of the reduced basis;
-    None if the embedding is infeasible.
+    Returns the witness of the first pair in order that fits, in the
+    deterministic order (|u1|^2, u1, |u2|^2, u2) over candidate functional
+    rows in the frame of the reduced basis; None if the embedding is
+    infeasible. A pair (u1, u2) is a basis, det = +-1. It fits sigma
+    (d = size) if its reach max(u1 + u2) - min u1 - min u2 is at most d,
+    and the square or the box if u1 has width at most a (u2 has width at
+    most b, as every candidate). All three shapes translate by
+    (-min u1, -min u2) over the vertices.
 
     A row of a witness has width at most b, the larger side of the target,
     so the candidate rows are the primitive lattice points of the width
@@ -402,7 +407,9 @@ def fit_into(
       >= y * (f(long) - w / 2), as the lattice_width docstring shows.
     - Along a row f is convex in x, so the row's points form an interval:
       it is walked outward from the argmin that width._min_convex finds,
-      while f <= b, keeping the x with gcd(x, y) = 1.
+      while f <= b, keeping the x with gcd(x, y) = 1. The walk keeps the
+      dots and the width it computed for each point it keeps, so the pairs
+      read them and nothing is computed twice.
 
     That bound needs only w <= f(long) <= f(long +- short), by convexity
     along the line long + t * short, and width._checked_basis raises
@@ -451,49 +458,32 @@ def fit_into(
     psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
     verts = [(long[0] * x + long[1] * y, short[0] * x + short[1] * y) for x, y in delta.vertices]
 
-    def width(y: int, x: int) -> int:
-        dots = [y * p + x * q for p, q in verts]
-        return max(dots) - min(dots)
+    def row(y: int, x: int) -> tuple[tuple[int, int], tuple[int, ...], int]:
+        dots = tuple(y * p + x * q for p, q in verts)
+        return (y, x), dots, max(dots) - min(dots)
 
-    body = [(0, 1)] if w <= b_cap else []
+    # each candidate is (u, the dots of u on verts, its width), and -u with them negated
+    cands = [row(0, 1)] if w <= b_cap else []
     for y in range(1, 2 * b_cap // (2 * f_long - w) + 1):
-        x0 = _min_convex(lambda x, y=y: width(y, x), {0: width(y, 0)})[0]
+        x0 = _min_convex(lambda x, y=y: row(y, x)[2], {0: row(y, 0)[2]})[0]
         for x, step in ((x0, 1), (x0 - 1, -1)):
-            while width(y, x) <= b_cap:
+            while (c := row(y, x))[2] <= b_cap:
                 if math.gcd(x, y) == 1:
-                    body.append((y, x))
+                    cands.append(c)
                 x += step
-    cands = []
-    for u in body:
-        dots = tuple(u[0] * p + u[1] * q for p, q in verts)
-        f_u = max(dots) - min(dots)
-        cands.append((u, dots, f_u))
-        cands.append(((-u[0], -u[1]), tuple(-t for t in dots), f_u))
+    cands += [((-y, -x), tuple(-t for t in dots), f_u) for (y, x), dots, f_u in cands]
     cands.sort(key=lambda c: (c[0][0] * c[0][0] + c[0][1] * c[0][1], c[0][0], c[0][1]))
 
-    if shape == SIGMA:
-        d = a_cap
-        for (u1, dots1, w1) in cands:
-            mn1 = min(dots1)
-            for (u2, dots2, w2) in cands:
-                if u1[0] * u2[1] - u1[1] * u2[0] not in (1, -1):
-                    continue
-                reach = max(s + t for s, t in zip(dots1, dots2)) - mn1 - min(dots2)
-                if reach <= d:
-                    phi = AffineUnimodularMap(
-                        u1[0], u1[1], u2[0], u2[1], -mn1, -min(dots2)
-                    )
-                    return phi.compose(psi)
-        return None
-
-    pool1 = [c for c in cands if c[2] <= a_cap]
-    for (u1, dots1, w1) in pool1:
-        for (u2, dots2, w2) in cands:
+    # every candidate has width at most b, so only u1 of a square or box pair is tested
+    for u1, dots1, w1 in cands:
+        if shape != SIGMA and w1 > a_cap:
+            continue
+        for u2, dots2, _ in cands:
             if u1[0] * u2[1] - u1[1] * u2[0] not in (1, -1):
                 continue
-            phi = AffineUnimodularMap(
-                u1[0], u1[1], u2[0], u2[1], -min(dots1), -min(dots2)
-            )
+            if shape == SIGMA and max(s + t for s, t in zip(dots1, dots2)) - min(dots1) - min(dots2) > a_cap:
+                continue
+            phi = AffineUnimodularMap(u1[0], u1[1], u2[0], u2[1], -min(dots1), -min(dots2))
             return phi.compose(psi)
     return None
 

@@ -47,12 +47,16 @@ def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, in
     """A deterministic integer argmin of a coercive convex function, with its value.
 
     known maps integers to their values of f and must hold f(0), which
-    the caller knows already. A galloping search from 0 brackets the
-    argmin and a bisection finds the smallest k with f(k) <= f(k + 1).
-    The two share points, so every value is looked up in known first, and
-    f is called only for a k not in it; that value is added to known, so
-    the caller finds there every value of the pass. known always ends up
-    with f(1), and with f(-1) whenever f(0) <= f(1).
+    the caller knows already. One galloping search brackets the argmin: it
+    starts at the edge 0 (leftward, s = -1, when f(0) <= f(1)) or 1
+    (rightward, s = +1), and moves the edge to edge + s * step, doubling
+    step, while f falls there; the value at the edge stays in a local. The
+    bracket is (edge - step, 0) or (0, edge + step), and a bisection in it
+    finds the smallest k with f(k) <= f(k + 1). Gallop and bisection share
+    points, so every value is looked up in known first, and f is called
+    only for a k not in it; that value is added to known, so the caller
+    finds there every value of the pass. known always ends up with f(1),
+    and with f(-1) whenever f(0) <= f(1).
     """
     def at(k: int) -> int:
         v = known.get(k)
@@ -60,26 +64,12 @@ def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, in
             v = known[k] = f(k)
         return v
 
-    if at(0) <= at(1):
-        lo = 0
-        step = 1
-        while True:
-            nxt = lo - step
-            if at(nxt) >= at(nxt + step):
-                break
-            lo = nxt
-            step *= 2
-        lo, hi = lo - step, 0
-    else:
-        hi = 1
-        step = 1
-        while True:
-            nxt = hi + step
-            if at(nxt) >= at(nxt - step):
-                break
-            hi = nxt
-            step *= 2
-        lo, hi = 0, hi + step
+    edge, s = (0, -1) if at(0) <= at(1) else (1, 1)
+    f_edge, step = known[edge], 1
+    while (f_next := at(edge + s * step)) < f_edge:
+        edge, f_edge = edge + s * step, f_next
+        step *= 2
+    lo, hi = (edge - step, 0) if s < 0 else (0, edge + step)
     # smallest k with f(k) <= f(k + 1); predicate is monotone by convexity
     while lo < hi:
         mid = (lo + hi) // 2

@@ -167,13 +167,17 @@ def test_poly_input_for_polygon_commands():
     assert run_command(["width", "--poly", "y^2 + x^5 + 1"]).stdout == "2\n"
 
 
-def test_json_input_contract(tmp_path):
+def test_json_input_contract(tmp_path, capsys):
     doc = tmp_path / "poly.json"
     for text in ('{"verts": [[0, 0], [4, 0], [0, 4]]}', '{"vertices": 5}', "[[1.5, 0], [4, 0], [0, 4]]",
                  "[[1.0, 0], [4, 0], [0, 4]]", "[[true, 0], [4, 0], [0, 4]]", "[[0, 0, 1]]", "null",
                  "[" * 100000, "[" * 100000 + "]" * 100000):
         doc.write_text(text)
         assert run_command(["sigma", "--input", str(doc)]).exit_code == 2, text
+    doc.write_text("null")
+    capsys.readouterr()
+    assert run_command(["sigma", "--input", str(doc)]).exit_code == 2
+    assert capsys.readouterr().err == "latsize: JSON vertices must be a list of [x, y] pairs\n"
     doc.write_text("[[0, 0], [4, 0], [0, 4]]")
     assert run_command(["sigma", "--input", str(doc)]).stdout == "4\n"
 
@@ -266,6 +270,10 @@ def test_help_documents_the_run_format(capsys):
         assert latsize.cli._RUNS in capsys.readouterr().out, argv
     # the format is written once, in _RUNS; the module docstring points to it
     assert "_RUNS" in latsize.cli.__doc__ and latsize.cli._RUNS not in latsize.cli.__doc__
+    # its example is the first line that peel prints for 6*Sigma
+    example = "0,0;6,0;0,6 2 1,1;-2,1;1,-2"
+    assert f'e.g. "{example}"' in latsize.cli._RUNS.replace("\n", " ")
+    assert run_command(["peel", "--vertices", "0,0;6,0;0,6"]).stdout.splitlines()[0] == example
 
 
 # The options that every command accepted when all commands shared one flag

@@ -1,6 +1,8 @@
 """Lattice width: enumeration, recursion and their agreement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsize import (
     EmptyPolygonError,
@@ -22,8 +24,9 @@ from latsize import (
     width_along,
 )
 from latsize.size import _rule_runs, _size_value
-from latsize.width import _reduced_basis
+from latsize.width import _min_convex, _reduced_basis
 
+import line_search_reference
 from conftest import fibonacci_shear, weierstrass
 from disc import _euclidean_width_sq, _primitive_directions
 
@@ -336,3 +339,43 @@ def test_lattice_width_of_a_thin_triangle_measures_nothing(measured):
         result = lattice_width(image)
         assert result.width == 2 and len(result.directions) == 1, image
         assert measured == [], image
+
+
+# A coercive piecewise-linear convex function: the max of affine pieces
+# a * (k - c) + b, with a falling and a rising piece, a flat one sometimes,
+# so the minimum may be a plateau of several points.
+_PIECES = st.tuples(
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(-60, 60)), max_size=3),
+    st.integers(-9, -1), st.integers(1, 9), st.integers(-60, 60), st.integers(-60, 60),
+    st.integers(-3000, 3000),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_PIECES, st.sampled_from([(), (-1,), (1,), (-1, 1)]))
+def test_min_convex_matches_the_line_search_reference(pieces, carried):
+    """The one gallop evaluates the points of the mirrored gallops, in their order, and leaves the same known.
+
+    known is seeded with f(0), as the first pass of a reduction, or also
+    with the widths at -1 and 1 that a pass carries over from the one
+    before; _reduced_basis reads f(-1), f(0) and f(1) from the final known.
+    """
+    extra, down, up, b_down, b_up, c = pieces
+    lines = [*extra, (down, b_down), (up, b_up)]
+
+    def f(k: int) -> int:
+        return max(a * (k - c) + b for a, b in lines)
+
+    results = []
+    for search in (_min_convex, line_search_reference._min_convex):
+        calls = []
+
+        def logged(k: int) -> int:
+            calls.append(k)
+            return f(k)
+
+        known = {j: f(j) for j in (0, *carried)}
+        results.append((search(logged, known), calls, list(known.items())))
+    assert results[0] == results[1]
+    (k, fk), _, _ = results[0]
+    assert fk == f(k) == min(f(k + j) for j in range(-3, 4))
