@@ -25,8 +25,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .interior import onion_skins
-from .newton import analyze, newton_polygon, parse_laurent
-from .oracle import oracle_box_pareto, oracle_size
+from .newton import _curve_bounds, analyze, newton_polygon, parse_laurent
+from .oracle import oracle_box, oracle_size
 from .polygon import AffineUnimodularMap, LatticePolygon, Point, hull
 from .size import (
     SizeCertificate,
@@ -74,7 +74,7 @@ _VERIFY = {
     "width": "check against the width by peeling (the width --trace recursion)",
     "sigma": "check against the oracle's feasibility search (oracle --shape sigma)",
     "square": "check against the oracle's feasibility search (oracle --shape square)",
-    "box": "check against the oracle's minimal boxes (oracle --shape box)",
+    "box": "check against the oracle's least box (oracle --shape box)",
     "analyze": "check the gonality against the width by peeling of the interior, "
                "and s2 and s11 against the oracle on the interior",
 }
@@ -258,11 +258,8 @@ def _box_command(args: argparse.Namespace) -> str:
     delta = _read_polygon(args)
     cert = minimal_box(delta)
     if args.verify:
-        pareto = oracle_box_pareto(delta)
-        _check(
-            pareto.pairs == ((cert.a, cert.b),),
-            f"Pareto set {pareto.pairs} is not exactly the computed box {(cert.a, cert.b)}",
-        )
+        box = oracle_box(delta)
+        _check(box == (cert.a, cert.b), f"box {(cert.a, cert.b)} disagrees with the oracle box {box}")
     doc: dict = {"command": "box", "value": [cert.a, cert.b]}
     if args.witness:
         doc["witness"] = _witness_doc(cert.witness)
@@ -287,24 +284,12 @@ def _analyze_command(args: argparse.Namespace) -> str:
     result = analyze(parse_laurent(args.poly))
     inner = result.interior
     if args.verify and not inner.is_empty:
-        # every bound that the recursion gives; Upsilon_d has its own s2 for
-        # d >= 2 and its own gonality and s11 for d = 2
-        special = result.special
-        ups = special.params[0] if special is not None and special.kind == "upsilon" else None
-        if ups != 2:
-            _check(
-                lattice_width_recursive(inner)[0] + 2 == result.gonality,
-                "gonality disagrees with the recursive width of the interior",
-            )
-            _check(
-                oracle_size(inner, "square") + 2 == result.s11_bound[1],
-                "bidegree bound disagrees with the oracle",
-            )
-        if ups is None or ups < 2:
-            _check(
-                oracle_size(inner, "sigma") + 3 == result.s2_bound,
-                "plane-degree bound disagrees with the oracle",
-            )
+        checked = _curve_bounds(lattice_width_recursive(inner)[0], oracle_size(inner, "square"),
+                                oracle_size(inner, "sigma"), result.special)
+        _check(
+            checked == (result.gonality, result.s2_bound, result.s11_bound),
+            "gonality, s2 and s11 disagree with the recursive width and the oracle on the interior",
+        )
     doc = {
         "command": "analyze",
         "value": result.genus_bound,
@@ -331,14 +316,8 @@ def _analyze_command(args: argparse.Namespace) -> str:
 def _oracle_command(args: argparse.Namespace) -> str:
     delta = _read_polygon(args)
     if args.shape == "box":
-        pareto = oracle_box_pareto(delta)
-        doc = {
-            "command": "oracle",
-            "value": list(pareto.pairs[0]),
-            "pareto": [list(p) for p in pareto.pairs],
-        }
-        plain = " ".join(f"{a},{b}" for a, b in pareto.pairs)
-        return _emit(doc, args, plain)
+        a, b = oracle_box(delta)
+        return _emit({"command": "oracle", "value": [a, b], "pareto": [[a, b]]}, args, f"{a},{b}")
     value = oracle_size(delta, args.shape)
     return _emit({"command": "oracle", "value": value}, args, str(value))
 

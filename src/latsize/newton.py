@@ -13,7 +13,7 @@ from .polygon import (
     LatticePolygon,
     SpecialShape,
     hull,
-    integral_length,
+    measures,
     recognize_special,
 )
 from .size import SIGMA, _basis_map, minimal_box
@@ -160,28 +160,43 @@ _CAVEAT_NONDEGENERATE = "genus and gonality formulas assume a nondegenerate poly
 _CAVEAT_RATIONAL = "empty interior: rational-curve conventions (gonality 1, bounds 1)"
 
 
+def _curve_bounds(
+    width: int, square: int, sigma: int, special: Optional[SpecialShape]
+) -> tuple[int, int, tuple[int, int]]:
+    """(gonality, s2, s11) of a polygon with a non-empty interior, from the interior's sizes.
+
+    width, square and sigma are the lattice width, square size and Sigma
+    size of the interior hull; special is the shape of the polygon. The
+    gonality and s11 are the interior's minimal box (width, square) plus 2
+    and (2, 2), and s2 its Sigma size plus three. Dilated upsilon triangles
+    Upsilon_d get the sharper degree bounds: s2 = 3d - 1 for d >= 2, and
+    gonality 3 and s11 = (3, 4) for d = 2.
+    """
+    ups = special.params[0] if special is not None and special.kind == "upsilon" else None
+    s2 = 3 * ups - 1 if ups is not None and ups >= 2 else sigma + 3
+    if ups == 2:
+        return 3, s2, (3, 4)
+    return width + 2, s2, (width + 2, square + 2)
+
+
 def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     """Genus, gonality and minimal plane/biprojective degree bounds for f.
 
-    The genus bound counts interior lattice points, by Pick's formula on
-    the Newton polygon, (area2 - boundary + 2) / 2, in O(edges). An empty
-    interior gives gonality 1 and bounds 1, (1, 1); otherwise the gonality
-    and s11 are the interior's minimal box plus 2 and (2, 2), and s2 its
-    Sigma reach plus three, all off its reduced basis. Dilated upsilon
-    triangles get the sharper degree bounds 3d - 1 and, for d = 2, (3, 4).
+    The genus bound is the number of interior lattice points of the Newton
+    polygon, which polygon.measures takes from Pick's formula in O(edges).
+    An empty interior gives gonality 1 and bounds 1, (1, 1); otherwise
+    _curve_bounds reads the gonality, s2 and s11 off the interior's minimal
+    box and Sigma reach, all from its reduced basis.
     """
     poly = newton_polygon(f)
     if not poly.is_two_dim:
         raise NotTwoDimensionalError("analysis needs a two-dimensional Newton polygon")
     inner = interior_hull(poly)
-    genus = (poly.area2 - sum(integral_length(p, q) for p, q in poly.edges()) + 2) // 2
+    genus = measures(poly).interior_count
     special = recognize_special(poly)
-    ups = special.params[0] if special is not None and special.kind == "upsilon" else None
     caveats = (_CAVEAT_GENERIC, _CAVEAT_NONDEGENERATE)
     if inner.is_empty:
         return NewtonAnalysis(poly, inner, genus, 1, 1, (1, 1), special, caveats + (_CAVEAT_RATIONAL,))
     box = minimal_box(inner)
-    gonality = 3 if ups == 2 else box.a + 2
-    s2 = 3 * ups - 1 if ups is not None and ups >= 2 else _basis_map(inner, SIGMA)[0] + 3
-    s11 = (3, 4) if ups == 2 else (gonality, box.b + 2)
+    gonality, s2, s11 = _curve_bounds(box.a, box.b, _basis_map(inner, SIGMA)[0], special)
     return NewtonAnalysis(poly, inner, genus, gonality, s2, s11, special, caveats)

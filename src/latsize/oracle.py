@@ -1,15 +1,15 @@
 """Brute-force ground truth and deterministic test-corpus generation.
 
 Everything here is independent of the recursive algorithms: sizes and the
-least box side of a Pareto set are found by one search, doubling and
-bisection over the feasibility test size.fit_into, and random inputs come
-from a fixed 64-bit mixing function (splitmix64) so every platform
-reproduces the identical corpus.
+least box side are found by one search, doubling and bisection over the
+feasibility test size.fit_into, and random inputs come from a fixed 64-bit
+mixing function (splitmix64) so every platform reproduces the identical
+corpus.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import AffineUnimodularMap, LatticePolygon, hull
@@ -110,16 +110,11 @@ def oracle_size(delta: LatticePolygon, shape: str) -> int:
     return _least_fit(delta, lambda d: fit_into(delta, shape, d) is not None, lambda d: f"{shape} size {d}")
 
 
-class ParetoSet(NamedTuple):
-    """Product-order minimal feasible boxes (a, b) with a <= b."""
+def oracle_box(delta: LatticePolygon) -> tuple[int, int]:
+    """The minimal box [0,a] x [0,b], a <= b, as (a, b), by the least-fit search.
 
-    pairs: tuple[tuple[int, int], ...]
-
-
-def oracle_box_pareto(delta: LatticePolygon) -> ParetoSet:
-    """All product-order minimal boxes [0,a] x [0,b] with a <= b, with b up to the square size.
-
-    Let s = oracle_size(delta, "square"). Every feasible box has b >= s, as
+    It is the one product-order minimal box that delta fits into. Let
+    s = oracle_size(delta, "square"). Every feasible box has b >= s, as
     [0,a] x [0,b] lies in b * square, and (s, s) is feasible. So the least
     feasible b never rises as a rises and is s from some a on, and the one
     minimal pair with b = s is (a, s) for the least a with [0,a] x [0,s]
@@ -128,16 +123,16 @@ def oracle_box_pareto(delta: LatticePolygon) -> ParetoSet:
     side a > s counts as fitting without a call of fit_into, which takes
     a <= b only; the side s itself is tested. As the reduced basis gives
     the box (width, s) (see size.minimal_box), the search tests the width
-    and width - 1 only: at most two calls beyond oracle_size.
-    Sides b > s are not searched: a minimal pair (a', b) with b > s would
-    need a' below that a, which is the lattice width.
+    and width - 1 only: at most two calls beyond oracle_size. No other
+    pair is minimal: a minimal pair (a', b) with b > s would need a' below
+    that a, which is the lattice width.
     """
     if delta.is_empty:
-        raise EmptyPolygonError("oracle_box_pareto needs a non-empty polygon")
+        raise EmptyPolygonError("oracle_box needs a non-empty polygon")
     s = oracle_size(delta, SQUARE)
     a = _least_fit(delta, lambda a: a > s or fit_into(delta, BOX, (a, s)) is not None,
                    lambda a: f"the box ({a}, {s})")
-    return ParetoSet(((a, s),))
+    return a, s
 
 
 def census(k: int = 3) -> list[LatticePolygon]:

@@ -418,9 +418,9 @@ def fit_into(
     search over the width body, not the basis, picks the rows, so
     "recursion == oracle" still compares two routes.
 
-    This is the oracle, the feasibility core of oracle_size and
-    oracle_box_pareto; no certificate calls it. The pairs of candidates
-    cost up to the square of their number, so it is meant for small inputs.
+    This is the oracle, the feasibility core of oracle_size and oracle_box;
+    no certificate calls it. The pairs of candidates cost up to the square
+    of their number, so it is meant for small inputs.
     """
     if delta.is_empty:
         raise EmptyPolygonError("fit_into needs a non-empty polygon")

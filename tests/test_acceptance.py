@@ -23,7 +23,7 @@ from latsize import (
     lawrence_prism,
     minimal_box,
     onion_skins,
-    oracle_box_pareto,
+    oracle_box,
     oracle_size,
     parse_laurent,
     random_unimodular_map,
@@ -35,6 +35,7 @@ from latsize import (
 from latsize.newton import analyze
 from latsize.size import _size_value
 
+from columns import column_interior_count
 from conftest import in_box, in_sigma, weierstrass
 
 ALL_RULES = {
@@ -164,13 +165,12 @@ def test_criterion_4_minimal_box_is_pareto_minimum(corpus, corpus_values):
         width, _, _, square_value, _ = corpus_values[delta.vertices]
         box = minimal_box(delta)
         assert (box.a, box.b) == (width, square_value), delta
-        pareto = oracle_box_pareto(delta)
-        assert pareto.pairs == ((width, square_value),), delta
+        assert oracle_box(delta) == (width, square_value), delta
         image = apply_map(box.witness, delta)
         assert all(in_box(width, square_value, v) for v in image.vertices), delta
     elapsed = time.perf_counter() - start
     print(
-        f"ACCEPTANCE criterion 4: PASS -- Pareto set == {{(width, square size)}} and "
+        f"ACCEPTANCE criterion 4: PASS -- oracle's least box == (width, square size) and "
         f"box witnesses verified on {len(corpus)} polygons; {elapsed:.1f}s"
     )
 
@@ -183,7 +183,9 @@ def test_criterion_5_invariant_suites(corpus, corpus_values):
         width, sigma_value, _, square_value, _ = corpus_values[delta.vertices]
         if delta.is_two_dim:
             m = measures(delta)
-            assert m.area2 == 2 * m.interior_count + m.boundary_count - 2
+            interior = column_interior_count(delta)
+            assert m.interior_count == interior, delta
+            assert m.area2 == 2 * interior + m.boundary_count - 2, delta
             special = recognize_special(delta)
             is_standard = special is not None and special.kind == "standard_triangle"
             assert (width == sigma_value) == is_standard, delta

@@ -18,8 +18,6 @@ from latsize import (
     measures,
     minimal_box,
     onion_skins,
-    oracle_box_pareto,
-    parallel_edge_exception,
     parse_laurent,
     rectangle,
     recognize_special,
@@ -27,26 +25,29 @@ from latsize import (
     upsilon,
 )
 from latsize.cli import run_command
+from latsize.size import parallel_edge_exception
 
 PUBLIC = {
     "AffineUnimodularMap", "BoxCertificate", "CoordinateGuardError", "DegeneratePolygonError",
     "EMPTY", "EmptyPolygonError", "InternalConsistencyError", "LatsizeError", "LatticePolygon",
     "LaurentPolynomial", "Measures", "NewtonAnalysis", "NotTwoDimensionalError", "OnionTrace",
-    "ParallelEdgeHit", "ParetoSet", "SizeCertificate", "SpecialShape", "Step", "WidthResult",
-    "ZeroPolynomialError", "analyze", "apply_map", "are_equivalent", "census", "fit_into", "hull",
-    "integral_length", "interior_hull", "interior_lattice_points", "lattice_size_sigma",
-    "lattice_size_square", "lattice_width", "lattice_width_recursive", "lawrence_prism",
-    "measures", "minimal_box", "newton_polygon", "onion_skins", "oracle_box_pareto",
-    "oracle_size", "parallel_edge_exception", "parse_laurent", "random_polygon",
+    "SizeCertificate", "SpecialShape", "Step", "WidthResult", "ZeroPolynomialError", "analyze",
+    "apply_map", "are_equivalent", "census", "fit_into", "hull", "integral_length", "interior_hull",
+    "lattice_size_sigma", "lattice_size_square", "lattice_width", "lattice_width_recursive",
+    "lawrence_prism", "measures", "minimal_box", "newton_polygon", "onion_skins", "oracle_box",
+    "oracle_size", "parse_laurent", "random_polygon",
     "random_unimodular_map", "rectangle", "recognize_special", "standard_triangle",
     "transform_support", "upsilon", "width_along",
 }
 
 
 def test_exported_names_are_pinned():
-    assert len(latsize.__all__) == len(set(latsize.__all__)) == 51
+    assert len(latsize.__all__) == len(set(latsize.__all__)) == 47
     assert set(latsize.__all__) == PUBLIC
     assert all(hasattr(latsize, name) for name in PUBLIC)
+    # kept in their modules for the tests and the traced benchmark, not exported
+    internal = ("interior_lattice_points", "parallel_edge_exception", "ParallelEdgeHit")
+    assert not any(hasattr(latsize, name) for name in internal)
 
 
 def _private_definitions(tree):
@@ -112,7 +113,6 @@ _REPRS = {
     "interior=LatticePolygon<point>[(1, 1)], genus_bound=1, gonality=2, s2_bound=3, s11_bound=(2, 2), "
     "special=SpecialShape(kind='standard_triangle', params=(3,)), caveats=('bounds are attained only for "
     "sufficiently generic coefficients', 'genus and gonality formulas assume a nondegenerate polynomial'))",
-    "ParetoSet": "ParetoSet(pairs=((1, 2),))",
     "Measures": "Measures(area2=4, boundary_count=6, interior_count=0, total_count=6)",
     "SpecialShape": "SpecialShape(kind='upsilon', params=(2,))",
     "CommandResult": "CommandResult(exit_code=0, stdout='1\\n')",
@@ -132,7 +132,6 @@ def test_record_reprs_are_pinned():
         onion_skins(upsilon(2)),
         parse_laurent("y^2 + x^3 - 1/2"),
         analyze(parse_laurent("x^3 + y^3 + 1")),
-        oracle_box_pareto(rectangle(1, 2)),
         measures(standard_triangle(2)),
         recognize_special(upsilon(2)),
         run_command(["width", "--vertices", "0,0;1,0;0,1"]),

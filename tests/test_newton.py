@@ -30,6 +30,7 @@ from latsize import (
 )
 from latsize.size import _size_value
 
+from columns import column_interior_count
 from laurent_reference import reference_parse
 
 
@@ -147,11 +148,10 @@ def test_analysis_invariant_under_support_substitution():
 def test_genus_matches_pick_count():
     f = parse_laurent("x^4*y + y^3 + x + x^2*y^2")
     res = analyze(f)
-    inner = res.interior
-    m = measures(inner)
-    # Pick identity rearranged: total = area2/2 + boundary/2 + 1
-    assert res.genus_bound == m.total_count
-    assert 2 * m.total_count == m.area2 + m.boundary_count + 2
+    want = column_interior_count(res.polygon)
+    assert res.genus_bound == want
+    # every interior lattice point of the Newton polygon lies in its interior hull
+    assert measures(res.interior).total_count == want
 
 
 def test_s11_bound_is_ordered():
@@ -162,8 +162,8 @@ def test_s11_bound_is_ordered():
 
 
 def test_genus_by_pick_matches_the_interior_count(box3_census):
-    # analyze takes the genus from Pick's formula on the Newton polygon; the
-    # column count of measures on its interior hull is the independent oracle
+    # analyze takes the genus from Pick's formula on the Newton polygon, in
+    # measures; the column count of tests/columns.py is the independent oracle
     polygons = [delta for i, delta in enumerate(box3_census)
                 for delta in (delta, apply_map(random_unimodular_map(i), delta))]
     polygons += [family(d) for d in range(1, 25) for family in (standard_triangle, upsilon)]
@@ -175,8 +175,9 @@ def test_genus_by_pick_matches_the_interior_count(box3_census):
         if not delta.is_two_dim:
             continue
         inner = interior_hull(delta)
-        want = 0 if inner.is_empty else measures(inner).total_count
-        assert want == measures(delta).interior_count, delta
+        want = column_interior_count(delta)
+        assert measures(delta).interior_count == want, delta
+        assert (0 if inner.is_empty else measures(inner).total_count) == want, delta
         f = LaurentPolynomial({v: Fraction(1) for v in delta.vertices})
         assert analyze(f).genus_bound == want, delta
         checked += 1

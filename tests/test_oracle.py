@@ -13,7 +13,7 @@ from latsize import (
     census,
     fit_into,
     hull,
-    oracle_box_pareto,
+    oracle_box,
     oracle_size,
     random_polygon,
     random_unimodular_map,
@@ -56,22 +56,22 @@ def test_oracle_size_reference_values(heptagon):
 
 
 def test_pareto_reference_sets():
-    assert oracle_box_pareto(rectangle(2, 3)).pairs == ((2, 3),)
-    assert oracle_box_pareto(hull([(0, 0), (5, 0), (0, 2)])).pairs == ((2, 5),)
-    assert oracle_box_pareto(standard_triangle(2)).pairs == ((2, 2),)
+    assert oracle_box(rectangle(2, 3)) == (2, 3)
+    assert oracle_box(hull([(0, 0), (5, 0), (0, 2)])) == (2, 5)
+    assert oracle_box(standard_triangle(2)) == (2, 2)
 
 
 def test_pareto_oracle_does_not_use_the_recursion(heptagon, monkeypatch):
     def no_recursion(*args):
-        raise AssertionError("oracle_box_pareto ran the size recursion")
+        raise AssertionError("oracle_box ran the size recursion")
 
     monkeypatch.setattr("latsize.size._size_value", no_recursion)
-    assert oracle_box_pareto(heptagon).pairs == ((5, 8),)
+    assert oracle_box(heptagon) == (5, 8)
 
 
 def test_oracle_work_is_bounded_by_count(monkeypatch):
-    # fit_into calls, not seconds: oracle_size doubles then bisects, and the
-    # Pareto walk raises a from the width; neither peels
+    # fit_into calls, not seconds: oracle_size doubles then bisects, and
+    # oracle_box searches a from the width the same way; neither peels
     calls = []
 
     def counted(*args):
@@ -90,7 +90,7 @@ def test_oracle_work_is_bounded_by_count(monkeypatch):
         assert oracle_size(thin, shape) == 3000
         assert len(calls) <= 2 * math.ceil(math.log2(3000)) + 3, shape
     calls.clear()
-    assert oracle_box_pareto(hull([(0, 0), (300, 0), (0, 2)])).pairs == ((2, 300),)
+    assert oracle_box(hull([(0, 0), (300, 0), (0, 2)])) == (2, 300)
     assert len(calls) <= 2 * 300
 
 
@@ -101,14 +101,14 @@ def test_oracle_tests_one_below_its_start(monkeypatch):
     monkeypatch.setattr("latsize.oracle.fit_into", lambda *args: calls.append(args[2]) or fit_into(*args))
     assert oracle_size(standard_triangle(3), "sigma") == 3 and calls == [3, 2]
     calls.clear()
-    assert oracle_box_pareto(hull([(0, 0), (7, 0), (0, 2)])).pairs == ((2, 7),)
+    assert oracle_box(hull([(0, 0), (7, 0), (0, 2)])) == (2, 7)
     assert calls[-2:] == [(2, 7), (1, 7)]
     width = latsize.oracle.lattice_width
     monkeypatch.setattr("latsize.oracle.lattice_width", lambda d: width(d)._replace(width=width(d).width + 1))
     with pytest.raises(InternalConsistencyError, match="below the lattice width"):
         oracle_size(standard_triangle(3), "sigma")
     with pytest.raises(InternalConsistencyError, match="below the lattice width"):
-        oracle_box_pareto(hull([(0, 0), (7, 0), (0, 2)]))
+        oracle_box(hull([(0, 0), (7, 0), (0, 2)]))
     for command, vertices in (("sigma", "0,0;3,0;0,3"), ("square", "0,0;3,0;0,3"), ("box", "0,0;7,0;0,2")):
         assert run_command([command, "--vertices", vertices, "--verify"]).exit_code == 4, command
 
@@ -116,9 +116,7 @@ def test_oracle_tests_one_below_its_start(monkeypatch):
 def test_pareto_pairs_are_feasible_and_minimal():
     for seed in range(40):
         delta = random_polygon(seed, 4)
-        front = oracle_box_pareto(delta).pairs
-        assert len(front) == 1
-        a, b = front[0]
+        a, b = oracle_box(delta)
         assert fit_into(delta, "box", (a, b)) is not None
         if a >= 1:
             assert fit_into(delta, "box", (a - 1, b)) is None
@@ -155,9 +153,9 @@ def test_oracle_matches_the_disc_search(box3_census):
             for size in range(max(value - 1, 0), value + 2):
                 assert fit_into(delta, shape, size) == disc_fit_into(delta, shape, size), (delta, shape, size)
                 fits += 1
-        front = oracle_box_pareto(delta).pairs
-        assert front == disc_box_pareto(delta), delta
-        (a, b), = front
+        # the disc search lists every product-order minimal box: exactly one
+        a, b = least = oracle_box(delta)
+        assert (least,) == disc_box_pareto(delta), delta
         for box in ((a, b), (a, b - 1), (a + 1, b + 1)):
             if box[0] <= box[1]:
                 assert fit_into(delta, "box", box) == disc_fit_into(delta, "box", box), (delta, box)

@@ -26,7 +26,8 @@ from latsize import (
 import latsize.polygon
 from latsize.polygon import AffineUnimodularMap
 
-from conftest import HEPTAGON_VERTICES, contains
+from columns import column_interior_count
+from conftest import HEPTAGON_VERTICES, contains, fibonacci_shear
 
 
 def test_hull_unit_square():
@@ -274,18 +275,29 @@ def test_rectangle_and_prism_recognition_stable():
 
 def test_pick_identity_on_random_polygons():
     for seed in range(200):
-        m = measures(random_polygon(seed, 6))
-        assert m.area2 == 2 * m.interior_count + m.boundary_count - 2
+        delta = random_polygon(seed, 6)
+        m = measures(delta)
+        interior = column_interior_count(delta)
+        assert m.interior_count == interior, delta
+        assert m.area2 == 2 * interior + m.boundary_count - 2, delta
 
 
-def test_measures_counts_interior_without_listing_it(monkeypatch):
+def test_measures_ends_at_the_guard_without_counting_columns(monkeypatch):
+    # each expected count is a closed form, not Pick's formula
     def refuse(delta):
-        raise AssertionError("measures must not list the interior points")
+        raise AssertionError("measures must not count the interior column by column")
 
-    monkeypatch.setattr(latsize.polygon, "interior_lattice_points", refuse)
-    m = measures(standard_triangle(3000))
-    assert m.interior_count == 2999 * 2998 // 2
-    assert m.total_count == 3001 * 3002 // 2
+    monkeypatch.setattr(latsize.polygon, "_interior_columns", refuse)
+    n = 2**31
+    m = measures(standard_triangle(n))
+    assert (m.interior_count, m.boundary_count) == ((n - 1) * (n - 2) // 2, 3 * n)
+    assert m.total_count == (n + 1) * (n + 2) // 2
+    sliver = apply_map(fibonacci_shear(43), standard_triangle(1))
+    assert max(x for x, _ in sliver.vertices) == 433494437
+    m = measures(sliver)
+    assert (m.interior_count, m.boundary_count) == (0, 3)
+    m = measures(hull([(0, 0), (n, 0), (0, 2)]))
+    assert (m.interior_count, m.boundary_count) == (2**30 - 1, n + 4)
 
 
 _REPRESENTATIVE = {

@@ -11,7 +11,6 @@ from latsize import (
     AffineUnimodularMap,
     EmptyPolygonError,
     InternalConsistencyError,
-    ParallelEdgeHit,
     apply_map,
     fit_into,
     hull,
@@ -25,7 +24,6 @@ from latsize import (
     minimal_box,
     onion_skins,
     oracle_size,
-    parallel_edge_exception,
     random_polygon,
     random_unimodular_map,
     rectangle,
@@ -36,7 +34,10 @@ from latsize import (
 from latsize.cli import run_command
 from latsize.interior import _moved
 from latsize.polygon import recognize_special
-from latsize.size import _WIDTH_BASE, RULE_SEARCH, Step, _innermost_step, _size_value, _step
+from latsize.size import (
+    _WIDTH_BASE, RULE_SEARCH, ParallelEdgeHit, Step, _innermost_step, _size_value, _step,
+    parallel_edge_exception,
+)
 from latsize.width import _reduced_basis
 
 from conftest import in_box, in_sigma, reference_skins, run_corpus, weierstrass
