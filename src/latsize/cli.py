@@ -7,6 +7,14 @@ deterministic for a fixed input.
 
 peel and every --trace print one entry per run of skins; _RUNS, which --help
 prints, gives the format.
+
+sigma and square read their value off the reduced basis and do not peel.
+Every call checks it in O(n) (size._checked_map): the witness must reach
+it, and no frame next to the Sigma witness may reach less, a lower bound
+that is tested, not proved. The square value is the second successive
+minimum of the width, which every read of the basis checks. --trace and --verify read the certificate's trace,
+which runs the size recursion and exits 4 unless its value agrees; --verify
+also asks the oracle.
 """
 
 from __future__ import annotations
@@ -66,17 +74,18 @@ _HELP = {
     "--poly": "Laurent polynomial, e.g. 'y^2 + x^5 + 1'",
     "--json": "emit a JSON document",
     "--witness": "include the witness map",
-    "--trace": "include the recursion trace (its value must agree, or exit 4)",
+    "--trace": "run the recursion and include its trace (its value must agree, or exit 4)",
 }
 
 # The help of --verify, per command: the second route each one checks against.
 _VERIFY = {
     "width": "check against the width by peeling (the width --trace recursion)",
-    "sigma": "check against the oracle's feasibility search (oracle --shape sigma)",
-    "square": "check against the oracle's feasibility search (oracle --shape square)",
+    "sigma": "check against the recursion (sigma --trace) and the oracle (oracle --shape sigma)",
+    "square": "check against the recursion (square --trace) and the oracle (oracle --shape square)",
     "box": "check against the oracle's least box (oracle --shape box)",
-    "analyze": "check the gonality against the width by peeling of the interior, "
-               "and s2 and s11 against the oracle on the interior",
+    "analyze": "recompute the gonality, s2 and s11 from the width by peeling and the oracle's "
+               "sizes of the interior; the Upsilon_d bounds (d >= 2) come from one rule on both "
+               "sides, so they are not checked",
 }
 
 
@@ -225,16 +234,16 @@ def _size_command(args: argparse.Namespace) -> str:
     shape = args.command  # sigma or square
     delta = _read_polygon(args)
     cert: SizeCertificate = (lattice_size_sigma if shape == "sigma" else lattice_size_square)(delta)
+    # reading the trace runs the recursion, and raises unless its value is cert.value
+    trace = cert.trace if args.verify or args.trace else ()
     if args.verify:
-        _check(
-            oracle_size(delta, shape) == cert.value,
-            f"recursive {shape} value {cert.value} disagrees with the oracle",
-        )
+        value = oracle_size(delta, shape)
+        _check(value == cert.value, f"{shape} value {cert.value} disagrees with the oracle's {value}")
     doc: dict = {"command": shape, "value": cert.value}
     if args.witness:
         doc["witness"] = _witness_doc(cert.witness)
     if args.trace:
-        doc["trace"] = _trace_doc(cert.trace)
+        doc["trace"] = _trace_doc(trace)
     return _emit(doc, args, str(cert.value))
 
 
@@ -328,8 +337,8 @@ def _oracle_command(args: argparse.Namespace) -> str:
 # would do nothing, a second source or none with exit code 2.
 _COMMANDS = {
     "width": (_width_command, "lattice width with optimal directions", "--json --trace --verify"),
-    "sigma": (_size_command, "lattice size w.r.t. the standard triangle",
-              "--json --witness --trace --verify"),
+    "sigma": (_size_command, "lattice size w.r.t. the standard triangle (by default its lower "
+              "bound is tested, not proved)", "--json --witness --trace --verify"),
     "square": (_size_command, "lattice size w.r.t. the unit square", "--json --witness --trace --verify"),
     "box": (_box_command, "minimal (width, square-size) bounding box", "--json --witness --verify"),
     "peel": (_peel_command, "onion skins of iterated interior hulls", "--json"),

@@ -16,7 +16,7 @@ from .polygon import (
     measures,
     recognize_special,
 )
-from .size import SIGMA, _basis_map, minimal_box
+from .size import lattice_size_sigma, minimal_box
 
 
 class LaurentPolynomial(NamedTuple):
@@ -186,7 +186,8 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     polygon, which polygon.measures takes from Pick's formula in O(edges).
     An empty interior gives gonality 1 and bounds 1, (1, 1); otherwise
     _curve_bounds reads the gonality, s2 and s11 off the interior's minimal
-    box and Sigma reach, all from its reduced basis.
+    box and Sigma size, both from its reduced basis, the Sigma size through
+    the checked certificate of lattice_size_sigma, which peels nothing.
     """
     poly = newton_polygon(f)
     if not poly.is_two_dim:
@@ -198,5 +199,5 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     if inner.is_empty:
         return NewtonAnalysis(poly, inner, genus, 1, 1, (1, 1), special, caveats + (_CAVEAT_RATIONAL,))
     box = minimal_box(inner)
-    gonality, s2, s11 = _curve_bounds(box.a, box.b, _basis_map(inner, SIGMA)[0], special)
+    gonality, s2, s11 = _curve_bounds(box.a, box.b, lattice_size_sigma(inner).value, special)
     return NewtonAnalysis(poly, inner, genus, gonality, s2, s11, special, caveats)

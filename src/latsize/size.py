@@ -1,12 +1,12 @@
-"""The peeling recursions: lattice width and lattice sizes with respect to Sigma and the square.
+"""The peeling recursions, and the lattice sizes with respect to Sigma and the square.
 
 The paper reads the lattice width, the lattice size with respect to the
 standard triangle Sigma and that with respect to the unit square from one
 recursion over one chain of interior hulls. So does this module: the memo
 _rule_runs peels a polygon once into its onion skins, in runs of uniform
 peels (see onion_skins), with the rule data of every run, and
-lattice_width_recursive, lattice_size_sigma and lattice_size_square, its
-only readers, read that one chain.
+lattice_width_recursive and _size_value, its only readers, read that one
+chain.
 
 The width recursion adds 2 per skin, except that a standard triangle d*Sigma
 ends the chain with d and a skin whose interior hull is a point, a segment or
@@ -26,24 +26,33 @@ its trace has one Step per segment, not per skin. Each segment takes its
 parallel-edge hit from one lookup of the edge normals of the skin after its
 first (_parallel_edge_hit), done once per segment in the memo.
 
-Every certificate carries a witness map built from the Gauss-reduced basis
-of the width norm (see _basis_map), without search, plus the rule trace whose
-contributions telescope from the empty-hull convention (-2 for the triangle,
--1 for the square) to the final value. The witness must reach the recursion's
-value exactly, or the certificate fails. The lattice width and its optimal
-directions come from the same basis (see width.lattice_width), which is
-memoised per polygon (width._reduced_basis) and checked on every read
-(width._checked_basis): the width, the witnesses, the box and the oracle's
-frame share one reduction, as the recursions share one chain. These two
-memos, each of the last 1024 polygons, are the package's only caches; they
-stay apart so that lattice_width and minimal_box never peel.
+Each size comes by three independent routes:
 
-fit_into, the exact feasibility search, is the oracle only, and the only
-code that lists the lattice points of the width body {u : width(u) <= b}:
-no certificate calls it, so value (recursion), witness (reduced basis) and
-oracle (search over the width body) are three independent routes. The
-oracle reads the reduced basis too, but only as its frame and for the
-bound on the rows of the body; the search, not the basis, picks the rows.
+- Value and witness, from the basis. lattice_size_sigma and
+  lattice_size_square read both off the Gauss-reduced basis of the width
+  norm (_basis_map), without search and without peeling, and _checked_map
+  checks them in O(n) on every call: the witness maps the polygon into
+  value * shape and touches its far side, and no neighbouring frame of the
+  Sigma witness reaches less (a lower bound tested, not proved). The
+  square value is least as the second successive minimum of the checked
+  basis.
+- Trace, from the recursion. Reading a certificate's trace runs _size_value,
+  whose contributions telescope from the empty-hull convention (-2 for the
+  triangle, -1 for the square) to its value, and fails unless that value is
+  the basis's. Only --trace, --verify and the tests read it.
+- Oracle, from the search. fit_into, the exact feasibility search, is the
+  oracle only, and the only code that lists the lattice points of the width
+  body {u : width(u) <= b}; no certificate calls it. It reads the reduced
+  basis too, but only as its frame and for the bound on the rows of the
+  body; the search, not the basis, picks the rows.
+
+The lattice width and its optimal directions come from the same basis (see
+width.lattice_width), which is memoised per polygon (width._reduced_basis)
+and checked on every read (width._checked_basis): the width, both sizes,
+their witnesses, the box and the oracle's frame share one reduction, as the
+recursions share one chain. These two memos, each of the last 1024
+polygons, are the package's only caches; they stay apart so that no default
+width, size or box call peels.
 """
 
 from __future__ import annotations
@@ -86,12 +95,28 @@ RULE_SEARCH = "DegenerateBaseSearch"
 
 
 class SizeCertificate(NamedTuple):
-    """A lattice-size value with its witness map and recursion trace."""
+    """A lattice size with its witness map and the polygon it sizes.
+
+    value and witness come from the reduced basis (_basis_map), checked by
+    _checked_map. The rule trace is not stored: reading trace peels polygon
+    and runs the size recursion, and raises InternalConsistencyError unless
+    the recursion's value equals value. The oracle (oracle_size) is the
+    third route, which sigma and square --verify add.
+    """
 
     shape: str
     value: int
     witness: AffineUnimodularMap
-    trace: tuple[Step, ...]
+    polygon: LatticePolygon
+
+    @property
+    def trace(self) -> tuple[Step, ...]:
+        value, trace = _size_value(self.polygon, self.shape)
+        if value != self.value:
+            raise InternalConsistencyError(
+                f"the reduced basis gives {self.shape} size {self.value}, but the recursion gives {value}"
+            )
+        return trace
 
 
 class BoxCertificate(NamedTuple):
@@ -210,8 +235,8 @@ def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[S
 
     Returned with recognize_special of the innermost skin, the last skin of
     the last run. This is the one chain of every recursion: its readers are
-    lattice_width_recursive and _size_value, and through _size_value
-    lattice_size_sigma and lattice_size_square, so the three of them over
+    lattice_width_recursive and _size_value, and through _size_value the
+    trace of a SizeCertificate, so the width recursion and both traces over
     the same polygon peel it and recognize its run starts once. Each run
     costs O(edges) plus one recognize_special on its first skin and one
     parallel-edge lookup per segment.
@@ -488,25 +513,37 @@ def fit_into(
     return None
 
 
+# The sign choices (s1, s2) of the Sigma witness rows (s1 * short, s2 * long),
+# in the order in which _basis_map tries them.
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
     """The reach of the reduced width basis for the target shape, with its witness map.
 
+    This is the basis route to every size: lattice_size_sigma and
+    lattice_size_square take their value and witness from it through
+    _checked_map, and minimal_box its witness. The other two routes, the
+    recursion (a certificate's trace) and the oracle (fit_into), do not call
+    it.
+
     The rows (short, long) of the checked basis map delta into the minimal
     box [0, width] x [0, b] (see minimal_box), which lies in b * square: so
-    the square reach is b = width(long), which the memo entry holds, with
-    that witness. For the triangle, the rows (u1, u2) map delta into
-    reach * Sigma with reach = max((u1 + u2) . p) - min(u1 . p) - min(u2 . p);
-    one of the four sign choices (+-short, +-long) attains the lattice size
-    with respect to Sigma (Harrison and Soprunov, lattice size by generalized
-    basis reduction in dimensions two and three). Points and segments are
-    covered too: their reduced widths are (0, 0) and (0, length). The empty
-    polygon reaches the empty-hull convention (-2 or -1) with the identity.
+    the square reach is b = width(long), the second successive minimum of
+    the width norm (Kaib and Schnorr) and so the square size, which the
+    memo entry holds, with that witness. For the triangle, the rows
+    (u1, u2) map delta into reach * Sigma with
+    reach = max((u1 + u2) . p) - min(u1 . p) - min(u2 . p); one of the four
+    sign choices (+-short, +-long) attains the lattice size with respect to
+    Sigma (Harrison and Soprunov, lattice size by generalized basis
+    reduction in dimensions two and three). Points and segments are covered
+    too: their reduced widths are (0, 0) and (0, length). The empty polygon
+    reaches the empty-hull convention (-2 or -1) with the identity.
 
     One pass over the vertices gives the dot products of short and long;
     the four sign choices read their reaches off the extremes of the two
     lists and of their sums and differences. The choices are tried in the
-    fixed order (1, 1), (1, -1), (-1, 1), (-1, -1), and the first least
-    reach wins.
+    order of _SIGNS, and the first least reach wins.
     """
     if delta.is_empty:
         return _BASE[shape], AffineUnimodularMap.identity()
@@ -518,38 +555,103 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
         hi1, hi2 = max(dots1), max(dots2)
         sums = [s + t for s, t in zip(dots1, dots2)]
         diffs = [s - t for s, t in zip(dots1, dots2)]
-        reaches = (  # of (s1 * short, s2 * long), in the order of the signs below
-            max(sums) - lo1 - lo2,
-            max(diffs) - lo1 + hi2,
-            hi1 - min(diffs) - lo2,
-            hi1 + hi2 - min(sums),
-        )
-        reach = min(reaches)
-        s1, s2 = ((1, 1), (1, -1), (-1, 1), (-1, -1))[reaches.index(reach)]
+        reaches = {  # of (s1 * short, s2 * long)
+            (1, 1): max(sums) - lo1 - lo2,
+            (1, -1): max(diffs) - lo1 + hi2,
+            (-1, 1): hi1 - min(diffs) - lo2,
+            (-1, -1): hi1 + hi2 - min(sums),
+        }
+        s1, s2 = min(_SIGNS, key=reaches.__getitem__)
+        reach = reaches[s1, s2]
         t1, t2 = (-lo1, hi1)[s1 < 0], (-lo2, hi2)[s2 < 0]
     else:
         reach, s1, s2, t1, t2 = b, 1, 1, -lo1, -lo2
     return reach, AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
 
 
-def _certificate(delta: LatticePolygon, shape: str) -> SizeCertificate:
-    value, trace = _size_value(delta, shape)
-    reach, witness = _basis_map(delta, shape)
-    if reach != value:
+def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
+    """_basis_map(delta, shape), checked in O(n) without peeling, or InternalConsistencyError.
+
+    The witness must reach the value. It maps each vertex p to a point
+    (x, y): for the square, the least of all these coordinates must be 0 and
+    the largest the value; for Sigma, the least x and the least y must be 0
+    and the largest x + y the value. The empty polygon must have the
+    empty-hull convention.
+
+    The value must be least. A square value needs no more: _basis_map reads
+    it as f(long) off the checked basis, and the check
+    w <= f(long) <= f(long +- short) of width._checked_basis makes f(long)
+    the second successive minimum of the width norm; the rows of a map into
+    b * square are a basis of widths at most b, so no b below f(long) fits.
+
+    For Sigma, write a frame as (u1, u2, u3) with u1 + u2 + u3 = 0 and
+    (u1, u2) a lattice basis, and m(u) = min u . p, M(u) = max u . p over
+    the vertices. The map p -> (u1 . p - m(u1), u2 . p - m(u2)) takes delta
+    into reach * Sigma, reach = -(m(u1) + m(u2) + m(u3)), so every frame's
+    reach bounds the Sigma size from above, and the size is the least reach.
+    The witness rows give the frame (u1, u2, -u1 - u2) of reach value. No
+    frame one of 13 moves away may reach less: the twelve u_i += k * u_j,
+    u_l -= k * u_j for k = +-1 and {i, j, l} = {1, 2, 3}, and the negation
+    u -> -u. As u_i + u_j = -u_l, the moves (i, j, -1) and (l, j, 1) give
+    the same frame, (u_i - u_j, u_j, -u_i) up to order, so the twelve are
+    six frames, of reach M(u_i) - m(u_j) - m(u_i - u_j) for each ordered
+    pair (i, j); the negation reaches M(u1) + M(u2) + M(u3). All seven come
+    from the extremes of six dot lists, those of u1, u2, u3 and of
+    u1 - u2, u2 - u3, u3 - u1, about the work of _basis_map's four sign
+    choices. The test fails only on a value that a frame beats, so only on
+    a wrong value. That it passes only on the right value is a conjecture,
+    held on every polygon tried (ROADMAP item 11): the Sigma lower bound is
+    tested, not proved.
+    """
+    value, phi = _basis_map(delta, shape)
+    if delta.is_empty:
+        got, want, what = value, _BASE[shape], "the empty-hull convention"
+    else:
+        xs = [phi.m11 * x + phi.m12 * y + phi.t1 for x, y in delta.vertices]
+        ys = [phi.m21 * x + phi.m22 * y + phi.t2 for x, y in delta.vertices]
+        if shape == SQUARE:
+            both = xs + ys
+            got = min(both), max(both)
+            want, what = (0, value), "least and largest image coordinate"
+        else:
+            # the dots of the witness frame, less m(u1) and m(u2)
+            d = (xs, ys, [-x - y for x, y in zip(xs, ys)])
+            hi, lo = [max(t) for t in d], [min(t) for t in d]
+            got = lo[0], lo[1], -lo[2]
+            want, what = (0, 0, value), "least x, least y and largest x + y of the image"
+    if got != want:
+        raise InternalConsistencyError(f"the {shape} witness reaches {got}, not {want} ({what})")
+    if delta.is_empty or shape == SQUARE:
+        return value, phi
+    reaches = [sum(hi)]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        diff = [s - t for s, t in zip(d[i], d[j])]
+        reaches += (hi[i] - lo[j] - min(diff), hi[j] - lo[i] + max(diff))
+    if min(reaches) < value:
         raise InternalConsistencyError(
-            f"the reduced basis reaches {reach}, but the recursion gives {shape} size {value}"
+            f"a frame next to the sigma witness frame reaches {min(reaches)}, below the value {value}"
         )
-    return SizeCertificate(shape, value, witness, trace)
+    return value, phi
 
 
 def lattice_size_sigma(delta: LatticePolygon) -> SizeCertificate:
-    """Lattice size of delta with respect to the standard triangle."""
-    return _certificate(delta, SIGMA)
+    """Lattice size of delta with respect to the standard triangle, off the reduced basis.
+
+    The witness proves the value an upper bound; its lower bound is tested,
+    not proved, by the 13 moves of _checked_map. Reading the certificate's
+    trace runs the size recursion, which must give the same value.
+    """
+    return SizeCertificate(SIGMA, *_checked_map(delta, SIGMA), delta)
 
 
 def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
-    """Lattice size of delta with respect to the unit square."""
-    return _certificate(delta, SQUARE)
+    """Lattice size of delta with respect to the unit square, off the reduced basis.
+
+    The value is the second successive minimum of the width norm, attained
+    by the witness (see _checked_map). Reading the certificate's trace runs
+    the size recursion, which must give the same value.
+    """
+    return SizeCertificate(SQUARE, *_checked_map(delta, SQUARE), delta)
 
 
 def minimal_box(delta: LatticePolygon) -> BoxCertificate:

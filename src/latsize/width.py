@@ -1,12 +1,12 @@
 """Lattice width from the Gauss-reduced basis of the width norm.
 
 lattice_width reads the width and every optimal direction of a segment or
-a polygon off the reduced basis (_reduced_basis), which also gives every
-size witness (see size._basis_map) and the coordinate frame of the oracle
-size.fit_into. The basis is memoised per polygon, so these readers share
-one reduction; the memo holds no onion skins, so lattice_width never
-peels. The memo entry also keeps the widths the reduction measured along
-its final line, so a warm lattice_width measures at most four more
+a polygon off the reduced basis (_reduced_basis), which also gives both
+lattice sizes and their witnesses (see size._basis_map) and the coordinate
+frame of the oracle size.fit_into. The basis is memoised per polygon, so
+these readers share one reduction; the memo holds no onion skins, so none
+of them peels. The memo entry also keeps the widths the reduction measured
+along its final line, so a warm lattice_width measures at most four more
 directions, most often none. No set of directions is searched here; only
 that oracle searches, over the lattice points of the width body
 {u : width(u) <= b}, row by row in this frame. The width by peeling,
@@ -105,9 +105,9 @@ def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int,
     widths carry over. The final pass, along long + j * short, finds
     f(long) <= f(long + short), so seen then holds j = -1, 0 and 1, and the
     entry keeps those widths: lattice_width reads its tie set from them,
-    and the square witness its reach f(long).
+    and the square size its reach f(long).
 
-    The memo makes lattice_width, the Sigma and square witnesses (and so
+    The memo makes lattice_width, the Sigma and square sizes (and so
     minimal_box) and the frame of fit_into over one polygon run one
     reduction between them. Its key is the polygon, as for size._rule_runs,
     and it keeps no skins, so a width-only caller starts no peel. The entry

@@ -72,19 +72,19 @@ def test_verify_flags_pass():
 
 def test_analyze_verify_checks_upsilon_triangles(monkeypatch):
     # analyze takes the gonality and s11 from the minimal box of the interior
-    # on Upsilon_d for every d != 2, and s2 from its Sigma reach for d = 1,
+    # on Upsilon_d for every d != 2, and s2 from its Sigma size for d = 1,
     # so --verify checks them there too: the box's width against the width
-    # recursion, its second side and the reach against the oracle
+    # recursion, its second side and the Sigma size against the oracle
     import latsize.newton
 
     def argv(d):
         return ["analyze", "--poly", f"x^-{d}*y^-{d} + x^{d} + y^{d}", "--verify"]
 
     assert all(run_command(argv(d)).exit_code == 0 for d in (1, 2, 3, 4))
-    box, basis_map = latsize.newton.minimal_box, latsize.newton._basis_map
+    box, sigma = latsize.newton.minimal_box, latsize.newton.lattice_size_sigma
     wrong_width = ("minimal_box", lambda delta: box(delta)._replace(a=box(delta).a + 1), 3)
     wrong_square = ("minimal_box", lambda delta: box(delta)._replace(b=box(delta).b + 1), 3)
-    wrong_sigma = ("_basis_map", lambda delta, shape: (basis_map(delta, shape)[0] + 1, None), 1)
+    wrong_sigma = ("lattice_size_sigma", lambda delta: sigma(delta)._replace(value=sigma(delta).value + 1), 1)
     for name, wrong, d in (wrong_width, wrong_square, wrong_sigma):
         with monkeypatch.context() as patch:
             patch.setattr(latsize.newton, name, wrong)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import latsize.interior
 from latsize import (
     AffineUnimodularMap,
+    InternalConsistencyError,
     LaurentPolynomial,
     NotTwoDimensionalError,
     ZeroPolynomialError,
@@ -231,3 +232,21 @@ def test_analyze_and_minimal_box_walk_no_chain(box3_census, monkeypatch):
     monkeypatch.setattr(latsize.interior, "_column_hull", lambda delta: scanned.append(delta) or column_hull(delta))
     result = analyze(parse_laurent("x^2147483648 + y^2147483648 + 1"))
     assert result.s2_bound == 2**31 and len(scanned) <= 1
+
+
+def test_analyze_reads_s2_through_the_checked_sigma_size(monkeypatch):
+    # s2 comes from lattice_size_sigma of the interior, whose check stops a
+    # reach of the basis one too large, as it stops the sigma command
+    import latsize.size
+
+    basis_map = latsize.size._basis_map
+    f = parse_laurent("x^5 + y^5 + 1")
+    assert analyze(f).s2_bound == 5
+
+    def one_more(delta, shape):
+        reach, phi = basis_map(delta, shape)
+        return reach + (shape == "sigma"), phi
+
+    monkeypatch.setattr(latsize.size, "_basis_map", one_more)
+    with pytest.raises(InternalConsistencyError, match="witness reaches"):
+        analyze(f)

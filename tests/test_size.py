@@ -1,5 +1,6 @@
 """Lattice sizes: recursion rules, witnesses, fits and minimal boxes."""
 
+import signal
 from collections import Counter
 
 import pytest
@@ -35,12 +36,12 @@ from latsize.cli import run_command
 from latsize.interior import _moved
 from latsize.polygon import recognize_special
 from latsize.size import (
-    _WIDTH_BASE, RULE_SEARCH, ParallelEdgeHit, Step, _innermost_step, _size_value, _step,
+    _BASE, _WIDTH_BASE, RULE_SEARCH, ParallelEdgeHit, Step, _innermost_step, _size_value, _step,
     parallel_edge_exception,
 )
 from latsize.width import _reduced_basis
 
-from conftest import in_box, in_sigma, reference_skins, run_corpus, weierstrass
+from conftest import fibonacci_shear, in_box, in_sigma, reference_skins, run_corpus, weierstrass
 
 
 def translated(poly, t):
@@ -354,7 +355,7 @@ def test_trace_contributions_telescope():
 
 
 def test_a_reach_one_too_large_fails_every_certificate(box3_census, heptagon, monkeypatch, capsys):
-    # each certificate compares the recursion's value with the reach of the
+    # each certificate checks that its witness reaches the value off the
     # reduced basis, on census(3) and an image of each, random polygons up to
     # k = 160, Weierstrass triangles and Upsilon_d
     basis_map = latsize.size._basis_map
@@ -369,12 +370,148 @@ def test_a_reach_one_too_large_fails_every_certificate(box3_census, heptagon, mo
     monkeypatch.setattr(latsize.size, "_basis_map", one_more)
     for delta in corpus:
         for size in (lattice_size_sigma, lattice_size_square):
-            with pytest.raises(InternalConsistencyError, match="the recursion gives"):
+            with pytest.raises(InternalConsistencyError, match="witness reaches"):
                 size(delta)
     vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in heptagon.vertices)
     for argv in (["sigma"], ["sigma", "--trace"], ["sigma", "--verify"], ["square", "--trace"]):
         assert run_command(argv + [vertices]).exit_code == 4, argv
+        assert "witness reaches" in capsys.readouterr().err, argv
+
+
+def test_a_trace_that_disagrees_fails(heptagon, monkeypatch, capsys):
+    # the trace runs the recursion and must reach the certificate's value
+    recursion = latsize.size._size_value
+    monkeypatch.setattr(latsize.size, "_size_value", lambda d, shape: (recursion(d, shape)[0] + 1, ()))
+    for size in (lattice_size_sigma, lattice_size_square):
+        cert = size(heptagon)
+        with pytest.raises(InternalConsistencyError, match="the recursion gives"):
+            cert.trace
+    vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in heptagon.vertices)
+    for argv in (["sigma", "--trace"], ["sigma", "--verify"], ["square", "--trace"], ["square", "--verify"]):
+        assert run_command(argv + [vertices]).exit_code == 4, argv
         assert "the recursion gives" in capsys.readouterr().err, argv
+    assert run_command(["sigma", vertices]) == (0, "10\n")
+
+
+def test_reading_a_trace_runs_the_recursion_to_the_basis_value(box3_census):
+    # value and witness come from the reduced basis; the trace peels, and
+    # its contributions telescope from the empty-hull base to that value
+    for delta in (hull([]), *run_corpus(box3_census), *(weierstrass(g) for g in range(1, 40))):
+        for size in (lattice_size_sigma, lattice_size_square):
+            cert = size(delta)
+            steps = sum(step.contribution * step.count for step in cert.trace)
+            assert _BASE[cert.shape] + steps == cert.value, (delta, cert.shape)
+
+
+def _frame_reach(delta, frame):
+    return sum(max(v[0] * x + v[1] * y for x, y in delta.vertices) for v in frame)
+
+
+def _neighbour_frames(frame):
+    """The 13 moves at a Sigma frame (v1, v2, v3), written out one by one."""
+    for i, j, l in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        for k in (1, -1):
+            moved = list(frame)
+            moved[i] = (frame[i][0] + k * frame[j][0], frame[i][1] + k * frame[j][1])
+            moved[l] = (frame[l][0] - k * frame[j][0], frame[l][1] - k * frame[j][1])
+            yield tuple(moved)
+    yield tuple((-a, -b) for a, b in frame)
+
+
+def test_the_sigma_check_fails_exactly_where_a_neighbouring_frame_reaches_less(box3_census, monkeypatch):
+    # witnesses built from seeded random frames: the check passes a frame
+    # that no move lowers and raises on any other, and every frame it
+    # raises on reaches more than the Sigma size; every frame it passes
+    # reaches the Sigma size, as the conjecture behind the check says
+    frames = []
+    for i, delta in enumerate(box3_census[::3]):
+        for seed in range(4):
+            phi = random_unimodular_map(1000 * seed + i)
+            u1, u2 = (phi.m11, phi.m12), (phi.m21, phi.m22)
+            frame = ((-u1[0], -u1[1]), (-u2[0], -u2[1]), (u1[0] + u2[0], u1[1] + u2[1]))
+            dots1 = [u1[0] * x + u1[1] * y for x, y in delta.vertices]
+            dots2 = [u2[0] * x + u2[1] * y for x, y in delta.vertices]
+            frames.append((delta, frame, AffineUnimodularMap(*u1, *u2, -min(dots1), -min(dots2))))
+    sizes = {delta: _size_value(delta, "sigma")[0] for delta, _, _ in frames}
+    passed = raised = 0
+    for delta, frame, witness in frames:
+        reach = _frame_reach(delta, frame)
+        monkeypatch.setattr(latsize.size, "_basis_map", lambda d, shape, r=reach, phi=witness: (r, phi))
+        locally_least = all(_frame_reach(delta, moved) >= reach for moved in _neighbour_frames(frame))
+        if locally_least:
+            assert lattice_size_sigma(delta).value == reach == sizes[delta], (delta, frame)
+            passed += 1
+        else:
+            with pytest.raises(InternalConsistencyError, match="reaches .*, below the value"):
+                lattice_size_sigma(delta)
+            assert reach > sizes[delta], (delta, frame)
+            raised += 1
+    assert passed > 200 and raised > 2000, (passed, raised)
+
+
+@pytest.mark.parametrize("dropped", latsize.size._SIGNS)
+def test_a_dropped_sign_choice_fails_the_default_sigma(dropped, box3_census, monkeypatch):
+    # without one of the four sign choices the basis reaches more than the
+    # Sigma size on some polygons; the default check raises on each of them
+    corpus = [*box3_census, *(apply_map(random_unimodular_map(i), d) for i, d in enumerate(box3_census))]
+    sizes = [lattice_size_sigma(delta).value for delta in corpus]
+    monkeypatch.setattr(latsize.size, "_SIGNS", tuple(s for s in latsize.size._SIGNS if s != dropped))
+    wrong = 0
+    for delta, size in zip(corpus, sizes):
+        if latsize.size._basis_map(delta, "sigma")[0] == size:
+            assert lattice_size_sigma(delta).value == size, delta
+            continue
+        wrong += 1
+        with pytest.raises(InternalConsistencyError, match="below the value"):
+            lattice_size_sigma(delta)
+    assert wrong > 100, wrong
+
+
+def _guard_rows():
+    """The rows of the guard matrix: inputs inside the coordinate guard whose chains no peel walks in time.
+
+    Each with its (width, Sigma size, square size) where it is known in
+    closed form, else None.
+    """
+    n, m = 2**31, 2**12
+    yield random_polygon(0, n), None
+    yield random_polygon(1, n), None
+    yield hull([(-n, -n), (n, -n + 5), (n - 7, n), (-n + 3, n - 1)]), None
+    yield hull([(0, 0), (n, 0), (0, 2)]), (2, n, n)
+    yield apply_map(fibonacci_shear(43), standard_triangle(1)), (1, 1, 1)
+    yield standard_triangle(n), (n, n, n)
+    yield hull([(i, i * i) for i in range(m)] + [(i, 2 * m * m - i * i) for i in range(m)]), None
+
+
+def test_default_sizes_peel_nothing_at_the_guard(monkeypatch):
+    def no_peel(*args):
+        raise AssertionError("a default call walked the chain or scanned columns")
+
+    def ring(signum, frame):
+        raise TimeoutError("a guard row did not end within the alarm")
+
+    for name in ("latsize.size._rule_runs", "latsize.size._size_value", "latsize.size.onion_skins",
+                 "latsize.interior.onion_skins", "latsize.interior._column_hull"):
+        monkeypatch.setattr(name, no_peel)
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(2)
+    try:
+        for delta, known in _guard_rows():
+            w = lattice_width(delta).width
+            sig, sq, box = lattice_size_sigma(delta), lattice_size_square(delta), minimal_box(delta)
+            assert (box.a, box.b) == (w, sq.value) and w <= sq.value <= sig.value <= 2 * sq.value, delta
+            assert known is None or (w, sig.value, sq.value) == known, delta
+            # the images may leave the guard, so the witnesses map the vertices one by one
+            assert all(in_sigma(sig.value, sig.witness.apply(v)) for v in delta.vertices), delta
+            assert all(in_box(sq.value, sq.value, sq.witness.apply(v)) for v in delta.vertices), delta
+        hyperelliptic = "--poly=y^2 + x^2147483648 + 1"
+        assert run_command(["sigma", hyperelliptic]) == (0, "2147483648\n")
+        assert run_command(["square", hyperelliptic]) == (0, "2147483648\n")
+        sliver = "--vertices=0,0;433494437,267914296;267914296,165580141"
+        assert run_command(["sigma", sliver]) == (0, "1\n")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --- fits -------------------------------------------------------------------
