@@ -96,10 +96,14 @@ class LatticePolygon(_Frozen):
     strictly convex counterclockwise vertex cycle starting at the
     lexicographically smallest vertex. Build instances through :func:`hull`.
 
-    A polygon is the key of the memos of size and width and caches area2
-    and edge_constraints in its instance dict, so it is a slotted, immutable
-    class rather than a tuple: equal and hashed by class and vertices only,
-    never equal to a plain tuple, and unchangeable once built.
+    A polygon is the key of the memos of size and width and caches area2,
+    edge_constraints and its hash in its instance dict, so it is a slotted,
+    immutable class rather than a tuple: equal and hashed by class and
+    vertices only, never equal to a plain tuple, and unchangeable once
+    built. The hash is hash((vertices,)), as _Frozen gives, computed on the
+    first call and kept under "_hash", so a memo read does not hash the
+    vertices again. It is not a cached_property, as area2 is: on Python
+    3.11 the first read of one takes a lock and costs more than the hash.
     """
 
     __slots__ = ("vertices", "__dict__")
@@ -110,6 +114,12 @@ class LatticePolygon(_Frozen):
 
     def _key(self) -> tuple:
         return (self.vertices,)
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.vertices,))
+        return h
 
     @property
     def is_empty(self) -> bool:

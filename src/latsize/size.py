@@ -478,10 +478,11 @@ def fit_into(
 
     # The rows (long, short) of the reduced basis become coordinates: the
     # functional y * long + x * short takes the values y * p + x * q on the
-    # pairs (p, q) of verts, the images of the vertices under psi.
-    short, long, w, (_, f_long, _) = _checked_basis(delta)
+    # pairs (p, q) of verts, the images of the vertices under psi, which
+    # are the dot lists of long and short that the memo entry keeps.
+    short, long, w, (_, f_long, _), dots_short, dots_long = _checked_basis(delta)
     psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
-    verts = [(long[0] * x + long[1] * y, short[0] * x + short[1] * y) for x, y in delta.vertices]
+    verts = list(zip(dots_long, dots_short))
 
     def row(y: int, x: int) -> tuple[tuple[int, int], tuple[int, ...], int]:
         dots = tuple(y * p + x * q for p, q in verts)
@@ -540,16 +541,15 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     too: their reduced widths are (0, 0) and (0, length). The empty polygon
     reaches the empty-hull convention (-2 or -1) with the identity.
 
-    One pass over the vertices gives the dot products of short and long;
+    The dot lists of short and long are read off the memo entry, which the
+    reduction moved with its rows, so the vertices are not projected again;
     the four sign choices read their reaches off the extremes of the two
     lists and of their sums and differences. The choices are tried in the
     order of _SIGNS, and the first least reach wins.
     """
     if delta.is_empty:
         return _BASE[shape], AffineUnimodularMap.identity()
-    short, long, _, (_, b, _) = _checked_basis(delta)
-    dots1 = [short[0] * x + short[1] * y for x, y in delta.vertices]
-    dots2 = [long[0] * x + long[1] * y for x, y in delta.vertices]
+    short, long, _, (_, b, _), dots1, dots2 = _checked_basis(delta)
     lo1, lo2 = min(dots1), min(dots2)
     if shape == SIGMA:
         hi1, hi2 = max(dots1), max(dots2)

@@ -7,7 +7,10 @@ frame of the oracle size.fit_into. The basis is memoised per polygon, so
 these readers share one reduction; the memo holds no onion skins, so none
 of them peels. The memo entry also keeps the widths the reduction measured
 along its final line, so a warm lattice_width measures at most four more
-directions, most often none. No set of directions is searched here; only
+directions, most often none, and the dot lists of short and long on the
+vertices, which the reduction moves with its rows from the x and y lists,
+so the witnesses and the oracle's frame read them instead of projecting
+the vertices again. No set of directions is searched here; only
 that oracle searches, over the lattice points of the width body
 {u : width(u) <= b}, row by row in this frame. The width by peeling,
 lattice_width_recursive, is one of the recursions in size.py.
@@ -16,7 +19,7 @@ lattice_width_recursive, is one of the recursions in size.py.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import LatticePolygon, Point
@@ -58,34 +61,56 @@ def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, in
     finds there every value of the pass. known always ends up with f(1),
     and with f(-1) whenever f(0) <= f(1).
     """
-    def at(k: int) -> int:
-        v = known.get(k)
-        if v is None:
-            v = known[k] = f(k)
-        return v
-
-    edge, s = (0, -1) if at(0) <= at(1) else (1, 1)
-    f_edge, step = known[edge], 1
-    while (f_next := at(edge + s * step)) < f_edge:
-        edge, f_edge = edge + s * step, f_next
+    f0, f1 = known[0], known.get(1)
+    if f1 is None:
+        f1 = known[1] = f(1)
+    edge, s, f_edge = (0, -1, f0) if f0 <= f1 else (1, 1, f1)
+    step = 1
+    while True:
+        k = edge + s * step
+        f_next = known.get(k)
+        if f_next is None:
+            f_next = known[k] = f(k)
+        if f_next >= f_edge:
+            break
+        edge, f_edge = k, f_next
         step *= 2
     lo, hi = (edge - step, 0) if s < 0 else (0, edge + step)
     # smallest k with f(k) <= f(k + 1); predicate is monotone by convexity
     while lo < hi:
         mid = (lo + hi) // 2
-        if at(mid) <= at(mid + 1):
+        f_mid, f_up = known.get(mid), known.get(mid + 1)
+        if f_mid is None:
+            f_mid = known[mid] = f(mid)
+        if f_up is None:
+            f_up = known[mid + 1] = f(mid + 1)
+        if f_mid <= f_up:
             hi = mid
         else:
             lo = mid + 1
-    return lo, at(lo)
+    # lo is 0, the last point of the gallop or a point of the bisection
+    return lo, known[lo]
+
+
+# (short, long, w, (f(long - short), f(long), f(long + short)), the dots of
+# short on the vertices, those of long); see _reduced_basis
+_BasisEntry = tuple[Point, Point, int, tuple[int, int, int], tuple[int, ...], tuple[int, ...]]
+
+
+def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
+    """Width of the functional r1 + k * r2, given the dot lists a of r1 and b of r2 on the vertices."""
+    dots = [s + k * t for s, t in zip(a, b)]
+    return max(dots) - min(dots)
 
 
 @lru_cache(maxsize=1 << 10)
-def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int, int, int]]:
-    """A Gauss-reduced basis (short, long) of the width norm of delta, with widths, memoised per polygon.
+def _reduced_basis(delta: LatticePolygon) -> _BasisEntry:
+    """A Gauss-reduced basis (short, long) of the width norm of delta, its widths and dot lists, memoised.
 
-    The entry is (short, long, w, (f(long - short), f(long), f(long + short)))
-    for the width norm f = width_along(delta, .). The rows satisfy
+    The entry is (short, long, w, (f(long - short), f(long), f(long + short)),
+    dots_short, dots_long) for the width norm f = width_along(delta, .),
+    where dots_short and dots_long are the dot lists [u . p for p in
+    delta.vertices] of u = short and u = long. The rows satisfy
     w = f(short) <= f(long) <= f(long + k * short) for every integer k, so
     (Kaib and Schnorr, generalized Gauss reduction) they attain the two
     successive minima of the width: w is the lattice width and f(long) the
@@ -96,6 +121,14 @@ def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int,
     strictly narrower, and stops otherwise. The sum of the two widths is a
     non-negative integer that strictly decreases with every pass that does
     not stop, so the loop ends; no pass cap is needed.
+
+    The vertices are projected once, onto (1, 0) and (0, 1): their x and y
+    lists are the dot lists a of r1 and b of r2. A point k of a pass line
+    is measured as max - min of a_i + k * b_i (_line_width), so no
+    direction tuple is built; a moves with r1 (a <- a + k * b), and the
+    lists swap when the rows swap. The final lists are the entry's dots, so
+    its readers (size._basis_map, the frame of size.fit_into) project
+    nothing.
 
     No width is measured twice. The widths along the line r1 + j * r2 of a
     pass are kept in a dict, seen, that _min_convex reads and fills. When
@@ -113,28 +146,32 @@ def _reduced_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int,
     and it keeps no skins, so a width-only caller starts no peel. The entry
     holds only tuples and ints, so no reader can change a cached entry.
     """
+    if delta.is_empty:
+        raise EmptyPolygonError("width of the empty polygon is undefined")
     r1, r2 = (1, 0), (0, 1)
-    w1, w2 = width_along(delta, r1), width_along(delta, r2)
+    a, b = zip(*delta.vertices)
+    w1, w2 = max(a) - min(a), max(b) - min(b)
     seen = {0: w1}
     while True:
         if w1 < w2:
             seen = {j: seen[j] for j in (-1, 1) if j in seen} | {0: w2}
-            r1, r2, w1, w2 = r2, r1, w2, w1
-        k, fk = _min_convex(lambda k: width_along(delta, (r1[0] + k * r2[0], r1[1] + k * r2[1])), seen)
+            r1, r2, w1, w2, a, b = r2, r1, w2, w1, b, a
+        k, fk = _min_convex(lambda k: _line_width(a, b, k), seen)
         if fk >= w1:
-            return r2, r1, w2, (seen[-1], w1, seen[1])
+            return r2, r1, w2, (seen[-1], w1, seen[1]), tuple(b), tuple(a)
         r1, w1 = (r1[0] + k * r2[0], r1[1] + k * r2[1]), fk
+        a = [s + k * t for s, t in zip(a, b)]
         seen = {j - k: v for j, v in seen.items()}
 
 
-def _checked_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int, int, int]]:
+def _checked_basis(delta: LatticePolygon) -> _BasisEntry:
     """_reduced_basis(delta), checked: w <= f(long) <= f(long +- short), or InternalConsistencyError.
 
     By convexity along long + k * short, that makes w and f(long) the two
     successive minima of the width (Kaib and Schnorr), which the width, the
     witnesses, the box and the rows of fit_into rest on.
     """
-    entry = short, long, w, (f_minus, f_long, f_plus) = _reduced_basis(delta)
+    entry = short, long, w, (f_minus, f_long, f_plus), _, _ = _reduced_basis(delta)
     if not w <= f_long <= min(f_minus, f_plus):
         raise InternalConsistencyError(f"the basis {short}, {long} of widths {w} and "
                                        f"{f_minus}, {f_long}, {f_plus} is not reduced")
@@ -144,7 +181,7 @@ def _checked_basis(delta: LatticePolygon) -> tuple[Point, Point, int, tuple[int,
 def lattice_width(delta: LatticePolygon) -> WidthResult:
     """Exact lattice width with all optimal primitive directions, from the reduced basis.
 
-    With (short, long, w, _) = _reduced_basis(delta) and f the width norm,
+    With (short, long, w, ...) = _reduced_basis(delta) and f the width norm,
     w = f(short) is the lattice width. The optimal directions are those of
     the eight candidates y * long + x * short, (y, x) in (0, 1), (1, -2..2),
     (2, +-1), whose width is w. Every primitive direction is
@@ -186,7 +223,7 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
         return WidthResult(-1, ())
     if delta.is_point:
         return WidthResult(0, ((0, 1), (1, 0)))
-    short, long, w, (f_minus, f_long, f_plus) = _checked_basis(delta)
+    short, long, w, (f_minus, f_long, f_plus), _, _ = _checked_basis(delta)
     dirs = [short]
     if f_long == w:
         dirs.append(long)

@@ -168,12 +168,23 @@ def test_polygons_and_maps_are_immutable_values():
           (1, 2, 0, -1, 3, -4)]),
     ]
     for value, twin, others in cases:
+        if isinstance(value, LatticePolygon):
+            # a polygon caches its hash beside area2: hash((vertices,)) when
+            # a caller asks first and when a memo read does, and alike on
+            # polygons built separately
+            assert hash(value) == hash((value.vertices,))
+            lattice_width(value)
+            other_build = hull(value.vertices[::-1])
+            for delta in (twin, other_build):
+                lattice_width(delta)
+                assert hash(delta) == hash((delta.vertices,)) == hash(value)
+            assert hash(value) == hash((value.vertices,))
         assert value == twin and hash(value) == hash(twin) and value is not twin
         assert all(value != other and other != value for other in others), value
         for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and hash(clone) == hash(value)
     assert square.area2 == 2 and square.edge_constraints == ((0, -1, 0), (1, 0, 1), (0, 1, 1), (-1, 0, 0))
-    for value, name in ((square, "vertices"), (square, "area2"), (square, "edge_constraints"),
+    for value, name in ((square, "vertices"), (square, "area2"), (square, "edge_constraints"), (square, "_hash"),
                         (square, "extra"), (phi, "m11"), (phi, "t2"), (phi, "extra"),
                         (lattice_width(square), "width")):
         with pytest.raises(AttributeError):

@@ -566,15 +566,16 @@ def test_segment_witnesses_reach_both_targets():
 def test_every_basis_reader_rejects_a_basis_one_pass_short(monkeypatch):
     # the check w <= f(long) <= f(long +- short) is made where the memo entry
     # is read, so a basis one Gauss pass short of reduced, with its widths
-    # measured honestly, stops the width, the box, the square witness and
-    # the oracle alike
+    # and dot lists made honestly, stops the width, the box, the square
+    # witness and the oracle alike
     thin = hull([(0, 0), (5, 0), (0, 2)])
     for delta in (thin, apply_map(random_unimodular_map(7), thin)):
-        short, long, _, _ = _reduced_basis(delta)
+        short, long = _reduced_basis(delta)[:2]
 
         def entry(r1, r2):
             line = tuple(width_along(delta, (r2[0] + j * r1[0], r2[1] + j * r1[1])) for j in (-1, 0, 1))
-            return r1, r2, width_along(delta, r1), line
+            dots1, dots2 = (tuple(u[0] * x + u[1] * y for x, y in delta.vertices) for u in (r1, r2))
+            return r1, r2, width_along(delta, r1), line, dots1, dots2
 
         # a pass along the line takes long + 3 * short back to long; a swap
         # puts the narrower row first

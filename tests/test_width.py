@@ -24,7 +24,7 @@ from latsize import (
     width_along,
 )
 from latsize.size import _rule_runs, _size_value
-from latsize.width import _min_convex, _reduced_basis
+from latsize.width import _line_width, _min_convex, _reduced_basis
 
 import line_search_reference
 from conftest import fibonacci_shear, weierstrass
@@ -223,17 +223,30 @@ def _fibonacci_shears(top=44):
                 yield base, widths, n, hull(points)
 
 
-def test_reduced_basis_converges_on_fibonacci_shears():
+def _holds_only_tuples_and_ints(value) -> bool:
+    return type(value) is int or (type(value) is tuple and all(map(_holds_only_tuples_and_ints, value)))
+
+
+def test_reduced_basis_converges_on_fibonacci_shears(box3_census):
     # peeling such slivers takes time linear in F(n), so the basis is checked directly
     checked = 0
     for base, widths, n, image in _fibonacci_shears():
-        short, long, w, line = _reduced_basis(image)
+        short, long, w, line, _, _ = _reduced_basis(image)
         assert (width_along(image, short), width_along(image, long)) == widths, (base, n)
         # the entry's widths are those of short and long + x * short, |x| <= 1
         assert w == width_along(image, short), (base, n)
         assert line == tuple(width_along(image, (long[0] + x * short[0], long[1] + x * short[1])) for x in (-1, 0, 1))
         checked += 1
     assert checked == 42 + 40 + 41
+    # the entry's dot lists are those of its rows, and it holds nothing a reader could change
+    corpus = [image for _, _, _, image in _fibonacci_shears()] + box3_census
+    corpus += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    corpus += [random_polygon(seed, k) for k in (5, 40, 160) for seed in range(4)]
+    for delta in corpus:
+        entry = short, long, _, _, dots_short, dots_long = _reduced_basis(delta)
+        for u, dots in ((short, dots_short), (long, dots_long)):
+            assert dots == tuple(u[0] * x + u[1] * y for x, y in delta.vertices), delta
+        assert _holds_only_tuples_and_ints(entry), delta
 
 
 _CHAIN = (lattice_width, lattice_size_sigma, lattice_size_square, minimal_box)
@@ -288,7 +301,12 @@ def test_memoised_basis_is_the_fresh_reduction(box3_census):
 
 @pytest.fixture
 def measured(monkeypatch):
-    """Every direction that width.width_along is asked for while the fixture is active, in order."""
+    """Every direction that width.width_along is asked for while the fixture is active, in order.
+
+    Only lattice_width's tie candidates beyond the memo entry go through
+    width_along; a reduction measures its pass lines on dot lists (see
+    line_points).
+    """
     from latsize import width
 
     log = []
@@ -301,19 +319,56 @@ def measured(monkeypatch):
     return log
 
 
+@pytest.fixture
+def line_points(monkeypatch):
+    """The dot list of every point of a pass line that a reduction measures while the fixture is active, in order."""
+    from latsize import width
+
+    log = []
+
+    def counting(a, b, k):
+        log.append(tuple(s + k * t for s, t in zip(a, b)))
+        return _line_width(a, b, k)
+
+    monkeypatch.setattr(width, "_line_width", counting)
+    return log
+
+
+def _direction(delta, dots):
+    """The u with dots == [u . p for p in delta.vertices]; two of the vertices must be linearly independent."""
+    vs = delta.vertices
+    i, j = next((i, j) for i in range(len(vs)) for j in range(i) if vs[i][0] * vs[j][1] != vs[i][1] * vs[j][0])
+    (px, py), (qx, qy) = vs[i], vs[j]
+    det = px * qy - py * qx
+    u = ((dots[i] * qy - dots[j] * py) // det, (px * dots[j] - qx * dots[i]) // det)
+    assert dots == tuple(u[0] * x + u[1] * y for x, y in vs), (delta, dots)
+    return u
+
+
 def _work_corpus(box3_census):
     images = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
     return images + [image for _, _, _, image in _fibonacci_shears()]
 
 
-def test_a_reduction_measures_each_direction_once(box3_census, measured):
+def test_a_reduction_measures_each_direction_once(box3_census, line_points):
     # the line search keeps what it measured, within a pass and from one
-    # pass to the next, so no direction (or its negative) is measured twice
+    # pass to the next, so no direction (or its negative) is measured twice.
+    # Each point measured is read back as its direction r1 + k * r2 from its
+    # dots. Widths do not change under translation, so a segment on a line
+    # through 0 is moved off it, for its two vertices to tell the direction;
+    # a point's one dot cannot, so points are left out.
     for image in _work_corpus(box3_census):
-        measured.clear()
+        if image.is_point:
+            continue
+        if image.is_segment:
+            (px, py), (qx, qy) = image.vertices
+            if px * qy == py * qx:
+                image = image.translate((py - qy, qx - px))
+        line_points.clear()
         _reduced_basis.__wrapped__(image)
+        measured = [_direction(image, dots) for dots in line_points]
         normalized = [u if u > (0, 0) else (-u[0], -u[1]) for u in measured]
-        assert len(set(normalized)) == len(normalized), (image, measured)
+        assert measured and len(set(normalized)) == len(normalized), (image, measured)
 
 
 def test_warm_lattice_width_measures_at_most_four_directions(box3_census, measured):
