@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import AffineUnimodularMap, LatticePolygon, hull
-from .size import BOX, SQUARE, fit_into
+from .size import BOX, SIGMA, SQUARE, fit_into
 from .width import lattice_width
 
 _MASK = (1 << 64) - 1
@@ -103,8 +103,11 @@ def oracle_size(delta: LatticePolygon, shape: str) -> int:
     Feasibility is monotone in the size, as d * target lies in
     (d + 1) * target, so _least_fit finds the size from the lattice width
     up, tests size - 1 infeasible, and raises InternalConsistencyError if
-    a size below the lattice width fits.
+    a size below the lattice width fits. The shape is "sigma" or "square";
+    the box has two sides, which oracle_box finds.
     """
+    if shape not in (SIGMA, SQUARE):
+        raise ValueError(f"oracle_size takes the shape sigma or square, got {shape!r}; use oracle_box for the box")
     if delta.is_empty:
         raise EmptyPolygonError("oracle_size needs a non-empty polygon")
     return _least_fit(delta, lambda d: fit_into(delta, shape, d) is not None, lambda d: f"{shape} size {d}")

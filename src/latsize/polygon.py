@@ -16,9 +16,9 @@ The package's plain result records (Measures and SpecialShape here, and
 those of width, size, interior, newton, oracle and cli) are
 typing.NamedTuples, so they unpack and compare equal to a tuple of the same
 fields. LatticePolygon and AffineUnimodularMap are slotted, immutable
-classes instead (_Frozen): a polygon is the key of the memos of size and
-width and holds cached properties, and a map checks its determinant however
-it is built.
+classes instead (_Frozen): a polygon keeps what is derived from it (area2,
+edge_constraints and the reduced basis of width._reduced_basis) in its
+instance dict, and a map checks its determinant however it is built.
 """
 
 from __future__ import annotations
@@ -96,14 +96,13 @@ class LatticePolygon(_Frozen):
     strictly convex counterclockwise vertex cycle starting at the
     lexicographically smallest vertex. Build instances through :func:`hull`.
 
-    A polygon is the key of the memos of size and width and caches area2,
-    edge_constraints and its hash in its instance dict, so it is a slotted,
-    immutable class rather than a tuple: equal and hashed by class and
-    vertices only, never equal to a plain tuple, and unchangeable once
-    built. The hash is hash((vertices,)), as _Frozen gives, computed on the
-    first call and kept under "_hash", so a memo read does not hash the
-    vertices again. It is not a cached_property, as area2 is: on Python
-    3.11 the first read of one takes a lock and costs more than the hash.
+    A polygon keeps area2, edge_constraints and the reduced basis of its
+    width norm (under "_basis", see width._reduced_basis) in its instance
+    dict, so it is a slotted, immutable class rather than a tuple: equal
+    and hashed by class and vertices only, never equal to a plain tuple,
+    and unchangeable once built. Each entry is a function of the vertices
+    alone and is stored whole by one assignment, so threads that fill it
+    at once store equal values, and a polygon is safe to share.
     """
 
     __slots__ = ("vertices", "__dict__")
@@ -114,12 +113,6 @@ class LatticePolygon(_Frozen):
 
     def _key(self) -> tuple:
         return (self.vertices,)
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.vertices,))
-        return h
 
     @property
     def is_empty(self) -> bool:

@@ -2,11 +2,10 @@
 
 The paper reads the lattice width, the lattice size with respect to the
 standard triangle Sigma and that with respect to the unit square from one
-recursion over one chain of interior hulls. So does this module: the memo
-_rule_runs peels a polygon once into its onion skins, in runs of uniform
-peels (see onion_skins), with the rule data of every run, and
-lattice_width_recursive and _size_value, its only readers, read that one
-chain.
+recursion over one chain of interior hulls. So does this module:
+lattice_width_recursive and _size_value each walk the onion skins of a
+polygon, in runs of uniform peels (see onion_skins), and compute only the
+rule data they read.
 
 The width recursion adds 2 per skin, except that a standard triangle d*Sigma
 ends the chain with d and a skin whose interior hull is a point, a segment or
@@ -24,7 +23,7 @@ takes a segment of n skins in O(1): the body of a run (all its skins but the
 last, which peel uniformly) and the last skin of a run (n = 1) alike, and
 its trace has one Step per segment, not per skin. Each segment takes its
 parallel-edge hit from one lookup of the edge normals of the skin after its
-first (_parallel_edge_hit), done once per segment in the memo.
+first (_parallel_edge_hit); the width recursion looks up none.
 
 Each size comes by three independent routes:
 
@@ -47,19 +46,19 @@ Each size comes by three independent routes:
   body; the search, not the basis, picks the rows.
 
 The lattice width and its optimal directions come from the same basis (see
-width.lattice_width), which is memoised per polygon (width._reduced_basis)
-and checked on every read (width._checked_basis): the width, both sizes,
-their witnesses, the box and the oracle's frame share one reduction, as the
-recursions share one chain. These two memos, each of the last 1024
-polygons, are the package's only caches; they stay apart so that no default
-width, size or box call peels.
+width.lattice_width), which each polygon keeps once reduced
+(width._reduced_basis) and which is checked on every read
+(width._checked_basis): the width, both sizes, their witnesses, the box and
+the oracle's frame share one reduction per polygon. The entry holds no
+skins, so no default width, size or box call peels. The chain is not kept:
+each trace, --verify run and width recursion peels anew. No module keeps a
+cache; what is derived from a polygon is kept on it (see
+polygon.LatticePolygon).
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
@@ -215,50 +214,6 @@ class Step(NamedTuple):
     shift: tuple[Point, ...] = ()
 
 
-# A run of onion skins (see OnionTrace) with the rule data of its skins,
-# as the segments that _step takes: (skin, shift, n, rectangle, hit).
-# special is recognize_special of the first skin (None for a point or
-# segment). If that is a rectangle, so is every skin of the run (the skins
-# share edge normals, and a unimodular rectangle [0,a] x [0,b] peels to
-# [1,a-1] x [1,b-1]). body is the segment of the count - 1 skins before the
-# last (None if count is 1), with the parallel-edge hit of the first skin on
-# the second; each edge's r - s is the same on every skin of the run, so the
-# same edge wins on every skin of the run or on none. last is the segment of
-# the last skin, end, with its hit on the first skin of the next run (None
-# for the last run).
-_RunRules = namedtuple("_RunRules", "skin shift count end special body last")
-
-
-@lru_cache(maxsize=1 << 10)
-def _rule_runs(delta: LatticePolygon) -> tuple[tuple[_RunRules, ...], Optional[SpecialShape]]:
-    """The runs of onion_skins(delta) with their rule data, outermost first.
-
-    Returned with recognize_special of the innermost skin, the last skin of
-    the last run. This is the one chain of every recursion: its readers are
-    lattice_width_recursive and _size_value, and through _size_value the
-    trace of a SizeCertificate, so the width recursion and both traces over
-    the same polygon peel it and recognize its run starts once. Each run
-    costs O(edges) plus one recognize_special on its first skin and one
-    parallel-edge lookup per segment.
-    """
-    runs = onion_skins(delta).runs
-    out = []
-    for j, (skin, shift, count) in enumerate(runs):
-        end = _moved(skin, shift, count - 1)
-        special = recognize_special(skin) if skin.is_two_dim else None
-        rectangle = special.params if special is not None and special.kind == "rectangle" else None
-        body = last = None
-        if count > 1:
-            body = (skin, shift, count - 1, rectangle, _parallel_edge_hit(skin, _moved(skin, shift, 1), 3))
-        if j + 1 < len(runs):
-            last = (end, (), 1, rectangle and tuple(p - 2 * (count - 1) for p in rectangle),
-                    _parallel_edge_hit(end, runs[j + 1][0], 3))
-        out.append(_RunRules(skin, shift, count, end, special, body, last))
-    if count > 1:
-        special = recognize_special(end)
-    return tuple(out), special
-
-
 _WIDTH_BASE = {
     "empty": ("LawrencePrismBase", 1),
     "point": ("SinglePointInteriorBase", 2),
@@ -267,7 +222,7 @@ _WIDTH_BASE = {
 
 
 def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...]]:
-    """Lattice width by interior-hull peeling, read off the chain of _rule_runs.
+    """Lattice width by interior-hull peeling, read off the runs of onion_skins.
 
     Standard triangles are the one exceptional family (their width drops by
     three per peel instead of two); polygons whose interior hull is degenerate
@@ -277,25 +232,28 @@ def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...
     first skin, and a triangle with the normals of a standard triangle is one,
     so the standard-triangle test is decided at the start of each run. The
     skins of a run before its last have two-dimensional interior hulls (the
-    next skins), so they are generic steps.
+    next skins), so they are generic steps. No rule of the sizes is looked
+    at: the walk recognizes each run start it reaches and nothing else.
     """
     if delta.is_empty:
         raise EmptyPolygonError("lattice_width_recursive needs a non-empty polygon")
     if not delta.is_two_dim:
         return 0, (Step(delta, "DegenerateInput", 0),)
-    runs, _ = _rule_runs(delta)
+    runs = onion_skins(delta).runs
     generic: list[Step] = []
-    for j, run in enumerate(runs):
-        if run.special is not None and run.special.kind == "standard_triangle":
-            base = Step(run.skin, "StandardTriangleException", run.special.params[0])
+    # every skin reached is two-dimensional: delta, or a gamma of the run before
+    for j, (skin, shift, count) in enumerate(runs):
+        special = recognize_special(skin)
+        if special is not None and special.kind == "standard_triangle":
+            base = Step(skin, "StandardTriangleException", special.params[0])
             break
-        gamma = runs[j + 1].skin if j + 1 < len(runs) else EMPTY
+        gamma = runs[j + 1][0] if j + 1 < len(runs) else EMPTY
         if gamma.is_two_dim:
-            generic.append(Step(run.skin, RULE_GENERIC, 2, (), run.count, run.shift))
+            generic.append(Step(skin, RULE_GENERIC, 2, (), count, shift))
             continue
-        if run.count > 1:
-            generic.append(Step(run.skin, RULE_GENERIC, 2, (), run.count - 1, run.shift))
-        base = Step(run.end, *_WIDTH_BASE[gamma.kind])
+        if count > 1:
+            generic.append(Step(skin, RULE_GENERIC, 2, (), count - 1, shift))
+        base = Step(_moved(skin, shift, count - 1), *_WIDTH_BASE[gamma.kind])
         break
     trace = (base,) + tuple(reversed(generic))
     return base.contribution + 2 * sum(step.count for step in generic), trace
@@ -304,20 +262,36 @@ def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...
 def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...]]:
     """Value and rule trace from the onion skins of delta, innermost skin first, one segment at a time.
 
-    Each run is up to two segments for _step (see _RunRules), taken inside
-    out: its last skin, then its body.
+    The runs of onion_skins(delta) are taken inside out. The last skin of
+    the last run, the innermost, gives the start value (_innermost_step).
+    Every other run is up to two segments for _step, taken inside out: its
+    last skin, with its parallel-edge hit on gamma, the first skin of the
+    run inside it; then its body, the count - 1 skins before the last
+    (count > 1 only), with the hit of its first skin on its second. For
+    Sigma, a run with a segment is recognized at its start: if that skin is
+    a rectangle, so is every skin of the run (see _step).
     """
     if delta.is_empty:
         return _BASE[shape], ()
-    runs, innermost = _rule_runs(delta)
-    value, step = _innermost_step(runs[-1].end, innermost, shape)
+    runs = onion_skins(delta).runs
+    skin, shift, count = runs[-1]
+    end = _moved(skin, shift, count - 1)
+    value, step = _innermost_step(end, recognize_special(end) if end.is_two_dim else None, shape)
     trace = [step]
-    for run in reversed(runs):
-        if run.last is not None:
-            value, step = _step(run.last, value, shape)
+    gamma = None
+    for skin, shift, count in reversed(runs):
+        special = recognize_special(skin) if shape == SIGMA and (gamma is not None or count > 1) else None
+        rectangle = special.params if special is not None and special.kind == "rectangle" else None
+        if gamma is not None:
+            end = _moved(skin, shift, count - 1)
+            last = (end, (), 1, rectangle and tuple(p - 2 * (count - 1) for p in rectangle),
+                    _parallel_edge_hit(end, gamma, 3))
+            value, step = _step(last, value, shape)
             trace.append(step)
-        if run.body is not None:
-            value, step = _step(run.body, value, shape)
+        gamma = skin
+        if count > 1:
+            body = (skin, shift, count - 1, rectangle, _parallel_edge_hit(skin, _moved(skin, shift, 1), 3))
+            value, step = _step(body, value, shape)
             inner = trace[-1]
             if (inner.rule, inner.contribution, inner.params) == (step.rule, step.contribution,
                                                                    _params_at(step, step.count)):
@@ -378,10 +352,14 @@ def _step(segment: tuple, inner_value: int, shape: str) -> tuple[int, Step]:
 
     The segment is the n skins skin + t * shift, t = 0..n-1. rectangle is
     (a, b) if skin is the rectangle [0,a] x [0,b], hit its parallel-edge hit
-    with r - s >= 3, if any. The first rule that fires decides, on every
-    skin of the segment alike (see _RunRules): the rectangle rule (triangle
-    only), then the parallel-edge rule, then the generic step. A point or
-    segment inner skin goes through the same rules as a two-dimensional one.
+    with r - s >= 3, if any. The first rule that fires decides: the
+    rectangle rule (triangle only), then the parallel-edge rule, then the
+    generic step. It decides on every skin of the segment alike. The skins
+    of a run share edge normals, so if skin is a rectangle, so is every
+    skin of the segment (a unimodular [0,a] x [0,b] peels to
+    [1,a-1] x [1,b-1]); and each edge's r - s is the same on every skin, so
+    the same edge wins on every skin or on none. A point or segment inner
+    skin goes through the same rules as a two-dimensional one.
     Each rule is affine in t: the rectangle (a - 2t) + (b - 2t) falls by 4
     per skin, the parallel-edge value r - t * (r - s) by r - s, the generic
     step by 3 or 2. So the value of skin n, just inside the segment, must be

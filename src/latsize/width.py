@@ -3,10 +3,11 @@
 lattice_width reads the width and every optimal direction of a segment or
 a polygon off the reduced basis (_reduced_basis), which also gives both
 lattice sizes and their witnesses (see size._basis_map) and the coordinate
-frame of the oracle size.fit_into. The basis is memoised per polygon, so
-these readers share one reduction; the memo holds no onion skins, so none
-of them peels. The memo entry also keeps the widths the reduction measured
-along its final line, so a warm lattice_width measures at most four more
+frame of the oracle size.fit_into. The basis is kept on its polygon, in
+the instance dict beside area2 and edge_constraints, so these readers
+share one reduction per polygon; it holds no onion skins, so none of them
+peels. The entry also keeps the widths the reduction measured along its
+final line, so a warm lattice_width measures at most four more
 directions, most often none, and the dot lists of short and long on the
 vertices, which the reduction moves with its rows from the x and y lists,
 so the witnesses and the oracle's frame read them instead of projecting
@@ -18,7 +19,6 @@ lattice_width_recursive, is one of the recursions in size.py.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import EmptyPolygonError, InternalConsistencyError
@@ -93,7 +93,7 @@ def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, in
 
 
 # (short, long, w, (f(long - short), f(long), f(long + short)), the dots of
-# short on the vertices, those of long); see _reduced_basis
+# short on the vertices, those of long); see _gauss_reduce
 _BasisEntry = tuple[Point, Point, int, tuple[int, int, int], tuple[int, ...], tuple[int, ...]]
 
 
@@ -103,9 +103,26 @@ def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
     return max(dots) - min(dots)
 
 
-@lru_cache(maxsize=1 << 10)
 def _reduced_basis(delta: LatticePolygon) -> _BasisEntry:
-    """A Gauss-reduced basis (short, long) of the width norm of delta, its widths and dot lists, memoised.
+    """_gauss_reduce(delta), kept on delta under "_basis" in its instance dict.
+
+    lattice_width, the Sigma and square sizes (and so minimal_box) and the
+    frame of fit_into read this, so over one polygon they run one
+    reduction between them, and a width-only caller starts no peel, as the
+    entry holds no skins. Equal polygons built apart reduce apart. Two
+    threads that read a fresh polygon at once may both reduce it; each
+    stores the same entry with one dict assignment, so a reader finds no
+    entry or a whole one. The entry holds only tuples and ints, so no
+    reader can change it.
+    """
+    entry = delta.__dict__.get("_basis")
+    if entry is None:
+        entry = delta.__dict__["_basis"] = _gauss_reduce(delta)
+    return entry
+
+
+def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
+    """A Gauss-reduced basis (short, long) of the width norm of delta, its widths and dot lists.
 
     The entry is (short, long, w, (f(long - short), f(long), f(long + short)),
     dots_short, dots_long) for the width norm f = width_along(delta, .),
@@ -139,12 +156,6 @@ def _reduced_basis(delta: LatticePolygon) -> _BasisEntry:
     f(long) <= f(long + short), so seen then holds j = -1, 0 and 1, and the
     entry keeps those widths: lattice_width reads its tie set from them,
     and the square size its reach f(long).
-
-    The memo makes lattice_width, the Sigma and square sizes (and so
-    minimal_box) and the frame of fit_into over one polygon run one
-    reduction between them. Its key is the polygon, as for size._rule_runs,
-    and it keeps no skins, so a width-only caller starts no peel. The entry
-    holds only tuples and ints, so no reader can change a cached entry.
     """
     if delta.is_empty:
         raise EmptyPolygonError("width of the empty polygon is undefined")

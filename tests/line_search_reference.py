@@ -5,7 +5,7 @@ once leftward from 0 and once rightward from 1, each looking the bracket
 value up in known on every step. A test can run it and width._min_convex
 on the same convex function and compare the argmin, the sequence of
 points where f is evaluated and the final known dict, which
-width._reduced_basis reads for the widths of its final pass.
+width._gauss_reduce reads for the widths of its final pass.
 """
 
 from __future__ import annotations

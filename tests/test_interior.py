@@ -400,7 +400,6 @@ def test_runs_take_one_interior_hull_call_each(monkeypatch):
     calls = _count_hull_calls(monkeypatch)
     for delta, bound in [(delta, 3) for delta in families] + list(zip(large, bounds)):
         for op in _CHAIN_OPS:
-            latsize.size._rule_runs.cache_clear()
             calls.clear()
             op(delta)
             assert len(calls) <= bound, (op.__name__, delta, len(calls))
@@ -408,11 +407,9 @@ def test_runs_take_one_interior_hull_call_each(monkeypatch):
         vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in delta.vertices)
         for argv in (["sigma"], ["square"], ["box"], ["peel"], ["width", "--trace"], ["sigma", "--trace"],
                      ["square", "--trace"]):
-            latsize.size._rule_runs.cache_clear()
             calls.clear()
             assert run_command(argv + [vertices, "--json"]).exit_code == 0, (argv, delta)
             assert len(calls) <= 3, (argv, delta, len(calls))
-    latsize.size._rule_runs.cache_clear()
     calls.clear()
     result = run_command(["analyze", "--poly", f"x^{_GUARD} + y^{_GUARD} + 1", "--json"])
     assert result.exit_code == 0 and json.loads(result.stdout)["s2_bound"] == _GUARD

@@ -222,7 +222,7 @@ def test_analyze_and_minimal_box_walk_no_chain(box3_census, monkeypatch):
         raise AssertionError("the chain of a polygon was walked")
 
     monkeypatch.setattr("latsize.size._size_value", no_chain)
-    monkeypatch.setattr("latsize.size._rule_runs", no_chain)
+    monkeypatch.setattr("latsize.size.onion_skins", no_chain)
     for delta in box3_census:
         minimal_box(delta)
         if delta.is_two_dim:

@@ -55,6 +55,19 @@ def test_oracle_size_reference_values(heptagon):
         oracle_size(hull([]), "sigma")
 
 
+def test_oracle_size_takes_sigma_or_square_only(monkeypatch):
+    # the box has two sides; oracle_size names oracle_box for it, before any search
+    def no_search(*args):
+        raise AssertionError("oracle_size searched a shape it does not take")
+
+    monkeypatch.setattr("latsize.oracle.fit_into", no_search)
+    monkeypatch.setattr("latsize.oracle.lattice_width", no_search)
+    for delta in (hull([(0, 0), (3, 0), (0, 2)]), hull([(7, -2)]), hull([])):
+        for shape in ("box", "triangle", "Sigma", None):
+            with pytest.raises(ValueError, match="oracle_box"):
+                oracle_size(delta, shape)
+
+
 def test_pareto_reference_sets():
     assert oracle_box(rectangle(2, 3)) == (2, 3)
     assert oracle_box(hull([(0, 0), (5, 0), (0, 2)])) == (2, 5)
@@ -83,7 +96,7 @@ def test_oracle_work_is_bounded_by_count(monkeypatch):
 
     monkeypatch.setattr("latsize.oracle.fit_into", counted)
     monkeypatch.setattr("latsize.size._size_value", no_recursion)
-    monkeypatch.setattr("latsize.size._rule_runs", no_recursion)
+    monkeypatch.setattr("latsize.size.onion_skins", no_recursion)
     thin = hull([(0, 0), (3000, 0), (0, 2)])
     for shape in ("sigma", "square"):
         calls.clear()

@@ -167,24 +167,27 @@ def test_polygons_and_maps_are_immutable_values():
          [AffineUnimodularMap(1, 2, 0, -1, 3, -5), phi.inverse(), _SubMap(1, 2, 0, -1, 3, -4),
           (1, 2, 0, -1, 3, -4)]),
     ]
+    # the hash is _Frozen's, hash((vertices,)), whatever the polygon keeps in its dict
+    assert "__hash__" not in vars(LatticePolygon)
     for value, twin, others in cases:
         if isinstance(value, LatticePolygon):
-            # a polygon caches its hash beside area2: hash((vertices,)) when
-            # a caller asks first and when a memo read does, and alike on
-            # polygons built separately
+            # a polygon keeps its reduced basis beside area2; that changes
+            # neither its hash nor its equality, also on polygons built
+            # separately
             assert hash(value) == hash((value.vertices,))
             lattice_width(value)
             other_build = hull(value.vertices[::-1])
             for delta in (twin, other_build):
+                assert "_basis" not in delta.__dict__
                 lattice_width(delta)
-                assert hash(delta) == hash((delta.vertices,)) == hash(value)
+                assert hash(delta) == hash((delta.vertices,)) == hash(value) and delta == value
             assert hash(value) == hash((value.vertices,))
         assert value == twin and hash(value) == hash(twin) and value is not twin
         assert all(value != other and other != value for other in others), value
         for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and hash(clone) == hash(value)
     assert square.area2 == 2 and square.edge_constraints == ((0, -1, 0), (1, 0, 1), (0, 1, 1), (-1, 0, 0))
-    for value, name in ((square, "vertices"), (square, "area2"), (square, "edge_constraints"), (square, "_hash"),
+    for value, name in ((square, "vertices"), (square, "area2"), (square, "edge_constraints"), (square, "_basis"),
                         (square, "extra"), (phi, "m11"), (phi, "t2"), (phi, "extra"),
                         (lattice_width(square), "width")):
         with pytest.raises(AttributeError):

@@ -109,11 +109,12 @@ def test_parallel_edge_lookup_matches_the_full_scan(box3_census):
 
 
 def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
-    # one chain for the four recursions: one parallel-edge lookup per run
+    # one .trace read walks the chain once: one parallel-edge lookup per run
     # end, on its last skin, plus one per run of count > 1, on its first
-    # skin for the skins before the last, and one recognize_special per
-    # two-dimensional run start and on the innermost skin, shared by width,
-    # sigma, square and box
+    # skin for the skins before the last. The Sigma trace recognizes each
+    # run start and the innermost skin once, the square trace only the
+    # innermost skin. The width recursion looks up no hit, and the default
+    # calls walk no chain at all
     computed, recognized = Counter(), Counter()
     lookup, recognize = latsize.size._parallel_edge_hit, latsize.size.recognize_special
 
@@ -129,20 +130,24 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
     monkeypatch.setattr(latsize.size, "recognize_special", counting_special)
     skins = runs = 0
     for delta in (random_polygon(3, 160), random_polygon(4, 300), rectangle(9, 30), standard_triangle(40)):
-        latsize.size._rule_runs.cache_clear()
         computed.clear()
-        recognized.clear()
         lattice_width_recursive(delta)
         lattice_size_sigma(delta)
         lattice_size_square(delta)
         minimal_box(delta)
+        assert computed == Counter(), delta
         trace = onion_skins(delta).runs
         ends = Counter(_moved(skin, shift, count - 1) for skin, shift, count in trace[:-1])
-        assert computed == ends + Counter(skin for skin, _, count in trace if count > 1), delta
         innermost = _moved(*trace[-1][:2], trace[-1][2] - 1)
         # the innermost skin is looked at once, also when it starts its run
         looked_at = {skin for skin, _, _ in trace} | {innermost}
-        assert recognized == Counter(skin for skin in looked_at if skin.is_two_dim), delta
+        for size, recognizes in ((lattice_size_sigma, looked_at), (lattice_size_square, {innermost})):
+            certificate = size(delta)
+            computed.clear()
+            recognized.clear()
+            certificate.trace
+            assert computed == ends + Counter(skin for skin, _, count in trace if count > 1), delta
+            assert recognized == Counter(skin for skin in recognizes if skin.is_two_dim), delta
         skins += sum(count for _, _, count in trace)
         runs += len(trace)
     assert skins > 2 * runs, (skins, runs)
@@ -329,16 +334,20 @@ def test_two_dim_skins_need_no_search(box3_census, monkeypatch):
 
 def test_each_segment_step_checks_its_inner_value():
     # the rule of a segment, less its fall over the segment, must give the
-    # inner value; a wrong inner value fails on every kind of segment
-    (outer, _), _ = latsize.size._rule_runs(rectangle(4, 9))
-    rectangle_end = outer.last  # [1,3] x [1,8] around a segment of length 5
-    assert outer.count == 2 and rectangle_end[2:] == (1, (2, 7), None)
-    (outer, _), _ = latsize.size._rule_runs(weierstrass(4))
-    parallel_end = outer.last  # r = 9 around a segment of length 3
-    assert outer.count == 1 and parallel_end[2:4] == (1, None) and parallel_end[4][:2] == (9, 3)
-    (run,), _ = latsize.size._rule_runs(standard_triangle(40))
-    body = run.body  # 40 * Sigma down to 4 * Sigma, then Sigma
-    assert run.count == 14 and body[2:4] == (13, None) and body[4][:2] == (40, 37)
+    # inner value; a wrong inner value fails on every kind of segment.
+    # Segments are (skin, shift, n, rectangle, hit)
+    skin = rectangle(2, 7).translate((1, 1))  # the last skin of rectangle(4, 9), around a segment of length 5
+    rectangle_end = (skin, (), 1, (2, 7), None)
+    assert onion_skins(rectangle(4, 9)).runs[0][1:] == (((1, 1), (-1, 1), (-1, -1), (1, -1)), 2)
+    assert (recognize_special(skin).params, parallel_edge_exception(skin, interior_hull(skin), 3)) == ((2, 7), None)
+    hit = ParallelEdgeHit(9, 3, ((0, 0), (9, 0)), ((1, 1), (4, 1)))  # r = 9 around a segment of length 3
+    parallel_end = (weierstrass(4), (), 1, None, hit)
+    assert parallel_edge_exception(weierstrass(4), interior_hull(weierstrass(4)), 3) == hit
+    shift = ((1, 1), (-2, 1), (1, -2))
+    hit = ParallelEdgeHit(40, 37, ((0, 0), (40, 0)), ((1, 1), (38, 1)))
+    body = (standard_triangle(40), shift, 13, None, hit)  # 40 * Sigma down to 4 * Sigma, then Sigma
+    assert onion_skins(standard_triangle(40)).runs == ((standard_triangle(40), shift, 14),)
+    assert parallel_edge_exception(standard_triangle(40), _moved(standard_triangle(40), shift, 1), 3) == hit
     for segment, inner, value in ((rectangle_end, 5, 9), (parallel_end, 3, 9), (body, 1, 40)):
         assert _step(segment, inner, "sigma")[0] == value
         for wrong in (inner - 1, inner + 1):
@@ -490,8 +499,8 @@ def test_default_sizes_peel_nothing_at_the_guard(monkeypatch):
     def ring(signum, frame):
         raise TimeoutError("a guard row did not end within the alarm")
 
-    for name in ("latsize.size._rule_runs", "latsize.size._size_value", "latsize.size.onion_skins",
-                 "latsize.interior.onion_skins", "latsize.interior._column_hull"):
+    for name in ("latsize.size._size_value", "latsize.size.onion_skins", "latsize.interior.onion_skins",
+                 "latsize.interior._column_hull"):
         monkeypatch.setattr(name, no_peel)
     previous = signal.signal(signal.SIGALRM, ring)
     signal.alarm(2)

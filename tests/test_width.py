@@ -1,5 +1,9 @@
 """Lattice width: enumeration, recursion and their agreement."""
 
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +27,8 @@ from latsize import (
     upsilon,
     width_along,
 )
-from latsize.size import _rule_runs, _size_value
-from latsize.width import _line_width, _min_convex, _reduced_basis
+from latsize.size import _size_value
+from latsize.width import _gauss_reduce, _line_width, _min_convex, _reduced_basis
 
 import line_search_reference
 from conftest import fibonacci_shear, weierstrass
@@ -252,51 +256,117 @@ def test_reduced_basis_converges_on_fibonacci_shears(box3_census):
 _CHAIN = (lattice_width, lattice_size_sigma, lattice_size_square, minimal_box)
 
 
-def test_one_reduction_per_polygon(box3_census):
-    # the width, both sizes, the box and analyze read one memoised
-    # basis: whichever of them runs first reduces, the others hit the memo,
-    # also on an equal polygon built separately, as the chain memo does
-    polygons = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
-    polygons += [random_polygon(seed, 160) for seed in range(3)]
-    polygons += [image for base, _, _, image in _fibonacci_shears(20) if base == standard_triangle(1)]
-    for delta in polygons:
-        twin = hull(delta.vertices[::-1])
-        assert twin == delta and twin is not delta
+@pytest.fixture
+def reductions(monkeypatch):
+    """Every polygon that width._gauss_reduce reduces while the fixture is active, in order."""
+    from latsize import width
+
+    log = []
+
+    def counting(delta):
+        log.append(delta)
+        return _gauss_reduce(delta)
+
+    monkeypatch.setattr(width, "_gauss_reduce", counting)
+    return log
+
+
+def test_one_reduction_per_polygon(box3_census, reductions, monkeypatch):
+    # the width, both sizes, the box and analyze read the basis that the
+    # polygon keeps: whichever of them runs first reduces, the others read
+    # the entry. An equal polygon built separately keeps its own entry, so
+    # it reduces once more
+    def no_chain(*args):
+        raise AssertionError("a default call walked the chain")
+
+    # none of them peels: the chain is walked only when a trace is read
+    monkeypatch.setattr("latsize.size.onion_skins", no_chain)
+    bases = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
+    bases += [random_polygon(seed, 160) for seed in range(3)]
+    bases += [image for base, _, _, image in _fibonacci_shears(20) if base == standard_triangle(1)]
+    for base in bases:
         # points and segments too: their witnesses read the basis
         for ops in (_CHAIN, _CHAIN[::-1]):
-            _reduced_basis.cache_clear()
-            _rule_runs.cache_clear()
+            delta, twin = hull(base.vertices), hull(base.vertices[::-1])
+            assert twin == delta and twin is not delta
+            reductions.clear()
             for op in ops:
                 op(delta)
+            assert reductions == [delta], (delta, ops[0].__name__)
+            assert delta.__dict__["_basis"] == _gauss_reduce(delta), delta
             for op in ops:
                 op(twin)
-            assert _reduced_basis.cache_info().misses == 1, (delta, ops[0].__name__)
-            # none of them peels: the chain is walked only when a trace is read
-            assert _rule_runs.cache_info().misses == 0, (delta, ops[0].__name__)
+            assert reductions == [delta, twin] and reductions[1] is twin, (delta, ops[0].__name__)
     # analyze reads the basis of its interior only, through the minimal box
     # and the Sigma reach, a segment interior too, and peels no interior
-    _reduced_basis.cache_clear()
-    _rule_runs.cache_clear()
+    # beyond the one interior hull; each call builds its interior afresh
+    reductions.clear()
     hyperelliptic = analyze(parse_laurent("y^2 + x^9 + x + 1"))
-    assert hyperelliptic.interior.is_segment and _reduced_basis.cache_info().misses == 1
+    assert hyperelliptic.interior.is_segment and reductions == [hyperelliptic.interior]
     for _ in range(2):
+        reductions.clear()
         quintic = analyze(parse_laurent("x^5 + y^5 + 1"))
-    assert quintic.interior.is_two_dim and _reduced_basis.cache_info().misses == 2
-    assert _rule_runs.cache_info().misses == 0
+        assert quintic.interior.is_two_dim and reductions == [quintic.interior]
 
 
 def test_memoised_basis_is_the_fresh_reduction(box3_census):
     images = [image for _, _, _, image in _fibonacci_shears()]
     images += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
     for image in images:
-        assert _reduced_basis(image) == _reduced_basis.__wrapped__(image), image
-    # a certificate does not depend on which reader filled the memo
+        assert _reduced_basis(image) == _gauss_reduce(image), image
+        assert _reduced_basis(image) is image.__dict__["_basis"], image
+    # a certificate does not depend on which reader filled the entry
     for delta in images[-len(box3_census):]:
-        _reduced_basis.cache_clear()
-        sigma_first = (lattice_size_sigma(delta), lattice_size_square(delta), minimal_box(delta))
-        _reduced_basis.cache_clear()
-        box_first = minimal_box(delta)
-        assert (lattice_size_sigma(delta), lattice_size_square(delta), box_first) == sigma_first, delta
+        fresh = hull(delta.vertices)
+        sigma_first = (lattice_size_sigma(fresh), lattice_size_square(fresh), minimal_box(fresh))
+        fresh = hull(delta.vertices)
+        box_first = minimal_box(fresh)
+        assert (lattice_size_sigma(fresh), lattice_size_square(fresh), box_first) == sigma_first, delta
+
+
+def test_threads_share_fresh_polygons(box3_census):
+    # values are safe to share between threads, and the basis is written
+    # into the shared polygon on first read: 8 threads, more than the
+    # cores, read width, both sizes and the box of the same fresh polygons
+    # at a short switch interval. A race may reduce a polygon twice, but
+    # every result must be the single-thread one and every entry whole
+    def corpus():
+        polygons = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census[::4])]
+        return polygons + [random_polygon(seed, 160) for seed in range(8)]
+
+    def chain(polygons):
+        return [tuple(op(delta) for op in _CHAIN) for delta in polygons]
+
+    want = chain(corpus())
+    shared = corpus()
+    assert not any("_basis" in delta.__dict__ for delta in shared)
+    results, failures = {}, []
+    start = threading.Barrier(8)
+
+    def worker(i):
+        try:
+            start.wait(timeout=5)
+            results[i] = chain(shared)
+        except Exception as exc:  # reported below, as the thread cannot fail the test
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(8)]
+    began = time.monotonic()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert sorted(results) == list(range(8)) and all(results[i] == want for i in range(8))
+    for delta in shared:
+        assert delta.__dict__["_basis"] == _gauss_reduce(delta), delta
+    assert time.monotonic() - began < 5
 
 
 @pytest.fixture
@@ -365,7 +435,7 @@ def test_a_reduction_measures_each_direction_once(box3_census, line_points):
             if px * qy == py * qx:
                 image = image.translate((py - qy, qx - px))
         line_points.clear()
-        _reduced_basis.__wrapped__(image)
+        _gauss_reduce(image)
         measured = [_direction(image, dots) for dots in line_points]
         normalized = [u if u > (0, 0) else (-u[0], -u[1]) for u in measured]
         assert measured and len(set(normalized)) == len(normalized), (image, measured)
@@ -414,7 +484,7 @@ def test_min_convex_matches_the_line_search_reference(pieces, carried):
 
     known is seeded with f(0), as the first pass of a reduction, or also
     with the widths at -1 and 1 that a pass carries over from the one
-    before; _reduced_basis reads f(-1), f(0) and f(1) from the final known.
+    before; _gauss_reduce reads f(-1), f(0) and f(1) from the final known.
     """
     extra, down, up, b_down, b_up, c = pieces
     lines = [*extra, (down, b_down), (up, b_up)]
