@@ -1,4 +1,14 @@
-"""Exact lattice widths, lattice sizes and Newton-polygon curve bounds."""
+"""Exact lattice widths, lattice sizes and Newton-polygon curve bounds.
+
+The exports are lazy (PEP 562): ``import latsize`` loads only this module
+and ``errors``, and ``latsize.<name>`` imports the module that defines the
+name on first access. Every CLI call is a fresh process, so it compiles
+only the modules its command runs. ``__getattr__`` caches nothing: the
+package binds no exported name but the errors, and each access returns the
+current binding in the defining module.
+"""
+
+from importlib import import_module
 
 from .errors import (
     CoordinateGuardError,
@@ -9,99 +19,44 @@ from .errors import (
     NotTwoDimensionalError,
     ZeroPolynomialError,
 )
-from .interior import OnionTrace, interior_hull, onion_skins
-from .newton import (
-    LaurentPolynomial,
-    NewtonAnalysis,
-    analyze,
-    newton_polygon,
-    parse_laurent,
-    transform_support,
-)
-from .oracle import (
-    census,
-    oracle_box,
-    oracle_size,
-    random_polygon,
-    random_unimodular_map,
-)
-from .polygon import (
-    EMPTY,
-    AffineUnimodularMap,
-    LatticePolygon,
-    Measures,
-    SpecialShape,
-    apply_map,
-    are_equivalent,
-    hull,
-    integral_length,
-    lawrence_prism,
-    measures,
-    rectangle,
-    recognize_special,
-    standard_triangle,
-    upsilon,
-)
-from .size import (
-    BoxCertificate,
-    SizeCertificate,
-    Step,
-    fit_into,
-    lattice_size_sigma,
-    lattice_size_square,
-    lattice_width_recursive,
-    minimal_box,
-)
-from .width import WidthResult, lattice_width, width_along
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineUnimodularMap",
-    "BoxCertificate",
-    "CoordinateGuardError",
-    "DegeneratePolygonError",
-    "EMPTY",
-    "EmptyPolygonError",
-    "InternalConsistencyError",
-    "LatsizeError",
-    "LatticePolygon",
-    "LaurentPolynomial",
-    "Measures",
-    "NewtonAnalysis",
-    "NotTwoDimensionalError",
-    "OnionTrace",
-    "SizeCertificate",
-    "SpecialShape",
-    "Step",
-    "WidthResult",
-    "ZeroPolynomialError",
-    "analyze",
-    "apply_map",
-    "are_equivalent",
-    "census",
-    "fit_into",
-    "hull",
-    "integral_length",
-    "interior_hull",
-    "lattice_size_sigma",
-    "lattice_size_square",
-    "lattice_width",
-    "lattice_width_recursive",
-    "lawrence_prism",
-    "measures",
-    "minimal_box",
-    "newton_polygon",
-    "onion_skins",
-    "oracle_box",
-    "oracle_size",
-    "parse_laurent",
-    "random_polygon",
-    "random_unimodular_map",
-    "rectangle",
-    "recognize_special",
-    "standard_triangle",
-    "transform_support",
-    "upsilon",
-    "width_along",
-]
+# Each exported name but the errors -> the module that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("OnionTrace", "interior_hull", "onion_skins"), "interior"),
+    **dict.fromkeys(("LaurentPolynomial", "NewtonAnalysis", "analyze", "newton_polygon",
+                     "parse_laurent", "transform_support"), "newton"),
+    **dict.fromkeys(("census", "oracle_box", "oracle_size", "random_polygon",
+                     "random_unimodular_map"), "oracle"),
+    **dict.fromkeys(("EMPTY", "AffineUnimodularMap", "LatticePolygon", "Measures", "SpecialShape",
+                     "apply_map", "are_equivalent", "hull", "integral_length", "lawrence_prism",
+                     "measures", "rectangle", "recognize_special", "standard_triangle",
+                     "upsilon"), "polygon"),
+    **dict.fromkeys(("BoxCertificate", "SizeCertificate", "Step", "fit_into", "lattice_size_sigma",
+                     "lattice_size_square", "lattice_width_recursive", "minimal_box"), "size"),
+    **dict.fromkeys(("WidthResult", "lattice_width", "width_along"), "width"),
+}
+
+__all__ = sorted(
+    [
+        "CoordinateGuardError",
+        "DegeneratePolygonError",
+        "EmptyPolygonError",
+        "InternalConsistencyError",
+        "LatsizeError",
+        "NotTwoDimensionalError",
+        "ZeroPolynomialError",
+        *_EXPORTS,
+    ]
+)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

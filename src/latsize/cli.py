@@ -15,6 +15,15 @@ that is tested, not proved. The square value is the second successive
 minimum of the width, which every read of the basis checks. --trace and --verify read the certificate's trace,
 which runs the size recursion and exits 4 unless its value agrees; --verify
 also asks the oracle.
+
+Every call is a fresh process, so each handler imports the width, size,
+interior and oracle names it runs, and a process compiles only those
+modules: width without --trace or --verify loads none of size, interior and
+oracle, and only --verify and the oracle command load oracle. Two imports
+stay at module level because the benchmark's tracer (bench/tracing.py)
+reads sys.modules for each layer it wraps, after its warm-up and
+`import latsize.cli`: this module imports newton, and size.py imports
+interior.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (
     CoordinateGuardError,
@@ -32,19 +41,11 @@ from .errors import (
     NotTwoDimensionalError,
     ZeroPolynomialError,
 )
-from .interior import onion_skins
 from .newton import _curve_bounds, analyze, newton_polygon, parse_laurent
-from .oracle import oracle_box, oracle_size
 from .polygon import AffineUnimodularMap, LatticePolygon, Point, hull
-from .size import (
-    SizeCertificate,
-    Step,
-    lattice_size_sigma,
-    lattice_size_square,
-    lattice_width_recursive,
-    minimal_box,
-)
-from .width import lattice_width
+
+if TYPE_CHECKING:
+    from .size import SizeCertificate, Step
 
 
 # The run format of peel and --trace, printed by --help.
@@ -162,8 +163,10 @@ def _pairs(chunks: list[str], sep: Optional[str]) -> LatticePolygon:
     for chunk in chunks:
         chunk = chunk.strip()
         if chunk:
-            x, y = chunk.split(sep)
-            pts.append((int(x), int(y)))
+            pair = chunk.split(sep)
+            if len(pair) != 2:
+                raise ValueError(f"vertex must be a pair of integers, got {chunk!r}")
+            pts.append((int(pair[0]), int(pair[1])))
     return hull(pts)
 
 
@@ -231,12 +234,16 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _size_command(args: argparse.Namespace) -> str:
+    from .size import lattice_size_sigma, lattice_size_square
+
     shape = args.command  # sigma or square
     delta = _read_polygon(args)
     cert: SizeCertificate = (lattice_size_sigma if shape == "sigma" else lattice_size_square)(delta)
     # reading the trace runs the recursion, and raises unless its value is cert.value
     trace = cert.trace if args.verify or args.trace else ()
     if args.verify:
+        from .oracle import oracle_size
+
         value = oracle_size(delta, shape)
         _check(value == cert.value, f"{shape} value {cert.value} disagrees with the oracle's {value}")
     doc: dict = {"command": shape, "value": cert.value}
@@ -248,9 +255,13 @@ def _size_command(args: argparse.Namespace) -> str:
 
 
 def _width_command(args: argparse.Namespace) -> str:
+    from .width import lattice_width
+
     delta = _read_polygon(args)
     result = lattice_width(delta)
     if args.verify or args.trace:
+        from .size import lattice_width_recursive
+
         value, trace = lattice_width_recursive(delta)
         _check(value == result.width, f"recursive width {value} disagrees with {result.width}")
     doc: dict = {
@@ -264,9 +275,13 @@ def _width_command(args: argparse.Namespace) -> str:
 
 
 def _box_command(args: argparse.Namespace) -> str:
+    from .size import minimal_box
+
     delta = _read_polygon(args)
     cert = minimal_box(delta)
     if args.verify:
+        from .oracle import oracle_box
+
         box = oracle_box(delta)
         _check(box == (cert.a, cert.b), f"box {(cert.a, cert.b)} disagrees with the oracle box {box}")
     doc: dict = {"command": "box", "value": [cert.a, cert.b]}
@@ -276,6 +291,8 @@ def _box_command(args: argparse.Namespace) -> str:
 
 
 def _peel_command(args: argparse.Namespace) -> str:
+    from .interior import onion_skins
+
     delta = _read_polygon(args)
     runs = onion_skins(delta).runs
     doc = {
@@ -293,6 +310,9 @@ def _analyze_command(args: argparse.Namespace) -> str:
     result = analyze(parse_laurent(args.poly))
     inner = result.interior
     if args.verify and not inner.is_empty:
+        from .oracle import oracle_size
+        from .size import lattice_width_recursive
+
         checked = _curve_bounds(lattice_width_recursive(inner)[0], oracle_size(inner, "square"),
                                 oracle_size(inner, "sigma"), result.special)
         _check(
@@ -323,6 +343,8 @@ def _analyze_command(args: argparse.Namespace) -> str:
 
 
 def _oracle_command(args: argparse.Namespace) -> str:
+    from .oracle import oracle_box, oracle_size
+
     delta = _read_polygon(args)
     if args.shape == "box":
         a, b = oracle_box(delta)

@@ -7,7 +7,6 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import NotTwoDimensionalError, ZeroPolynomialError
-from .interior import interior_hull
 from .polygon import (
     AffineUnimodularMap,
     LatticePolygon,
@@ -16,7 +15,6 @@ from .polygon import (
     measures,
     recognize_special,
 )
-from .size import lattice_size_sigma, minimal_box
 
 
 class LaurentPolynomial(NamedTuple):
@@ -189,6 +187,9 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     box and Sigma size, both from its reduced basis, the Sigma size through
     the checked certificate of lattice_size_sigma, which peels nothing.
     """
+    from .interior import interior_hull
+    from .size import lattice_size_sigma, minimal_box
+
     poly = newton_polygon(f)
     if not poly.is_two_dim:
         raise NotTwoDimensionalError("analysis needs a two-dimensional Newton polygon")

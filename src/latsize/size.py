@@ -62,6 +62,7 @@ import math
 from typing import NamedTuple, Optional, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
+# at module level, though the default sizes peel nothing: see the cli docstring
 from .interior import _moved, interior_hull, onion_skins
 from .polygon import (
     EMPTY,

@@ -93,6 +93,34 @@ def test_cli_import_loads_no_dataclasses():
     assert out == "[]\n", out
 
 
+def test_each_command_loads_only_its_modules():
+    # the exports are lazy and each handler imports what it runs, so a CLI
+    # process compiles only those modules; only --verify and the oracle
+    # command load the oracle
+    src = Path(latsize.__file__).resolve().parent.parent
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, check=True).stdout
+        return set(out.splitlines()[-1].split())  # the last line; a command prints before it
+
+    def command(*argv):
+        return loaded(f"import runpy, sys; sys.argv = ['latsize', *{argv!r}]\n"
+                      "try: runpy.run_module('latsize.cli', run_name='__main__')\n"
+                      "except SystemExit: pass\n"
+                      "print(*sys.modules)")
+
+    poly = ["--poly", "y^2 + x^7 + 1", "--json"]
+    assert not command("width", *poly) & {"latsize.size", "latsize.interior", "latsize.oracle"}
+    for name in ("sigma", "square", "box"):
+        modules = command(name, *poly, "--witness")
+        assert "latsize.size" in modules and "latsize.oracle" not in modules, name
+    package = loaded("import sys, latsize; print(*sys.modules)")
+    assert {m for m in package if m.startswith("latsize")} == {"latsize", "latsize.errors"}
+    star = "from latsize import *; import latsize; print(*(n for n in latsize.__all__ if n in globals()))"
+    assert loaded(star) == PUBLIC
+
+
 _REPRS = {
     "LatticePolygon": "LatticePolygon<polygon>[(0, 0), (2, 0), (0, 1)]",
     "AffineUnimodularMap": "AffineUnimodularMap(m11=1, m12=2, m21=0, m22=-1, t1=3, t2=-4)",

@@ -75,38 +75,38 @@ def test_analyze_verify_checks_upsilon_triangles(monkeypatch):
     # on Upsilon_d for every d != 2, and s2 from its Sigma size for d = 1,
     # so --verify checks them there too: the box's width against the width
     # recursion, its second side and the Sigma size against the oracle
-    import latsize.newton
+    import latsize.size
 
     def argv(d):
         return ["analyze", "--poly", f"x^-{d}*y^-{d} + x^{d} + y^{d}", "--verify"]
 
     assert all(run_command(argv(d)).exit_code == 0 for d in (1, 2, 3, 4))
-    box, sigma = latsize.newton.minimal_box, latsize.newton.lattice_size_sigma
+    box, sigma = latsize.size.minimal_box, latsize.size.lattice_size_sigma
     wrong_width = ("minimal_box", lambda delta: box(delta)._replace(a=box(delta).a + 1), 3)
     wrong_square = ("minimal_box", lambda delta: box(delta)._replace(b=box(delta).b + 1), 3)
     wrong_sigma = ("lattice_size_sigma", lambda delta: sigma(delta)._replace(value=sigma(delta).value + 1), 1)
     for name, wrong, d in (wrong_width, wrong_square, wrong_sigma):
         with monkeypatch.context() as patch:
-            patch.setattr(latsize.newton, name, wrong)
+            patch.setattr(latsize.size, name, wrong)
             assert run_command(argv(d)).exit_code == 4, name
 
 
 def test_width_verify_trace_peels_once(monkeypatch):
-    import latsize.cli
+    import latsize.size
 
     calls = []
-    recursive = latsize.cli.lattice_width_recursive
-    monkeypatch.setattr(latsize.cli, "lattice_width_recursive", lambda d: calls.append(d) or recursive(d))
+    recursive = latsize.size.lattice_width_recursive
+    monkeypatch.setattr(latsize.size, "lattice_width_recursive", lambda d: calls.append(d) or recursive(d))
     doc = json.loads(run_command(["width", "--vertices", HEPTAGON, "--verify", "--trace", "--json"]).stdout)
     assert len(calls) == 1
     assert sum(entry["contribution"] * entry["count"] for entry in doc["trace"]) == doc["value"] == 5
 
 
 def test_width_trace_and_verify_check_the_value(monkeypatch):
-    import latsize.cli
+    import latsize.width
 
-    width = latsize.cli.lattice_width
-    monkeypatch.setattr(latsize.cli, "lattice_width", lambda d: width(d)._replace(width=width(d).width + 1))
+    width = latsize.width.lattice_width
+    monkeypatch.setattr(latsize.width, "lattice_width", lambda d: width(d)._replace(width=width(d).width + 1))
     assert run_command(["width", "--vertices", HEPTAGON]).exit_code == 0
     for flag in ("--trace", "--verify"):
         assert run_command(["width", "--vertices", HEPTAGON, flag]).exit_code == 4, flag
@@ -180,6 +180,17 @@ def test_json_input_contract(tmp_path, capsys):
     assert capsys.readouterr().err == "latsize: JSON vertices must be a list of [x, y] pairs\n"
     doc.write_text("[[0, 0], [4, 0], [0, 4]]")
     assert run_command(["sigma", "--input", str(doc)]).stdout == "4\n"
+
+
+def test_vertex_pairs_name_the_chunk(tmp_path, capsys):
+    # a chunk that is not a pair names itself, not Python's unpacking error
+    doc = tmp_path / "poly.txt"
+    doc.write_text("0 0\n4 0 1\n0 4\n")
+    for source, chunk in ((["--vertices", "1,2,3;0,0;4,0"], "'1,2,3'"), (["--vertices", "0 0;4 0"], "'0 0'"),
+                          (["--input", str(doc)], "'4 0 1'")):
+        capsys.readouterr()
+        assert run_command(["sigma", *source]).exit_code == 2, source
+        assert capsys.readouterr().err == f"latsize: vertex must be a pair of integers, got {chunk}\n"
 
 
 def test_deep_onion_chain_needs_no_recursion():

@@ -33,7 +33,6 @@ from latsize import (
 )
 
 import latsize.interior
-import latsize.newton
 import latsize.polygon
 import latsize.size
 from latsize.cli import run_command
@@ -347,7 +346,7 @@ def test_runs_expand_to_the_per_skin_chain(box3_census):
 
 
 def _count_hull_calls(monkeypatch):
-    """Patch the peels: interior_hull where another module binds it, and the column scan of onion_skins.
+    """Patch the peels: interior_hull in its module and where size binds it, and the column scan of onion_skins.
 
     The returned list collects their arguments.
     """
@@ -360,9 +359,8 @@ def _count_hull_calls(monkeypatch):
         return count
 
     orig = latsize.interior.interior_hull
-    for module in (latsize.size, latsize.newton):
-        if vars(module).get("interior_hull") is orig:
-            monkeypatch.setattr(module, "interior_hull", counting(orig))
+    for module in (latsize.interior, latsize.size):
+        monkeypatch.setattr(module, "interior_hull", counting(orig))
     monkeypatch.setattr(latsize.interior, "_column_hull", counting(latsize.interior._column_hull))
     return calls
 
