@@ -8,18 +8,21 @@ deterministic for a fixed input.
 peel and every --trace print one entry per run of skins; _RUNS, which --help
 prints, gives the format.
 
-sigma and square read their value off the reduced basis and do not peel.
-Every call checks it in O(n) (size._checked_map): the witness must reach
-it, and no frame next to the Sigma witness may reach less, a lower bound
-that is tested, not proved. The square value is the second successive
-minimum of the width, which every read of the basis checks. --trace and --verify read the certificate's trace,
-which runs the size recursion and exits 4 unless its value agrees; --verify
-also asks the oracle.
+sigma, square and box read their values off the reduced basis and do not
+peel. Every call checks them in O(n) (size._checked_map): the witness must
+reach the value, and no frame next to the Sigma witness may reach less, a
+lower bound that is tested, not proved. square and box share one witness,
+checked as the minimal box: it maps the polygon onto [0, width] x [0, value]
+exactly. The square value is the second successive minimum of the width,
+which every read of the basis checks. --trace and --verify read the
+certificate's trace, which runs the size recursion and exits 4 unless its
+value agrees; --verify also asks the oracle.
 
 Every call is a fresh process, so each handler imports the width, size,
 interior and oracle names it runs, and a process compiles only those
 modules: width without --trace or --verify loads none of size, interior and
-oracle, and only --verify and the oracle command load oracle. Two imports
+oracle, and only --verify and the oracle command load oracle. json is
+imported only where JSON is read (--input) or written (--json). Two imports
 stay at module level because the benchmark's tracer (bench/tracing.py)
 reads sys.modules for each layer it wraps, after its warm-up and
 `import latsize.cli`: this module imports newton, and size.py imports
@@ -29,7 +32,6 @@ interior.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -138,6 +140,8 @@ def _read_polygon(args: argparse.Namespace) -> LatticePolygon:
         delta = _pairs(args.vertices.split(";"), ",")
     else:
         # the input group of the parser makes --input the one source left
+        import json
+
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
@@ -176,6 +180,8 @@ def _json_vertices(doc: object) -> list[Point]:
     Coordinates must be JSON integers; anything else is rejected rather than
     rounded.
     """
+    import json  # loaded already, as _read_polygon parsed doc with it
+
     if isinstance(doc, dict):
         if "vertices" not in doc:
             raise ValueError('JSON input has no "vertices" key')
@@ -224,6 +230,8 @@ def _trace_doc(steps: tuple[Step, ...]) -> list[dict]:
 
 def _emit(doc: dict, args: argparse.Namespace, plain: str) -> str:
     if args.json:
+        import json
+
         return json.dumps(doc, indent=2) + "\n"
     return plain + "\n"
 

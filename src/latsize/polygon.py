@@ -17,8 +17,9 @@ those of width, size, interior, newton, oracle and cli) are
 typing.NamedTuples, so they unpack and compare equal to a tuple of the same
 fields. LatticePolygon and AffineUnimodularMap are slotted, immutable
 classes instead (_Frozen): a polygon keeps what is derived from it (area2,
-edge_constraints and the reduced basis of width._reduced_basis) in its
-instance dict, and a map checks its determinant however it is built.
+edge_constraints, the reduced basis of width._reduced_basis and the checked
+square certificate of size._checked_square) in its instance dict, and a map
+checks its determinant however it is built.
 """
 
 from __future__ import annotations
@@ -96,13 +97,15 @@ class LatticePolygon(_Frozen):
     strictly convex counterclockwise vertex cycle starting at the
     lexicographically smallest vertex. Build instances through :func:`hull`.
 
-    A polygon keeps area2, edge_constraints and the reduced basis of its
-    width norm (under "_basis", see width._reduced_basis) in its instance
-    dict, so it is a slotted, immutable class rather than a tuple: equal
-    and hashed by class and vertices only, never equal to a plain tuple,
-    and unchangeable once built. Each entry is a function of the vertices
-    alone and is stored whole by one assignment, so threads that fill it
-    at once store equal values, and a polygon is safe to share.
+    A polygon keeps area2, edge_constraints, the reduced basis of its
+    width norm (under "_basis", see width._reduced_basis) and its checked
+    square size with its witness, which the minimal box shares (under
+    "_square", see size._checked_square), in its instance dict. So it is a
+    slotted, immutable class rather than a tuple: equal and hashed by class
+    and vertices only, never equal to a plain tuple, and unchangeable once
+    built. Each entry is a function of the vertices alone and is stored
+    whole by one assignment, so threads that fill it at once store equal
+    values, and a polygon is safe to share.
     """
 
     __slots__ = ("vertices", "__dict__")
@@ -314,7 +317,9 @@ class AffineUnimodularMap(_Frozen):
     """x -> M x + t with integer M, det M = +-1 and integer translation t.
 
     Immutable, equal and hashed by its six fields; every way to build one,
-    copies included, rejects a determinant other than +-1.
+    copies included, rejects a determinant other than +-1. There is no
+    constructor that skips that test, not even for the witnesses, whose
+    rows are a basis by construction.
     """
 
     __slots__ = __match_args__ = ("m11", "m12", "m21", "m22", "t1", "t2")
@@ -323,8 +328,13 @@ class AffineUnimodularMap(_Frozen):
         det = m11 * m22 - m12 * m21
         if det not in (1, -1):
             raise ValueError(f"matrix determinant must be +-1, got {det}")
-        for name, value in zip(self.__slots__, (m11, m12, m21, m22, t1, t2)):
-            object.__setattr__(self, name, value)
+        # slot by slot, not in a loop: every size builds its witness here
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m21", m21)
+        object.__setattr__(self, "m22", m22)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "t2", t2)
 
     def _key(self) -> tuple:
         return (self.m11, self.m12, self.m21, self.m22, self.t1, self.t2)

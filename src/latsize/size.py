@@ -30,11 +30,15 @@ Each size comes by three independent routes:
 - Value and witness, from the basis. lattice_size_sigma and
   lattice_size_square read both off the Gauss-reduced basis of the width
   norm (_basis_map), without search and without peeling, and _checked_map
-  checks them in O(n) on every call: the witness maps the polygon into
-  value * shape and touches its far side, and no neighbouring frame of the
-  Sigma witness reaches less (a lower bound tested, not proved). The
+  checks them in O(n) when they are built: the Sigma witness maps the
+  polygon into value * Sigma and touches its far side, and no neighbouring
+  frame of it reaches less (a lower bound tested, not proved); the square
+  witness maps the polygon onto the minimal box [0, width] x [0, value]
+  exactly, which lies in value * square and touches its far side. The
   square value is least as the second successive minimum of the checked
-  basis.
+  basis. The checked square value and witness are kept on the polygon
+  (_checked_square), and minimal_box reads the same entry, so each polygon
+  builds and checks its square witness once.
 - Trace, from the recursion. Reading a certificate's trace runs _size_value,
   whose contributions telescope from the empty-hull convention (-2 for the
   triangle, -1 for the square) to its value, and fails unless that value is
@@ -49,7 +53,8 @@ The lattice width and its optimal directions come from the same basis (see
 width.lattice_width), which each polygon keeps once reduced
 (width._reduced_basis) and which is checked on every read
 (width._checked_basis): the width, both sizes, their witnesses, the box and
-the oracle's frame share one reduction per polygon. The entry holds no
+the oracle's frame share one reduction per polygon, and the square size and
+the box one checked witness. The entry holds no
 skins, so no default width, size or box call peels. The chain is not kept:
 each trace, --verify run and width recursion peels anew. No module keeps a
 cache; what is derived from a polygon is kept on it (see
@@ -501,11 +506,12 @@ _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
     """The reach of the reduced width basis for the target shape, with its witness map.
 
-    This is the basis route to every size: lattice_size_sigma and
-    lattice_size_square take their value and witness from it through
-    _checked_map, and minimal_box its witness. The other two routes, the
-    recursion (a certificate's trace) and the oracle (fit_into), do not call
-    it.
+    This is the basis route to every size: lattice_size_sigma takes its
+    value and witness from it through _checked_map, and lattice_size_square
+    and minimal_box through the checked square entry that _checked_square
+    keeps on the polygon, so the square witness is built once per polygon.
+    The other two routes, the recursion (a certificate's trace) and the
+    oracle (fit_into), do not call it.
 
     The rows (short, long) of the checked basis map delta into the minimal
     box [0, width] x [0, b] (see minimal_box), which lies in b * square: so
@@ -523,28 +529,23 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     The dot lists of short and long are read off the memo entry, which the
     reduction moved with its rows, so the vertices are not projected again;
     the four sign choices read their reaches off the extremes of the two
-    lists and of their sums and differences. The choices are tried in the
-    order of _SIGNS, and the first least reach wins.
+    lists and of their sums and differences, into one tuple in the order of
+    _SIGNS, and the first least reach wins (reaches.index(min(reaches))).
     """
     if delta.is_empty:
         return _BASE[shape], AffineUnimodularMap.identity()
     short, long, _, (_, b, _), dots1, dots2 = _checked_basis(delta)
     lo1, lo2 = min(dots1), min(dots2)
-    if shape == SIGMA:
-        hi1, hi2 = max(dots1), max(dots2)
-        sums = [s + t for s, t in zip(dots1, dots2)]
-        diffs = [s - t for s, t in zip(dots1, dots2)]
-        reaches = {  # of (s1 * short, s2 * long)
-            (1, 1): max(sums) - lo1 - lo2,
-            (1, -1): max(diffs) - lo1 + hi2,
-            (-1, 1): hi1 - min(diffs) - lo2,
-            (-1, -1): hi1 + hi2 - min(sums),
-        }
-        s1, s2 = min(_SIGNS, key=reaches.__getitem__)
-        reach = reaches[s1, s2]
-        t1, t2 = (-lo1, hi1)[s1 < 0], (-lo2, hi2)[s2 < 0]
-    else:
-        reach, s1, s2, t1, t2 = b, 1, 1, -lo1, -lo2
+    if shape == SQUARE:
+        return b, AffineUnimodularMap(*short, *long, -lo1, -lo2)
+    hi1, hi2 = max(dots1), max(dots2)
+    sums = [s + t for s, t in zip(dots1, dots2)]
+    diffs = [s - t for s, t in zip(dots1, dots2)]
+    # the reaches of (s1 * short, s2 * long), (s1, s2) in the order of _SIGNS
+    reaches = (max(sums) - lo1 - lo2, max(diffs) - lo1 + hi2, hi1 - min(diffs) - lo2, hi1 + hi2 - min(sums))
+    reach = min(reaches)
+    s1, s2 = _SIGNS[reaches.index(reach)]
+    t1, t2 = (-lo1, hi1)[s1 < 0], (-lo2, hi2)[s2 < 0]
     return reach, AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
 
 
@@ -552,10 +553,15 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     """_basis_map(delta, shape), checked in O(n) without peeling, or InternalConsistencyError.
 
     The witness must reach the value. It maps each vertex p to a point
-    (x, y): for the square, the least of all these coordinates must be 0 and
-    the largest the value; for Sigma, the least x and the least y must be 0
-    and the largest x + y the value. The empty polygon must have the
-    empty-hull convention.
+    (x, y), recomputed here from the map's six fields (read once) and the
+    vertices, not read off the basis entry. For the square the witness is
+    checked as the minimal box: the x range must be exactly [0, w], w the
+    width of the checked basis, and the y range exactly [0, value]. As
+    w <= value, that implies the square check (least coordinate 0, largest
+    the value), and it also stops a witness with its rows swapped or a
+    translation off by one that still maps into value * square. For Sigma,
+    the least x and the least y must be 0 and the largest x + y the value.
+    The empty polygon must have the empty-hull convention.
 
     The value must be least. A square value needs no more: _basis_map reads
     it as f(long) off the checked basis, and the check
@@ -586,12 +592,15 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     if delta.is_empty:
         got, want, what = value, _BASE[shape], "the empty-hull convention"
     else:
-        xs = [phi.m11 * x + phi.m12 * y + phi.t1 for x, y in delta.vertices]
-        ys = [phi.m21 * x + phi.m22 * y + phi.t2 for x, y in delta.vertices]
+        # a loop, not comprehensions, which would hold the six fields in closure cells
+        m11, m12, m21, m22, t1, t2 = phi._key()
+        xs, ys = [], []
+        for x, y in delta.vertices:
+            xs.append(m11 * x + m12 * y + t1)
+            ys.append(m21 * x + m22 * y + t2)
         if shape == SQUARE:
-            both = xs + ys
-            got = min(both), max(both)
-            want, what = (0, value), "least and largest image coordinate"
+            got = min(xs), max(xs), min(ys), max(ys)
+            want, what = (0, _checked_basis(delta)[2], 0, value), "least and largest x, least and largest y"
         else:
             # the dots of the witness frame, less m(u1) and m(u2)
             d = (xs, ys, [-x - y for x, y in zip(xs, ys)])
@@ -613,6 +622,25 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     return value, phi
 
 
+def _checked_square(delta: LatticePolygon) -> tuple[int, AffineUnimodularMap]:
+    """_checked_map(delta, SQUARE), kept on delta under "_square" in its instance dict.
+
+    lattice_size_square and minimal_box both read it, so a polygon's square
+    witness is built and checked once, however many of them run and in
+    whichever order. The entry sits beside "_basis" (see
+    width._reduced_basis) and is stored the same way: whole, by one dict
+    assignment, and only once checked, so a reader finds no entry or a
+    checked one, and two threads that fill it at once store equal values.
+    The empty polygon stores nothing, as EMPTY is shared.
+    """
+    entry = delta.__dict__.get("_square")
+    if entry is None:
+        entry = _checked_map(delta, SQUARE)
+        if delta.vertices:
+            delta.__dict__["_square"] = entry
+    return entry
+
+
 def lattice_size_sigma(delta: LatticePolygon) -> SizeCertificate:
     """Lattice size of delta with respect to the standard triangle, off the reduced basis.
 
@@ -627,10 +655,12 @@ def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
     """Lattice size of delta with respect to the unit square, off the reduced basis.
 
     The value is the second successive minimum of the width norm, attained
-    by the witness (see _checked_map). Reading the certificate's trace runs
-    the size recursion, which must give the same value.
+    by the witness, which maps delta onto the minimal box (see _checked_map);
+    both are kept on delta and shared with minimal_box (_checked_square).
+    Reading the certificate's trace runs the size recursion, which must give
+    the same value.
     """
-    return SizeCertificate(SQUARE, *_checked_map(delta, SQUARE), delta)
+    return SizeCertificate(SQUARE, *_checked_square(delta), delta)
 
 
 def minimal_box(delta: LatticePolygon) -> BoxCertificate:
@@ -639,9 +669,12 @@ def minimal_box(delta: LatticePolygon) -> BoxCertificate:
     A box [0,a'] x [0,b'] with a' <= b' has independent rows of widths at
     most a' and b', so the successive minima a = w and b = f(long) of the
     checked basis bound a' and b' from below: (a, b) is the least box, b
-    the square size, and its witness the square one of _basis_map.
+    the square size, and its witness the square one. Both are read off the
+    checked square entry that lattice_size_square shares (_checked_square),
+    whose check is that of the minimal box: the witness maps delta onto
+    [0, a] x [0, b] exactly. Whichever of the two runs first builds and
+    checks it; the other reads it.
     """
     if delta.is_empty:
         raise EmptyPolygonError("minimal_box needs a non-empty polygon")
-    b, witness = _basis_map(delta, SQUARE)
-    return BoxCertificate(_checked_basis(delta)[2], b, witness)
+    return BoxCertificate(_checked_basis(delta)[2], *_checked_square(delta))

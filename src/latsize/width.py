@@ -109,11 +109,13 @@ def _reduced_basis(delta: LatticePolygon) -> _BasisEntry:
     lattice_width, the Sigma and square sizes (and so minimal_box) and the
     frame of fit_into read this, so over one polygon they run one
     reduction between them, and a width-only caller starts no peel, as the
-    entry holds no skins. Equal polygons built apart reduce apart. Two
-    threads that read a fresh polygon at once may both reduce it; each
-    stores the same entry with one dict assignment, so a reader finds no
-    entry or a whole one. The entry holds only tuples and ints, so no
-    reader can change it.
+    entry holds no skins. The checked square size and witness that
+    lattice_size_square and minimal_box share sit beside it, under
+    "_square" (size._checked_square), stored the same way. Equal polygons
+    built apart reduce apart. Two threads that read a fresh polygon at once
+    may both reduce it; each stores the same entry with one dict
+    assignment, so a reader finds no entry or a whole one. The entry holds
+    only tuples and ints, so no reader can change it.
     """
     entry = delta.__dict__.get("_basis")
     if entry is None:

@@ -96,7 +96,7 @@ def test_cli_import_loads_no_dataclasses():
 def test_each_command_loads_only_its_modules():
     # the exports are lazy and each handler imports what it runs, so a CLI
     # process compiles only those modules; only --verify and the oracle
-    # command load the oracle
+    # command load the oracle, and only JSON input or --json loads json
     src = Path(latsize.__file__).resolve().parent.parent
 
     def loaded(code):
@@ -112,6 +112,9 @@ def test_each_command_loads_only_its_modules():
 
     poly = ["--poly", "y^2 + x^7 + 1", "--json"]
     assert not command("width", *poly) & {"latsize.size", "latsize.interior", "latsize.oracle"}
+    assert "json" in command("width", *poly)
+    plain = command("width", "--vertices", "0,0;4,0;0,4")
+    assert "latsize.width" in plain and "json" not in plain
     for name in ("sigma", "square", "box"):
         modules = command(name, *poly, "--witness")
         assert "latsize.size" in modules and "latsize.oracle" not in modules, name

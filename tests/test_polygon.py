@@ -188,7 +188,7 @@ def test_polygons_and_maps_are_immutable_values():
             assert clone == value and hash(clone) == hash(value)
     assert square.area2 == 2 and square.edge_constraints == ((0, -1, 0), (1, 0, 1), (0, 1, 1), (-1, 0, 0))
     for value, name in ((square, "vertices"), (square, "area2"), (square, "edge_constraints"), (square, "_basis"),
-                        (square, "extra"), (phi, "m11"), (phi, "t2"), (phi, "extra"),
+                        (square, "_square"), (square, "extra"), (phi, "m11"), (phi, "t2"), (phi, "extra"),
                         (lattice_width(square), "width")):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)

@@ -363,26 +363,81 @@ def test_trace_contributions_telescope():
             assert base + sum(s.contribution * s.count for s in trace) == value
 
 
+def _mutant_corpus(box3_census):
+    """census(3) and an image of each, random polygons up to k = 160, Weierstrass triangles and Upsilon_d.
+
+    Every polygon is built here, so none holds a square entry yet: the
+    checked square certificate is kept on its polygon, and a kept entry is
+    read, not built again through a mutant.
+    """
+    corpus = [hull(d.vertices) for d in box3_census]
+    corpus += [apply_map(random_unimodular_map(i), d) for i, d in enumerate(box3_census)]
+    corpus += [random_polygon(seed, k) for k in (5, 12, 40, 80, 160) for seed in range(10)]
+    return corpus + [weierstrass(g) for g in range(1, 40)] + [upsilon(d) for d in range(1, 16)]
+
+
 def test_a_reach_one_too_large_fails_every_certificate(box3_census, heptagon, monkeypatch, capsys):
     # each certificate checks that its witness reaches the value off the
-    # reduced basis, on census(3) and an image of each, random polygons up to
-    # k = 160, Weierstrass triangles and Upsilon_d
+    # reduced basis, the box through the square entry it shares
     basis_map = latsize.size._basis_map
 
     def one_more(delta, shape):
         reach, phi = basis_map(delta, shape)
         return reach + 1, phi
 
-    corpus = [hull([]), *box3_census, *(apply_map(random_unimodular_map(i), d) for i, d in enumerate(box3_census))]
-    corpus += [random_polygon(seed, k) for k in (5, 12, 40, 80, 160) for seed in range(10)]
-    corpus += [weierstrass(g) for g in range(1, 40)] + [upsilon(d) for d in range(1, 16)]
+    corpus = [hull([]), *_mutant_corpus(box3_census)]
     monkeypatch.setattr(latsize.size, "_basis_map", one_more)
     for delta in corpus:
-        for size in (lattice_size_sigma, lattice_size_square):
+        # the empty polygon has no box
+        for size in (lattice_size_sigma, lattice_size_square, minimal_box)[:2 if delta.is_empty else 3]:
             with pytest.raises(InternalConsistencyError, match="witness reaches"):
                 size(delta)
+        assert "_square" not in delta.__dict__, delta
     vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in heptagon.vertices)
-    for argv in (["sigma"], ["sigma", "--trace"], ["sigma", "--verify"], ["square", "--trace"]):
+    for argv in (["sigma"], ["sigma", "--trace"], ["sigma", "--verify"], ["square", "--trace"], ["box"],
+                 ["box", "--witness", "--json"]):
+        assert run_command(argv + [vertices]).exit_code == 4, argv
+        assert "witness reaches" in capsys.readouterr().err, argv
+
+
+def _rows_swapped(phi):
+    return AffineUnimodularMap(phi.m21, phi.m22, phi.m11, phi.m12, phi.t2, phi.t1)
+
+
+def _shifted_by_one(phi):
+    return AffineUnimodularMap(phi.m11, phi.m12, phi.m21, phi.m22, phi.t1 + 1, phi.t2)
+
+
+@pytest.mark.parametrize("mutant", [_rows_swapped, _shifted_by_one])
+def test_a_square_witness_that_is_no_minimal_box_fails_the_box_and_the_square(mutant, box3_census, heptagon,
+                                                                              monkeypatch, capsys):
+    # the square witness is checked as the minimal box: its image spans
+    # exactly [0, w] x [0, b]. Rows (long, short) map into [0, b] x [0, w],
+    # which lies in b * square, and an x translation one too large maps into
+    # [1, w + 1] x [0, b], which does too when w < b. A check of the least
+    # and largest coordinate over both axes passes both there. The swap
+    # is a minimal box again where w = b, so it passes there
+    basis_map = latsize.size._basis_map
+
+    def mutated(delta, shape):
+        reach, phi = basis_map(delta, shape)
+        return reach, mutant(phi) if shape == "square" else phi
+
+    corpus = _mutant_corpus(box3_census)
+    boxes = [minimal_box(hull(d.vertices)) for d in corpus]
+    monkeypatch.setattr(latsize.size, "_basis_map", mutated)
+    raised = 0
+    for delta, box in zip(corpus, boxes):
+        if mutant is _rows_swapped and box.a == box.b:
+            assert minimal_box(delta) == box._replace(witness=_rows_swapped(box.witness)), delta
+            continue
+        for size in (minimal_box, lattice_size_square):
+            with pytest.raises(InternalConsistencyError, match="witness reaches"):
+                size(delta)
+        raised += 1
+    assert raised > 1000, raised
+    vertices = "--vertices=" + ";".join(f"{x},{y}" for x, y in heptagon.vertices)
+    for argv in (["box", "--witness"], ["box", "--witness", "--json"], ["square", "--witness"]):
         assert run_command(argv + [vertices]).exit_code == 4, argv
         assert "witness reaches" in capsys.readouterr().err, argv
 
@@ -458,16 +513,37 @@ def test_the_sigma_check_fails_exactly_where_a_neighbouring_frame_reaches_less(b
     assert passed > 200 and raised > 2000, (passed, raised)
 
 
+def _sign_choices(delta):
+    """Each sign choice (s1, s2) of _SIGNS with the reach and map of the rows (s1 * short, s2 * long).
+
+    Each from its own dot lists; the map translates by minus the least dot
+    of each row.
+    """
+    short, long = _reduced_basis(delta)[:2]
+    for s1, s2 in latsize.size._SIGNS:
+        u1, u2 = (s1 * short[0], s1 * short[1]), (s2 * long[0], s2 * long[1])
+        dots1 = [u1[0] * x + u1[1] * y for x, y in delta.vertices]
+        dots2 = [u2[0] * x + u2[1] * y for x, y in delta.vertices]
+        reach = max(s + t for s, t in zip(dots1, dots2)) - min(dots1) - min(dots2)
+        yield (s1, s2), reach, AffineUnimodularMap(*u1, *u2, -min(dots1), -min(dots2))
+
+
 @pytest.mark.parametrize("dropped", latsize.size._SIGNS)
 def test_a_dropped_sign_choice_fails_the_default_sigma(dropped, box3_census, monkeypatch):
-    # without one of the four sign choices the basis reaches more than the
-    # Sigma size on some polygons; the default check raises on each of them
+    # a basis map that never tries one of the four sign choices, and takes
+    # the first least of the other three, reaches more than the Sigma size
+    # on some polygons; the default check raises on each of them
     corpus = [*box3_census, *(apply_map(random_unimodular_map(i), d) for i, d in enumerate(box3_census))]
     sizes = [lattice_size_sigma(delta).value for delta in corpus]
-    monkeypatch.setattr(latsize.size, "_SIGNS", tuple(s for s in latsize.size._SIGNS if s != dropped))
+
+    def without_dropped(delta, shape):
+        return min(((reach, phi) for signs, reach, phi in _sign_choices(delta) if signs != dropped),
+                   key=lambda choice: choice[0])
+
+    monkeypatch.setattr(latsize.size, "_basis_map", without_dropped)
     wrong = 0
     for delta, size in zip(corpus, sizes):
-        if latsize.size._basis_map(delta, "sigma")[0] == size:
+        if without_dropped(delta, "sigma")[0] == size:
             assert lattice_size_sigma(delta).value == size, delta
             continue
         wrong += 1
@@ -604,17 +680,11 @@ def test_fit_witness_is_deterministic(heptagon):
 def test_sigma_witness_is_the_first_least_sign_choice(box3_census):
     # each of the four sign choices (+-short, +-long) from its own dot lists,
     # in the fixed order; ties between choices are common, so the order shows
+    assert latsize.size._SIGNS == ((1, 1), (1, -1), (-1, 1), (-1, -1))
     ties = 0
     for i, delta in enumerate(box3_census):
         image = apply_map(random_unimodular_map(i), delta)
-        short, long = _reduced_basis(image)[:2]
-        choices = []
-        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            u1, u2 = (s1 * short[0], s1 * short[1]), (s2 * long[0], s2 * long[1])
-            dots1 = [u1[0] * x + u1[1] * y for x, y in image.vertices]
-            dots2 = [u2[0] * x + u2[1] * y for x, y in image.vertices]
-            reach = max(s + t for s, t in zip(dots1, dots2)) - min(dots1) - min(dots2)
-            choices.append((reach, AffineUnimodularMap(*u1, *u2, -min(dots1), -min(dots2))))
+        choices = [(reach, phi) for _, reach, phi in _sign_choices(image)]
         least = min(reach for reach, _ in choices)
         ties += [reach for reach, _ in choices].count(least) > 1
         assert lattice_size_sigma(image).witness == next(phi for reach, phi in choices if reach == least), image

@@ -27,7 +27,7 @@ from latsize import (
     upsilon,
     width_along,
 )
-from latsize.size import _size_value
+from latsize.size import _checked_map, _size_value
 from latsize.width import _gauss_reduce, _line_width, _min_convex, _reduced_basis
 
 import line_search_reference
@@ -315,38 +315,44 @@ def test_memoised_basis_is_the_fresh_reduction(box3_census):
     for image in images:
         assert _reduced_basis(image) == _gauss_reduce(image), image
         assert _reduced_basis(image) is image.__dict__["_basis"], image
-    # a certificate does not depend on which reader filled the entry
+    # a certificate does not depend on which reader filled the entry, nor
+    # does the checked square entry that the square size and the box share
     for delta in images[-len(box3_census):]:
         fresh = hull(delta.vertices)
         sigma_first = (lattice_size_sigma(fresh), lattice_size_square(fresh), minimal_box(fresh))
+        square_filled = fresh.__dict__["_square"]
         fresh = hull(delta.vertices)
         box_first = minimal_box(fresh)
+        box_filled = fresh.__dict__["_square"]
         assert (lattice_size_sigma(fresh), lattice_size_square(fresh), box_first) == sigma_first, delta
+        assert square_filled == box_filled == _checked_map(fresh, "square") == sigma_first[1][1:3], delta
+        assert fresh.__dict__["_square"] is box_filled, delta
 
 
 def test_threads_share_fresh_polygons(box3_census):
-    # values are safe to share between threads, and the basis is written
-    # into the shared polygon on first read: 8 threads, more than the
-    # cores, read width, both sizes and the box of the same fresh polygons
-    # at a short switch interval. A race may reduce a polygon twice, but
-    # every result must be the single-thread one and every entry whole
+    # values are safe to share between threads, and the basis and the
+    # checked square entry are written into the shared polygon on first
+    # read: 8 threads, more than the cores, read width, both sizes and the
+    # box of the same fresh polygons at a short switch interval, half of
+    # them box first. A race may reduce or check a polygon twice, but every
+    # result must be the single-thread one and every entry whole
     def corpus():
         polygons = [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census[::4])]
         return polygons + [random_polygon(seed, 160) for seed in range(8)]
 
-    def chain(polygons):
-        return [tuple(op(delta) for op in _CHAIN) for delta in polygons]
+    def chain(polygons, step=1):
+        return [tuple(op(delta) for op in _CHAIN[::step])[::step] for delta in polygons]
 
     want = chain(corpus())
     shared = corpus()
-    assert not any("_basis" in delta.__dict__ for delta in shared)
+    assert not any("_basis" in delta.__dict__ or "_square" in delta.__dict__ for delta in shared)
     results, failures = {}, []
     start = threading.Barrier(8)
 
     def worker(i):
         try:
             start.wait(timeout=5)
-            results[i] = chain(shared)
+            results[i] = chain(shared, 1 if i % 2 else -1)
         except Exception as exc:  # reported below, as the thread cannot fail the test
             failures.append(exc)
 
@@ -366,6 +372,7 @@ def test_threads_share_fresh_polygons(box3_census):
     assert sorted(results) == list(range(8)) and all(results[i] == want for i in range(8))
     for delta in shared:
         assert delta.__dict__["_basis"] == _gauss_reduce(delta), delta
+        assert delta.__dict__["_square"] == _checked_map(delta, "square"), delta
     assert time.monotonic() - began < 5
 
 
