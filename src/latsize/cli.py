@@ -57,11 +57,13 @@ runs: peel and every --trace print one entry per run of skins. An entry with
 t = 0..c-1, vertex i moving by shift[i] per skin, each the interior hull of
 the one before; a count-1 entry has zero shifts. peel lists runs and skins
 outermost first, a trace innermost first (a trace entry starts at t = c-1).
-Each skin of a trace entry adds its "contribution"; the rule's parameters
-are those of "skin" and fall per skin along the run: ParallelEdge(r,s) by
-r-s, RectangleAB(a,b) by 2. Plain peel prints a line "SKIN COUNT SHIFT" per
-run, e.g. "0,0;6,0;0,6 2 1,1;-2,1;1,-2" for the skins of 6*Sigma before its
-last one."""
+Each skin of a trace entry adds its "contribution", so the contributions
+times the counts sum to the value for width, to value + 2 for sigma and to
+value + 1 for square (the empty interior hull counts -2 and -1); the rule's
+parameters are those of "skin" and fall per skin along the run:
+ParallelEdge(r,s) by r-s, RectangleAB(a,b) by 2. Plain peel prints a line
+"SKIN COUNT SHIFT" per run, e.g. "0,0;6,0;0,6 2 1,1;-2,1;1,-2" for the
+skins of 6*Sigma before its last one."""
 
 
 class CommandResult(NamedTuple):

@@ -2,28 +2,27 @@
 
 The paper reads the lattice width, the lattice size with respect to the
 standard triangle Sigma and that with respect to the unit square from one
-recursion over one chain of interior hulls. So does this module:
-lattice_width_recursive and _size_value each walk the onion skins of a
-polygon, in runs of uniform peels (see onion_skins), and compute only the
-rule data they read.
+recursion over one chain of interior hulls. So does this module: one walk,
+_size_value, takes the onion skins of a polygon in runs of uniform peels
+(see onion_skins) for any of the three shapes, and computes only the rule
+data the shape reads. lattice_width_recursive is its width shape.
 
-The width recursion adds 2 per skin, except that a standard triangle d*Sigma
-ends the chain with d and a skin whose interior hull is a point, a segment or
-empty ends it with a fixed base (_WIDTH_BASE). The size recursions start from
-the innermost skin, whose interior hull is empty: a point, a segment, 2*Sigma
-or a polygon of lattice width one, each with a closed-form value. Every outer
-skin takes the first of three rules that fires: the rectangle rule (triangle
-only, a + b for [0,a] x [0,b]), then the parallel-edge rule (an edge of
-length r facing a face of length s = inner value with r - s >= 3 gives r),
-then the generic step (inner value plus three for the triangle, two for the
-square). No value is found by search.
+The recursion starts from the innermost skin, whose interior hull is empty:
+a point, a segment, 2*Sigma or a polygon of lattice width one, each with a
+closed-form value. Every outer skin takes the first of three rules that
+fires: the rectangle rule (Sigma only, a + b for [0,a] x [0,b]), then the
+parallel-edge rule (sizes only: an edge of length r facing a face of length
+s = inner value with r - s >= 3 gives r), then the generic step (inner
+value plus three for Sigma and two for the square; for the width three on
+a standard triangle d*Sigma and two elsewhere, after Castryck and Cools).
+No value is found by search.
 
 Every rule is affine in the step along a run, so one rule function, _step,
 takes a segment of n skins in O(1): the body of a run (all its skins but the
 last, which peel uniformly) and the last skin of a run (n = 1) alike, and
-its trace has one Step per segment, not per skin. Each segment takes its
-parallel-edge hit from one lookup of the edge normals of the skin after its
-first (_parallel_edge_hit); the width recursion looks up none.
+its trace has one Step per segment, not per skin. Each segment of a size
+takes its parallel-edge hit from one lookup of the edge normals of the skin
+after its first (_parallel_edge_hit); the width looks up none.
 
 Each size comes by three independent routes:
 
@@ -41,8 +40,9 @@ Each size comes by three independent routes:
   builds and checks its square witness once.
 - Trace, from the recursion. Reading a certificate's trace runs _size_value,
   whose contributions telescope from the empty-hull convention (-2 for the
-  triangle, -1 for the square) to its value, and fails unless that value is
-  the basis's. Only --trace, --verify and the tests read it.
+  triangle, -1 for the square; 0 for the width) to its value, and fails
+  unless that value is the basis's. Only --trace, --verify and the tests
+  read it.
 - Oracle, from the search. fit_into, the exact feasibility search, is the
   oracle only, and the only code that lists the lattice points of the width
   body {u : width(u) <= b}; no certificate calls it. It reads the reduced
@@ -70,7 +70,6 @@ from .errors import EmptyPolygonError, InternalConsistencyError
 # at module level, though the default sizes peel nothing: see the cli docstring
 from .interior import _moved, interior_hull, onion_skins
 from .polygon import (
-    EMPTY,
     AffineUnimodularMap,
     LatticePolygon,
     Point,
@@ -85,9 +84,10 @@ from .width import _checked_basis, _min_convex
 SIGMA = "sigma"
 SQUARE = "square"
 BOX = "box"
+WIDTH = "width"
 
-_BASE = {SIGMA: -2, SQUARE: -1}
-_STEP = {SIGMA: 3, SQUARE: 2}
+_BASE = {SIGMA: -2, SQUARE: -1, WIDTH: 0}
+_STEP = {SIGMA: 3, SQUARE: 2, WIDTH: 2}
 
 RULE_GENERIC = "GenericStep"
 RULE_PRISM = "LawrencePrism"
@@ -220,49 +220,11 @@ class Step(NamedTuple):
     shift: tuple[Point, ...] = ()
 
 
-_WIDTH_BASE = {
-    "empty": ("LawrencePrismBase", 1),
-    "point": ("SinglePointInteriorBase", 2),
-    "segment": ("SegmentInteriorBase", 2),
-}
-
-
 def lattice_width_recursive(delta: LatticePolygon) -> tuple[int, tuple[Step, ...]]:
-    """Lattice width by interior-hull peeling, read off the runs of onion_skins.
-
-    Standard triangles are the one exceptional family (their width drops by
-    three per peel instead of two); polygons whose interior hull is degenerate
-    are settled by a fixed base table. The runs are walked outermost first,
-    because a standard triangle ends the chain early; the trace lists the
-    innermost step first. Every skin of a run has the edge normals of its
-    first skin, and a triangle with the normals of a standard triangle is one,
-    so the standard-triangle test is decided at the start of each run. The
-    skins of a run before its last have two-dimensional interior hulls (the
-    next skins), so they are generic steps. No rule of the sizes is looked
-    at: the walk recognizes each run start it reaches and nothing else.
-    """
+    """Lattice width and rule trace by interior-hull peeling: the width shape of _size_value."""
     if delta.is_empty:
         raise EmptyPolygonError("lattice_width_recursive needs a non-empty polygon")
-    if not delta.is_two_dim:
-        return 0, (Step(delta, "DegenerateInput", 0),)
-    runs = onion_skins(delta).runs
-    generic: list[Step] = []
-    # every skin reached is two-dimensional: delta, or a gamma of the run before
-    for j, (skin, shift, count) in enumerate(runs):
-        special = recognize_special(skin)
-        if special is not None and special.kind == "standard_triangle":
-            base = Step(skin, "StandardTriangleException", special.params[0])
-            break
-        gamma = runs[j + 1][0] if j + 1 < len(runs) else EMPTY
-        if gamma.is_two_dim:
-            generic.append(Step(skin, RULE_GENERIC, 2, (), count, shift))
-            continue
-        if count > 1:
-            generic.append(Step(skin, RULE_GENERIC, 2, (), count - 1, shift))
-        base = Step(_moved(skin, shift, count - 1), *_WIDTH_BASE[gamma.kind])
-        break
-    trace = (base,) + tuple(reversed(generic))
-    return base.contribution + 2 * sum(step.count for step in generic), trace
+    return _size_value(delta, WIDTH)
 
 
 def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...]]:
@@ -274,8 +236,14 @@ def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...
     last skin, with its parallel-edge hit on gamma, the first skin of the
     run inside it; then its body, the count - 1 skins before the last
     (count > 1 only), with the hit of its first skin on its second. For
-    Sigma, a run with a segment is recognized at its start: if that skin is
-    a rectangle, so is every skin of the run (see _step).
+    Sigma and the width, a run with a segment is recognized at its start,
+    whose shape every skin of the run shares (see _step): for Sigma a
+    rectangle takes the rectangle rule; for the width a standard triangle
+    makes the generic fall 3, as the width of d*Sigma is that of its
+    interior hull (d-3)*Sigma plus 3, where every other polygon with a
+    non-empty interior hull adds 2 (Castryck and Cools). The width reads no
+    parallel-edge hit and no rectangle, so each of its segments is a
+    generic step.
     """
     if delta.is_empty:
         return _BASE[shape], ()
@@ -286,18 +254,20 @@ def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...
     trace = [step]
     gamma = None
     for skin, shift, count in reversed(runs):
-        special = recognize_special(skin) if shape == SIGMA and (gamma is not None or count > 1) else None
-        rectangle = special.params if special is not None and special.kind == "rectangle" else None
+        special = recognize_special(skin) if shape != SQUARE and (gamma is not None or count > 1) else None
+        kind = special and special.kind
+        rectangle = special.params if shape == SIGMA and kind == "rectangle" else None
+        fall = 3 if shape == WIDTH and kind == "standard_triangle" else _STEP[shape]
         if gamma is not None:
             end = _moved(skin, shift, count - 1)
             last = (end, (), 1, rectangle and tuple(p - 2 * (count - 1) for p in rectangle),
-                    _parallel_edge_hit(end, gamma, 3))
-            value, step = _step(last, value, shape)
+                    _parallel_edge_hit(end, gamma, 3) if shape != WIDTH else None)
+            value, step = _step(last, value, fall)
             trace.append(step)
         gamma = skin
         if count > 1:
-            body = (skin, shift, count - 1, rectangle, _parallel_edge_hit(skin, _moved(skin, shift, 1), 3))
-            value, step = _step(body, value, shape)
+            hit = _parallel_edge_hit(skin, _moved(skin, shift, 1), 3) if shape != WIDTH else None
+            value, step = _step((skin, shift, count - 1, rectangle, hit), value, fall)
             inner = trace[-1]
             if (inner.rule, inner.contribution, inner.params) == (step.rule, step.contribution,
                                                                    _params_at(step, step.count)):
@@ -317,12 +287,21 @@ def _params_at(step: Step, t: int) -> tuple[int, ...]:
 def _innermost_step(
     delta: LatticePolygon, special: Optional[SpecialShape], shape: str
 ) -> tuple[int, Step]:
-    """Value of a non-empty polygon whose interior hull is empty, given recognize_special(delta)."""
+    """Value of a non-empty polygon whose interior hull is empty, given recognize_special(delta).
+
+    A point has every value 0, a segment of lattice length r the sizes r
+    and the width 0. The two-dimensional ones are 2*Sigma, of every value
+    2, and the polygons of lattice width one: Sigma, the rectangles
+    [0,a] x [0,1] and the Lawrence prisms, whose sizes the table below
+    gives and whose width is 1. The contribution is the value less the
+    empty-hull convention _BASE[shape], so a trace's contributions sum to
+    the value less that convention.
+    """
     base = _BASE[shape]
     if delta.is_point:
         return 0, Step(delta, RULE_SEARCH, -base)
     if delta.is_segment:
-        value = integral_length(*delta.vertices)
+        value = 0 if shape == WIDTH else integral_length(*delta.vertices)
         return value, Step(delta, RULE_SEARCH, value - base)
     # Interior-free polygons: width-one prisms (in several disguises) and
     # the twice-dilated standard triangle.
@@ -330,7 +309,7 @@ def _innermost_step(
         kind, params = special.kind, special.params
         if kind == "standard_triangle" and params[0] == 2:
             return 2, Step(delta, RULE_TWO_SIGMA, 2 - base)
-        if kind == "standard_triangle" and params[0] == 1:
+        if shape == WIDTH or (kind == "standard_triangle" and params[0] == 1):
             return 1, Step(delta, RULE_GENERIC, 1 - base)
         if kind == "rectangle":
             a, b = params
@@ -353,33 +332,35 @@ def _innermost_step(
     )
 
 
-def _step(segment: tuple, inner_value: int, shape: str) -> tuple[int, Step]:
+def _step(segment: tuple, inner_value: int, fall: int) -> tuple[int, Step]:
     """Value of a segment (skin, shift, n, rectangle, hit) from inner_value, that of the skin inside it.
 
     The segment is the n skins skin + t * shift, t = 0..n-1. rectangle is
-    (a, b) if skin is the rectangle [0,a] x [0,b], hit its parallel-edge hit
-    with r - s >= 3, if any. The first rule that fires decides: the
-    rectangle rule (triangle only), then the parallel-edge rule, then the
-    generic step. It decides on every skin of the segment alike. The skins
-    of a run share edge normals, so if skin is a rectangle, so is every
-    skin of the segment (a unimodular [0,a] x [0,b] peels to
-    [1,a-1] x [1,b-1]); and each edge's r - s is the same on every skin, so
-    the same edge wins on every skin or on none. A point or segment inner
-    skin goes through the same rules as a two-dimensional one.
+    (a, b) if skin is the rectangle [0,a] x [0,b] and the shape is Sigma,
+    hit its parallel-edge hit with r - s >= 3, if any and if the shape reads
+    hits (the sizes do, the width does not), and fall the generic step of
+    the segment: 3 for Sigma and for the width of a standard triangle, 2
+    otherwise. The first rule that fires decides: the rectangle rule, then
+    the parallel-edge rule, then the generic step. It decides on every skin
+    of the segment alike. The skins of a run share edge normals, so if skin
+    is a rectangle or a standard triangle, so is every skin of the segment
+    (a unimodular [0,a] x [0,b] peels to [1,a-1] x [1,b-1], d*Sigma to
+    (d-3)*Sigma); and each edge's r - s is the same on every skin, so the
+    same edge wins on every skin or on none. A point or segment inner skin
+    goes through the same rules as a two-dimensional one.
     Each rule is affine in t: the rectangle (a - 2t) + (b - 2t) falls by 4
     per skin, the parallel-edge value r - t * (r - s) by r - s, the generic
-    step by 3 or 2. So the value of skin n, just inside the segment, must be
+    step by fall. So the value of skin n, just inside the segment, must be
     inner_value, as the per-skin check s == inner value demands; no other
     skin needs a check, since there the fall is exact.
     """
     skin, shift, n, rectangle, hit = segment
-    if shape == SIGMA and rectangle is not None:
+    if rectangle is not None:
         a, b = rectangle
         rule, value, fall, params = RULE_RECTANGLE, a + b, 4, (a, b)
     elif hit is not None:
         rule, value, fall, params = RULE_PARALLEL, hit.r, hit.r - hit.s, (hit.r, hit.s)
     else:
-        fall = _STEP[shape]
         rule, value, params = RULE_GENERIC, inner_value + n * fall, ()
     if value - n * fall != inner_value:
         raise InternalConsistencyError(

@@ -14,7 +14,9 @@ so the witnesses and the oracle's frame read them instead of projecting
 the vertices again. No set of directions is searched here; only
 that oracle searches, over the lattice points of the width body
 {u : width(u) <= b}, row by row in this frame. The width by peeling,
-lattice_width_recursive, is one of the recursions in size.py.
+lattice_width_recursive, is the width shape of the one recursion in
+size.py (size._size_value); width --trace and --verify check lattice_width
+against it.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ _REPRS = {
     "t1=0, t2=0))",
     "ParallelEdgeHit": "ParallelEdgeHit(r=4, s=1, tau=((0, 0), (4, 0)), tau_prime=((1, 1), (2, 1)))",
     "Step": "Step(skin=LatticePolygon<polygon>[(0, 0), (6, 0), (6, 6), (0, 6)], rule='GenericStep', "
-    "contribution=2, params=(), count=2, shift=((1, 1), (-1, 1), (-1, -1), (1, -1)))",
+    "contribution=2, params=(), count=3, shift=((1, 1), (-1, 1), (-1, -1), (1, -1)))",
     "OnionTrace": "OnionTrace(runs=((LatticePolygon<polygon>[(-2, -2), (2, 0), (0, 2)], ((1, 1), (-1, 0), "
     "(0, -1)), 2), (LatticePolygon<point>[(0, 0)], (), 1)))",
     "LaurentPolynomial": "LaurentPolynomial(terms={(0, 2): Fraction(1, 1), (3, 0): Fraction(1, 1), "

@@ -204,27 +204,29 @@ def test_deep_onion_chain_needs_no_recursion():
 
 
 # sha256 of the per-skin output (one entry per skin) that peel --json,
-# peel, and sigma|square|width --trace --json printed before runs
+# peel, and sigma|square --trace --json printed before runs; for width
+# --trace --json, that of the per-skin trace of the width as a third shape
+# of the size recursion (tests/test_size.py::_reference_width)
 _PER_SKIN_SHA256 = {
     ("heptagon", "peel"): "c20f628bc50e562b361f4fc6093c0fcb37616d2528c47ecc65aee64adefd488e",
     ("heptagon", "sigma"): "fe9780ebbd13fa852838ea21788bcea658ce8a4f68f13b0301f986a2b9d1658c",
     ("heptagon", "square"): "cfc801cf96b6b9a8b5f25db56e8ad7f679b9d4f1d84088214d865224dda3dbe2",
-    ("heptagon", "width"): "a0b3c7901caba5c4d80d1128b735fdcad87938a2e6e75d678ff5d2b53032070e",
+    ("heptagon", "width"): "5e5fa2ccfc53846a581ea2bad588246992a0bbd0d9cf50a0503501dfdb467475",
     ("heptagon", "plain"): "6c236ddc046d3f3e671765dc4f12f8170b08290ea8273e2d996fc9791244207f",
     ("six_sigma", "peel"): "225db85d94b15c41df194bdcdbb8e52896ebfc17247947f779ad07b9587f9504",
     ("six_sigma", "sigma"): "cac5ca98b26db0de8dfbd9e3a5194a504111b188456a64021549641efc82140d",
     ("six_sigma", "square"): "c7bc8b444b165b867cc997ee892e6093ad6cbcf66f99f17b1ba0e45bf8d49d63",
-    ("six_sigma", "width"): "2ccdd1baa32f336a5038b928ef24611d68715127539ecfddfe3118ababca0dcf",
+    ("six_sigma", "width"): "408f7fc9f6635ab9ca3e54ec39df1972d0e92e6da94a110ae56d4d197a86dd5f",
     ("six_sigma", "plain"): "143db06992ad641df7d405480b962f60d06b9b131faf87e5eaf41accaaddf0b9",
     ("upsilon5", "peel"): "2935a1e70ff28b61fa57c38258080b2c47c9459aa387fe44bd24c6fc7da053ab",
     ("upsilon5", "sigma"): "908250c9e3eaab8f49889ef4f11c85a1e614544340b7cc9a8fd0fbfea9434586",
     ("upsilon5", "square"): "68f57b396d83d258c13cbcdfb32e1b2fa1e6b2c94b733754b0c7f8e345db8b3e",
-    ("upsilon5", "width"): "c53ce975bd5ed5f4267fefc9e930117abf1aaf726a4f11ba878404546df6eb74",
+    ("upsilon5", "width"): "0187f9f53850dfa468784777451c4e159307ccf0977845a1b2af53022f5402af",
     ("upsilon5", "plain"): "27c4b132a50664ce232ea60a2f06ebc800d1ef35d29c5b6cf124877558fdca5f",
     ("random80", "peel"): "71c46db3e2ae6532edd91361340fa21764d66b2e86e6e18c795a457d5cae5d29",
     ("random80", "sigma"): "9d3519e5a3f89ebc0c3dad971b51b5dc71f8c7821964405595a77116d4e2e796",
     ("random80", "square"): "aa9424bf273726d742d4be3d5d67b099a2af8035df43126964035c40c177bf0d",
-    ("random80", "width"): "5a0940838852efaaa2559aab99f2192d35f61d756d58f2b2da6935ee8a0cb9cd",
+    ("random80", "width"): "611e01f5fa11395269689e74f660c72d14cd7d81dedbffa6165e17a95b73d795",
     ("random80", "plain"): "df0e0bd9122d6a4e53c7d48f44014ba8c5aa451bd9f057967caecb4798bd7666",
 }
 _RUN_INPUTS = {

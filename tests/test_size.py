@@ -36,7 +36,7 @@ from latsize.cli import run_command
 from latsize.interior import _moved
 from latsize.polygon import recognize_special
 from latsize.size import (
-    _BASE, _WIDTH_BASE, RULE_SEARCH, ParallelEdgeHit, Step, _innermost_step, _size_value, _step,
+    _BASE, RULE_SEARCH, ParallelEdgeHit, Step, _innermost_step, _size_value, _step,
     parallel_edge_exception,
 )
 from latsize.width import _reduced_basis
@@ -113,8 +113,9 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
     # end, on its last skin, plus one per run of count > 1, on its first
     # skin for the skins before the last. The Sigma trace recognizes each
     # run start and the innermost skin once, the square trace only the
-    # innermost skin. The width recursion looks up no hit, and the default
-    # calls walk no chain at all
+    # innermost skin. The width recursion looks up no hit and recognizes
+    # exactly the skins the Sigma trace does, and the default calls walk no
+    # chain at all
     computed, recognized = Counter(), Counter()
     lookup, recognize = latsize.size._parallel_edge_hit, latsize.size.recognize_special
 
@@ -131,22 +132,24 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
     skins = runs = 0
     for delta in (random_polygon(3, 160), random_polygon(4, 300), rectangle(9, 30), standard_triangle(40)):
         computed.clear()
-        lattice_width_recursive(delta)
+        recognized.clear()
         lattice_size_sigma(delta)
         lattice_size_square(delta)
         minimal_box(delta)
-        assert computed == Counter(), delta
+        assert computed == recognized == Counter(), delta
         trace = onion_skins(delta).runs
         ends = Counter(_moved(skin, shift, count - 1) for skin, shift, count in trace[:-1])
+        lookups = ends + Counter(skin for skin, _, count in trace if count > 1)
         innermost = _moved(*trace[-1][:2], trace[-1][2] - 1)
         # the innermost skin is looked at once, also when it starts its run
         looked_at = {skin for skin, _, _ in trace} | {innermost}
-        for size, recognizes in ((lattice_size_sigma, looked_at), (lattice_size_square, {innermost})):
-            certificate = size(delta)
+        for walk, hits, recognizes in ((lambda: lattice_size_sigma(delta).trace, lookups, looked_at),
+                                       (lambda: lattice_size_square(delta).trace, lookups, {innermost}),
+                                       (lambda: lattice_width_recursive(delta), Counter(), looked_at)):
             computed.clear()
             recognized.clear()
-            certificate.trace
-            assert computed == ends + Counter(skin for skin, _, count in trace if count > 1), delta
+            walk()
+            assert computed == hits, delta
             assert recognized == Counter(skin for skin in recognizes if skin.is_two_dim), delta
         skins += sum(count for _, _, count in trace)
         runs += len(trace)
@@ -177,21 +180,24 @@ def _reference_size(delta, shape):
 
 
 def _reference_width(delta):
-    """The width recursion one skin at a time, as before runs."""
-    generic = []
-    skin = delta
-    while True:
+    """The width recursion one skin at a time, by its rule: the innermost skin's own width, then
+    3 per standard triangle outside it and 2 per other skin (Castryck and Cools)."""
+    skins = [delta]
+    while not (gamma := interior_hull(skins[-1])).is_empty:
+        skins.append(gamma)
+    innermost = skins[-1]
+    special = recognize_special(innermost) if innermost.is_two_dim else None
+    if not innermost.is_two_dim:
+        trace = [Step(innermost, "DegenerateBaseSearch", 0)]
+    elif special == ("standard_triangle", (2,)):
+        trace = [Step(innermost, "TwoSigma", 2)]
+    else:
+        # every other interior-free polygon has lattice width one
+        trace = [Step(innermost, "GenericStep", 1)]
+    for skin in reversed(skins[:-1]):
         special = recognize_special(skin)
-        if special is not None and special.kind == "standard_triangle":
-            base = Step(skin, "StandardTriangleException", special.params[0])
-            break
-        gamma = interior_hull(skin)
-        if not gamma.is_two_dim:
-            base = Step(skin, *_WIDTH_BASE[gamma.kind])
-            break
-        generic.append(Step(skin, "GenericStep", 2))
-        skin = gamma
-    return base.contribution + 2 * len(generic), (base,) + tuple(reversed(generic))
+        trace.append(Step(skin, "GenericStep", 3 if special and special.kind == "standard_triangle" else 2))
+    return sum(step.contribution for step in trace), tuple(trace)
 
 
 def _expand(trace):
@@ -214,9 +220,8 @@ def test_run_traces_expand_to_the_per_skin_recursion(box3_census):
             assert (value, _expand(trace)) == _reference_size(delta, shape), (delta, shape)
             entries += len(trace)
             skins += sum(step.count for step in trace)
-        if delta.is_two_dim:
-            value, trace = lattice_width_recursive(delta)
-            assert (value, _expand(trace)) == _reference_width(delta), delta
+        value, trace = lattice_width_recursive(delta)
+        assert (value, _expand(trace)) == _reference_width(delta), delta
     # thousands of skins are covered by run entries
     assert skins - entries > 5000, (skins, entries)
 

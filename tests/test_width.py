@@ -162,9 +162,23 @@ def test_width_directions_match_the_disc_scan(box3_census):
 
 
 def test_recursive_standard_triangle_trace():
+    # 2*Sigma is the innermost skin, and 5*Sigma adds 3 as a standard triangle
     value, trace = lattice_width_recursive(standard_triangle(5))
     assert value == 5
-    assert [step.rule for step in trace] == ["StandardTriangleException"]
+    assert [step.rule for step in trace] == ["TwoSigma", "GenericStep"]
+    assert [step.contribution for step in trace] == [2, 3]
+
+
+def test_recursive_width_family_laws():
+    # each family peels in one run of generic steps around its innermost
+    # skin, so its trace has at most two entries however large it is
+    families = [(standard_triangle(d), d) for d in range(1, 3001)]
+    families += [(upsilon(d), 2 * d) for d in range(1, 3001)]
+    families += [(rectangle(a, b), a) for a in range(1, 3001, 7) for b in {a, a + 1, 2 * a + 3, 3000} if a <= b]
+    for delta, width in families:
+        value, trace = lattice_width_recursive(delta)
+        assert value == width and len(trace) <= 2, delta
+        assert sum(step.contribution * step.count for step in trace) == width, delta
 
 
 def test_recursive_base_cases():
