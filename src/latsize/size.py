@@ -79,7 +79,7 @@ from .polygon import (
     integral_length,
     recognize_special,
 )
-from .width import _checked_basis, _min_convex
+from .width import _checked_basis, _extremes, _min_convex
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -512,6 +512,8 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     the four sign choices read their reaches off the extremes of the two
     lists and of their sums and differences, into one tuple in the order of
     _SIGNS, and the first least reach wins (reaches.index(min(reaches))).
+    The extremes of the sums and of the differences each come from one pass
+    over the two lists (width._extremes), with no list built.
     """
     if delta.is_empty:
         return _BASE[shape], AffineUnimodularMap.identity()
@@ -520,10 +522,9 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     if shape == SQUARE:
         return b, AffineUnimodularMap(*short, *long, -lo1, -lo2)
     hi1, hi2 = max(dots1), max(dots2)
-    sums = [s + t for s, t in zip(dots1, dots2)]
-    diffs = [s - t for s, t in zip(dots1, dots2)]
+    (lo_sum, hi_sum), (lo_diff, hi_diff) = _extremes(dots1, dots2, 1), _extremes(dots1, dots2, -1)
     # the reaches of (s1 * short, s2 * long), (s1, s2) in the order of _SIGNS
-    reaches = (max(sums) - lo1 - lo2, max(diffs) - lo1 + hi2, hi1 - min(diffs) - lo2, hi1 + hi2 - min(sums))
+    reaches = (hi_sum - lo1 - lo2, hi_diff - lo1 + hi2, hi1 - lo_diff - lo2, hi1 + hi2 - lo_sum)
     reach = min(reaches)
     s1, s2 = _SIGNS[reaches.index(reach)]
     t1, t2 = (-lo1, hi1)[s1 < 0], (-lo2, hi2)[s2 < 0]
@@ -564,8 +565,11 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     pair (i, j); the negation reaches M(u1) + M(u2) + M(u3). All seven come
     from the extremes of six dot lists, those of u1, u2, u3 and of
     u1 - u2, u2 - u3, u3 - u1, about the work of _basis_map's four sign
-    choices. The test fails only on a value that a frame beats, so only on
-    a wrong value. That it passes only on the right value is a conjecture,
+    choices. Only the image's x and y lists are built; the extremes of the
+    other four (z = -(x + y), x - y, x + 2y and -(2x + y)) each come from
+    one pass over those two (width._extremes), with no list built. The
+    test fails only on a value that a frame beats, so only on a wrong
+    value. That it passes only on the right value is a conjecture,
     held on every polygon tried (ROADMAP item 11): the Sigma lower bound is
     tested, not proved.
     """
@@ -579,23 +583,24 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
         for x, y in delta.vertices:
             xs.append(m11 * x + m12 * y + t1)
             ys.append(m21 * x + m22 * y + t2)
+        lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
         if shape == SQUARE:
-            got = min(xs), max(xs), min(ys), max(ys)
+            got = lo_x, hi_x, lo_y, hi_y
             want, what = (0, _checked_basis(delta)[2], 0, value), "least and largest x, least and largest y"
         else:
-            # the dots of the witness frame, less m(u1) and m(u2)
-            d = (xs, ys, [-x - y for x, y in zip(xs, ys)])
-            hi, lo = [max(t) for t in d], [min(t) for t in d]
-            got = lo[0], lo[1], -lo[2]
+            # the dots of the witness frame, less m(u1) and m(u2): x, y and z = -(x + y)
+            lo_s, hi_s = _extremes(xs, ys, 1)
+            got = lo_x, lo_y, hi_s
             want, what = (0, 0, value), "least x, least y and largest x + y of the image"
     if got != want:
         raise InternalConsistencyError(f"the {shape} witness reaches {got}, not {want} ({what})")
     if delta.is_empty or shape == SQUARE:
         return value, phi
-    reaches = [sum(hi)]
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        diff = [s - t for s, t in zip(d[i], d[j])]
-        reaches += (hi[i] - lo[j] - min(diff), hi[j] - lo[i] + max(diff))
+    # u1 - u2 = x - y, u2 - u3 = x + 2y and u1 - u3 = 2x + y; z runs from -hi_s to -lo_s. The
+    # negation, then the pairs (1, 2), (2, 3), (3, 1), each giving both of its frames
+    (lo12, hi12), (lo23, hi23), (lo13, hi13) = _extremes(xs, ys, -1), _extremes(xs, ys, 2), _extremes(ys, xs, 2)
+    reaches = (hi_x + hi_y - lo_s, hi_x - lo_y - lo12, hi_y - lo_x + hi12,
+               hi_y + hi_s - lo23, -lo_s - lo_y + hi23, -lo_s - lo_x + hi13, hi_x + hi_s - lo13)
     if min(reaches) < value:
         raise InternalConsistencyError(
             f"a frame next to the sigma witness frame reaches {min(reaches)}, below the value {value}"

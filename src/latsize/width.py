@@ -11,7 +11,10 @@ final line, so a warm lattice_width measures at most four more
 directions, most often none, and the dot lists of short and long on the
 vertices, which the reduction moves with its rows from the x and y lists,
 so the witnesses and the oracle's frame read them instead of projecting
-the vertices again. No set of directions is searched here; only
+the vertices again. A direction is measured by its least and largest dot,
+which _extremes takes in one pass over two dot lists, with no list built;
+the witnesses and their checks in size.py read their extremes the same
+way. No set of directions is searched here; only
 that oracle searches, over the lattice points of the width body
 {u : width(u) <= b}, row by row in this frame. The width by peeling,
 lattice_width_recursive, is the width shape of the one recursion in
@@ -99,10 +102,22 @@ def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, in
 _BasisEntry = tuple[Point, Point, int, tuple[int, int, int], tuple[int, ...], tuple[int, ...]]
 
 
+def _extremes(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, int]:
+    """The least and largest of a_i + k * b_i over the non-empty lists a and b, in one pass with no list built."""
+    lo = hi = a[0] + k * b[0]
+    for s, t in zip(a, b):
+        d = s + k * t
+        if d < lo:
+            lo = d
+        elif d > hi:
+            hi = d
+    return lo, hi
+
+
 def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
     """Width of the functional r1 + k * r2, given the dot lists a of r1 and b of r2 on the vertices."""
-    dots = [s + k * t for s, t in zip(a, b)]
-    return max(dots) - min(dots)
+    lo, hi = _extremes(a, b, k)
+    return hi - lo
 
 
 def _reduced_basis(delta: LatticePolygon) -> _BasisEntry:
@@ -145,8 +160,9 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
 
     The vertices are projected once, onto (1, 0) and (0, 1): their x and y
     lists are the dot lists a of r1 and b of r2. A point k of a pass line
-    is measured as max - min of a_i + k * b_i (_line_width), so no
-    direction tuple is built; a moves with r1 (a <- a + k * b), and the
+    is measured as max - min of a_i + k * b_i (_line_width), both taken in
+    one pass over a and b (_extremes), so neither a direction tuple nor a
+    list of dots is built; a moves with r1 (a <- a + k * b), and the
     lists swap when the rows swap. The final lists are the entry's dots, so
     its readers (size._basis_map, the frame of size.fit_into) project
     nothing.

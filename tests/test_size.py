@@ -1,5 +1,6 @@
 """Lattice sizes: recursion rules, witnesses, fits and minimal boxes."""
 
+import hashlib
 import signal
 from collections import Counter
 
@@ -694,6 +695,28 @@ def test_sigma_witness_is_the_first_least_sign_choice(box3_census):
         ties += [reach for reach, _ in choices].count(least) > 1
         assert lattice_size_sigma(image).witness == next(phi for reach, phi in choices if reach == least), image
     assert ties > 100
+
+
+# sha256 over (lattice_width, sigma value and witness, square value and
+# witness, box) of each polygon of the default chain on census(3), one image
+# of each and random_polygon(s, k) for k in (5, 40, 160), s < 50. It pins
+# which reduced basis, and so which witness, the chain picks; it was taken
+# with the sweeps still building a list of dots, before width._extremes.
+_CHAIN_SHA256 = "313844500766a41fb7b374fbf8fb7b09a0bb5f9e8f15fb9c65e02e32780aae24"
+
+
+def test_the_default_chain_outputs_are_pinned(box3_census):
+    # every polygon is built here, so each call reduces and checks afresh
+    corpus = [hull(d.vertices) for d in box3_census]
+    corpus += [apply_map(random_unimodular_map(i), d) for i, d in enumerate(box3_census)]
+    corpus += [random_polygon(s, k) for k in (5, 40, 160) for s in range(50)]
+    digest = hashlib.sha256()
+    for delta in corpus:
+        sigma, square, box = lattice_size_sigma(delta), lattice_size_square(delta), minimal_box(delta)
+        row = (lattice_width(delta), sigma.value, sigma.witness._key(), square.value, square.witness._key(),
+               box.a, box.b, box.witness._key())
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == _CHAIN_SHA256
 
 
 # --- minimal boxes ----------------------------------------------------------

@@ -5,7 +5,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsize import (
@@ -28,7 +28,7 @@ from latsize import (
     width_along,
 )
 from latsize.size import _checked_map, _size_value
-from latsize.width import _gauss_reduce, _line_width, _min_convex, _reduced_basis
+from latsize.width import _extremes, _gauss_reduce, _line_width, _min_convex, _reduced_basis
 
 import line_search_reference
 from conftest import fibonacci_shear, weierstrass
@@ -486,6 +486,32 @@ def test_lattice_width_of_a_thin_triangle_measures_nothing(measured):
         result = lattice_width(image)
         assert result.width == 2 and len(result.directions) == 1, image
         assert measured == [], image
+
+
+# Dots far past the 2**31 coordinate guard, so k * b_i is too.
+_DOT = st.integers(-2**40, 2**40)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.tuples(_DOT, _DOT), min_size=1, max_size=40), st.integers(-2**20, 2**20),
+       st.sampled_from([0, 1, -1]))
+@example([(7, -3)], 5, 0)
+@example([(2**40, -2**40), (0, 0), (-1, 1)], 2**20, 1)
+@example([(2**40, -2**40), (0, 0), (-1, 1)], -2**20, -1)
+def test_extremes_are_the_min_and_max_of_the_dot_list(pairs, k, lift):
+    """One pass gives min(d) and max(d) of d = a + k * b, also when d[0] alone is the max or the min.
+
+    lift moves the first pair by one more than the spread of d, up (1) or
+    down (-1), so that its entry is the only largest or the only least.
+    """
+    a, b = map(list, zip(*pairs))
+    d = [s + k * t for s, t in zip(a, b)]
+    if lift:
+        a[0] += lift * (max(d) - min(d) + 1)
+        d[0] = a[0] + k * b[0]
+        extreme = max(d) if lift > 0 else min(d)
+        assert d[0] == extreme and d.count(extreme) == 1
+    assert _extremes(a, b, k) == _extremes(tuple(a), tuple(b), k) == (min(d), max(d))
 
 
 # A coercive piecewise-linear convex function: the max of affine pieces
