@@ -64,7 +64,7 @@ polygon.LatticePolygon).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 # at module level, though the default sizes peel nothing: see the cli docstring
@@ -79,7 +79,7 @@ from .polygon import (
     integral_length,
     recognize_special,
 )
-from .width import _checked_basis, _extremes, _min_convex
+from .width import _checked_basis, _min_convex
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -484,6 +484,39 @@ def fit_into(
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+def _frame_extremes(vertices: Sequence[Point], m11: int, m12: int, m21: int, m22: int,
+                    t1: int, t2: int) -> tuple[int, ...]:
+    """The least and largest of x, y, x + y, x - y, x + 2y and 2x + y over the images of the vertices.
+
+    Each vertex (p, q) maps to (x, y) = (m11 * p + m12 * q + t1,
+    m21 * p + m22 * q + t2). The twelve extremes come in that order, least
+    first, from one pass over the non-empty vertices that starts from the
+    first one, with no list built: the Sigma and square checks
+    (_checked_map) read all they need off one call.
+    """
+    p, q = vertices[0]
+    lo_x, lo_y = hi_x, hi_y = m11 * p + m12 * q + t1, m21 * p + m22 * q + t2
+    lo_s, lo_d = hi_s, hi_d = lo_x + lo_y, lo_x - lo_y
+    lo_sy, lo_sx = hi_sy, hi_sx = lo_s + lo_y, lo_s + lo_x
+    for p, q in vertices[1:]:
+        x, y = m11 * p + m12 * q + t1, m21 * p + m22 * q + t2
+        if x < lo_x: lo_x = x
+        elif x > hi_x: hi_x = x
+        if y < lo_y: lo_y = y
+        elif y > hi_y: hi_y = y
+        s, d = x + y, x - y
+        if s < lo_s: lo_s = s
+        elif s > hi_s: hi_s = s
+        if d < lo_d: lo_d = d
+        elif d > hi_d: hi_d = d
+        sy, sx = s + y, s + x
+        if sy < lo_sy: lo_sy = sy
+        elif sy > hi_sy: hi_sy = sy
+        if sx < lo_sx: lo_sx = sx
+        elif sx > hi_sx: hi_sx = sx
+    return lo_x, hi_x, lo_y, hi_y, lo_s, hi_s, lo_d, hi_d, lo_sy, hi_sy, lo_sx, hi_sx
+
+
 def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
     """The reach of the reduced width basis for the target shape, with its witness map.
 
@@ -512,17 +545,26 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     the four sign choices read their reaches off the extremes of the two
     lists and of their sums and differences, into one tuple in the order of
     _SIGNS, and the first least reach wins (reaches.index(min(reaches))).
-    The extremes of the sums and of the differences each come from one pass
-    over the two lists (width._extremes), with no list built.
+    All eight extremes come from one pass over the two lists, with no list
+    built.
     """
     if delta.is_empty:
         return _BASE[shape], AffineUnimodularMap.identity()
     short, long, _, (_, b, _), dots1, dots2 = _checked_basis(delta)
-    lo1, lo2 = min(dots1), min(dots2)
     if shape == SQUARE:
-        return b, AffineUnimodularMap(*short, *long, -lo1, -lo2)
-    hi1, hi2 = max(dots1), max(dots2)
-    (lo_sum, hi_sum), (lo_diff, hi_diff) = _extremes(dots1, dots2, 1), _extremes(dots1, dots2, -1)
+        return b, AffineUnimodularMap(*short, *long, -min(dots1), -min(dots2))
+    lo1, lo2 = hi1, hi2 = dots1[0], dots2[0]
+    lo_sum, lo_diff = hi_sum, hi_diff = lo1 + lo2, lo1 - lo2
+    for x, y in zip(dots1, dots2):
+        if x < lo1: lo1 = x
+        elif x > hi1: hi1 = x
+        if y < lo2: lo2 = y
+        elif y > hi2: hi2 = y
+        s, d = x + y, x - y
+        if s < lo_sum: lo_sum = s
+        elif s > hi_sum: hi_sum = s
+        if d < lo_diff: lo_diff = d
+        elif d > hi_diff: hi_diff = d
     # the reaches of (s1 * short, s2 * long), (s1, s2) in the order of _SIGNS
     reaches = (hi_sum - lo1 - lo2, hi_diff - lo1 + hi2, hi1 - lo_diff - lo2, hi1 + hi2 - lo_sum)
     reach = min(reaches)
@@ -535,15 +577,16 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     """_basis_map(delta, shape), checked in O(n) without peeling, or InternalConsistencyError.
 
     The witness must reach the value. It maps each vertex p to a point
-    (x, y), recomputed here from the map's six fields (read once) and the
-    vertices, not read off the basis entry. For the square the witness is
-    checked as the minimal box: the x range must be exactly [0, w], w the
-    width of the checked basis, and the y range exactly [0, value]. As
-    w <= value, that implies the square check (least coordinate 0, largest
-    the value), and it also stops a witness with its rows swapped or a
-    translation off by one that still maps into value * square. For Sigma,
-    the least x and the least y must be 0 and the largest x + y the value.
-    The empty polygon must have the empty-hull convention.
+    (x, y), recomputed here from the map's six fields and the vertices, not
+    read off the basis entry, in the one pass of _frame_extremes. For the
+    square the witness is checked as the minimal box: the x range must be
+    exactly [0, w], w the width of the checked basis, and the y range
+    exactly [0, value]. As w <= value, that implies the square check (least
+    coordinate 0, largest the value), and it also stops a witness with its
+    rows swapped or a translation off by one that still maps into
+    value * square. For Sigma, the least x and the least y must be 0 and
+    the largest x + y the value. The empty polygon must have the empty-hull
+    convention.
 
     The value must be least. A square value needs no more: _basis_map reads
     it as f(long) off the checked basis, and the check
@@ -565,9 +608,8 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     pair (i, j); the negation reaches M(u1) + M(u2) + M(u3). All seven come
     from the extremes of six dot lists, those of u1, u2, u3 and of
     u1 - u2, u2 - u3, u3 - u1, about the work of _basis_map's four sign
-    choices. Only the image's x and y lists are built; the extremes of the
-    other four (z = -(x + y), x - y, x + 2y and -(2x + y)) each come from
-    one pass over those two (width._extremes), with no list built. The
+    choices: the extremes of x, y, z = -(x + y), x - y, x + 2y and
+    -(2x + y) over the image, which the same pass takes. The
     test fails only on a value that a frame beats, so only on a wrong
     value. That it passes only on the right value is a conjecture,
     held on every polygon tried (ROADMAP item 11): the Sigma lower bound is
@@ -577,19 +619,13 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     if delta.is_empty:
         got, want, what = value, _BASE[shape], "the empty-hull convention"
     else:
-        # a loop, not comprehensions, which would hold the six fields in closure cells
-        m11, m12, m21, m22, t1, t2 = phi._key()
-        xs, ys = [], []
-        for x, y in delta.vertices:
-            xs.append(m11 * x + m12 * y + t1)
-            ys.append(m21 * x + m22 * y + t2)
-        lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+        # for Sigma, the dots of the witness frame, less m(u1) and m(u2): x, y and z = -(x + y)
+        lo_x, hi_x, lo_y, hi_y, lo_s, hi_s, lo12, hi12, lo23, hi23, lo13, hi13 = _frame_extremes(
+            delta.vertices, *phi._key())
         if shape == SQUARE:
             got = lo_x, hi_x, lo_y, hi_y
             want, what = (0, _checked_basis(delta)[2], 0, value), "least and largest x, least and largest y"
         else:
-            # the dots of the witness frame, less m(u1) and m(u2): x, y and z = -(x + y)
-            lo_s, hi_s = _extremes(xs, ys, 1)
             got = lo_x, lo_y, hi_s
             want, what = (0, 0, value), "least x, least y and largest x + y of the image"
     if got != want:
@@ -598,13 +634,11 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
         return value, phi
     # u1 - u2 = x - y, u2 - u3 = x + 2y and u1 - u3 = 2x + y; z runs from -hi_s to -lo_s. The
     # negation, then the pairs (1, 2), (2, 3), (3, 1), each giving both of its frames
-    (lo12, hi12), (lo23, hi23), (lo13, hi13) = _extremes(xs, ys, -1), _extremes(xs, ys, 2), _extremes(ys, xs, 2)
     reaches = (hi_x + hi_y - lo_s, hi_x - lo_y - lo12, hi_y - lo_x + hi12,
                hi_y + hi_s - lo23, -lo_s - lo_y + hi23, -lo_s - lo_x + hi13, hi_x + hi_s - lo13)
     if min(reaches) < value:
-        raise InternalConsistencyError(
-            f"a frame next to the sigma witness frame reaches {min(reaches)}, below the value {value}"
-        )
+        raise InternalConsistencyError(f"a frame next to the sigma witness frame reaches {min(reaches)}, "
+                                       f"below the value {value}")
     return value, phi
 
 

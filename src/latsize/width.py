@@ -12,14 +12,15 @@ directions, most often none, and the dot lists of short and long on the
 vertices, which the reduction moves with its rows from the x and y lists,
 so the witnesses and the oracle's frame read them instead of projecting
 the vertices again. A direction is measured by its least and largest dot,
-which _extremes takes in one pass over two dot lists, with no list built;
-the witnesses and their checks in size.py read their extremes the same
-way. No set of directions is searched here; only
-that oracle searches, over the lattice points of the width body
-{u : width(u) <= b}, row by row in this frame. The width by peeling,
-lattice_width_recursive, is the width shape of the one recursion in
-size.py (size._size_value); width --trace and --verify check lattice_width
-against it.
+which _extremes takes in one pass over two dot lists, with no list built.
+The Sigma witness in size.py takes the extremes it needs in one pass of
+its own over the entry's dot lists, and each check of a witness in one
+pass over the vertices (size._frame_extremes). No set of directions is
+searched here; only that oracle searches, over the lattice points of the
+width body {u : width(u) <= b}, row by row in this frame. The width by
+peeling, lattice_width_recursive, is the width shape of the one recursion
+in size.py (size._size_value); width --trace and --verify check
+lattice_width against it.
 """
 
 from __future__ import annotations
@@ -103,7 +104,11 @@ _BasisEntry = tuple[Point, Point, int, tuple[int, int, int], tuple[int, ...], tu
 
 
 def _extremes(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, int]:
-    """The least and largest of a_i + k * b_i over the non-empty lists a and b, in one pass with no list built."""
+    """The least and largest of a_i + k * b_i over the non-empty lists a and b, in one pass with no list built.
+
+    Its one caller is _line_width, which measures each pass point of the
+    reduction with it.
+    """
     lo = hi = a[0] + k * b[0]
     for s, t in zip(a, b):
         d = s + k * t

@@ -2,10 +2,11 @@
 
 import hashlib
 import signal
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latsize.size
@@ -37,7 +38,7 @@ from latsize.cli import run_command
 from latsize.interior import _moved
 from latsize.polygon import recognize_special
 from latsize.size import (
-    _BASE, RULE_SEARCH, ParallelEdgeHit, Step, _innermost_step, _size_value, _step,
+    _BASE, RULE_SEARCH, ParallelEdgeHit, Step, _frame_extremes, _innermost_step, _size_value, _step,
     parallel_edge_exception,
 )
 from latsize.width import _reduced_basis
@@ -717,6 +718,92 @@ def test_the_default_chain_outputs_are_pinned(box3_census):
                box.a, box.b, box.witness._key())
         digest.update(repr(row).encode() + b"\n")
     assert digest.hexdigest() == _CHAIN_SHA256
+
+
+# The six forms a * x + b * y whose extremes _frame_extremes takes, in its order.
+_FORMS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
+# Coordinates and map fields far past the 2**31 coordinate guard.
+_BIG = st.integers(-2**40, 2**40)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.tuples(_BIG, _BIG), min_size=1, max_size=40), st.tuples(*[_BIG] * 6),
+       st.none() | st.tuples(st.integers(0, 5), st.sampled_from([1, -1])))
+@example([(7, -3)], (1, 0, 0, 1, 0, 0), None)
+@example([(5, 0), (0, 0), (1, 1), (-1, 2)], (1, 0, 0, 1, 0, 0), (0, 1))
+@example([(0, -5), (0, 0), (1, 1), (-1, 2)], (1, 0, 0, 1, 0, 0), (1, -1))
+@example([(2**40, 2**40), (0, 0), (-1, 1)], (2**40, -3, 7, -2**40, 2**40, -2**40), (4, 1))
+@example([(2**40, 2**40), (0, 0), (-1, 1)], (2**40, -3, 7, -2**40, 2**40, -2**40), (5, -1))
+def test_frame_extremes_are_the_min_and_max_of_each_form(vertices, fields, lift):
+    """One pass gives min and max of each form over the image, also when the first vertex alone is one of them.
+
+    lift = (i, sign) moves the first vertex along p, or along q if the
+    form i does not change along p, by one more than the spread of the
+    form, so that its value there is the only largest (sign 1) or the only
+    least (sign -1).
+    """
+    m11, m12, m21, m22, t1, t2 = fields
+
+    def form_lists(vs):
+        xs = [m11 * p + m12 * q + t1 for p, q in vs]
+        ys = [m21 * p + m22 * q + t2 for p, q in vs]
+        return [[a * x + b * y for x, y in zip(xs, ys)] for a, b in _FORMS]
+
+    if lift is not None:
+        i, sign = lift
+        (a, b), vals = _FORMS[i], form_lists(vertices)[i]
+        along_p, along_q = a * m11 + b * m21, a * m12 + b * m22
+        step = (max(vals) - min(vals) + 1) * sign
+        p, q = vertices[0]
+        if along_p:
+            p += step if along_p > 0 else -step
+        elif along_q:
+            q += step if along_q > 0 else -step
+        vertices = [(p, q), *vertices[1:]]
+        vals = form_lists(vertices)[i]
+        extreme = max(vals) if sign > 0 else min(vals)
+        assert not (along_p or along_q) or (vals[0] == extreme and vals.count(extreme) == 1)
+    want = tuple(v for vals in form_lists(vertices) for v in (min(vals), max(vals)))
+    assert _frame_extremes(vertices, *fields) == _frame_extremes(tuple(vertices), *fields) == want
+
+
+def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
+    # a cold Sigma call makes two sweeps: the witness's one pass over the
+    # entry's dot lists, and the check's one _frame_extremes call. Every
+    # min and max call of size.py is on a tuple of reaches, none on a
+    # sweep, and width._extremes runs only under the reduction's
+    # _line_width; the square check is one _frame_extremes call too,
+    # which minimal_box shares
+    from latsize import width
+
+    frame_calls, least, largest, extremes_callers = [], [], [], []
+    frame_extremes, extremes = latsize.size._frame_extremes, width._extremes
+
+    def counting_frame(*args):
+        frame_calls.append(args)
+        return frame_extremes(*args)
+
+    def counting_extremes(a, b, k):
+        extremes_callers.append(sys._getframe(1).f_code.co_name)
+        return extremes(a, b, k)
+
+    monkeypatch.setattr(latsize.size, "_frame_extremes", counting_frame)
+    monkeypatch.setattr(latsize.size, "min", lambda *args: least.append(args) or min(*args), raising=False)
+    monkeypatch.setattr(latsize.size, "max", lambda *args: largest.append(args) or max(*args), raising=False)
+    monkeypatch.setattr(width, "_extremes", counting_extremes)
+    assert "_extremes" not in vars(latsize.size)
+    corpus = [hull(d.vertices) for d in box3_census] + [random_polygon(s, k) for k in (5, 40) for s in range(20)]
+    for delta in corpus:
+        for log in (frame_calls, least, largest):
+            log.clear()
+        lattice_size_sigma(delta)
+        assert len(frame_calls) == 1 and frame_calls[0][0] is delta.vertices, delta
+        assert [len(args[0]) for args in least] == [4, 7] and largest == [], delta
+        frame_calls.clear()
+        lattice_size_square(delta)
+        minimal_box(delta)
+        assert len(frame_calls) == 1, delta
+    assert extremes_callers and set(extremes_callers) == {"_line_width"}
 
 
 # --- minimal boxes ----------------------------------------------------------
