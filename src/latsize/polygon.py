@@ -65,9 +65,10 @@ class _Frozen:
     """Base of the slotted value classes: equal and hashed by class and _key(), never changed.
 
     A subclass defines _key(), its fields in the constructor's order, and
-    sets them in __init__ with object.__setattr__; after that, setting or
-    deleting an attribute raises AttributeError. pickle and copy rebuild an
-    instance through its constructor, so they validate as it does.
+    sets them in __init__ through its slot descriptors' __set__, bound once
+    at import (so no call looks object.__setattr__ up); after that, setting
+    or deleting an attribute raises AttributeError. pickle and copy rebuild
+    an instance through its constructor, so they validate as it does.
     """
 
     __slots__ = ()
@@ -112,7 +113,7 @@ class LatticePolygon(_Frozen):
     __match_args__ = ("vertices",)
 
     def __init__(self, vertices: tuple[Point, ...]) -> None:
-        object.__setattr__(self, "vertices", vertices)
+        _set_vertices(self, vertices)
 
     def _key(self) -> tuple:
         return (self.vertices,)
@@ -171,6 +172,7 @@ class LatticePolygon(_Frozen):
         return f"LatticePolygon<{self.kind}>{list(self.vertices)}"
 
 
+_set_vertices = LatticePolygon.vertices.__set__
 EMPTY = LatticePolygon(())
 
 
@@ -328,13 +330,14 @@ class AffineUnimodularMap(_Frozen):
         det = m11 * m22 - m12 * m21
         if det not in (1, -1):
             raise ValueError(f"matrix determinant must be +-1, got {det}")
-        # slot by slot, not in a loop: every size builds its witness here
-        object.__setattr__(self, "m11", m11)
-        object.__setattr__(self, "m12", m12)
-        object.__setattr__(self, "m21", m21)
-        object.__setattr__(self, "m22", m22)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
+        # slot by slot through the descriptor setters bound below, not in a
+        # loop or by object.__setattr__: every size builds its witness here
+        _set_m11(self, m11)
+        _set_m12(self, m12)
+        _set_m21(self, m21)
+        _set_m22(self, m22)
+        _set_t1(self, t1)
+        _set_t2(self, t2)
 
     def _key(self) -> tuple:
         return (self.m11, self.m12, self.m21, self.m22, self.t1, self.t2)
@@ -378,6 +381,10 @@ class AffineUnimodularMap(_Frozen):
         return AffineUnimodularMap(
             i11, i12, i21, i22, -(i11 * self.t1 + i12 * self.t2), -(i21 * self.t1 + i22 * self.t2)
         )
+
+
+_set_m11, _set_m12, _set_m21, _set_m22, _set_t1, _set_t2 = (
+    getattr(AffineUnimodularMap, name).__set__ for name in AffineUnimodularMap.__slots__)
 
 
 def apply_map(phi: AffineUnimodularMap, delta: LatticePolygon) -> LatticePolygon:

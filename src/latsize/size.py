@@ -51,14 +51,16 @@ Each size comes by three independent routes:
 
 The lattice width and its optimal directions come from the same basis (see
 width.lattice_width), which each polygon keeps once reduced
-(width._reduced_basis) and which is checked on every read
-(width._checked_basis): the width, both sizes, their witnesses, the box and
-the oracle's frame share one reduction per polygon, and the square size and
-the box one checked witness. The entry holds no
-skins, so no default width, size or box call peels. The chain is not kept:
-each trace, --verify run and width recursion peels anew. No module keeps a
-cache; what is derived from a polygon is kept on it (see
-polygon.LatticePolygon).
+(width._reduced_basis). The width, each witness build and the oracle's
+frame read it once each, every time through its check
+(width._checked_basis); the box reads no basis, but the checked square
+entry, which keeps the width beside the square value and witness. So the
+width, both sizes, their witnesses, the box and the oracle's frame share
+one reduction per polygon, and the square size and the box one checked
+witness. The entry holds no skins, so no default width, size or box call
+peels. The chain is not kept: each trace, --verify run and width
+recursion peels anew. No module keeps a cache; what is derived from a
+polygon is kept on it (see polygon.LatticePolygon).
 """
 
 from __future__ import annotations
@@ -517,8 +519,8 @@ def _frame_extremes(vertices: Sequence[Point], m11: int, m12: int, m21: int, m22
     return lo_x, hi_x, lo_y, hi_y, lo_s, hi_s, lo_d, hi_d, lo_sy, hi_sy, lo_sx, hi_sx
 
 
-def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
-    """The reach of the reduced width basis for the target shape, with its witness map.
+def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, int, AffineUnimodularMap]:
+    """(w, reach, witness): the width, the reach for the target shape and its map, off the checked width basis.
 
     This is the basis route to every size: lattice_size_sigma takes its
     value and witness from it through _checked_map, and lattice_size_square
@@ -538,7 +540,10 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     Sigma (Harrison and Soprunov, lattice size by generalized basis
     reduction in dimensions two and three). Points and segments are covered
     too: their reduced widths are (0, 0) and (0, length). The empty polygon
-    reaches the empty-hull convention (-2 or -1) with the identity.
+    reaches the empty-hull convention (-2 or -1) with the identity, and has
+    width -1, as in lattice_width. The width w is read off the same checked
+    entry, so the square check and the box take it from here and read the
+    basis no second time.
 
     The dot lists of short and long are read off the memo entry, which the
     reduction moved with its rows, so the vertices are not projected again;
@@ -549,10 +554,10 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     built.
     """
     if delta.is_empty:
-        return _BASE[shape], AffineUnimodularMap.identity()
-    short, long, _, (_, b, _), dots1, dots2 = _checked_basis(delta)
+        return -1, _BASE[shape], AffineUnimodularMap.identity()
+    short, long, w, (_, b, _), dots1, dots2 = _checked_basis(delta)
     if shape == SQUARE:
-        return b, AffineUnimodularMap(*short, *long, -min(dots1), -min(dots2))
+        return w, b, AffineUnimodularMap(*short, *long, -min(dots1), -min(dots2))
     lo1, lo2 = hi1, hi2 = dots1[0], dots2[0]
     lo_sum, lo_diff = hi_sum, hi_diff = lo1 + lo2, lo1 - lo2
     for x, y in zip(dots1, dots2):
@@ -570,21 +575,21 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodular
     reach = min(reaches)
     s1, s2 = _SIGNS[reaches.index(reach)]
     t1, t2 = (-lo1, hi1)[s1 < 0], (-lo2, hi2)[s2 < 0]
-    return reach, AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
+    return w, reach, AffineUnimodularMap(s1 * short[0], s1 * short[1], s2 * long[0], s2 * long[1], t1, t2)
 
 
-def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodularMap]:
+def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, int, AffineUnimodularMap]:
     """_basis_map(delta, shape), checked in O(n) without peeling, or InternalConsistencyError.
 
     The witness must reach the value. It maps each vertex p to a point
     (x, y), recomputed here from the map's six fields and the vertices, not
     read off the basis entry, in the one pass of _frame_extremes. For the
     square the witness is checked as the minimal box: the x range must be
-    exactly [0, w], w the width of the checked basis, and the y range
-    exactly [0, value]. As w <= value, that implies the square check (least
-    coordinate 0, largest the value), and it also stops a witness with its
-    rows swapped or a translation off by one that still maps into
-    value * square. For Sigma, the least x and the least y must be 0 and
+    exactly [0, w], w the width that _basis_map read off the checked basis
+    in the same call, and the y range exactly [0, value]. As w <= value,
+    that implies the square check (least coordinate 0, largest the value),
+    and it also stops a witness with its rows swapped or a translation off
+    by one that still maps into value * square. For Sigma, the least x and the least y must be 0 and
     the largest x + y the value. The empty polygon must have the empty-hull
     convention.
 
@@ -615,7 +620,7 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     held on every polygon tried (ROADMAP item 11): the Sigma lower bound is
     tested, not proved.
     """
-    value, phi = _basis_map(delta, shape)
+    w, value, phi = _basis_map(delta, shape)
     if delta.is_empty:
         got, want, what = value, _BASE[shape], "the empty-hull convention"
     else:
@@ -624,14 +629,14 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
             delta.vertices, *phi._key())
         if shape == SQUARE:
             got = lo_x, hi_x, lo_y, hi_y
-            want, what = (0, _checked_basis(delta)[2], 0, value), "least and largest x, least and largest y"
+            want, what = (0, w, 0, value), "least and largest x, least and largest y"
         else:
             got = lo_x, lo_y, hi_s
             want, what = (0, 0, value), "least x, least y and largest x + y of the image"
     if got != want:
         raise InternalConsistencyError(f"the {shape} witness reaches {got}, not {want} ({what})")
     if delta.is_empty or shape == SQUARE:
-        return value, phi
+        return w, value, phi
     # u1 - u2 = x - y, u2 - u3 = x + 2y and u1 - u3 = 2x + y; z runs from -hi_s to -lo_s. The
     # negation, then the pairs (1, 2), (2, 3), (3, 1), each giving both of its frames
     reaches = (hi_x + hi_y - lo_s, hi_x - lo_y - lo12, hi_y - lo_x + hi12,
@@ -639,16 +644,17 @@ def _checked_map(delta: LatticePolygon, shape: str) -> tuple[int, AffineUnimodul
     if min(reaches) < value:
         raise InternalConsistencyError(f"a frame next to the sigma witness frame reaches {min(reaches)}, "
                                        f"below the value {value}")
-    return value, phi
+    return w, value, phi
 
 
-def _checked_square(delta: LatticePolygon) -> tuple[int, AffineUnimodularMap]:
-    """_checked_map(delta, SQUARE), kept on delta under "_square" in its instance dict.
+def _checked_square(delta: LatticePolygon) -> tuple[int, int, AffineUnimodularMap]:
+    """_checked_map(delta, SQUARE), (w, value, witness), kept on delta under "_square" in its instance dict.
 
     lattice_size_square and minimal_box both read it, so a polygon's square
     witness is built and checked once, however many of them run and in
-    whichever order. The entry sits beside "_basis" (see
-    width._reduced_basis) and is stored the same way: whole, by one dict
+    whichever order; the box is the entry itself, with w read off the
+    checked basis when the entry was built. The entry sits beside "_basis"
+    (see width._reduced_basis) and is stored the same way: whole, by one dict
     assignment, and only once checked, so a reader finds no entry or a
     checked one, and two threads that fill it at once store equal values.
     The empty polygon stores nothing, as EMPTY is shared.
@@ -668,7 +674,7 @@ def lattice_size_sigma(delta: LatticePolygon) -> SizeCertificate:
     not proved, by the 13 moves of _checked_map. Reading the certificate's
     trace runs the size recursion, which must give the same value.
     """
-    return SizeCertificate(SIGMA, *_checked_map(delta, SIGMA), delta)
+    return SizeCertificate(SIGMA, *_checked_map(delta, SIGMA)[1:], delta)
 
 
 def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
@@ -680,7 +686,7 @@ def lattice_size_square(delta: LatticePolygon) -> SizeCertificate:
     Reading the certificate's trace runs the size recursion, which must give
     the same value.
     """
-    return SizeCertificate(SQUARE, *_checked_square(delta), delta)
+    return SizeCertificate(SQUARE, *_checked_square(delta)[1:], delta)
 
 
 def minimal_box(delta: LatticePolygon) -> BoxCertificate:
@@ -691,10 +697,10 @@ def minimal_box(delta: LatticePolygon) -> BoxCertificate:
     checked basis bound a' and b' from below: (a, b) is the least box, b
     the square size, and its witness the square one. Both are read off the
     checked square entry that lattice_size_square shares (_checked_square),
-    whose check is that of the minimal box: the witness maps delta onto
-    [0, a] x [0, b] exactly. Whichever of the two runs first builds and
-    checks it; the other reads it.
+    a with them, whose check is that of the minimal box: the witness maps
+    delta onto [0, a] x [0, b] exactly. Whichever of the two runs first
+    builds and checks it; the other reads it.
     """
     if delta.is_empty:
         raise EmptyPolygonError("minimal_box needs a non-empty polygon")
-    return BoxCertificate(_checked_basis(delta)[2], *_checked_square(delta))
+    return BoxCertificate(*_checked_square(delta))

@@ -12,7 +12,8 @@ directions, most often none, and the dot lists of short and long on the
 vertices, which the reduction moves with its rows from the x and y lists,
 so the witnesses and the oracle's frame read them instead of projecting
 the vertices again. A direction is measured by its least and largest dot,
-which _extremes takes in one pass over two dot lists, with no list built.
+which _line_width takes in one pass over two dot lists, with no list
+built, in one call per point measured.
 The Sigma witness in size.py takes the extremes it needs in one pass of
 its own over the entry's dot lists, and each check of a witness in one
 pass over the vertices (size._frame_extremes). No set of directions is
@@ -25,6 +26,7 @@ lattice_width against it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import EmptyPolygonError, InternalConsistencyError
@@ -103,11 +105,12 @@ def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, in
 _BasisEntry = tuple[Point, Point, int, tuple[int, int, int], tuple[int, ...], tuple[int, ...]]
 
 
-def _extremes(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, int]:
-    """The least and largest of a_i + k * b_i over the non-empty lists a and b, in one pass with no list built.
+def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
+    """Width of the functional r1 + k * r2, given the non-empty dot lists a of r1 and b of r2 on the vertices.
 
-    Its one caller is _line_width, which measures each pass point of the
-    reduction with it.
+    That is max - min of a_i + k * b_i, both taken in one pass over a and b
+    with no list built; the reduction measures each pass point with one
+    call of it.
     """
     lo = hi = a[0] + k * b[0]
     for s, t in zip(a, b):
@@ -116,12 +119,6 @@ def _extremes(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, int]:
             lo = d
         elif d > hi:
             hi = d
-    return lo, hi
-
-
-def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
-    """Width of the functional r1 + k * r2, given the dot lists a of r1 and b of r2 on the vertices."""
-    lo, hi = _extremes(a, b, k)
     return hi - lo
 
 
@@ -165,10 +162,12 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
 
     The vertices are projected once, onto (1, 0) and (0, 1): their x and y
     lists are the dot lists a of r1 and b of r2. A point k of a pass line
-    is measured as max - min of a_i + k * b_i (_line_width), both taken in
-    one pass over a and b (_extremes), so neither a direction tuple nor a
-    list of dots is built; a moves with r1 (a <- a + k * b), and the
-    lists swap when the rows swap. The final lists are the entry's dots, so
+    is measured as max - min of a_i + k * b_i by one call of _line_width,
+    bound to a and b for the pass (functools.partial), which takes both in
+    one pass over a and b, so neither a direction tuple nor a list of dots
+    is built; a moves with r1 (a <- a + k * b), and the lists swap when the
+    rows swap. The updates are plain loops, so no comprehension makes k a
+    closure cell. The final lists are the entry's dots, so
     its readers (size._basis_map, the frame of size.fit_into) project
     nothing.
 
@@ -190,14 +189,22 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
     seen = {0: w1}
     while True:
         if w1 < w2:
-            seen = {j: seen[j] for j in (-1, 1) if j in seen} | {0: w2}
+            carried, seen = seen, {0: w2}
+            for j in (-1, 1):
+                if j in carried:
+                    seen[j] = carried[j]
             r1, r2, w1, w2, a, b = r2, r1, w2, w1, b, a
-        k, fk = _min_convex(lambda k: _line_width(a, b, k), seen)
+        k, fk = _min_convex(partial(_line_width, a, b), seen)
         if fk >= w1:
             return r2, r1, w2, (seen[-1], w1, seen[1]), tuple(b), tuple(a)
         r1, w1 = (r1[0] + k * r2[0], r1[1] + k * r2[1]), fk
-        a = [s + k * t for s, t in zip(a, b)]
-        seen = {j - k: v for j, v in seen.items()}
+        # plain loops, as a comprehension would make k a closure cell
+        moved, a = a, []
+        for s, t in zip(moved, b):
+            a.append(s + k * t)
+        shifted, seen = seen, {}
+        for j, v in shifted.items():
+            seen[j - k] = v
 
 
 def _checked_basis(delta: LatticePolygon) -> _BasisEntry:

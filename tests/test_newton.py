@@ -244,8 +244,8 @@ def test_analyze_reads_s2_through_the_checked_sigma_size(monkeypatch):
     assert analyze(f).s2_bound == 5
 
     def one_more(delta, shape):
-        reach, phi = basis_map(delta, shape)
-        return reach + (shape == "sigma"), phi
+        w, reach, phi = basis_map(delta, shape)
+        return w, reach + (shape == "sigma"), phi
 
     monkeypatch.setattr(latsize.size, "_basis_map", one_more)
     with pytest.raises(InternalConsistencyError, match="witness reaches"):

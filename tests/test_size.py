@@ -389,8 +389,8 @@ def test_a_reach_one_too_large_fails_every_certificate(box3_census, heptagon, mo
     basis_map = latsize.size._basis_map
 
     def one_more(delta, shape):
-        reach, phi = basis_map(delta, shape)
-        return reach + 1, phi
+        w, reach, phi = basis_map(delta, shape)
+        return w, reach + 1, phi
 
     corpus = [hull([]), *_mutant_corpus(box3_census)]
     monkeypatch.setattr(latsize.size, "_basis_map", one_more)
@@ -427,8 +427,8 @@ def test_a_square_witness_that_is_no_minimal_box_fails_the_box_and_the_square(mu
     basis_map = latsize.size._basis_map
 
     def mutated(delta, shape):
-        reach, phi = basis_map(delta, shape)
-        return reach, mutant(phi) if shape == "square" else phi
+        w, reach, phi = basis_map(delta, shape)
+        return w, reach, mutant(phi) if shape == "square" else phi
 
     corpus = _mutant_corpus(box3_census)
     boxes = [minimal_box(hull(d.vertices)) for d in corpus]
@@ -507,7 +507,7 @@ def test_the_sigma_check_fails_exactly_where_a_neighbouring_frame_reaches_less(b
     passed = raised = 0
     for delta, frame, witness in frames:
         reach = _frame_reach(delta, frame)
-        monkeypatch.setattr(latsize.size, "_basis_map", lambda d, shape, r=reach, phi=witness: (r, phi))
+        monkeypatch.setattr(latsize.size, "_basis_map", lambda d, shape, r=reach, phi=witness: (None, r, phi))
         locally_least = all(_frame_reach(delta, moved) >= reach for moved in _neighbour_frames(frame))
         if locally_least:
             assert lattice_size_sigma(delta).value == reach == sizes[delta], (delta, frame)
@@ -544,13 +544,14 @@ def test_a_dropped_sign_choice_fails_the_default_sigma(dropped, box3_census, mon
     sizes = [lattice_size_sigma(delta).value for delta in corpus]
 
     def without_dropped(delta, shape):
-        return min(((reach, phi) for signs, reach, phi in _sign_choices(delta) if signs != dropped),
-                   key=lambda choice: choice[0])
+        w = _reduced_basis(delta)[2]
+        return min(((w, reach, phi) for signs, reach, phi in _sign_choices(delta) if signs != dropped),
+                   key=lambda choice: choice[1])
 
     monkeypatch.setattr(latsize.size, "_basis_map", without_dropped)
     wrong = 0
     for delta, size in zip(corpus, sizes):
-        if without_dropped(delta, "sigma")[0] == size:
+        if without_dropped(delta, "sigma")[1] == size:
             assert lattice_size_sigma(delta).value == size, delta
             continue
         wrong += 1
@@ -771,39 +772,48 @@ def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
     # a cold Sigma call makes two sweeps: the witness's one pass over the
     # entry's dot lists, and the check's one _frame_extremes call. Every
     # min and max call of size.py is on a tuple of reaches, none on a
-    # sweep, and width._extremes runs only under the reduction's
-    # _line_width; the square check is one _frame_extremes call too,
-    # which minimal_box shares
+    # sweep, and size.py calls nothing in width but the checked basis, so
+    # width._line_width runs only under the reduction's line search; the
+    # square check is one _frame_extremes call too, which minimal_box shares
     from latsize import width
 
-    frame_calls, least, largest, extremes_callers = [], [], [], []
-    frame_extremes, extremes = latsize.size._frame_extremes, width._extremes
+    frame_calls, least, largest, width_calls = [], [], [], set()
+    frame_extremes = latsize.size._frame_extremes
 
     def counting_frame(*args):
         frame_calls.append(args)
         return frame_extremes(*args)
 
-    def counting_extremes(a, b, k):
-        extremes_callers.append(sys._getframe(1).f_code.co_name)
-        return extremes(a, b, k)
+    def profile(frame, event, arg):
+        # each call into width.py, with its caller and the caller's caller
+        if event == "call" and frame.f_code.co_filename == width.__file__:
+            caller = frame.f_back
+            width_calls.add((caller.f_code.co_filename, caller.f_code.co_name, frame.f_code.co_name,
+                             caller.f_back.f_code.co_name))
 
     monkeypatch.setattr(latsize.size, "_frame_extremes", counting_frame)
     monkeypatch.setattr(latsize.size, "min", lambda *args: least.append(args) or min(*args), raising=False)
     monkeypatch.setattr(latsize.size, "max", lambda *args: largest.append(args) or max(*args), raising=False)
-    monkeypatch.setattr(width, "_extremes", counting_extremes)
-    assert "_extremes" not in vars(latsize.size)
     corpus = [hull(d.vertices) for d in box3_census] + [random_polygon(s, k) for k in (5, 40) for s in range(20)]
     for delta in corpus:
         for log in (frame_calls, least, largest):
             log.clear()
-        lattice_size_sigma(delta)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            lattice_size_sigma(delta)
+        finally:
+            sys.setprofile(previous)
         assert len(frame_calls) == 1 and frame_calls[0][0] is delta.vertices, delta
         assert [len(args[0]) for args in least] == [4, 7] and largest == [], delta
         frame_calls.clear()
         lattice_size_square(delta)
         minimal_box(delta)
         assert len(frame_calls) == 1, delta
-    assert extremes_callers and set(extremes_callers) == {"_line_width"}
+    from_size = {callee for path, _, callee, _ in width_calls if path == latsize.size.__file__}
+    line_callers = {(path, name, up) for path, name, callee, up in width_calls if callee == "_line_width"}
+    assert from_size == {"_checked_basis"}, from_size
+    assert line_callers == {(width.__file__, "_min_convex", "_gauss_reduce")}, line_callers
 
 
 # --- minimal boxes ----------------------------------------------------------

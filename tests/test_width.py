@@ -1,5 +1,6 @@
 """Lattice width: enumeration, recursion and their agreement."""
 
+import hashlib
 import sys
 import threading
 import time
@@ -28,7 +29,7 @@ from latsize import (
     width_along,
 )
 from latsize.size import _checked_map, _size_value
-from latsize.width import _extremes, _gauss_reduce, _line_width, _min_convex, _reduced_basis
+from latsize.width import _gauss_reduce, _line_width, _min_convex, _reduced_basis
 
 import line_search_reference
 from conftest import fibonacci_shear, weierstrass
@@ -339,7 +340,9 @@ def test_memoised_basis_is_the_fresh_reduction(box3_census):
         box_first = minimal_box(fresh)
         box_filled = fresh.__dict__["_square"]
         assert (lattice_size_sigma(fresh), lattice_size_square(fresh), box_first) == sigma_first, delta
-        assert square_filled == box_filled == _checked_map(fresh, "square") == sigma_first[1][1:3], delta
+        # the entry is the box (w, value, witness), the square size its value and witness
+        assert square_filled == box_filled == _checked_map(fresh, "square") == tuple(sigma_first[2]), delta
+        assert square_filled[1:] == sigma_first[1][1:3], delta
         assert fresh.__dict__["_square"] is box_filled, delta
 
 
@@ -462,6 +465,23 @@ def test_a_reduction_measures_each_direction_once(box3_census, line_points):
         assert measured and len(set(normalized)) == len(normalized), (image, measured)
 
 
+# sha256 over the dot list of every pass point that _gauss_reduce measures,
+# in order, on each polygon of _work_corpus. It pins which points the line
+# search measures, as _CHAIN_SHA256 in test_size.py pins what the chain
+# returns; it was taken with each pass point still measured through
+# width._extremes.
+_PASS_POINTS_SHA256 = "0600bcf9da3b776baa5df91616c80c81c0e8de3fd73ec44475c1892f0b4250be"
+
+
+def test_the_reduction_pass_points_are_pinned(box3_census, line_points):
+    digest = hashlib.sha256()
+    for image in _work_corpus(box3_census):
+        line_points.clear()
+        _gauss_reduce(image)
+        digest.update(repr(line_points).encode() + b"\n")
+    assert digest.hexdigest() == _PASS_POINTS_SHA256
+
+
 def test_warm_lattice_width_measures_at_most_four_directions(box3_census, measured):
     # the tie set of long + x * short for |x| <= 1 comes from the memo entry;
     # only long +- 2 * short and 2 * long +- short can be measured again
@@ -498,8 +518,8 @@ _DOT = st.integers(-2**40, 2**40)
 @example([(7, -3)], 5, 0)
 @example([(2**40, -2**40), (0, 0), (-1, 1)], 2**20, 1)
 @example([(2**40, -2**40), (0, 0), (-1, 1)], -2**20, -1)
-def test_extremes_are_the_min_and_max_of_the_dot_list(pairs, k, lift):
-    """One pass gives min(d) and max(d) of d = a + k * b, also when d[0] alone is the max or the min.
+def test_line_width_is_the_max_minus_min_of_the_dot_list(pairs, k, lift):
+    """One pass gives max(d) - min(d) of d = a + k * b, also when d[0] alone is the max or the min.
 
     lift moves the first pair by one more than the spread of d, up (1) or
     down (-1), so that its entry is the only largest or the only least.
@@ -511,7 +531,7 @@ def test_extremes_are_the_min_and_max_of_the_dot_list(pairs, k, lift):
         d[0] = a[0] + k * b[0]
         extreme = max(d) if lift > 0 else min(d)
         assert d[0] == extreme and d.count(extreme) == 1
-    assert _extremes(a, b, k) == _extremes(tuple(a), tuple(b), k) == (min(d), max(d))
+    assert _line_width(a, b, k) == _line_width(tuple(a), tuple(b), k) == max(d) - min(d)
 
 
 # A coercive piecewise-linear convex function: the max of affine pieces
