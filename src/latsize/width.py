@@ -11,9 +11,12 @@ final line, so a warm lattice_width measures at most four more
 directions, most often none, and the dot lists of short and long on the
 vertices, which the reduction moves with its rows from the x and y lists,
 so the witnesses and the oracle's frame read them instead of projecting
-the vertices again. A direction is measured by its least and largest dot,
-which _line_width takes in one pass over two dot lists, with no list
-built, in one call per point measured.
+the vertices again. The reduction measures a direction by its least and
+largest dot, with no list built: the first four, (1, 0), (0, 1), (1, -1)
+and (1, 1), in one sweep of the vertices (_frame_widths), and every later
+point of a pass line in one call of _line_width over two dot lists. A
+pass whose neighbours are no narrower than its row stops there, so a
+polygon given in a reduced frame costs one sweep and no line search.
 The Sigma witness in size.py takes the extremes it needs in one pass of
 its own over the entry's dot lists, and each check of a witness in one
 pass over the vertices (size._frame_extremes). No set of directions is
@@ -109,8 +112,8 @@ def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
     """Width of the functional r1 + k * r2, given the non-empty dot lists a of r1 and b of r2 on the vertices.
 
     That is max - min of a_i + k * b_i, both taken in one pass over a and b
-    with no list built; the reduction measures each pass point with one
-    call of it.
+    with no list built; the reduction measures each pass point beyond its
+    first sweep (_frame_widths) with one call of it.
     """
     lo = hi = a[0] + k * b[0]
     for s, t in zip(a, b):
@@ -142,6 +145,32 @@ def _reduced_basis(delta: LatticePolygon) -> _BasisEntry:
     return entry
 
 
+def _frame_widths(vertices: Sequence[Point]) -> tuple[int, int, int, int]:
+    """The widths of the non-empty vertices along (1, 0), (0, 1), (1, -1) and (1, 1), in that order.
+
+    That is max - min of x, y, x - y and x + y, all four taken in one pass
+    over the vertices that starts from the first one, with no list built:
+    the first pass of _gauss_reduce reads its f(0), its other row's width
+    and both neighbours f(-1) and f(1) off one call.
+    """
+    x, y = vertices[0]
+    lo_x = hi_x = x
+    lo_y = hi_y = y
+    lo_d = hi_d = x - y
+    lo_s = hi_s = x + y
+    for x, y in vertices[1:]:
+        if x < lo_x: lo_x = x
+        elif x > hi_x: hi_x = x
+        if y < lo_y: lo_y = y
+        elif y > hi_y: hi_y = y
+        d, s = x - y, x + y
+        if d < lo_d: lo_d = d
+        elif d > hi_d: hi_d = d
+        if s < lo_s: lo_s = s
+        elif s > hi_s: hi_s = s
+    return hi_x - lo_x, hi_y - lo_y, hi_d - lo_d, hi_s - lo_s
+
+
 def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
     """A Gauss-reduced basis (short, long) of the width norm of delta, its widths and dot lists.
 
@@ -155,38 +184,49 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
     least second width of a basis. For a segment the widths are
     (0, its lattice length), for a point (0, 0).
 
-    Each pass replaces the longer row r1 by r1 + k * r2 when that is
-    strictly narrower, and stops otherwise. The sum of the two widths is a
-    non-negative integer that strictly decreases with every pass that does
-    not stop, so the loop ends; no pass cap is needed.
+    Each pass, along the line r1 + j * r2 of the longer row r1, replaces r1
+    by r1 + k * r2 when that is strictly narrower, and stops otherwise. The
+    sum of the two widths is a non-negative integer that strictly decreases
+    with every pass that does not stop, so the loop ends; no pass cap is
+    needed.
+
+    A pass first holds both neighbours f(-1) and f(1) of f(0) = f(r1). The
+    first pass, along (1, 0) + j * (0, 1) or (0, 1) + j * (1, 0), takes them
+    with both row widths in one sweep of the vertices (_frame_widths), as
+    the widths along (1, -1) and (1, 1). Every later pass has at least one
+    carried in (see below) and measures only a missing one. f is convex
+    along the line, as the max over pairs of vertices of an affine function
+    of j, so when neither neighbour is below f(0), f(0) is the least width
+    on the line: the pass stops without a search, with the entry that the
+    search would give. Only a pass that moves r1 runs the line search
+    _min_convex, whose argmin k is then not 0 and f(k) < f(0).
 
     The vertices are projected once, onto (1, 0) and (0, 1): their x and y
     lists are the dot lists a of r1 and b of r2. A point k of a pass line
     is measured as max - min of a_i + k * b_i by one call of _line_width,
-    bound to a and b for the pass (functools.partial), which takes both in
-    one pass over a and b, so neither a direction tuple nor a list of dots
-    is built; a moves with r1 (a <- a + k * b), and the lists swap when the
-    rows swap. The updates are plain loops, so no comprehension makes k a
-    closure cell. The final lists are the entry's dots, so
-    its readers (size._basis_map, the frame of size.fit_into) project
-    nothing.
+    bound to a and b for the search (functools.partial), which takes both
+    in one pass over a and b, so neither a direction tuple nor a list of
+    dots is built; a moves with r1 (a <- a + k * b), and the lists swap
+    when the rows swap. The updates are plain loops, so no comprehension
+    makes k a closure cell. The final lists are the entry's dots, so its
+    readers (size._basis_map, the frame of size.fit_into) project nothing.
 
     No width is measured twice. The widths along the line r1 + j * r2 of a
     pass are kept in a dict, seen, that _min_convex reads and fills. When
-    r1 moves to r1 + k * r2, the line stays and seen is shifted by k. When
-    the rows swap, the new line r2 + j * r1 meets the old one at
-    j = +-1 (r2 +- r1 = +-(r1 +- r2), of the same width), so those two
-    widths carry over. The final pass, along long + j * short, finds
-    f(long) <= f(long + short), so seen then holds j = -1, 0 and 1, and the
-    entry keeps those widths: lattice_width reads its tie set from them,
+    r1 moves to r1 + k * r2, the line stays and seen is shifted by k, which
+    keeps f(k + 1) of the search as a neighbour. When the rows swap, the new
+    line r2 + j * r1 meets the old one at j = +-1 (r2 +- r1 = +-(r1 +- r2),
+    of the same width), so those two widths carry over. The final pass,
+    along long + j * short, finds f(long) <= f(long +- short), and the entry
+    keeps those three widths: lattice_width reads its tie set from them,
     and the square size its reach f(long).
     """
     if delta.is_empty:
         raise EmptyPolygonError("width of the empty polygon is undefined")
     r1, r2 = (1, 0), (0, 1)
     a, b = zip(*delta.vertices)
-    w1, w2 = max(a) - min(a), max(b) - min(b)
-    seen = {0: w1}
+    w1, w2, f_minus, f_plus = _frame_widths(delta.vertices)
+    seen = {0: w1, -1: f_minus, 1: f_plus}
     while True:
         if w1 < w2:
             carried, seen = seen, {0: w2}
@@ -194,10 +234,15 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
                 if j in carried:
                     seen[j] = carried[j]
             r1, r2, w1, w2, a, b = r2, r1, w2, w1, b, a
-        k, fk = _min_convex(partial(_line_width, a, b), seen)
-        if fk >= w1:
-            return r2, r1, w2, (seen[-1], w1, seen[1]), tuple(b), tuple(a)
-        r1, w1 = (r1[0] + k * r2[0], r1[1] + k * r2[1]), fk
+        f_minus, f_plus = seen.get(-1), seen.get(1)
+        if f_minus is None:
+            f_minus = seen[-1] = _line_width(a, b, -1)
+        if f_plus is None:
+            f_plus = seen[1] = _line_width(a, b, 1)
+        if f_minus >= w1 and f_plus >= w1:
+            return r2, r1, w2, (f_minus, w1, f_plus), tuple(b), tuple(a)
+        k, w1 = _min_convex(partial(_line_width, a, b), seen)
+        r1 = (r1[0] + k * r2[0], r1[1] + k * r2[1])
         # plain loops, as a comprehension would make k a closure cell
         moved, a = a, []
         for s, t in zip(moved, b):
@@ -255,7 +300,9 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
     other four are measured, and only where they can tie:
     long +- 2 * short if long +- short ties (K is an interval around 0),
     and 2 * long +- short if long and long +- short both tie (the second
-    point). When +-short is the only optimal direction, nothing is measured.
+    point). When +-short is the only optimal direction (f(long) > w),
+    nothing is measured, and the lone direction is returned without a tie
+    list built or sorted.
 
     A segment reads the basis too: short is its one normal, of width 0,
     and f(long) its lattice length, never 0 = w, so +-short is its one
@@ -267,14 +314,14 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
     if delta.is_point:
         return WidthResult(0, ((0, 1), (1, 0)))
     short, long, w, (f_minus, f_long, f_plus), _, _ = _checked_basis(delta)
-    dirs = [short]
-    if f_long == w:
-        dirs.append(long)
-        for x, fx in ((-1, f_minus), (1, f_plus)):
-            if fx == w:
-                a = (long[0] + x * short[0], long[1] + x * short[1])
-                dirs.append(a)
-                further = ((a[0] + x * short[0], a[1] + x * short[1]), (a[0] + long[0], a[1] + long[1]))
-                dirs.extend(u for u in further if width_along(delta, u) == w)
+    if f_long > w:
+        return WidthResult(w, (_normalize_direction(short),))
+    dirs = [short, long]
+    for x, fx in ((-1, f_minus), (1, f_plus)):
+        if fx == w:
+            a = (long[0] + x * short[0], long[1] + x * short[1])
+            dirs.append(a)
+            further = ((a[0] + x * short[0], a[1] + x * short[1]), (a[0] + long[0], a[1] + long[1]))
+            dirs.extend(u for u in further if width_along(delta, u) == w)
     dirs = sorted(map(_normalize_direction, dirs), key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]))
     return WidthResult(w, tuple(dirs))

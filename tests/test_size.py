@@ -773,8 +773,9 @@ def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
     # entry's dot lists, and the check's one _frame_extremes call. Every
     # min and max call of size.py is on a tuple of reaches, none on a
     # sweep, and size.py calls nothing in width but the checked basis, so
-    # width._line_width runs only under the reduction's line search; the
-    # square check is one _frame_extremes call too, which minimal_box shares
+    # width._line_width runs only inside the reduction: for a pass's missing
+    # neighbour and under its line search; the square check is one
+    # _frame_extremes call too, which minimal_box shares
     from latsize import width
 
     frame_calls, least, largest, width_calls = [], [], [], set()
@@ -813,7 +814,8 @@ def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
     from_size = {callee for path, _, callee, _ in width_calls if path == latsize.size.__file__}
     line_callers = {(path, name, up) for path, name, callee, up in width_calls if callee == "_line_width"}
     assert from_size == {"_checked_basis"}, from_size
-    assert line_callers == {(width.__file__, "_min_convex", "_gauss_reduce")}, line_callers
+    assert line_callers == {(width.__file__, "_min_convex", "_gauss_reduce"),
+                            (width.__file__, "_gauss_reduce", "_reduced_basis")}, line_callers
 
 
 # --- minimal boxes ----------------------------------------------------------

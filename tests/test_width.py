@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsize import (
+    AffineUnimodularMap,
     EmptyPolygonError,
     analyze,
     apply_map,
@@ -29,7 +30,7 @@ from latsize import (
     width_along,
 )
 from latsize.size import _checked_map, _size_value
-from latsize.width import _gauss_reduce, _line_width, _min_convex, _reduced_basis
+from latsize.width import _frame_widths, _gauss_reduce, _line_width, _min_convex, _reduced_basis
 
 import line_search_reference
 from conftest import fibonacci_shear, weierstrass
@@ -413,9 +414,19 @@ def measured(monkeypatch):
     return log
 
 
+# The directions whose widths width._frame_widths takes, in its order.
+_FRAME_DIRECTIONS = ((1, 0), (0, 1), (1, -1), (1, 1))
+
+
 @pytest.fixture
 def line_points(monkeypatch):
-    """The dot list of every point of a pass line that a reduction measures while the fixture is active, in order."""
+    """The dot list of every direction that a reduction measures while the fixture is active, in order.
+
+    The first pass's sweep (_frame_widths) logs its four directions, the
+    rows and both neighbours of the first line, so a reduction that starts
+    at a reduced frame logs them too; every later point comes through
+    _line_width.
+    """
     from latsize import width
 
     log = []
@@ -424,7 +435,12 @@ def line_points(monkeypatch):
         log.append(tuple(s + k * t for s, t in zip(a, b)))
         return _line_width(a, b, k)
 
+    def sweeping(vertices):
+        log.extend(tuple(u[0] * x + u[1] * y for x, y in vertices) for u in _FRAME_DIRECTIONS)
+        return _frame_widths(vertices)
+
     monkeypatch.setattr(width, "_line_width", counting)
+    monkeypatch.setattr(width, "_frame_widths", sweeping)
     return log
 
 
@@ -465,12 +481,12 @@ def test_a_reduction_measures_each_direction_once(box3_census, line_points):
         assert measured and len(set(normalized)) == len(normalized), (image, measured)
 
 
-# sha256 over the dot list of every pass point that _gauss_reduce measures,
-# in order, on each polygon of _work_corpus. It pins which points the line
-# search measures, as _CHAIN_SHA256 in test_size.py pins what the chain
-# returns; it was taken with each pass point still measured through
-# width._extremes.
-_PASS_POINTS_SHA256 = "0600bcf9da3b776baa5df91616c80c81c0e8de3fd73ec44475c1892f0b4250be"
+# sha256 over the dot list of every direction that _gauss_reduce measures
+# (line_points), in order, on each polygon of _work_corpus. It pins which
+# points the passes measure, as _CHAIN_SHA256 in test_size.py pins what the
+# chain returns; it was taken with the first pass's four widths taken in one
+# sweep and a pass that stops measuring no point beyond its two neighbours.
+_PASS_POINTS_SHA256 = "a08468ca2de225f7ca4e6fc220ed2216b32187b24cac67ebcdbfe82748183d79"
 
 
 def test_the_reduction_pass_points_are_pinned(box3_census, line_points):
@@ -480,6 +496,44 @@ def test_the_reduction_pass_points_are_pinned(box3_census, line_points):
         _gauss_reduce(image)
         digest.update(repr(line_points).encode() + b"\n")
     assert digest.hexdigest() == _PASS_POINTS_SHA256
+
+
+# The 8 symmetries of the square lattice, as (m11, m12, m21, m22).
+_SQUARE_SYMMETRIES = tuple(m for a in (1, -1) for b in (1, -1) for m in ((a, 0, 0, b), (0, a, b, 0)))
+
+
+def test_every_line_search_moves_a_row(box3_census, monkeypatch):
+    # a pass whose neighbours f(-1) and f(1) are no narrower than f(0)
+    # stops without a search, so every search of a cold reduction returns a
+    # point narrower than the row it moves, and a polygon given in a
+    # reduced frame, under any symmetry of the square lattice, runs none
+    from latsize import width
+
+    searches = []
+
+    def logged(f, known):
+        f0 = known[0]
+        k, fk = _min_convex(f, known)
+        searches.append((f0, k, fk))
+        return k, fk
+
+    monkeypatch.setattr(width, "_min_convex", logged)
+    symmetries = [AffineUnimodularMap(*m, 0, 0) for m in _SQUARE_SYMMETRIES]
+    corpus = _work_corpus(box3_census)
+    corpus += [apply_map(phi, random_polygon(s, k)) for k in (40, 80, 160) for s in range(20) for phi in symmetries]
+    total = searched = 0
+    for delta in corpus:
+        searches.clear()
+        _gauss_reduce(delta)
+        assert all(fk < f0 for f0, _, fk in searches), (delta, searches)
+        total += len(searches)
+        searched += bool(searches)
+    assert total > len(corpus) and 0 < searched < len(corpus)
+    for delta in (standard_triangle(5), rectangle(2, 5), hull([(0, 0), (7, 0), (0, 2)])):
+        for phi in symmetries:
+            searches.clear()
+            _gauss_reduce(apply_map(phi, delta))
+            assert searches == [], (delta, phi)
 
 
 def test_warm_lattice_width_measures_at_most_four_directions(box3_census, measured):
@@ -534,6 +588,37 @@ def test_line_width_is_the_max_minus_min_of_the_dot_list(pairs, k, lift):
     assert _line_width(a, b, k) == _line_width(tuple(a), tuple(b), k) == max(d) - min(d)
 
 
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.tuples(_DOT, _DOT), min_size=1, max_size=40),
+       st.none() | st.tuples(st.integers(0, 3), st.sampled_from([1, -1])))
+@example([(7, -3)], None)
+@example([(5, 0), (0, 0), (1, 1), (-1, 2)], (0, 1))
+@example([(0, -5), (0, 0), (1, 1), (-1, 2)], (1, -1))
+@example([(2**40, -2**40), (0, 0), (-1, 1)], (2, 1))
+@example([(2**40, 2**40), (0, 0), (-1, 1)], (3, -1))
+def test_frame_widths_are_the_max_minus_min_of_each_form(vertices, lift):
+    """One pass gives max - min of x, y, x - y and x + y, also when the first vertex alone is an extreme.
+
+    lift = (i, sign) moves the first vertex along x, or along y for the
+    form y, by one more than the spread of the form i, so that its value
+    there is the only largest (sign 1) or the only least (sign -1).
+    """
+    def form_lists(vs):
+        return [[a * x + b * y for x, y in vs] for a, b in _FRAME_DIRECTIONS]
+
+    if lift is not None:
+        i, sign = lift
+        vals = form_lists(vertices)[i]
+        step = (max(vals) - min(vals) + 1) * sign
+        x, y = vertices[0]
+        vertices = [(x + step, y) if _FRAME_DIRECTIONS[i][0] else (x, y + step), *vertices[1:]]
+        vals = form_lists(vertices)[i]
+        extreme = max(vals) if sign > 0 else min(vals)
+        assert vals[0] == extreme and vals.count(extreme) == 1
+    want = tuple(max(vals) - min(vals) for vals in form_lists(vertices))
+    assert _frame_widths(vertices) == _frame_widths(tuple(vertices)) == want
+
+
 # A coercive piecewise-linear convex function: the max of affine pieces
 # a * (k - c) + b, with a falling and a rising piece, a flat one sometimes,
 # so the minimum may be a plateau of several points.
@@ -549,9 +634,9 @@ _PIECES = st.tuples(
 def test_min_convex_matches_the_line_search_reference(pieces, carried):
     """The one gallop evaluates the points of the mirrored gallops, in their order, and leaves the same known.
 
-    known is seeded with f(0), as the first pass of a reduction, or also
-    with the widths at -1 and 1 that a pass carries over from the one
-    before; _gauss_reduce reads f(-1), f(0) and f(1) from the final known.
+    known is seeded with f(0), or also with the widths at -1 and 1 that
+    a pass holds before its search; _gauss_reduce then reads the argmin
+    and keeps the final known for its next pass.
     """
     extra, down, up, b_down, b_up, c = pieces
     lines = [*extra, (down, b_down), (up, b_up)]
