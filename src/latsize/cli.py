@@ -14,10 +14,11 @@ reach the value, and no frame next to the Sigma witness may reach less, a
 lower bound that is tested, not proved. square and box share one witness,
 checked as the minimal box: it maps the polygon onto [0, width] x [0, value]
 exactly. The square value is the second successive minimum of the width,
-which the one read of the basis behind each certificate checks; the box
-takes the width from the checked square entry. --trace and --verify read
-the certificate's trace, which runs the size recursion and exits 4 unless
-its value agrees; --verify also asks the oracle.
+as the reduced basis is checked once per polygon, before it is kept
+(width._checked_basis); the box takes the width from the checked square
+entry. --trace and --verify read the certificate's trace, which runs the
+size recursion and exits 4 unless its value agrees; --verify also asks the
+oracle.
 
 Every call is a fresh process, so each handler imports the width, size,
 interior and oracle names it runs, and a process compiles only those

@@ -79,18 +79,24 @@ def _undecided_columns(delta: LatticePolygon) -> Iterator[int]:
     yield from range(x, max(v[0] for v in vs))
 
 
-def _uniform_shift(delta: LatticePolygon) -> Optional[tuple[Point, ...]]:
-    """The moves e_i of the vertices of delta onto {a*x + b*y <= c - 1}, if that has delta's shape.
+def _uniform_shift(delta: LatticePolygon) -> Optional[tuple[tuple[Point, ...], int]]:
+    """(moves, count) if {a*x + b*y <= c - 1} has delta's shape: the moves e_i of its vertices and the run length.
 
     Vertex i moves to the intersection of the shifted lines of the edges
-    i - 1 and i. Returns None, within one pass over the edges, as soon as a
-    move is not integral or an edge does not keep a positive length along
-    its own direction.
+    i - 1 and i. count is the number of skins in the run of uniform peels
+    that starts at delta: 1 + min((L_i - 1) // delta_i) over the edges with
+    delta_i > 0, for L_i the lattice length of edge i and delta_i how much
+    one move shortens it (see interior_hull). Returns None, within one pass
+    over the edges, as soon as a move is not integral or an edge does not
+    keep a positive length (L_i <= delta_i). The pass walks the closed
+    boundary v_0, ..., v_{n-1}, v_0, so it takes the closing edge like the
+    others, at the move of its end vertex.
     """
-    cons = delta.edge_constraints
+    vs, cons = delta.vertices, delta.edge_constraints
     a0, b0, _ = cons[-1]
     moves: list[Point] = []
-    for (x, y), (a1, b1, _) in zip(delta.vertices, cons):
+    least = None
+    for (x, y), (a1, b1, _) in zip(vs + vs[:1], cons + cons[:1]):
         # (ex, ey) / det solves a0*x + b0*y = -1 and a1*x + b1*y = -1
         det = a0 * b1 - b0 * a1
         ex, ey = b0 - b1, a1 - a0
@@ -98,35 +104,21 @@ def _uniform_shift(delta: LatticePolygon) -> Optional[tuple[Point, ...]]:
             return None
         ex //= det
         ey //= det
-        # the edge from the previous vertex runs along (-b0, a0) and must keep a positive length
-        if moves and a0 * (y + ey - py) - b0 * (x + ex - px) <= 0:
-            return None
+        if moves:
+            # the edge from the previous vertex, L * (-b0, a0), and its fall under the moves
+            if b0:
+                length, fall = (px - x) // b0, (ex - pex) // b0
+            else:
+                length, fall = (y - py) // a0, (pey - ey) // a0
+            if length <= fall:
+                return None
+            if fall > 0 and (least is None or (length - 1) // fall < least):
+                least = (length - 1) // fall
         moves.append((ex, ey))
-        px, py = x + ex, y + ey
+        px, py, pex, pey = x, y, ex, ey
         a0, b0 = a1, b1
-    # the closing edge, from the last moved vertex to the first
-    (x, y), (ex, ey) = delta.vertices[0], moves[0]
-    if a0 * (y + ey - py) - b0 * (x + ex - px) <= 0:
-        return None
-    return tuple(moves)
-
-
-def _edge_falls(delta: LatticePolygon, shift: tuple[Point, ...]) -> Iterator[tuple[int, int]]:
-    """(L_i, delta_i) per edge i of delta: its lattice length and how much one move by shift shortens it.
-
-    Edge i runs from vertex i to vertex i + 1 along the primitive direction
-    (-b_i, a_i); both its vector and shift[i] - shift[i + 1] are multiples of it.
-    """
-    vs = delta.vertices
-    n = len(vs)
-    for i, (a, b, _) in enumerate(delta.edge_constraints):
-        j = i + 1 if i + 1 < n else 0
-        (x0, y0), (x1, y1) = vs[i], vs[j]
-        (s0, t0), (s1, t1) = shift[i], shift[j]
-        if b:
-            yield (x0 - x1) // b, (s1 - s0) // b
-        else:
-            yield (y1 - y0) // a, (t0 - t1) // a
+    moves.pop()
+    return tuple(moves), 1 + least
 
 
 def _moved(delta: LatticePolygon, shift: tuple[Point, ...], t: int) -> LatticePolygon:
@@ -166,9 +158,10 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     solves a*x + b*y = -1 for the edges i - 1 and i, so it depends on the
     edge normals alone. Both e_i and e_{i+1} lie on the line
     a_i*x + b_i*y = -1, so e_i - e_{i+1} = delta_i * d_i for the primitive
-    direction d_i = (-b_i, a_i) and an integer delta_i (_edge_falls). Let
-    L_i be the lattice length of edge i and P_t the polygon with vertices
-    v_i + t*e_i, so that edge i of P_t is (L_i - t*delta_i) * d_i.
+    direction d_i = (-b_i, a_i) and an integer delta_i. Let L_i be the
+    lattice length of edge i and P_t the polygon with vertices v_i + t*e_i,
+    so that edge i of P_t is (L_i - t*delta_i) * d_i; the uniform-shift
+    test is L_i > delta_i for every i.
     Lemma: if every e_i is integral, then P_{t+1} is the interior hull of
     P_t for every t < m, m = min over the edges with delta_i > 0 of
     floor((L_i - 1) / delta_i); the peel of P_m is not uniform. So a run
@@ -191,7 +184,9 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     what onion_skins, and through it the recursions, use: one O(edges)
     step per run of uniform peels, with the uniform-shift test on its first
     skin and the column scan on its last, whose peel the lemma shows is not
-    uniform, so no skin is tested twice.
+    uniform, so no skin is tested twice. The test (_uniform_shift) takes
+    every L_i and delta_i in its one pass over the edges, so it gives m as
+    well as the moves; interior_hull reads only the moves.
 
     On other input the interior hull comes from the column scan
     (_column_hull): one pass over the columns that the faces on long edges
@@ -201,9 +196,9 @@ def interior_hull(delta: LatticePolygon) -> LatticePolygon:
     """
     if not delta.is_two_dim:
         return EMPTY
-    moves = _uniform_shift(delta)
-    if moves is not None:
-        return _moved(delta, moves, 1)
+    uniform = _uniform_shift(delta)
+    if uniform is not None:
+        return _moved(delta, uniform[0], 1)
     return _column_hull(delta)
 
 
@@ -291,8 +286,9 @@ def onion_skins(delta: LatticePolygon) -> OnionTrace:
     A skin whose peel is uniform starts a run of count = 1 + m skins, with m
     the minimum of floor((L_i - 1) / delta_i) over the edges with
     delta_i > 0 (see interior_hull); edges with delta_i <= 0 never vanish.
-    Each two-dimensional run costs one uniform-shift test, on its first
-    skin, plus one column scan (_column_hull): on that skin if its peel is
+    Each two-dimensional run costs one uniform-shift test (_uniform_shift),
+    on its first skin, which gives the moves and count in one walk of its
+    edges, plus one column scan (_column_hull): on that skin if its peel is
     not uniform, else on the last skin of the run, whose peel the run lemma
     shows is not uniform, so it is not tested again. A point or segment is
     the last skin, in a run of its own.
@@ -302,12 +298,12 @@ def onion_skins(delta: LatticePolygon) -> OnionTrace:
     runs: list[_Run] = []
     skin = delta
     while skin.is_two_dim:
-        shift = _uniform_shift(skin)
-        if shift is None:
+        uniform = _uniform_shift(skin)
+        if uniform is None:
             runs.append((skin, (), 1))
             skin = _column_hull(skin)
         else:
-            count = 1 + min((length - 1) // fall for length, fall in _edge_falls(skin, shift) if fall > 0)
+            shift, count = uniform
             runs.append((skin, shift, count))
             skin = _column_hull(_moved(skin, shift, count - 1))
     if not skin.is_empty:

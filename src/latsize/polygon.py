@@ -17,9 +17,9 @@ those of width, size, interior, newton, oracle and cli) are
 typing.NamedTuples, so they unpack and compare equal to a tuple of the same
 fields. LatticePolygon and AffineUnimodularMap are slotted, immutable
 classes instead (_Frozen): a polygon keeps what is derived from it (area2,
-edge_constraints, the reduced basis of width._reduced_basis and the checked
-square certificate of size._checked_square) in its instance dict, and a map
-checks its determinant however it is built.
+edge_constraints, the checked reduced basis of width._checked_basis and
+the checked square certificate of size._checked_square) in its instance
+dict, and a map checks its determinant however it is built.
 """
 
 from __future__ import annotations
@@ -99,14 +99,15 @@ class LatticePolygon(_Frozen):
     lexicographically smallest vertex. Build instances through :func:`hull`.
 
     A polygon keeps area2, edge_constraints, the reduced basis of its
-    width norm (under "_basis", see width._reduced_basis) and its checked
-    square size with its witness, which the minimal box shares (under
-    "_square", see size._checked_square), in its instance dict. So it is a
-    slotted, immutable class rather than a tuple: equal and hashed by class
-    and vertices only, never equal to a plain tuple, and unchangeable once
-    built. Each entry is a function of the vertices alone and is stored
-    whole by one assignment, so threads that fill it at once store equal
-    values, and a polygon is safe to share.
+    width norm (under "_basis", see width._checked_basis) and its square
+    size with its witness, which the minimal box shares (under "_square",
+    see size._checked_square), in its instance dict; both are checked
+    before they are stored. So it is a slotted, immutable class rather than
+    a tuple: equal and hashed by class and vertices only, never equal to a
+    plain tuple, and unchangeable once built. Each entry is a function of
+    the vertices alone and is stored whole by one assignment, so threads
+    that fill it at once store equal values, and a polygon is safe to
+    share.
     """
 
     __slots__ = ("vertices", "__dict__")

@@ -50,17 +50,16 @@ Each size comes by three independent routes:
   body; the search, not the basis, picks the rows.
 
 The lattice width and its optimal directions come from the same basis (see
-width.lattice_width), which each polygon keeps once reduced
-(width._reduced_basis). The width, each witness build and the oracle's
-frame read it once each, every time through its check
-(width._checked_basis); the box reads no basis, but the checked square
+width.lattice_width), which each polygon keeps once reduced and checked
+(width._checked_basis). The width, each witness build and the oracle's
+frame read it once each; the box reads no basis, but the checked square
 entry, which keeps the width beside the square value and witness. So the
 width, both sizes, their witnesses, the box and the oracle's frame share
-one reduction per polygon, and the square size and the box one checked
-witness. The entry holds no skins, so no default width, size or box call
-peels. The chain is not kept: each trace, --verify run and width
-recursion peels anew. No module keeps a cache; what is derived from a
-polygon is kept on it (see polygon.LatticePolygon).
+one reduction and one check per polygon, and the square size and the box
+one checked witness. The entry holds no skins, so no default width, size
+or box call peels. The chain is not kept: each trace, --verify run and
+width recursion peels anew. No module keeps a cache; what is derived from
+a polygon is kept on it (see polygon.LatticePolygon).
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from .polygon import (
     integral_length,
     recognize_special,
 )
-from .width import _checked_basis, _min_convex
+from .width import _checked_basis, _min_convex, _pair_extremes
 
 SIGMA = "sigma"
 SQUARE = "square"
@@ -390,7 +389,7 @@ def fit_into(
     A row of a witness has width at most b, the larger side of the target,
     so the candidate rows are the primitive lattice points of the width
     body {u : f(u) <= b}, f the width norm. They are listed row by row in
-    the frame of the reduced basis (short, long, w) of width._reduced_basis,
+    the frame of the reduced basis (short, long, w) of width._checked_basis,
     as u = y * long + x * short with y >= 0, and each is taken with -u:
 
     - Row y = 0 holds +-short only.
@@ -405,10 +404,10 @@ def fit_into(
 
     That bound needs only w <= f(long) <= f(long +- short), by convexity
     along the line long + t * short, and width._checked_basis raises
-    InternalConsistencyError on a basis that breaks them rather than let a
-    row drop. The basis thus gives the frame and the row bound, while the
-    search over the width body, not the basis, picks the rows, so
-    "recursion == oracle" still compares two routes.
+    InternalConsistencyError on a basis that breaks them, before it keeps
+    it, rather than let a row drop. The basis thus gives the frame and the
+    row bound, while the search over the width body, not the basis, picks
+    the rows, so "recursion == oracle" still compares two routes.
 
     This is the oracle, the feasibility core of oracle_size and oracle_box;
     no certificate calls it. The pairs of candidates cost up to the square
@@ -550,26 +549,15 @@ def _basis_map(delta: LatticePolygon, shape: str) -> tuple[int, int, AffineUnimo
     the four sign choices read their reaches off the extremes of the two
     lists and of their sums and differences, into one tuple in the order of
     _SIGNS, and the first least reach wins (reaches.index(min(reaches))).
-    All eight extremes come from one pass over the two lists, with no list
-    built.
+    All eight extremes come from one call of width._pair_extremes over the
+    pairs of the two lists, the sweep that also starts the reduction.
     """
     if delta.is_empty:
         return -1, _BASE[shape], AffineUnimodularMap.identity()
     short, long, w, (_, b, _), dots1, dots2 = _checked_basis(delta)
     if shape == SQUARE:
         return w, b, AffineUnimodularMap(*short, *long, -min(dots1), -min(dots2))
-    lo1, lo2 = hi1, hi2 = dots1[0], dots2[0]
-    lo_sum, lo_diff = hi_sum, hi_diff = lo1 + lo2, lo1 - lo2
-    for x, y in zip(dots1, dots2):
-        if x < lo1: lo1 = x
-        elif x > hi1: hi1 = x
-        if y < lo2: lo2 = y
-        elif y > hi2: hi2 = y
-        s, d = x + y, x - y
-        if s < lo_sum: lo_sum = s
-        elif s > hi_sum: hi_sum = s
-        if d < lo_diff: lo_diff = d
-        elif d > hi_diff: hi_diff = d
+    lo1, hi1, lo2, hi2, lo_diff, hi_diff, lo_sum, hi_sum = _pair_extremes(zip(dots1, dots2))
     # the reaches of (s1 * short, s2 * long), (s1, s2) in the order of _SIGNS
     reaches = (hi_sum - lo1 - lo2, hi_diff - lo1 + hi2, hi1 - lo_diff - lo2, hi1 + hi2 - lo_sum)
     reach = min(reaches)
@@ -654,7 +642,7 @@ def _checked_square(delta: LatticePolygon) -> tuple[int, int, AffineUnimodularMa
     witness is built and checked once, however many of them run and in
     whichever order; the box is the entry itself, with w read off the
     checked basis when the entry was built. The entry sits beside "_basis"
-    (see width._reduced_basis) and is stored the same way: whole, by one dict
+    (see width._checked_basis) and is stored the same way: whole, by one dict
     assignment, and only once checked, so a reader finds no entry or a
     checked one, and two threads that fill it at once store equal values.
     The empty polygon stores nothing, as EMPTY is shared.

@@ -1,25 +1,25 @@
 """Lattice width from the Gauss-reduced basis of the width norm.
 
 lattice_width reads the width and every optimal direction of a segment or
-a polygon off the reduced basis (_reduced_basis), which also gives both
+a polygon off the reduced basis (_checked_basis), which also gives both
 lattice sizes and their witnesses (see size._basis_map) and the coordinate
-frame of the oracle size.fit_into. The basis is kept on its polygon, in
-the instance dict beside area2 and edge_constraints, so these readers
-share one reduction per polygon; it holds no onion skins, so none of them
-peels. The entry also keeps the widths the reduction measured along its
-final line, so a warm lattice_width measures at most four more
-directions, most often none, and the dot lists of short and long on the
-vertices, which the reduction moves with its rows from the x and y lists,
-so the witnesses and the oracle's frame read them instead of projecting
-the vertices again. The reduction measures a direction by its least and
-largest dot, with no list built: the first four, (1, 0), (0, 1), (1, -1)
-and (1, 1), in one sweep of the vertices (_frame_widths), and every later
-point of a pass line in one call of _line_width over two dot lists. A
-pass whose neighbours are no narrower than its row stops there, so a
-polygon given in a reduced frame costs one sweep and no line search.
-The Sigma witness in size.py takes the extremes it needs in one pass of
-its own over the entry's dot lists, and each check of a witness in one
-pass over the vertices (size._frame_extremes). No set of directions is
+frame of the oracle size.fit_into. The basis is checked once and then kept
+on its polygon, in the instance dict beside area2 and edge_constraints, so
+these readers share one reduction and one check per polygon; it holds no
+onion skins, so none of them peels. The entry also keeps the widths the
+reduction measured along its final line, so a warm lattice_width measures
+at most four more directions, most often none, and the dot lists of short
+and long on the vertices, which the reduction moves with its rows from the
+x and y lists, so the witnesses and the oracle's frame read them instead
+of projecting the vertices again. The reduction measures a direction by
+its least and largest dot, with no list built: the first four, (1, 0),
+(0, 1), (1, -1) and (1, 1), in one sweep of the vertices (_pair_extremes),
+and every later point of a pass line in one call of _line_width over two dot
+lists. A pass whose neighbours are no narrower than its row stops there,
+so a polygon given in a reduced frame costs one sweep and no line search.
+The Sigma witness in size.py takes the extremes it needs in one sweep of
+the same helper over the entry's dot lists, and each check of a witness in
+one pass over the vertices (size._frame_extremes). No set of directions is
 searched here; only that oracle searches, over the lattice points of the
 width body {u : width(u) <= b}, row by row in this frame. The width by
 peeling, lattice_width_recursive, is the width shape of the one recursion
@@ -30,7 +30,7 @@ lattice_width against it.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import LatticePolygon, Point
@@ -113,7 +113,7 @@ def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
 
     That is max - min of a_i + k * b_i, both taken in one pass over a and b
     with no list built; the reduction measures each pass point beyond its
-    first sweep (_frame_widths) with one call of it.
+    first sweep (_pair_extremes) with one call of it.
     """
     lo = hi = a[0] + k * b[0]
     for s, t in zip(a, b):
@@ -125,40 +125,23 @@ def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
     return hi - lo
 
 
-def _reduced_basis(delta: LatticePolygon) -> _BasisEntry:
-    """_gauss_reduce(delta), kept on delta under "_basis" in its instance dict.
+def _pair_extremes(pairs: Iterable[Point]) -> tuple[int, ...]:
+    """The least and largest of x, y, x - y and x + y over the non-empty pairs (x, y), in that order.
 
-    lattice_width, the Sigma and square sizes (and so minimal_box) and the
-    frame of fit_into read this, so over one polygon they run one
-    reduction between them, and a width-only caller starts no peel, as the
-    entry holds no skins. The checked square size and witness that
-    lattice_size_square and minimal_box share sit beside it, under
-    "_square" (size._checked_square), stored the same way. Equal polygons
-    built apart reduce apart. Two threads that read a fresh polygon at once
-    may both reduce it; each stores the same entry with one dict
-    assignment, so a reader finds no entry or a whole one. The entry holds
-    only tuples and ints, so no reader can change it.
+    All eight come from one pass that starts from the first pair, with no
+    slice taken and no list built, so pairs may be a tuple of vertices or a
+    zip of two dot lists: the first pass of _gauss_reduce reads both row
+    widths and both neighbours f(-1) and f(1) off the vertices, and the
+    Sigma witness (size._basis_map) its four reaches off the basis's dot
+    lists.
     """
-    entry = delta.__dict__.get("_basis")
-    if entry is None:
-        entry = delta.__dict__["_basis"] = _gauss_reduce(delta)
-    return entry
-
-
-def _frame_widths(vertices: Sequence[Point]) -> tuple[int, int, int, int]:
-    """The widths of the non-empty vertices along (1, 0), (0, 1), (1, -1) and (1, 1), in that order.
-
-    That is max - min of x, y, x - y and x + y, all four taken in one pass
-    over the vertices that starts from the first one, with no list built:
-    the first pass of _gauss_reduce reads its f(0), its other row's width
-    and both neighbours f(-1) and f(1) off one call.
-    """
-    x, y = vertices[0]
+    it = iter(pairs)
+    x, y = next(it)
     lo_x = hi_x = x
     lo_y = hi_y = y
     lo_d = hi_d = x - y
     lo_s = hi_s = x + y
-    for x, y in vertices[1:]:
+    for x, y in it:
         if x < lo_x: lo_x = x
         elif x > hi_x: hi_x = x
         if y < lo_y: lo_y = y
@@ -168,7 +151,7 @@ def _frame_widths(vertices: Sequence[Point]) -> tuple[int, int, int, int]:
         elif d > hi_d: hi_d = d
         if s < lo_s: lo_s = s
         elif s > hi_s: hi_s = s
-    return hi_x - lo_x, hi_y - lo_y, hi_d - lo_d, hi_s - lo_s
+    return lo_x, hi_x, lo_y, hi_y, lo_d, hi_d, lo_s, hi_s
 
 
 def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
@@ -192,14 +175,15 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
 
     A pass first holds both neighbours f(-1) and f(1) of f(0) = f(r1). The
     first pass, along (1, 0) + j * (0, 1) or (0, 1) + j * (1, 0), takes them
-    with both row widths in one sweep of the vertices (_frame_widths), as
-    the widths along (1, -1) and (1, 1). Every later pass has at least one
-    carried in (see below) and measures only a missing one. f is convex
-    along the line, as the max over pairs of vertices of an affine function
-    of j, so when neither neighbour is below f(0), f(0) is the least width
-    on the line: the pass stops without a search, with the entry that the
-    search would give. Only a pass that moves r1 runs the line search
-    _min_convex, whose argmin k is then not 0 and f(k) < f(0).
+    with both row widths in one sweep of the vertices (_pair_extremes), as
+    the widths along (1, -1) and (1, 1): each width is the largest less the
+    least of its form. Every later pass has at least one carried in (see
+    below) and measures only a missing one. f is convex along the line, as
+    the max over pairs of vertices of an affine function of j, so when
+    neither neighbour is below f(0), f(0) is the least width on the line:
+    the pass stops without a search, with the entry that the search would
+    give. Only a pass that moves r1 runs the line search _min_convex, whose
+    argmin k is then not 0 and f(k) < f(0).
 
     The vertices are projected once, onto (1, 0) and (0, 1): their x and y
     lists are the dot lists a of r1 and b of r2. A point k of a pass line
@@ -225,8 +209,9 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
         raise EmptyPolygonError("width of the empty polygon is undefined")
     r1, r2 = (1, 0), (0, 1)
     a, b = zip(*delta.vertices)
-    w1, w2, f_minus, f_plus = _frame_widths(delta.vertices)
-    seen = {0: w1, -1: f_minus, 1: f_plus}
+    lo_x, hi_x, lo_y, hi_y, lo_d, hi_d, lo_s, hi_s = _pair_extremes(delta.vertices)
+    w1, w2 = hi_x - lo_x, hi_y - lo_y
+    seen = {0: w1, -1: hi_d - lo_d, 1: hi_s - lo_s}
     while True:
         if w1 < w2:
             carried, seen = seen, {0: w2}
@@ -253,23 +238,41 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
 
 
 def _checked_basis(delta: LatticePolygon) -> _BasisEntry:
-    """_reduced_basis(delta), checked: w <= f(long) <= f(long +- short), or InternalConsistencyError.
+    """_gauss_reduce(delta), checked and kept on delta under "_basis" in its instance dict.
 
-    By convexity along long + k * short, that makes w and f(long) the two
-    successive minima of the width (Kaib and Schnorr), which the width, the
-    witnesses, the box and the rows of fit_into rest on.
+    The check is w <= f(long) <= f(long +- short), or
+    InternalConsistencyError. By convexity along long + k * short, that
+    makes w and f(long) the two successive minima of the width (Kaib and
+    Schnorr), which the width, the witnesses, the box and the rows of
+    fit_into rest on. It runs once, before the entry is stored, so a stored
+    entry is a checked one; a basis that fails is not stored, and every read
+    of that polygon reduces and raises again.
+
+    lattice_width, the Sigma and square sizes (and so minimal_box) and the
+    frame of fit_into read this, so over one polygon they run one reduction
+    and one check between them, and a width-only caller starts no peel, as
+    the entry holds no skins. The checked square size and witness that
+    lattice_size_square and minimal_box share sit beside it, under
+    "_square" (size._checked_square), stored the same way. Equal polygons
+    built apart reduce apart. Two threads that read a fresh polygon at once
+    may both reduce it; each stores the same entry with one dict
+    assignment, so a reader finds no entry or a whole, checked one. The
+    entry holds only tuples and ints, so no reader can change it.
     """
-    entry = short, long, w, (f_minus, f_long, f_plus), _, _ = _reduced_basis(delta)
-    if not w <= f_long <= min(f_minus, f_plus):
-        raise InternalConsistencyError(f"the basis {short}, {long} of widths {w} and "
-                                       f"{f_minus}, {f_long}, {f_plus} is not reduced")
+    entry = delta.__dict__.get("_basis")
+    if entry is None:
+        entry = short, long, w, (f_minus, f_long, f_plus), _, _ = _gauss_reduce(delta)
+        if not w <= f_long <= min(f_minus, f_plus):
+            raise InternalConsistencyError(f"the basis {short}, {long} of widths {w} and "
+                                           f"{f_minus}, {f_long}, {f_plus} is not reduced")
+        delta.__dict__["_basis"] = entry
     return entry
 
 
 def lattice_width(delta: LatticePolygon) -> WidthResult:
     """Exact lattice width with all optimal primitive directions, from the reduced basis.
 
-    With (short, long, w, ...) = _reduced_basis(delta) and f the width norm,
+    With (short, long, w, ...) = _checked_basis(delta) and f the width norm,
     w = f(short) is the lattice width. The optimal directions are those of
     the eight candidates y * long + x * short, (y, x) in (0, 1), (1, -2..2),
     (2, +-1), whose width is w. Every primitive direction is

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from latsize import AffineUnimodularMap, LatticePolygon, apply_map, fit_into, lattice_width
-from latsize.width import _reduced_basis
+from latsize.width import _checked_basis
 
 
 def _euclidean_width_sq(delta: LatticePolygon) -> Fraction:
@@ -63,7 +63,7 @@ def disc_fit_into(delta: LatticePolygon, shape: str, size):
     if not delta.is_two_dim or shape == "sigma" and delta.area2 > a_cap * a_cap \
             or shape != "sigma" and delta.area2 > 2 * a_cap * b_cap:
         return fit_into(delta, shape, size)
-    short, long = _reduced_basis(delta)[:2]
+    short, long = _checked_basis(delta)[:2]
     psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
     red = apply_map(psi, delta)
     we2 = _euclidean_width_sq(red)

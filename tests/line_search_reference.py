@@ -5,7 +5,8 @@ once leftward from 0 and once rightward from 1, each looking the bracket
 value up in known on every step. A test can run it and width._min_convex
 on the same convex function and compare the argmin, the sequence of
 points where f is evaluated and the final known dict, which
-width._gauss_reduce reads for the widths of its final pass.
+width._gauss_reduce shifts and carries into its next pass as that pass's
+neighbours.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from latsize.size import (
     _BASE, RULE_SEARCH, ParallelEdgeHit, Step, _frame_extremes, _innermost_step, _size_value, _step,
     parallel_edge_exception,
 )
-from latsize.width import _reduced_basis
+from latsize.width import _checked_basis
 
 from conftest import fibonacci_shear, in_box, in_sigma, reference_skins, run_corpus, weierstrass
 
@@ -526,7 +526,7 @@ def _sign_choices(delta):
     Each from its own dot lists; the map translates by minus the least dot
     of each row.
     """
-    short, long = _reduced_basis(delta)[:2]
+    short, long = _checked_basis(delta)[:2]
     for s1, s2 in latsize.size._SIGNS:
         u1, u2 = (s1 * short[0], s1 * short[1]), (s2 * long[0], s2 * long[1])
         dots1 = [u1[0] * x + u1[1] * y for x, y in delta.vertices]
@@ -544,7 +544,7 @@ def test_a_dropped_sign_choice_fails_the_default_sigma(dropped, box3_census, mon
     sizes = [lattice_size_sigma(delta).value for delta in corpus]
 
     def without_dropped(delta, shape):
-        w = _reduced_basis(delta)[2]
+        w = _checked_basis(delta)[2]
         return min(((w, reach, phi) for signs, reach, phi in _sign_choices(delta) if signs != dropped),
                    key=lambda choice: choice[1])
 
@@ -657,13 +657,16 @@ def test_segment_witnesses_reach_both_targets():
 
 
 def test_every_basis_reader_rejects_a_basis_one_pass_short(monkeypatch):
-    # the check w <= f(long) <= f(long +- short) is made where the memo entry
-    # is read, so a basis one Gauss pass short of reduced, with its widths
-    # and dot lists made honestly, stops the width, the box, the square
-    # witness and the oracle alike
+    # the check w <= f(long) <= f(long +- short) is made before the memo
+    # entry is stored, so a reduction one Gauss pass short of reduced, with
+    # its widths and dot lists made honestly, stops the width, the box, both
+    # size witnesses and the oracle alike, each on a fresh polygon, and
+    # leaves no entry behind
     thin = hull([(0, 0), (5, 0), (0, 2)])
+    readers = (lattice_width, minimal_box, lattice_size_square, lattice_size_sigma,
+               lambda d: fit_into(d, "square", 5))
     for delta in (thin, apply_map(random_unimodular_map(7), thin)):
-        short, long = _reduced_basis(delta)[:2]
+        short, long = _checked_basis(delta)[:2]
 
         def entry(r1, r2):
             line = tuple(width_along(delta, (r2[0] + j * r1[0], r2[1] + j * r1[1])) for j in (-1, 0, 1))
@@ -674,10 +677,15 @@ def test_every_basis_reader_rejects_a_basis_one_pass_short(monkeypatch):
         # puts the narrower row first
         for bad in (entry(short, (long[0] + 3 * short[0], long[1] + 3 * short[1])), entry(long, short)):
             with monkeypatch.context() as patch:
-                patch.setattr("latsize.width._reduced_basis", lambda d, bad=bad: bad)
-                for op in (lattice_width, minimal_box, lattice_size_square, lambda d: fit_into(d, "square", 5)):
+                patch.setattr("latsize.width._gauss_reduce", lambda d, bad=bad: bad)
+                for op in readers:
+                    fresh = hull(delta.vertices)
                     with pytest.raises(InternalConsistencyError):
-                        op(delta)
+                        op(fresh)
+                    assert "_basis" not in fresh.__dict__, (fresh, bad)
+                    # a bad reduction is not kept, so a second read reduces and raises again
+                    with pytest.raises(InternalConsistencyError):
+                        op(fresh)
         assert fit_into(delta, "square", 5) is not None
 
 
@@ -769,16 +777,16 @@ def test_frame_extremes_are_the_min_and_max_of_each_form(vertices, fields, lift)
 
 
 def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
-    # a cold Sigma call makes two sweeps: the witness's one pass over the
-    # entry's dot lists, and the check's one _frame_extremes call. Every
-    # min and max call of size.py is on a tuple of reaches, none on a
-    # sweep, and size.py calls nothing in width but the checked basis, so
-    # width._line_width runs only inside the reduction: for a pass's missing
-    # neighbour and under its line search; the square check is one
-    # _frame_extremes call too, which minimal_box shares
+    # a cold Sigma call makes two sweeps: the witness's one width._pair_extremes
+    # call over the entry's dot lists, and the check's one _frame_extremes
+    # call. Every min and max call of size.py is on a tuple of reaches, none
+    # on a sweep, and size.py calls nothing in width but the checked basis
+    # and that sweep, so width._line_width runs only inside the reduction:
+    # for a pass's missing neighbour and under its line search; the square
+    # check is one _frame_extremes call too, which minimal_box shares
     from latsize import width
 
-    frame_calls, least, largest, width_calls = [], [], [], set()
+    frame_calls, least, largest, width_calls, pair_sweeps = [], [], [], set(), []
     frame_extremes = latsize.size._frame_extremes
 
     def counting_frame(*args):
@@ -791,13 +799,15 @@ def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
             caller = frame.f_back
             width_calls.add((caller.f_code.co_filename, caller.f_code.co_name, frame.f_code.co_name,
                              caller.f_back.f_code.co_name))
+            if caller.f_code.co_filename == latsize.size.__file__ and frame.f_code.co_name == "_pair_extremes":
+                pair_sweeps.append(caller.f_code.co_name)
 
     monkeypatch.setattr(latsize.size, "_frame_extremes", counting_frame)
     monkeypatch.setattr(latsize.size, "min", lambda *args: least.append(args) or min(*args), raising=False)
     monkeypatch.setattr(latsize.size, "max", lambda *args: largest.append(args) or max(*args), raising=False)
     corpus = [hull(d.vertices) for d in box3_census] + [random_polygon(s, k) for k in (5, 40) for s in range(20)]
     for delta in corpus:
-        for log in (frame_calls, least, largest):
+        for log in (frame_calls, least, largest, pair_sweeps):
             log.clear()
         previous = sys.getprofile()
         sys.setprofile(profile)
@@ -806,6 +816,7 @@ def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
         finally:
             sys.setprofile(previous)
         assert len(frame_calls) == 1 and frame_calls[0][0] is delta.vertices, delta
+        assert pair_sweeps == ([] if delta.is_empty else ["_basis_map"]), delta
         assert [len(args[0]) for args in least] == [4, 7] and largest == [], delta
         frame_calls.clear()
         lattice_size_square(delta)
@@ -813,9 +824,9 @@ def test_a_cold_sigma_certificate_makes_two_sweeps(box3_census, monkeypatch):
         assert len(frame_calls) == 1, delta
     from_size = {callee for path, _, callee, _ in width_calls if path == latsize.size.__file__}
     line_callers = {(path, name, up) for path, name, callee, up in width_calls if callee == "_line_width"}
-    assert from_size == {"_checked_basis"}, from_size
+    assert from_size == {"_checked_basis", "_pair_extremes"}, from_size
     assert line_callers == {(width.__file__, "_min_convex", "_gauss_reduce"),
-                            (width.__file__, "_gauss_reduce", "_reduced_basis")}, line_callers
+                            (width.__file__, "_gauss_reduce", "_checked_basis")}, line_callers
 
 
 # --- minimal boxes ----------------------------------------------------------

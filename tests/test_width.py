@@ -30,7 +30,7 @@ from latsize import (
     width_along,
 )
 from latsize.size import _checked_map, _size_value
-from latsize.width import _frame_widths, _gauss_reduce, _line_width, _min_convex, _reduced_basis
+from latsize.width import _checked_basis, _gauss_reduce, _line_width, _min_convex, _pair_extremes
 
 import line_search_reference
 from conftest import fibonacci_shear, weierstrass
@@ -251,7 +251,7 @@ def test_reduced_basis_converges_on_fibonacci_shears(box3_census):
     # peeling such slivers takes time linear in F(n), so the basis is checked directly
     checked = 0
     for base, widths, n, image in _fibonacci_shears():
-        short, long, w, line, _, _ = _reduced_basis(image)
+        short, long, w, line, _, _ = _checked_basis(image)
         assert (width_along(image, short), width_along(image, long)) == widths, (base, n)
         # the entry's widths are those of short and long + x * short, |x| <= 1
         assert w == width_along(image, short), (base, n)
@@ -263,7 +263,7 @@ def test_reduced_basis_converges_on_fibonacci_shears(box3_census):
     corpus += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
     corpus += [random_polygon(seed, k) for k in (5, 40, 160) for seed in range(4)]
     for delta in corpus:
-        entry = short, long, _, _, dots_short, dots_long = _reduced_basis(delta)
+        entry = short, long, _, _, dots_short, dots_long = _checked_basis(delta)
         for u, dots in ((short, dots_short), (long, dots_long)):
             assert dots == tuple(u[0] * x + u[1] * y for x, y in delta.vertices), delta
         assert _holds_only_tuples_and_ints(entry), delta
@@ -329,8 +329,8 @@ def test_memoised_basis_is_the_fresh_reduction(box3_census):
     images = [image for _, _, _, image in _fibonacci_shears()]
     images += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
     for image in images:
-        assert _reduced_basis(image) == _gauss_reduce(image), image
-        assert _reduced_basis(image) is image.__dict__["_basis"], image
+        assert _checked_basis(image) == _gauss_reduce(image), image
+        assert _checked_basis(image) is image.__dict__["_basis"], image
     # a certificate does not depend on which reader filled the entry, nor
     # does the checked square entry that the square size and the box share
     for delta in images[-len(box3_census):]:
@@ -414,7 +414,7 @@ def measured(monkeypatch):
     return log
 
 
-# The directions whose widths width._frame_widths takes, in its order.
+# The forms x, y, x - y and x + y whose extremes width._pair_extremes takes, in its order.
 _FRAME_DIRECTIONS = ((1, 0), (0, 1), (1, -1), (1, 1))
 
 
@@ -422,7 +422,7 @@ _FRAME_DIRECTIONS = ((1, 0), (0, 1), (1, -1), (1, 1))
 def line_points(monkeypatch):
     """The dot list of every direction that a reduction measures while the fixture is active, in order.
 
-    The first pass's sweep (_frame_widths) logs its four directions, the
+    The first pass's sweep (_pair_extremes) logs its four directions, the
     rows and both neighbours of the first line, so a reduction that starts
     at a reduced frame logs them too; every later point comes through
     _line_width.
@@ -435,12 +435,13 @@ def line_points(monkeypatch):
         log.append(tuple(s + k * t for s, t in zip(a, b)))
         return _line_width(a, b, k)
 
-    def sweeping(vertices):
-        log.extend(tuple(u[0] * x + u[1] * y for x, y in vertices) for u in _FRAME_DIRECTIONS)
-        return _frame_widths(vertices)
+    def sweeping(pairs):
+        pairs = tuple(pairs)
+        log.extend(tuple(u[0] * x + u[1] * y for x, y in pairs) for u in _FRAME_DIRECTIONS)
+        return _pair_extremes(pairs)
 
     monkeypatch.setattr(width, "_line_width", counting)
-    monkeypatch.setattr(width, "_frame_widths", sweeping)
+    monkeypatch.setattr(width, "_pair_extremes", sweeping)
     return log
 
 
@@ -541,7 +542,7 @@ def test_warm_lattice_width_measures_at_most_four_directions(box3_census, measur
     # only long +- 2 * short and 2 * long +- short can be measured again
     counts = []
     for image in _work_corpus(box3_census):
-        _reduced_basis(image)
+        _checked_basis(image)
         measured.clear()
         lattice_width(image)
         counts.append(len(measured))
@@ -555,7 +556,7 @@ def test_lattice_width_of_a_thin_triangle_measures_nothing(measured):
     images = [apply_map(random_unimodular_map(seed), thin) for seed in range(50)]
     images += [apply_map(fibonacci_shear(n), thin) for n in range(3, 30)]
     for image in images:
-        _reduced_basis(image)
+        _checked_basis(image)
         measured.clear()
         result = lattice_width(image)
         assert result.width == 2 and len(result.directions) == 1, image
@@ -596,8 +597,11 @@ def test_line_width_is_the_max_minus_min_of_the_dot_list(pairs, k, lift):
 @example([(0, -5), (0, 0), (1, 1), (-1, 2)], (1, -1))
 @example([(2**40, -2**40), (0, 0), (-1, 1)], (2, 1))
 @example([(2**40, 2**40), (0, 0), (-1, 1)], (3, -1))
-def test_frame_widths_are_the_max_minus_min_of_each_form(vertices, lift):
-    """One pass gives max - min of x, y, x - y and x + y, also when the first vertex alone is an extreme.
+def test_pair_extremes_are_the_min_and_max_of_each_form(vertices, lift):
+    """One pass gives min and max of x, y, x - y and x + y, also when the first pair alone is an extreme.
+
+    The pairs come as a list, a tuple and a zip of two lists, which can be
+    read only once.
 
     lift = (i, sign) moves the first vertex along x, or along y for the
     form y, by one more than the spread of the form i, so that its value
@@ -615,8 +619,9 @@ def test_frame_widths_are_the_max_minus_min_of_each_form(vertices, lift):
         vals = form_lists(vertices)[i]
         extreme = max(vals) if sign > 0 else min(vals)
         assert vals[0] == extreme and vals.count(extreme) == 1
-    want = tuple(max(vals) - min(vals) for vals in form_lists(vertices))
-    assert _frame_widths(vertices) == _frame_widths(tuple(vertices)) == want
+    want = tuple(v for vals in form_lists(vertices) for v in (min(vals), max(vals)))
+    xs, ys = (list(c) for c in zip(*vertices))
+    assert _pair_extremes(vertices) == _pair_extremes(tuple(vertices)) == _pair_extremes(zip(xs, ys)) == want
 
 
 # A coercive piecewise-linear convex function: the max of affine pieces
