@@ -396,8 +396,10 @@ def fit_into(
     - Rows y >= 1 hold points only up to y = 2b / (2 * f(long) - w), since
       f(y * long + x * short) = y * f(long + (x / y) * short)
       >= y * (f(long) - w / 2), as the lattice_width docstring shows.
-    - Along a row f is convex in x, so the row's points form an interval:
-      it is walked outward from the argmin that width._min_convex finds,
+    - Along a row f is convex in x, so the row's points form an interval.
+      width._min_convex finds its argmin on the row's dot lists, y times
+      the dots of long and those of short, starting from
+      f(y * long) = y * f(long). The interval is walked outward from there
       while f <= b, keeping the x with gcd(x, y) = 1. The walk keeps the
       dots and the width it computed for each point it keeps, so the pairs
       read them and nothing is computed twice.
@@ -457,7 +459,7 @@ def fit_into(
     # each candidate is (u, the dots of u on verts, its width), and -u with them negated
     cands = [row(0, 1)] if w <= b_cap else []
     for y in range(1, 2 * b_cap // (2 * f_long - w) + 1):
-        x0 = _min_convex(lambda x, y=y: row(y, x)[2], {0: row(y, 0)[2]})[0]
+        x0 = _min_convex([y * p for p in dots_long], dots_short, {0: y * f_long})[0]
         for x, step in ((x0, 1), (x0 - 1, -1)):
             while (c := row(y, x))[2] <= b_cap:
                 if math.gcd(x, y) == 1:

@@ -10,16 +10,18 @@ onion skins, so none of them peels. The entry also keeps the widths the
 reduction measured along its final line, so a warm lattice_width measures
 at most four more directions, most often none, and the dot lists of short
 and long on the vertices, which the reduction moves with its rows from the
-x and y lists, so the witnesses and the oracle's frame read them instead
-of projecting the vertices again. The reduction measures a direction by
-its least and largest dot, with no list built: the first four, (1, 0),
-(0, 1), (1, -1) and (1, 1), in one sweep of the vertices (_pair_extremes),
-and every later point of a pass line in one call of _line_width over two dot
-lists. A pass whose neighbours are no narrower than its row stops there,
-so a polygon given in a reduced frame costs one sweep and no line search.
-The Sigma witness in size.py takes the extremes it needs in one sweep of
-the same helper over the entry's dot lists, and each check of a witness in
-one pass over the vertices (size._frame_extremes). No set of directions is
+x and y lists, so the tie candidates, the witnesses and the oracle's frame
+read them instead of projecting the vertices again. A direction is measured
+by its least and largest dot, with no list built: the reduction's first
+four, (1, 0), (0, 1), (1, -1) and (1, 1), in one sweep of the vertices
+(_pair_extremes), and every other point of a line, in the reduction,
+among the tie candidates and in the line search for each row of the
+oracle, in one call of _line_width over two dot lists. A pass whose
+neighbours are no narrower than its row stops there, so a polygon given
+in a reduced frame costs one sweep and no line search. The Sigma witness
+in size.py takes the extremes it needs in one sweep of the same helper
+over the entry's dot lists, and each check of a witness in one pass over
+the vertices (size._frame_extremes). No set of directions is
 searched here; only that oracle searches, over the lattice points of the
 width body {u : width(u) <= b}, row by row in this frame. The width by
 peeling, lattice_width_recursive, is the width shape of the one recursion
@@ -29,8 +31,7 @@ lattice_width against it.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 from .polygon import LatticePolygon, Point
@@ -57,31 +58,34 @@ def _normalize_direction(u: Point) -> Point:
     return u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1])
 
 
-def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, int]:
-    """A deterministic integer argmin of a coercive convex function, with its value.
+def _min_convex(a: Sequence[int], b: Sequence[int], known: dict[int, int]) -> tuple[int, int]:
+    """A deterministic integer argmin of the width f(k) = _line_width(a, b, k) along a line, with its value.
 
-    known maps integers to their values of f and must hold f(0), which
-    the caller knows already. One galloping search brackets the argmin: it
-    starts at the edge 0 (leftward, s = -1, when f(0) <= f(1)) or 1
-    (rightward, s = +1), and moves the edge to edge + s * step, doubling
-    step, while f falls there; the value at the edge stays in a local. The
-    bracket is (edge - step, 0) or (0, edge + step), and a bisection in it
-    finds the smallest k with f(k) <= f(k + 1). Gallop and bisection share
-    points, so every value is looked up in known first, and f is called
-    only for a k not in it; that value is added to known, so the caller
-    finds there every value of the pass. known always ends up with f(1),
-    and with f(-1) whenever f(0) <= f(1).
+    f is convex and coercive in k, as the max over pairs of vertices of an
+    affine function of k. known maps integers to their values of f and must
+    hold f(0), which the caller knows already; _gauss_reduce seeds it with
+    f(-1), f(0) and f(1) and reads f(k - 1) and f(k + 1) back from it as
+    the neighbours of its next pass. One galloping search brackets the
+    argmin: it starts at the edge 0 (leftward, s = -1, when f(0) <= f(1))
+    or 1 (rightward, s = +1), and moves the edge to edge + s * step,
+    doubling step, while f falls there; the value at the edge stays in a
+    local. The bracket is (edge - step, 0) or (0, edge + step), and a
+    bisection in it finds the smallest k with f(k) <= f(k + 1). Gallop and
+    bisection share points, so every value is looked up in known first, and
+    f is measured only for a k not in it, by one _line_width call; that
+    value is added to known. known always ends up with f(1), and with f(-1)
+    whenever f(0) <= f(1).
     """
     f0, f1 = known[0], known.get(1)
     if f1 is None:
-        f1 = known[1] = f(1)
+        f1 = known[1] = _line_width(a, b, 1)
     edge, s, f_edge = (0, -1, f0) if f0 <= f1 else (1, 1, f1)
     step = 1
     while True:
         k = edge + s * step
         f_next = known.get(k)
         if f_next is None:
-            f_next = known[k] = f(k)
+            f_next = known[k] = _line_width(a, b, k)
         if f_next >= f_edge:
             break
         edge, f_edge = k, f_next
@@ -92,9 +96,9 @@ def _min_convex(f: Callable[[int], int], known: dict[int, int]) -> tuple[int, in
         mid = (lo + hi) // 2
         f_mid, f_up = known.get(mid), known.get(mid + 1)
         if f_mid is None:
-            f_mid = known[mid] = f(mid)
+            f_mid = known[mid] = _line_width(a, b, mid)
         if f_up is None:
-            f_up = known[mid + 1] = f(mid + 1)
+            f_up = known[mid + 1] = _line_width(a, b, mid + 1)
         if f_mid <= f_up:
             hi = mid
         else:
@@ -113,7 +117,8 @@ def _line_width(a: Sequence[int], b: Sequence[int], k: int) -> int:
 
     That is max - min of a_i + k * b_i, both taken in one pass over a and b
     with no list built; the reduction measures each pass point beyond its
-    first sweep (_pair_extremes) with one call of it.
+    first sweep (_pair_extremes) with one call of it, and lattice_width
+    each tie candidate beyond the basis entry.
     """
     lo = hi = a[0] + k * b[0]
     for s, t in zip(a, b):
@@ -188,20 +193,24 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
     The vertices are projected once, onto (1, 0) and (0, 1): their x and y
     lists are the dot lists a of r1 and b of r2. A point k of a pass line
     is measured as max - min of a_i + k * b_i by one call of _line_width,
-    bound to a and b for the search (functools.partial), which takes both
-    in one pass over a and b, so neither a direction tuple nor a list of
-    dots is built; a moves with r1 (a <- a + k * b), and the lists swap
-    when the rows swap. The updates are plain loops, so no comprehension
-    makes k a closure cell. The final lists are the entry's dots, so its
-    readers (size._basis_map, the frame of size.fit_into) project nothing.
+    here for a missing neighbour and in _min_convex for the search, which
+    takes both in one pass over a and b, so neither a direction tuple nor
+    a list of dots is built; a moves with r1 (a <- a + k * b), and the
+    lists swap when the rows swap. The update is a plain loop, so no
+    comprehension makes k a closure cell. The final lists are the entry's
+    dots, so its readers (size._basis_map, the frame of size.fit_into)
+    project nothing.
 
-    No width is measured twice. The widths along the line r1 + j * r2 of a
-    pass are kept in a dict, seen, that _min_convex reads and fills. When
-    r1 moves to r1 + k * r2, the line stays and seen is shifted by k, which
-    keeps f(k + 1) of the search as a neighbour. When the rows swap, the new
-    line r2 + j * r1 meets the old one at j = +-1 (r2 +- r1 = +-(r1 +- r2),
-    of the same width), so those two widths carry over. The final pass,
-    along long + j * short, finds f(long) <= f(long +- short), and the entry
+    No width is measured twice. The state of a pass is its two neighbours,
+    f_minus = f(-1) and f_plus = f(1). A search seeds its dict known with
+    f(-1), f(0) and f(1) and fills it; when r1 moves to r1 + k * r2, the
+    line stays, and f(k - 1) and f(k + 1) from known are the neighbours of
+    the new r1. When the rows swap, the new line r2 + j * r1 meets the old
+    one at j = +-1 (r2 +- r1 = +-(r1 +- r2), of the same width), so both
+    neighbours stay as they are. No other width of a line is read again:
+    after a move without a swap, k is the least argmin, so neither
+    neighbour is narrower and the pass stops. The final pass, along
+    long + j * short, finds f(long) <= f(long +- short), and the entry
     keeps those three widths: lattice_width reads its tie set from them,
     and the square size its reach f(long).
     """
@@ -211,30 +220,24 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
     a, b = zip(*delta.vertices)
     lo_x, hi_x, lo_y, hi_y, lo_d, hi_d, lo_s, hi_s = _pair_extremes(delta.vertices)
     w1, w2 = hi_x - lo_x, hi_y - lo_y
-    seen = {0: w1, -1: hi_d - lo_d, 1: hi_s - lo_s}
+    f_minus, f_plus = hi_d - lo_d, hi_s - lo_s
     while True:
         if w1 < w2:
-            carried, seen = seen, {0: w2}
-            for j in (-1, 1):
-                if j in carried:
-                    seen[j] = carried[j]
             r1, r2, w1, w2, a, b = r2, r1, w2, w1, b, a
-        f_minus, f_plus = seen.get(-1), seen.get(1)
         if f_minus is None:
-            f_minus = seen[-1] = _line_width(a, b, -1)
+            f_minus = _line_width(a, b, -1)
         if f_plus is None:
-            f_plus = seen[1] = _line_width(a, b, 1)
+            f_plus = _line_width(a, b, 1)
         if f_minus >= w1 and f_plus >= w1:
             return r2, r1, w2, (f_minus, w1, f_plus), tuple(b), tuple(a)
-        k, w1 = _min_convex(partial(_line_width, a, b), seen)
+        known = {-1: f_minus, 0: w1, 1: f_plus}
+        k, w1 = _min_convex(a, b, known)
+        f_minus, f_plus = known.get(k - 1), known.get(k + 1)
         r1 = (r1[0] + k * r2[0], r1[1] + k * r2[1])
-        # plain loops, as a comprehension would make k a closure cell
+        # a plain loop, as a comprehension would make k a closure cell
         moved, a = a, []
         for s, t in zip(moved, b):
             a.append(s + k * t)
-        shifted, seen = seen, {}
-        for j, v in shifted.items():
-            seen[j - k] = v
 
 
 def _checked_basis(delta: LatticePolygon) -> _BasisEntry:
@@ -300,7 +303,9 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
 
     The candidates come from the final pass of the reduction: the memo
     entry holds the widths of short, long and long +- short, so only the
-    other four are measured, and only where they can tie:
+    other four are measured, each by one _line_width call on the entry's
+    dot lists (2 * long + x * short = x * (short + 2x * long) for x = +-1),
+    and only where they can tie:
     long +- 2 * short if long +- short ties (K is an interval around 0),
     and 2 * long +- short if long and long +- short both tie (the second
     point). When +-short is the only optimal direction (f(long) > w),
@@ -316,7 +321,7 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
         return WidthResult(-1, ())
     if delta.is_point:
         return WidthResult(0, ((0, 1), (1, 0)))
-    short, long, w, (f_minus, f_long, f_plus), _, _ = _checked_basis(delta)
+    short, long, w, (f_minus, f_long, f_plus), dots_short, dots_long = _checked_basis(delta)
     if f_long > w:
         return WidthResult(w, (_normalize_direction(short),))
     dirs = [short, long]
@@ -324,7 +329,9 @@ def lattice_width(delta: LatticePolygon) -> WidthResult:
         if fx == w:
             a = (long[0] + x * short[0], long[1] + x * short[1])
             dirs.append(a)
-            further = ((a[0] + x * short[0], a[1] + x * short[1]), (a[0] + long[0], a[1] + long[1]))
-            dirs.extend(u for u in further if width_along(delta, u) == w)
+            # long + 2x * short, and 2 * long + x * short = x * (short + 2x * long)
+            further = (((a[0] + x * short[0], a[1] + x * short[1]), dots_long, dots_short),
+                       ((a[0] + long[0], a[1] + long[1]), dots_short, dots_long))
+            dirs.extend(u for u, p, q in further if _line_width(p, q, 2 * x) == w)
     dirs = sorted(map(_normalize_direction, dirs), key=lambda u: (u[0] * u[0] + u[1] * u[1], u[0], u[1]))
     return WidthResult(w, tuple(dirs))

@@ -3,10 +3,10 @@
 _min_convex is kept verbatim as it was when the gallop was written twice,
 once leftward from 0 and once rightward from 1, each looking the bracket
 value up in known on every step. A test can run it and width._min_convex
-on the same convex function and compare the argmin, the sequence of
-points where f is evaluated and the final known dict, which
-width._gauss_reduce shifts and carries into its next pass as that pass's
-neighbours.
+on the same line width and compare the argmin, the sequence of points
+where f is evaluated and the final known dict, from which
+width._gauss_reduce reads f(k - 1) and f(k + 1), the neighbours of its
+next pass.
 """
 
 from __future__ import annotations

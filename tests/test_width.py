@@ -4,6 +4,7 @@ import hashlib
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -396,21 +397,21 @@ def test_threads_share_fresh_polygons(box3_census):
 
 @pytest.fixture
 def measured(monkeypatch):
-    """Every direction that width.width_along is asked for while the fixture is active, in order.
+    """The dot list of every direction that width._line_width measures while the fixture is active, in order.
 
-    Only lattice_width's tie candidates beyond the memo entry go through
-    width_along; a reduction measures its pass lines on dot lists (see
-    line_points).
+    A test warms the basis (_checked_basis) before it calls lattice_width,
+    so no reduction runs there, and each call logged is one of the tie
+    candidates beyond the memo entry, measured on the entry's dot lists.
     """
     from latsize import width
 
     log = []
 
-    def counting(delta, u):
-        log.append(u)
-        return width_along(delta, u)
+    def counting(a, b, k):
+        log.append(tuple(s + k * t for s, t in zip(a, b)))
+        return _line_width(a, b, k)
 
-    monkeypatch.setattr(width, "width_along", counting)
+    monkeypatch.setattr(width, "_line_width", counting)
     return log
 
 
@@ -512,9 +513,9 @@ def test_every_line_search_moves_a_row(box3_census, monkeypatch):
 
     searches = []
 
-    def logged(f, known):
+    def logged(a, b, known):
         f0 = known[0]
-        k, fk = _min_convex(f, known)
+        k, fk = _min_convex(a, b, known)
         searches.append((f0, k, fk))
         return k, fk
 
@@ -634,31 +635,46 @@ _PIECES = st.tuples(
 )
 
 
+# Larger than any dot that a search reads on a line built from _PIECES, so (-_FAR, 0) stays the least dot.
+_FAR = 2**40
+
+
 @settings(max_examples=800, deadline=None)
 @given(_PIECES, st.sampled_from([(), (-1,), (1,), (-1, 1)]))
 def test_min_convex_matches_the_line_search_reference(pieces, carried):
     """The one gallop evaluates the points of the mirrored gallops, in their order, and leaves the same known.
 
-    known is seeded with f(0), or also with the widths at -1 and 1 that
-    a pass holds before its search; _gauss_reduce then reads the argmin
-    and keeps the final known for its next pass.
+    The convex function is a line width: the piece a * (k - c) + b is the
+    dot pair (b - a * c, a), and the far pair (-_FAR, 0) is the least dot
+    at every k that a search reads, so the width is the max of the pieces
+    plus _FAR. known is seeded with f(0), or also with the widths at -1 and
+    1 that a pass holds before its search; _gauss_reduce then reads the
+    argmin and its neighbours from the final known.
     """
+    from latsize import width
+
     extra, down, up, b_down, b_up, c = pieces
     lines = [*extra, (down, b_down), (up, b_up)]
+    a, b = zip(*[(beta - alpha * c, alpha) for alpha, beta in lines], (-_FAR, 0))
 
     def f(k: int) -> int:
-        return max(a * (k - c) + b for a, b in lines)
+        return max(alpha * (k - c) + beta for alpha, beta in lines) + _FAR
 
+    # the reference reads width._line_width at call time, so the patch logs both
+    searches = (lambda known: _min_convex(a, b, known),
+                lambda known: line_search_reference._min_convex(lambda k: width._line_width(a, b, k), known))
     results = []
-    for search in (_min_convex, line_search_reference._min_convex):
+    for search in searches:
         calls = []
 
-        def logged(k: int) -> int:
+        def logged(p, q, k):
             calls.append(k)
-            return f(k)
+            return _line_width(p, q, k)
 
-        known = {j: f(j) for j in (0, *carried)}
-        results.append((search(logged, known), calls, list(known.items())))
+        known = {j: _line_width(a, b, j) for j in (0, *carried)}
+        with mock.patch.object(width, "_line_width", logged):
+            results.append((search(known), calls, list(known.items())))
     assert results[0] == results[1]
-    (k, fk), _, _ = results[0]
+    (k, fk), calls, _ = results[0]
+    assert all(_line_width(a, b, j) == f(j) for j in calls)
     assert fk == f(k) == min(f(k + j) for j in range(-3, 4))
