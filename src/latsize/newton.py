@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .errors import NotTwoDimensionalError, ZeroPolynomialError
 from .polygon import (
+    EMPTY,
     AffineUnimodularMap,
     LatticePolygon,
     SpecialShape,
@@ -15,6 +15,9 @@ from .polygon import (
     measures,
     recognize_special,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LaurentPolynomial(NamedTuple):
@@ -49,6 +52,8 @@ def parse_laurent(text: str) -> LaurentPolynomial:
     position len(text), which no rule accepts, so every error reads its
     position off the current token.
     """
+    from fractions import Fraction  # here, so the other commands load neither fractions nor decimal
+
     toks: list[str] = []
     pos: list[int] = []
     for m in _TOKEN.finditer(text):
@@ -134,10 +139,7 @@ def newton_polygon(f: LaurentPolynomial) -> LatticePolygon:
 
 def transform_support(f: LaurentPolynomial, phi: AffineUnimodularMap) -> LaurentPolynomial:
     """Push the exponents of f through a unimodular map (monomial substitution)."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in f.terms.items():
-        out[phi.apply((i, j))] = c
-    return LaurentPolynomial(out)
+    return LaurentPolynomial({phi.apply(e): c for e, c in f.terms.items()})
 
 
 class NewtonAnalysis(NamedTuple):
@@ -181,11 +183,13 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     """Genus, gonality and minimal plane/biprojective degree bounds for f.
 
     The genus bound is the number of interior lattice points of the Newton
-    polygon, which polygon.measures takes from Pick's formula in O(edges).
-    An empty interior gives gonality 1 and bounds 1, (1, 1); otherwise
-    _curve_bounds reads the gonality, s2 and s11 off the interior's minimal
-    box and Sigma size, both from its reduced basis, the Sigma size through
-    the checked certificate of lattice_size_sigma, which peels nothing.
+    polygon, which polygon.measures takes from Pick's formula in O(edges),
+    and it is read first. Genus 0 is a rational curve: gonality 1, bounds
+    1 and (1, 1), and the empty polygon as interior, with no interior hull
+    built. Otherwise interior_hull builds the interior, and _curve_bounds
+    reads the gonality, s2 and s11 off its minimal box and Sigma size, both
+    from its reduced basis, the Sigma size through the checked certificate
+    of lattice_size_sigma, which peels nothing.
     """
     from .interior import interior_hull
     from .size import lattice_size_sigma, minimal_box
@@ -193,12 +197,12 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     poly = newton_polygon(f)
     if not poly.is_two_dim:
         raise NotTwoDimensionalError("analysis needs a two-dimensional Newton polygon")
-    inner = interior_hull(poly)
     genus = measures(poly).interior_count
     special = recognize_special(poly)
     caveats = (_CAVEAT_GENERIC, _CAVEAT_NONDEGENERATE)
-    if inner.is_empty:
-        return NewtonAnalysis(poly, inner, genus, 1, 1, (1, 1), special, caveats + (_CAVEAT_RATIONAL,))
+    if not genus:
+        return NewtonAnalysis(poly, EMPTY, 0, 1, 1, (1, 1), special, caveats + (_CAVEAT_RATIONAL,))
+    inner = interior_hull(poly)
     box = minimal_box(inner)
     gonality, s2, s11 = _curve_bounds(box.a, box.b, lattice_size_sigma(inner).value, special)
     return NewtonAnalysis(poly, inner, genus, gonality, s2, s11, special, caveats)

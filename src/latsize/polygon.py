@@ -393,27 +393,21 @@ def apply_map(phi: AffineUnimodularMap, delta: LatticePolygon) -> LatticePolygon
     return hull([phi.apply(v) for v in delta.vertices])
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def complete_to_basis(u: Point) -> Point:
-    """A vector w with u[0]*w[1] - u[1]*w[0] == 1, for primitive u."""
-    g, s, t = _extended_gcd(u[0], u[1])
-    if g != 1:
-        raise ValueError(f"vector must be primitive: {u!r}")
-    return (-t, s)
+    """A vector w with u[0]*w[1] - u[1]*w[0] == 1, for primitive u; ValueError otherwise.
+
+    For u[1] != 0, w[1] is the inverse of u[0] modulo |u[1]|, which exists
+    exactly when u is primitive, and w[0] = (u[0]*w[1] - 1) / u[1]. For
+    u[1] == 0, u is primitive only as (+-1, 0), and w is (0, u[0]).
+    """
+    a, b = u
+    if b == 0 and a in (1, -1):
+        return (0, a)
+    try:
+        w1 = pow(a, -1, abs(b))
+    except ValueError:
+        raise ValueError(f"vector must be primitive: {u!r}") from None
+    return ((a * w1 - 1) // b, w1)
 
 
 def _solve_frame(d1: Point, d2: Point, f1: Point, f2: Point) -> Optional[tuple[int, int, int, int]]:
@@ -440,7 +434,10 @@ def are_equivalent(d1: LatticePolygon, d2: LatticePolygon) -> Optional[AffineUni
     frames: a point of each polygon with two directions there. The frame
     of d1 is matched with each frame of d2 in turn; a pair is accepted only
     if the linear map between the frames is integral with determinant +-1
-    and the affine map it induces reproduces d2. A segment has one frame
+    and the affine map it induces sends the vertex set of d1 onto that of
+    d2. A unimodular map sends vertices to vertices, so that decides
+    whether it sends d1 onto d2; no image is re-hulled, and a rejected
+    image may leave the coordinate guard. A segment has one frame
     at its first vertex: its primitive direction u, completed to a basis
     (u, u') with det 1, so the linear map always exists and the check
     fails only if the lengths differ.
@@ -479,7 +476,7 @@ def are_equivalent(d1: LatticePolygon, d2: LatticePolygon) -> Optional[AffineUni
             w[0] - (m[0] * v0[0] + m[1] * v0[1]),
             w[1] - (m[2] * v0[0] + m[3] * v0[1]),
         )
-        if apply_map(phi, d1) == d2:
+        if {phi.apply(v) for v in d1.vertices} == set(vs2):
             return phi
     return None
 

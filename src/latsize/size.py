@@ -290,43 +290,37 @@ def _innermost_step(
 ) -> tuple[int, Step]:
     """Value of a non-empty polygon whose interior hull is empty, given recognize_special(delta).
 
-    A point has every value 0, a segment of lattice length r the sizes r
-    and the width 0. The two-dimensional ones are 2*Sigma, of every value
-    2, and the polygons of lattice width one: Sigma, the rectangles
-    [0,a] x [0,1] and the Lawrence prisms, whose sizes the table below
-    gives and whose width is 1. The contribution is the value less the
-    empty-hull convention _BASE[shape], so a trace's contributions sum to
-    the value less that convention.
+    A point or a segment of lattice length r (0 for a point) has the
+    sizes r and the width 0. The two-dimensional ones are 2*Sigma, of
+    every value 2, and the polygons of lattice width one: Sigma, the
+    rectangles [0,1] x [0,b] and the Lawrence prisms, whose sizes the
+    table below gives and whose width is 1. The rectangle [0,1] x [0,b]
+    has the Sigma size 1 + b (the rectangle rule) and the square size of
+    the prism (b, b). The contribution is the value less the empty-hull
+    convention _BASE[shape], so a trace's contributions sum to the value
+    less that convention.
     """
     base = _BASE[shape]
-    if delta.is_point:
-        return 0, Step(delta, RULE_SEARCH, -base)
-    if delta.is_segment:
-        value = 0 if shape == WIDTH else integral_length(*delta.vertices)
+    if not delta.is_two_dim:
+        value = 0 if shape == WIDTH else integral_length(delta.vertices[0], delta.vertices[-1])
         return value, Step(delta, RULE_SEARCH, value - base)
     # Interior-free polygons: width-one prisms (in several disguises) and
     # the twice-dilated standard triangle.
     if special is not None:
-        kind, params = special.kind, special.params
+        kind, params = special
         if kind == "standard_triangle" and params[0] == 2:
             return 2, Step(delta, RULE_TWO_SIGMA, 2 - base)
         if shape == WIDTH or (kind == "standard_triangle" and params[0] == 1):
             return 1, Step(delta, RULE_GENERIC, 1 - base)
-        if kind == "rectangle":
+        if kind == "rectangle" and shape == SIGMA:
             a, b = params
-            if shape == SIGMA:
-                return a + b, Step(delta, RULE_RECTANGLE, a + b - base, (a, b))
-            if b >= 2:
-                return b, Step(delta, RULE_PRISM, b - base, (b, b))
-            return 1, Step(delta, RULE_GENERIC, 1 - base)
-        if kind == "lawrence_prism":
-            a, b = params
-            if shape == SIGMA:
-                value = a + 1 if a == b else a
-                return value, Step(delta, RULE_PRISM, value - base, (a, b))
-            if a >= 2:
-                return a, Step(delta, RULE_PRISM, a - base, (a, b))
-            return 1, Step(delta, RULE_GENERIC, 1 - base)
+            return a + b, Step(delta, RULE_RECTANGLE, a + b - base, (a, b))
+        if kind in ("rectangle", "lawrence_prism"):
+            a, b = params if kind == "lawrence_prism" else (params[1], params[1])
+            if shape == SQUARE and a < 2:
+                return 1, Step(delta, RULE_GENERIC, 1 - base)
+            value = a + 1 if shape == SIGMA and a == b else a
+            return value, Step(delta, RULE_PRISM, value - base, (a, b))
     raise InternalConsistencyError(
         f"no rule names the interior-free polygon {list(delta.vertices)}, "
         "which must be 2*Sigma or of lattice width one"

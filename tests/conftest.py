@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+from typing import Iterator
+
 import pytest
 
 from latsize import (
@@ -54,6 +58,27 @@ def in_sigma(d: int, pt: tuple[int, int]) -> bool:
 
 def in_box(a: int, b: int, pt: tuple[int, int]) -> bool:
     return 0 <= pt[0] <= a and 0 <= pt[1] <= b
+
+
+@contextmanager
+def alarm(seconds: int) -> Iterator[None]:
+    """Raise TimeoutError in the main thread if the block runs longer than seconds.
+
+    The error is raised again at the with statement: the frame the alarm
+    interrupts may have no line number, which pytest cannot report.
+    """
+    def ring(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        raise TimeoutError(f"the call did not end within {seconds} s") from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def fibonacci(n: int) -> int:

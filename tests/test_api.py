@@ -115,6 +115,7 @@ def test_each_command_loads_only_its_modules():
     assert "json" in command("width", *poly)
     plain = command("width", "--vertices", "0,0;4,0;0,4")
     assert "latsize.width" in plain and "json" not in plain
+    assert "fractions" not in plain  # only parse_laurent loads it, for --poly
     for name in ("sigma", "square", "box"):
         modules = command(name, *poly, "--witness")
         assert "latsize.size" in modules and "latsize.oracle" not in modules, name

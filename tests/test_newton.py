@@ -32,6 +32,7 @@ from latsize import (
 from latsize.size import _size_value
 
 from columns import column_interior_count
+from conftest import alarm
 from laurent_reference import reference_parse
 
 
@@ -124,6 +125,27 @@ def test_analyze_rational_case_flags():
     assert res.genus_bound == 0
     assert (res.gonality, res.s2_bound, res.s11_bound) == (1, 1, (1, 1))
     assert any("rational" in c for c in res.caveats)
+
+
+@pytest.mark.parametrize("text", ["x^2147483648 + y + 1", "x^2147483648*y + y + 1"])
+def test_analyze_of_a_rational_curve_at_the_guard_builds_no_interior_hull(text, monkeypatch):
+    # the genus comes first, from Pick's formula, and genus 0 needs no interior
+    hulls = []
+    build = latsize.interior.interior_hull
+    monkeypatch.setattr(latsize.interior, "interior_hull", lambda delta: hulls.append(delta) or build(delta))
+    with alarm(1):
+        res = analyze(parse_laurent(text))
+    assert (res.genus_bound, res.gonality, res.s2_bound, res.s11_bound) == (0, 1, 1, (1, 1))
+    assert res.interior.is_empty and not hulls
+
+
+@pytest.mark.xfail(strict=True, raises=TimeoutError,
+                   reason="ROADMAP item 14: analyze builds the interior hull of a genus >= 1 Newton polygon "
+                          "by a column scan, which does not end at the guard")
+def test_analyze_of_a_hyperelliptic_curve_at_the_guard_ends():
+    with alarm(1):
+        res = analyze(parse_laurent("y^2 + x^2147483648 + 1"))
+    assert (res.genus_bound, res.gonality) == (2**30 - 1, 2)
 
 
 def test_analyze_rejects_low_dimensional_support():

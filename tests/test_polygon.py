@@ -1,6 +1,8 @@
 """Hulls, measures, unimodular maps, equivalence and shape recognition."""
 
 import copy
+import itertools
+import math
 import pickle
 
 import pytest
@@ -24,7 +26,7 @@ from latsize import (
     upsilon,
 )
 import latsize.polygon
-from latsize.polygon import AffineUnimodularMap
+from latsize.polygon import AffineUnimodularMap, complete_to_basis
 
 from columns import column_interior_count
 from conftest import HEPTAGON_VERTICES, contains, fibonacci_shear
@@ -234,6 +236,28 @@ def test_are_equivalent_degenerate():
     assert are_equivalent(hull([(0, 0), (2, 2)]), hull([(1, 0), (3, 1)])) is None
     seg = are_equivalent(hull([(0, 0), (2, 2)]), hull([(0, 0), (0, 2)]))
     assert seg is not None and apply_map(seg, hull([(0, 0), (2, 2)])) == hull([(0, 0), (0, 2)])
+
+
+def test_are_equivalent_maps_pairs_at_the_guard():
+    # a candidate is tested on the images of the vertices, which are not
+    # hulled, so a rejected candidate may send them beyond the guard
+    n = 2**31
+    wide = hull([(0, 0), (n, 0), (0, 1)])
+    sliver = hull([(0, 0), (n, 1), (n - 1, 2), (1, 1)])
+    for delta, image in ((wide, hull([(-x, -y) for x, y in wide.vertices])),
+                         (sliver, hull([(y, x) for x, y in sliver.vertices]))):
+        phi = are_equivalent(delta, image)
+        assert phi is not None and apply_map(phi, delta) == image, (delta, phi)
+
+
+def test_complete_to_basis_has_determinant_one():
+    for u in itertools.product(range(-40, 41), repeat=2):
+        if math.gcd(*u) == 1:
+            w = complete_to_basis(u)
+            assert u[0] * w[1] - u[1] * w[0] == 1, (u, w)
+        else:
+            with pytest.raises(ValueError, match="primitive"):
+                complete_to_basis(u)
 
 
 def test_recognize_reference_shapes():

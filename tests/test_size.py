@@ -1,7 +1,6 @@
 """Lattice sizes: recursion rules, witnesses, fits and minimal boxes."""
 
 import hashlib
-import signal
 import sys
 from collections import Counter
 
@@ -43,7 +42,7 @@ from latsize.size import (
 )
 from latsize.width import _checked_basis
 
-from conftest import fibonacci_shear, in_box, in_sigma, reference_skins, run_corpus, weierstrass
+from conftest import alarm, fibonacci_shear, in_box, in_sigma, reference_skins, run_corpus, weierstrass
 
 
 def translated(poly, t):
@@ -580,15 +579,10 @@ def test_default_sizes_peel_nothing_at_the_guard(monkeypatch):
     def no_peel(*args):
         raise AssertionError("a default call walked the chain or scanned columns")
 
-    def ring(signum, frame):
-        raise TimeoutError("a guard row did not end within the alarm")
-
     for name in ("latsize.size._size_value", "latsize.size.onion_skins", "latsize.interior.onion_skins",
                  "latsize.interior._column_hull"):
         monkeypatch.setattr(name, no_peel)
-    previous = signal.signal(signal.SIGALRM, ring)
-    signal.alarm(2)
-    try:
+    with alarm(2):
         for delta, known in _guard_rows():
             w = lattice_width(delta).width
             sig, sq, box = lattice_size_sigma(delta), lattice_size_square(delta), minimal_box(delta)
@@ -602,9 +596,6 @@ def test_default_sizes_peel_nothing_at_the_guard(monkeypatch):
         assert run_command(["square", hyperelliptic]) == (0, "2147483648\n")
         sliver = "--vertices=0,0;433494437,267914296;267914296,165580141"
         assert run_command(["sigma", sliver]) == (0, "1\n")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # --- fits -------------------------------------------------------------------
