@@ -6,7 +6,10 @@ consistency failures (including --verify mismatches). All output is
 deterministic for a fixed input.
 
 peel and every --trace print one entry per run of skins; _RUNS, which --help
-prints, gives the format.
+prints, gives the format, and the comment above it that of the plain
+--witness line. An integer of --vertices, of the line format of --input
+(_INTEGER) and of --poly (newton.parse_laurent) is ASCII digits, after an
+optional sign; anything else exits 2, and --help says so.
 
 sigma, square and box read their values off the reduced basis and do not
 peel. Every call checks them in O(n) (size._checked_map): the witness must
@@ -34,6 +37,7 @@ interior.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -52,7 +56,10 @@ if TYPE_CHECKING:
     from .size import SizeCertificate, Step
 
 
-# The run format of peel and --trace, printed by --help.
+# The run format of peel and --trace, printed by --help. Plain --witness
+# (sigma, square and box) prints the witness map x -> M*x + t as a second
+# line "m11,m12;m21,m22 t1,t2", after the value: the rows of M, then t, in
+# the point syntax of --vertices. The --witness help says so too.
 _RUNS = """\
 runs: peel and every --trace print one entry per run of skins. An entry with
 "count" c and "shift" [[dx,dy],...] stands for the c skins skin + t*shift,
@@ -67,6 +74,10 @@ ParallelEdge(r,s) by r-s, RectangleAB(a,b) by 2. Plain peel prints a line
 "SKIN COUNT SHIFT" per run, e.g. "0,0;6,0;0,6 2 1,1;-2,1;1,-2" for the
 skins of 6*Sigma before its last one."""
 
+# An integer of --vertices and of the line format of --input: ASCII digits
+# after an optional sign, where int() also takes "_" and any Unicode digit.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 class CommandResult(NamedTuple):
     exit_code: int
@@ -76,11 +87,11 @@ class CommandResult(NamedTuple):
 # The help of each option but --shape and --verify; _COMMANDS says which
 # command takes which.
 _HELP = {
-    "--input": "vertex file: JSON {\"vertices\": [[x,y],...]} or lines 'x y'",
-    "--vertices": "inline vertices 'x,y;x,y;...'",
-    "--poly": "Laurent polynomial, e.g. 'y^2 + x^5 + 1'",
+    "--input": "vertex file: JSON {\"vertices\": [[x,y],...]} or lines 'x y' of ASCII-digit integers",
+    "--vertices": "inline vertices 'x,y;x,y;...', integers of ASCII digits after an optional sign",
+    "--poly": "Laurent polynomial with ASCII-digit integers, e.g. 'y^2 + x^5 + 1'",
     "--json": "emit a JSON document",
-    "--witness": "include the witness map",
+    "--witness": "include the witness map x -> M*x + t, in plain output the line 'm11,m12;m21,m22 t1,t2'",
     "--trace": "run the recursion and include its trace (its value must agree, or exit 4)",
 }
 
@@ -164,15 +175,16 @@ def _read_polygon(args: argparse.Namespace) -> LatticePolygon:
 def _pairs(chunks: list[str], sep: Optional[str]) -> LatticePolygon:
     """The hull of the pairs 'x<sep>y' of chunks; blank chunks are skipped.
 
-    sep None splits at whitespace. A chunk that is not two integers raises
-    ValueError, which exits 2.
+    sep None splits at whitespace. A chunk that is not two integers, each
+    ASCII digits after an optional sign (_INTEGER), raises ValueError, which
+    exits 2.
     """
     pts = []
     for chunk in chunks:
         chunk = chunk.strip()
         if chunk:
-            pair = chunk.split(sep)
-            if len(pair) != 2:
+            pair = [part.strip() for part in chunk.split(sep)]
+            if len(pair) != 2 or not all(_INTEGER.fullmatch(part) for part in pair):
                 raise ValueError(f"vertex must be a pair of integers, got {chunk!r}")
             pts.append((int(pair[0]), int(pair[1])))
     return hull(pts)
@@ -200,11 +212,15 @@ def _json_vertices(doc: object) -> list[Point]:
     return pts
 
 
-def _witness_doc(phi: AffineUnimodularMap) -> dict:
-    return {
+def _witness(doc: dict, args: argparse.Namespace, phi: AffineUnimodularMap, plain: str) -> str:
+    """plain, and with --witness phi put into doc and its line after plain; see the comment on _RUNS."""
+    if not args.witness:
+        return plain
+    doc["witness"] = {
         "matrix": [[phi.m11, phi.m12], [phi.m21, phi.m22]],
         "translation": [phi.t1, phi.t2],
     }
+    return f"{plain}\n{_points([(phi.m11, phi.m12), (phi.m21, phi.m22)])} {phi.t1},{phi.t2}"
 
 
 def _run_doc(skin: LatticePolygon, rule: str, contribution: int, count: int, shift: tuple) -> dict:
@@ -259,11 +275,10 @@ def _size_command(args: argparse.Namespace) -> str:
         value = oracle_size(delta, shape)
         _check(value == cert.value, f"{shape} value {cert.value} disagrees with the oracle's {value}")
     doc: dict = {"command": shape, "value": cert.value}
-    if args.witness:
-        doc["witness"] = _witness_doc(cert.witness)
+    plain = _witness(doc, args, cert.witness, str(cert.value))
     if args.trace:
         doc["trace"] = _trace_doc(trace)
-    return _emit(doc, args, str(cert.value))
+    return _emit(doc, args, plain)
 
 
 def _width_command(args: argparse.Namespace) -> str:
@@ -297,9 +312,7 @@ def _box_command(args: argparse.Namespace) -> str:
         box = oracle_box(delta)
         _check(box == (cert.a, cert.b), f"box {(cert.a, cert.b)} disagrees with the oracle box {box}")
     doc: dict = {"command": "box", "value": [cert.a, cert.b]}
-    if args.witness:
-        doc["witness"] = _witness_doc(cert.witness)
-    return _emit(doc, args, f"{cert.a} {cert.b}")
+    return _emit(doc, args, _witness(doc, args, cert.witness, f"{cert.a} {cert.b}"))
 
 
 def _peel_command(args: argparse.Namespace) -> str:

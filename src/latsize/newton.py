@@ -30,9 +30,10 @@ class LaurentPolynomial(NamedTuple):
         return frozenset(self.terms)
 
 
-# An integer or a one-character token (group 1), or any other character
-# but whitespace (group 2); whitespace is skipped.
-_TOKEN = re.compile(r"(\d+|[xy^*/+-])|(\S)")
+# An integer of ASCII digits or a one-character token (group 1), or any
+# other character but whitespace (group 2), a non-ASCII digit among them;
+# whitespace is skipped.
+_TOKEN = re.compile(r"([0-9]+|[xy^*/+-])|(\S)")
 
 
 def parse_laurent(text: str) -> LaurentPolynomial:
@@ -41,7 +42,9 @@ def parse_laurent(text: str) -> LaurentPolynomial:
     Grammar: terms joined by '+'/'-'; a term is an optional rational
     coefficient followed by factors x or y, each with an optional integer
     (possibly negative) exponent after '^'; '*' between parts is optional.
-    Raises SyntaxError with a position on malformed input and
+    An integer is ASCII digits, as in the vertex syntax of the CLI, so a
+    non-ASCII digit is an unexpected character. Raises SyntaxError with a
+    position on malformed input and
     ZeroPolynomialError if everything cancels.
 
     That grammar is the contract, and one walk over the tokens implements

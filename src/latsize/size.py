@@ -22,7 +22,7 @@ takes a segment of n skins in O(1): the body of a run (all its skins but the
 last, which peel uniformly) and the last skin of a run (n = 1) alike, and
 its trace has one Step per segment, not per skin. Each segment of a size
 takes its parallel-edge hit from one lookup of the edge normals of the skin
-after its first (_parallel_edge_hit); the width looks up none.
+after its first (parallel_edge_exception); the width looks up none.
 
 Each size comes by three independent routes:
 
@@ -69,7 +69,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyPolygonError, InternalConsistencyError
 # at module level, though the default sizes peel nothing: see the cli docstring
-from .interior import _moved, interior_hull, onion_skins
+from .interior import _moved, onion_skins
 from .polygon import (
     AffineUnimodularMap,
     LatticePolygon,
@@ -145,13 +145,18 @@ class ParallelEdgeHit(NamedTuple):
 def parallel_edge_exception(
     delta: LatticePolygon, gamma: LatticePolygon, threshold: int
 ) -> Optional[ParallelEdgeHit]:
-    """Scan the edges of delta for the parallel-edge exception.
+    """Scan the edges of delta for the parallel-edge exception against gamma, its interior hull.
 
     For every edge of delta, the face of gamma on the inward unit shift of its
     supporting line is located (an edge, a single vertex of length zero, or
     nothing). Among the pairs with r - s >= threshold the first one maximizing
     r - s is returned, where r and s are the integral lengths of the edge and
     of the face. A one-dimensional gamma counts as an edge of itself.
+
+    The caller passes the interior hull, as _size_value does by construction:
+    the first skin of the next run at a run's end, the skin one shift on
+    (interior._moved) on a run's body. That is not checked, which would peel
+    delta again; only an empty gamma, which has no face, raises ValueError.
 
     A face of positive length on the line a*x + b*y = c - 1 is the edge of
     gamma with the outward normal (a, b), so it is found by a dict lookup on
@@ -162,15 +167,8 @@ def parallel_edge_exception(
     and m of gamma, plus O(m) per such edge, against O(n * m) for a pass per
     edge.
     """
-    if gamma.is_empty or gamma != interior_hull(delta):
-        raise ValueError("gamma must be the (non-empty) interior hull of delta")
-    return _parallel_edge_hit(delta, gamma, threshold)
-
-
-def _parallel_edge_hit(
-    delta: LatticePolygon, gamma: LatticePolygon, threshold: int
-) -> Optional[ParallelEdgeHit]:
-    """parallel_edge_exception without the check that gamma is the interior hull of delta."""
+    if gamma.is_empty:
+        raise ValueError("gamma must be the non-empty interior hull of delta")
     gvs = gamma.vertices
     m = len(gvs)
     faces: Optional[dict[tuple[int, int], tuple[int, int]]] = None
@@ -262,12 +260,12 @@ def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...
         if gamma is not None:
             end = _moved(skin, shift, count - 1)
             last = (end, (), 1, rectangle and tuple(p - 2 * (count - 1) for p in rectangle),
-                    _parallel_edge_hit(end, gamma, 3) if shape != WIDTH else None)
+                    parallel_edge_exception(end, gamma, 3) if shape != WIDTH else None)
             value, step = _step(last, value, fall)
             trace.append(step)
         gamma = skin
         if count > 1:
-            hit = _parallel_edge_hit(skin, _moved(skin, shift, 1), 3) if shape != WIDTH else None
+            hit = parallel_edge_exception(skin, _moved(skin, shift, 1), 3) if shape != WIDTH else None
             value, step = _step((skin, shift, count - 1, rectangle, hit), value, fall)
             inner = trace[-1]
             if (inner.rule, inner.contribution, inner.params) == (step.rule, step.contribution,

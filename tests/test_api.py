@@ -45,7 +45,8 @@ def test_exported_names_are_pinned():
     assert len(latsize.__all__) == len(set(latsize.__all__)) == 47
     assert set(latsize.__all__) == PUBLIC
     assert all(hasattr(latsize, name) for name in PUBLIC)
-    # kept in their modules for the tests and the traced benchmark, not exported
+    # kept in their modules, not exported: the tests and the traced benchmark read all three, and
+    # parallel_edge_exception is also the size recursion's one parallel-edge rule
     internal = ("interior_lattice_points", "parallel_edge_exception", "ParallelEdgeHit")
     assert not any(hasattr(latsize, name) for name in internal)
 

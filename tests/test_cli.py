@@ -162,6 +162,40 @@ def test_input_file_json_and_lines(tmp_path):
         assert run_command(["sigma", "--input", str(as_lines)]).exit_code == 2, bad
 
 
+def test_integers_are_ascii_digits(tmp_path, capsys):
+    # int() and \d take "_" separators and every Unicode decimal digit; an
+    # integer of --vertices, --input lines and --poly is ASCII digits after an
+    # optional sign, and anything else exits 2 with one line naming where
+    doc = tmp_path / "poly.txt"
+    doc.write_text("\u0663 0\n0 1\n0 0\n")
+    cases = [(["width", "--vertices", "1_0,0;0,1;0,0"], "vertex must be a pair of integers, got '1_0,0'"),
+             (["width", "--vertices", "\u0663,0;0,1;0,0"], "vertex must be a pair of integers, got '\u0663,0'"),
+             (["sigma", "--input", str(doc)], "vertex must be a pair of integers, got '\u0663 0'"),
+             (["analyze", "--poly", "x^\u0663 + y^3 + 1"], "unexpected character '\u0663' at position 2")]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert run_command(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"latsize: {message}\n", argv
+    assert run_command(["width", "--vertices", "+1,0;0,+1; -0 , 0"]).stdout == "1\n"
+    for command in ("width", "analyze"):
+        assert run_command([command, "--help"]).exit_code == 0
+        assert "ASCII" in capsys.readouterr().out, command
+
+
+def test_plain_witness_is_a_second_line(capsys):
+    # the rows of the matrix and then the translation, in the point syntax of --vertices
+    cases = [("sigma", "0,0;4,0;0,4", "4"), ("square", "0,0;4,0;0,4", "4"), ("box", "0,0;7,0;0,2", "2 7")]
+    for command, vertices, value in cases:
+        doc = json.loads(run_command([command, "--vertices", vertices, "--witness", "--json"]).stdout)
+        (m11, m12), (m21, m22) = doc["witness"]["matrix"]
+        t1, t2 = doc["witness"]["translation"]
+        assert run_command([command, "--vertices", vertices, "--witness"]) == (
+            0, f"{value}\n{m11},{m12};{m21},{m22} {t1},{t2}\n"), command
+    assert run_command(["box", "--vertices", "0,0;7,0;0,2", "--witness"]).stdout == "2 7\n0,1;1,0 0,0\n"
+    assert run_command(["box", "--help"]).exit_code == 0
+    assert "m11,m12;m21,m22" in capsys.readouterr().out
+
+
 def test_poly_input_for_polygon_commands():
     assert run_command(["sigma", "--poly", "y^2 + x^5 + 1"]).stdout == "5\n"
     assert run_command(["width", "--poly", "y^2 + x^5 + 1"]).stdout == "2\n"

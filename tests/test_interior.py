@@ -346,7 +346,7 @@ def test_runs_expand_to_the_per_skin_chain(box3_census):
 
 
 def _count_hull_calls(monkeypatch):
-    """Patch the peels: interior_hull in its module and where size binds it, and the column scan of onion_skins.
+    """Patch the peels: interior_hull in its module, where analyze imports it, and the column scan of onion_skins.
 
     The returned list collects their arguments.
     """
@@ -358,9 +358,7 @@ def _count_hull_calls(monkeypatch):
             return orig(delta)
         return count
 
-    orig = latsize.interior.interior_hull
-    for module in (latsize.interior, latsize.size):
-        monkeypatch.setattr(module, "interior_hull", counting(orig))
+    monkeypatch.setattr(latsize.interior, "interior_hull", counting(latsize.interior.interior_hull))
     monkeypatch.setattr(latsize.interior, "_column_hull", counting(latsize.interior._column_hull))
     return calls
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latsize.interior
@@ -90,9 +90,17 @@ _LAURENT_ALPHABET = "0123456789xy^*/+- \nz\u0663"
     st.text(_LAURENT_ALPHABET, max_size=16),
     st.lists(st.sampled_from(["x", "y", "^", "*", "/", "+", "-", " ", "2", "0", "13"]), max_size=10).map("".join),
 ))
+@example("x^\u0663 + y")
+@example("1\u0663z")
 def test_parse_matches_the_reference_parser(text):
     new = _parse_outcome(lambda t: parse_laurent(t).terms, text)
-    assert new == _parse_outcome(reference_parse, text)
+    if "\u0663" not in text:
+        assert new == _parse_outcome(reference_parse, text)
+    else:
+        # the reference reads the digit as 3; an integer is ASCII digits, so
+        # the first character outside the grammar is unexpected
+        i = min(text.index(c) for c in "z\u0663" if c in text)
+        assert new == (SyntaxError, f"unexpected character {text[i]!r} at position {i}")
 
 
 def test_newton_polygon_reference_shapes():

@@ -73,9 +73,10 @@ def test_parallel_edge_absent_on_square():
 
 
 def test_parallel_edge_rejects_wrong_gamma():
+    # the caller passes the interior hull, which is not checked; an empty one has no face to scan
     delta = standard_triangle(4)
-    with pytest.raises(ValueError):
-        parallel_edge_exception(delta, standard_triangle(1), 3)
+    with pytest.raises(ValueError, match="non-empty interior hull"):
+        parallel_edge_exception(delta, hull([]), 3)
 
 
 def _reference_hit(delta, gamma, threshold):
@@ -118,7 +119,7 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
     # exactly the skins the Sigma trace does, and the default calls walk no
     # chain at all
     computed, recognized = Counter(), Counter()
-    lookup, recognize = latsize.size._parallel_edge_hit, latsize.size.recognize_special
+    lookup, recognize = latsize.size.parallel_edge_exception, latsize.size.recognize_special
 
     def counting(delta, gamma, threshold):
         computed[delta] += 1
@@ -128,7 +129,7 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
         recognized[delta] += 1
         return recognize(delta)
 
-    monkeypatch.setattr(latsize.size, "_parallel_edge_hit", counting)
+    monkeypatch.setattr(latsize.size, "parallel_edge_exception", counting)
     monkeypatch.setattr(latsize.size, "recognize_special", counting_special)
     skins = runs = 0
     for delta in (random_polygon(3, 160), random_polygon(4, 300), rectangle(9, 30), standard_triangle(40)):
@@ -340,8 +341,10 @@ def test_two_dim_skins_need_no_search(box3_census, monkeypatch):
 
 def test_each_segment_step_checks_its_inner_value():
     # the rule of a segment, less its fall over the segment, must give the
-    # inner value; a wrong inner value fails on every kind of segment.
-    # Segments are (skin, shift, n, rectangle, hit)
+    # inner value; a wrong inner value fails on every segment whose rule
+    # fixes its value, a rectangle or a hit. The generic step adds the fall
+    # to the inner value on each skin. Segments are
+    # (skin, shift, n, rectangle, hit), and the Sigma fall is 3
     skin = rectangle(2, 7).translate((1, 1))  # the last skin of rectangle(4, 9), around a segment of length 5
     rectangle_end = (skin, (), 1, (2, 7), None)
     assert onion_skins(rectangle(4, 9)).runs[0][1:] == (((1, 1), (-1, 1), (-1, -1), (1, -1)), 2)
@@ -354,11 +357,20 @@ def test_each_segment_step_checks_its_inner_value():
     body = (standard_triangle(40), shift, 13, None, hit)  # 40 * Sigma down to 4 * Sigma, then Sigma
     assert onion_skins(standard_triangle(40)).runs == ((standard_triangle(40), shift, 14),)
     assert parallel_edge_exception(standard_triangle(40), _moved(standard_triangle(40), shift, 1), 3) == hit
+    upsilon_shift = ((1, 1), (-1, 0), (0, -1))
+    generic_body = (upsilon(5), upsilon_shift, 4, None, None)  # Upsilon_5 down to Upsilon_2, around Upsilon_1
+    assert onion_skins(upsilon(5)).runs[0] == (upsilon(5), upsilon_shift, 5)
+    assert recognize_special(upsilon(5)).kind == "upsilon"
+    assert parallel_edge_exception(upsilon(5), _moved(upsilon(5), upsilon_shift, 1), 3) is None
     for segment, inner, value in ((rectangle_end, 5, 9), (parallel_end, 3, 9), (body, 1, 40)):
-        assert _step(segment, inner, "sigma")[0] == value
+        assert _step(segment, inner, 3)[0] == value
         for wrong in (inner - 1, inner + 1):
             with pytest.raises(InternalConsistencyError, match="not to the inner value"):
-                _step(segment, wrong, "sigma")
+                _step(segment, wrong, 3)
+    assert _size_value(upsilon(5), "sigma")[0] == 15  # Upsilon_1 has size 3
+    for inner in (2, 3, 4):
+        assert _step(generic_body, inner, 3) == (inner + 4 * 3, Step(upsilon(5), "GenericStep", 3, (), 4,
+                                                                        upsilon_shift))
 
 
 def test_trace_contributions_telescope():
