@@ -2,8 +2,16 @@
 
 Exit codes: 0 success, 2 input syntax problems, 3 dimensional or degeneracy
 precondition failures (an empty input polygon among them), 4 internal
-consistency failures (including --verify mismatches). All output is
-deterministic for a fixed input.
+consistency failures (including --verify mismatches). A failure's code is
+the exit_code of its error type (the table is in the errors module), and 2
+for SyntaxError, ValueError and OSError; it prints one "latsize:" line on
+stderr and nothing on stdout. All output is deterministic for a fixed input.
+
+--input reads a file as UTF-8, a leading byte-order mark being no part of
+it. A file that parses as JSON is {"vertices": [[x, y], ...]} or
+[[x, y], ...]; one that does not, but whose first non-blank character is
+"{" or "[", is malformed JSON and exits 2 with the decoder's line and
+column; any other text is the line format, one vertex "x y" per line.
 
 peel and every --trace print one entry per run of skins; _RUNS, which --help
 prints, gives the format, and the comment above it that of the plain
@@ -41,14 +49,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import (
-    CoordinateGuardError,
-    DegeneratePolygonError,
-    EmptyPolygonError,
-    InternalConsistencyError,
-    NotTwoDimensionalError,
-    ZeroPolynomialError,
-)
+from .errors import EmptyPolygonError, InternalConsistencyError, LatsizeError
 from .newton import _curve_bounds, analyze, newton_polygon, parse_laurent
 from .polygon import AffineUnimodularMap, LatticePolygon, Point, hull
 
@@ -87,7 +88,9 @@ class CommandResult(NamedTuple):
 # The help of each option but --shape and --verify; _COMMANDS says which
 # command takes which.
 _HELP = {
-    "--input": "vertex file: JSON {\"vertices\": [[x,y],...]} or lines 'x y' of ASCII-digit integers",
+    "--input": "vertex file (UTF-8, a byte-order mark ignored): JSON {\"vertices\": [[x,y],...]}, "
+               "or lines 'x y' of ASCII-digit integers when the first non-blank character is "
+               "neither '{' nor '['",
     "--vertices": "inline vertices 'x,y;x,y;...', integers of ASCII digits after an optional sign",
     "--poly": "Laurent polynomial with ASCII-digit integers, e.g. 'y^2 + x^5 + 1'",
     "--json": "emit a JSON document",
@@ -157,13 +160,16 @@ def _read_polygon(args: argparse.Namespace) -> LatticePolygon:
         # the input group of the parser makes --input the one source left
         import json
 
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
         try:
             doc = json.loads(text)
         except RecursionError:
             raise ValueError("JSON input is nested too deeply") from None
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
+            if text.lstrip()[:1] in ("{", "["):
+                raise ValueError(f"malformed JSON input: {exc.msg} at line {exc.lineno} "
+                                 f"column {exc.colno}") from None
             delta = _pairs(text.splitlines(), None)
         else:
             delta = hull(_json_vertices(doc))
@@ -373,7 +379,7 @@ def _oracle_command(args: argparse.Namespace) -> str:
     delta = _read_polygon(args)
     if args.shape == "box":
         a, b = oracle_box(delta)
-        return _emit({"command": "oracle", "value": [a, b], "pareto": [[a, b]]}, args, f"{a},{b}")
+        return _emit({"command": "oracle", "value": [a, b]}, args, f"{a},{b}")
     value = oracle_size(delta, args.shape)
     return _emit({"command": "oracle", "value": value}, args, str(value))
 
@@ -412,15 +418,9 @@ def run_command(argv: list[str]) -> CommandResult:
         return CommandResult(int(exc.code or 0), "")
     try:
         return CommandResult(0, _COMMANDS[args.command][0](args))
-    except InternalConsistencyError as exc:
+    except (LatsizeError, SyntaxError, ValueError, OSError) as exc:
         print(f"latsize: {exc}", file=sys.stderr)
-        return CommandResult(4, "")
-    except (NotTwoDimensionalError, EmptyPolygonError, DegeneratePolygonError) as exc:
-        print(f"latsize: {exc}", file=sys.stderr)
-        return CommandResult(3, "")
-    except (SyntaxError, ZeroPolynomialError, CoordinateGuardError, ValueError, OSError) as exc:
-        print(f"latsize: {exc}", file=sys.stderr)
-        return CommandResult(2, "")
+        return CommandResult(getattr(exc, "exit_code", 2), "")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -166,14 +166,17 @@ _CAVEAT_RATIONAL = "empty interior: rational-curve conventions (gonality 1, boun
 def _curve_bounds(
     width: int, square: int, sigma: int, special: Optional[SpecialShape]
 ) -> tuple[int, int, tuple[int, int]]:
-    """(gonality, s2, s11) of a polygon with a non-empty interior, from the interior's sizes.
+    """(gonality, s2, s11) of a two-dimensional polygon, from the sizes of its interior hull.
 
     width, square and sigma are the lattice width, square size and Sigma
     size of the interior hull; special is the shape of the polygon. The
     gonality and s11 are the interior's minimal box (width, square) plus 2
     and (2, 2), and s2 its Sigma size plus three. Dilated upsilon triangles
     Upsilon_d get the sharper degree bounds: s2 = 3d - 1 for d >= 2, and
-    gonality 3 and s11 = (3, 4) for d = 2.
+    gonality 3 and s11 = (3, 4) for d = 2. An empty interior (genus 0) has
+    the conventions of the empty polygon, width -1, square size -1 and
+    Sigma size -2, so it gets the rational-curve values: gonality 1, s2 1
+    and s11 (1, 1).
     """
     ups = special.params[0] if special is not None and special.kind == "upsilon" else None
     s2 = 3 * ups - 1 if ups is not None and ups >= 2 else sigma + 3
@@ -187,15 +190,18 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
 
     The genus bound is the number of interior lattice points of the Newton
     polygon, which polygon.measures takes from Pick's formula in O(edges),
-    and it is read first. Genus 0 is a rational curve: gonality 1, bounds
-    1 and (1, 1), and the empty polygon as interior, with no interior hull
-    built. Otherwise interior_hull builds the interior, and _curve_bounds
-    reads the gonality, s2 and s11 off its minimal box and Sigma size, both
-    from its reduced basis, the Sigma size through the checked certificate
-    of lattice_size_sigma, which peels nothing.
+    and it is read first. At genus >= 1 interior_hull builds the interior;
+    genus 0 is a rational curve, whose interior is the empty polygon, with
+    no interior hull built. Either way _curve_bounds reads the gonality, s2
+    and s11 off the interior's width, square size and Sigma size, all from
+    its reduced basis (lattice_size_sigma's checked certificate peels
+    nothing). The empty interior reads the empty-polygon conventions, width
+    -1, square size -1 and Sigma size -2, which give the rational values:
+    gonality 1, s2 1 and s11 (1, 1), with a caveat saying so.
     """
     from .interior import interior_hull
-    from .size import lattice_size_sigma, minimal_box
+    from .size import lattice_size_sigma, lattice_size_square
+    from .width import lattice_width
 
     poly = newton_polygon(f)
     if not poly.is_two_dim:
@@ -204,8 +210,8 @@ def analyze(f: LaurentPolynomial) -> NewtonAnalysis:
     special = recognize_special(poly)
     caveats = (_CAVEAT_GENERIC, _CAVEAT_NONDEGENERATE)
     if not genus:
-        return NewtonAnalysis(poly, EMPTY, 0, 1, 1, (1, 1), special, caveats + (_CAVEAT_RATIONAL,))
-    inner = interior_hull(poly)
-    box = minimal_box(inner)
-    gonality, s2, s11 = _curve_bounds(box.a, box.b, lattice_size_sigma(inner).value, special)
+        caveats += (_CAVEAT_RATIONAL,)
+    inner = interior_hull(poly) if genus else EMPTY
+    gonality, s2, s11 = _curve_bounds(lattice_width(inner).width, lattice_size_square(inner).value,
+                                      lattice_size_sigma(inner).value, special)
     return NewtonAnalysis(poly, inner, genus, gonality, s2, s11, special, caveats)

@@ -501,6 +501,16 @@ def recognize_special(delta: LatticePolygon) -> Optional[SpecialShape]:
     point, which is upsilon(1) up to equivalence. Opposite edges that are
     antiparallel, of equal lengths and with unimodular directions span a
     parallelogram whose edge frame is a lattice basis, i.e. a rectangle.
+
+    Two facts per edge are read, not recomputed: the integral lengths lens
+    and the primitive outward normals of delta.edge_constraints. A normal
+    is its edge's primitive direction turned a quarter, so normals are
+    antiparallel when the directions are, and det(normals) = det(directions).
+    The vertices are strictly convex, so edge i is the only face on its
+    line, and a width-one direction normal to it has edge i, of length
+    lens[i], as its top. A prism has params a > b: a width-one
+    quadrilateral with equal parallel edges is a parallelogram whose other
+    edges are primitive, a rectangle, which is named first.
     """
     if not delta.is_two_dim:
         raise DegeneratePolygonError("special-shape recognition needs a two-dimensional polygon")
@@ -514,26 +524,18 @@ def recognize_special(delta: LatticePolygon) -> Optional[SpecialShape]:
         if delta.area2 == 3 * d * d:
             return SpecialShape("upsilon", (d,))
     if n == 4:
-        prims = [_primitive((q[0] - p[0], q[1] - p[1])) for p, q in delta.edges()]
-        opposite = (
-            prims[0] == (-prims[2][0], -prims[2][1])
-            and prims[1] == (-prims[3][0], -prims[3][1])
-            and lens[0] == lens[2]
-            and lens[1] == lens[3]
-        )
-        if opposite and abs(prims[0][0] * prims[1][1] - prims[0][1] * prims[1][0]) == 1:
+        (a0, b0, _), (a1, b1, _), (a2, b2, _), (a3, b3, _) = delta.edge_constraints
+        opposite = (a0, b0, a1, b1) == (-a2, -b2, -a3, -b3) and lens[0] == lens[2] and lens[1] == lens[3]
+        if opposite and abs(a0 * b1 - b0 * a1) == 1:
             a, b = sorted((lens[0], lens[1]))
             return SpecialShape("rectangle", (a, b))
     # A polygon of lattice width one has its vertices on two adjacent lattice
     # lines, at most two on each, so only n <= 4 can be a Lawrence prism.
     if n <= 4:
-        for a, b, c in delta.edge_constraints:
+        for i, (a, b, c) in enumerate(delta.edge_constraints):
             vals = [a * x + b * y for x, y in vs]
             if c - min(vals) == 1:
-                top = [v for v in vs if a * v[0] + b * v[1] == c]
-                bot = [v for v in vs if a * v[0] + b * v[1] == c - 1]
-                len_top = integral_length(top[0], top[1]) if len(top) == 2 else 0
+                bot = [v for v, val in zip(vs, vals) if val == c - 1]
                 len_bot = integral_length(bot[0], bot[1]) if len(bot) == 2 else 0
-                hi, lo = max(len_top, len_bot), min(len_top, len_bot)
-                return SpecialShape("lawrence_prism", (hi, lo))
+                return SpecialShape("lawrence_prism", (max(lens[i], len_bot), min(lens[i], len_bot)))
     return None

@@ -294,9 +294,11 @@ def _innermost_step(
     rectangles [0,1] x [0,b] and the Lawrence prisms, whose sizes the
     table below gives and whose width is 1. The rectangle [0,1] x [0,b]
     has the Sigma size 1 + b (the rectangle rule) and the square size of
-    the prism (b, b). The contribution is the value less the empty-hull
-    convention _BASE[shape], so a trace's contributions sum to the value
-    less that convention.
+    the prism (b, b). A prism (a, b) has the sizes a: no prism has a = b,
+    as a width-one polygon with equal parallel edges is a rectangle, which
+    recognize_special names first. The contribution is the value less the
+    empty-hull convention _BASE[shape], so a trace's contributions sum to
+    the value less that convention.
     """
     base = _BASE[shape]
     if not delta.is_two_dim:
@@ -317,8 +319,7 @@ def _innermost_step(
             a, b = params if kind == "lawrence_prism" else (params[1], params[1])
             if shape == SQUARE and a < 2:
                 return 1, Step(delta, RULE_GENERIC, 1 - base)
-            value = a + 1 if shape == SIGMA and a == b else a
-            return value, Step(delta, RULE_PRISM, value - base, (a, b))
+            return a, Step(delta, RULE_PRISM, a - base, (a, b))
     raise InternalConsistencyError(
         f"no rule names the interior-free polygon {list(delta.vertices)}, "
         "which must be 2*Sigma or of lattice width one"

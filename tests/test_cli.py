@@ -6,6 +6,15 @@ import json
 
 import pytest
 
+from latsize import (
+    CoordinateGuardError,
+    DegeneratePolygonError,
+    EmptyPolygonError,
+    InternalConsistencyError,
+    LatsizeError,
+    NotTwoDimensionalError,
+    ZeroPolynomialError,
+)
 from latsize.cli import run_command
 
 HEPTAGON = "8,0;6,1;2,4;0,6;0,8;3,7;5,6"
@@ -71,23 +80,27 @@ def test_verify_flags_pass():
 
 
 def test_analyze_verify_checks_upsilon_triangles(monkeypatch):
-    # analyze takes the gonality and s11 from the minimal box of the interior
-    # on Upsilon_d for every d != 2, and s2 from its Sigma size for d = 1,
-    # so --verify checks them there too: the box's width against the width
-    # recursion, its second side and the Sigma size against the oracle
+    # analyze takes the gonality and s11 from the width and the square size
+    # of the interior on Upsilon_d for every d != 2, and s2 from its Sigma
+    # size for d = 1, so --verify checks them there too: the width against
+    # the width recursion, the square and Sigma sizes against the oracle
     import latsize.size
+    import latsize.width
 
     def argv(d):
         return ["analyze", "--poly", f"x^-{d}*y^-{d} + x^{d} + y^{d}", "--verify"]
 
     assert all(run_command(argv(d)).exit_code == 0 for d in (1, 2, 3, 4))
-    box, sigma = latsize.size.minimal_box, latsize.size.lattice_size_sigma
-    wrong_width = ("minimal_box", lambda delta: box(delta)._replace(a=box(delta).a + 1), 3)
-    wrong_square = ("minimal_box", lambda delta: box(delta)._replace(b=box(delta).b + 1), 3)
-    wrong_sigma = ("lattice_size_sigma", lambda delta: sigma(delta)._replace(value=sigma(delta).value + 1), 1)
-    for name, wrong, d in (wrong_width, wrong_square, wrong_sigma):
+    width, square, sigma = latsize.width.lattice_width, latsize.size.lattice_size_square, latsize.size.lattice_size_sigma
+    wrong_width = (latsize.width, "lattice_width",
+                   lambda delta: width(delta)._replace(width=width(delta).width + 1), 3)
+    wrong_square = (latsize.size, "lattice_size_square",
+                    lambda delta: square(delta)._replace(value=square(delta).value + 1), 3)
+    wrong_sigma = (latsize.size, "lattice_size_sigma",
+                   lambda delta: sigma(delta)._replace(value=sigma(delta).value + 1), 1)
+    for module, name, wrong, d in (wrong_width, wrong_square, wrong_sigma):
         with monkeypatch.context() as patch:
-            patch.setattr(latsize.size, name, wrong)
+            patch.setattr(module, name, wrong)
             assert run_command(argv(d)).exit_code == 4, name
 
 
@@ -115,6 +128,8 @@ def test_width_trace_and_verify_check_the_value(monkeypatch):
 def test_oracle_subcommand():
     assert run_command(["oracle", "--shape", "sigma", "--vertices", HEPTAGON]).stdout == "10\n"
     assert run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2"]).stdout == "2,5\n"
+    doc = json.loads(run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2", "--json"]).stdout)
+    assert doc == {"command": "oracle", "value": [2, 5]}
 
 
 def test_exit_code_syntax_errors():
@@ -128,6 +143,38 @@ def test_exit_code_syntax_errors():
 def test_exit_code_precondition_failures():
     assert run_command(["analyze", "--poly", "x^2 + x + 1"]).exit_code == 3
     assert run_command(["peel", "--vertices", ""]).exit_code == 3
+
+
+@pytest.mark.parametrize("error, code", [
+    (LatsizeError, 2), (CoordinateGuardError, 2), (ZeroPolynomialError, 2), (EmptyPolygonError, 3),
+    (DegeneratePolygonError, 3), (NotTwoDimensionalError, 3), (InternalConsistencyError, 4),
+    (SyntaxError, 2), (ValueError, 2), (OSError, 2),
+])
+def test_exit_code_is_the_error_types(error, code, monkeypatch, capsys):
+    # run_command returns the exit_code of the error type, 2 for an input error that is not ours
+    import latsize.cli
+
+    if issubclass(error, LatsizeError):
+        assert error.exit_code == code
+
+    def handler(args):
+        raise error("refused")
+
+    monkeypatch.setitem(latsize.cli._COMMANDS, "width", (handler, *latsize.cli._COMMANDS["width"][1:]))
+    capsys.readouterr()
+    assert run_command(["width", "--vertices", HEPTAGON]) == (code, "")
+    assert capsys.readouterr() == ("", "latsize: refused\n")
+
+
+def test_input_reads_malformed_json_as_json_and_skips_a_byte_order_mark(tmp_path, capsys):
+    doc = tmp_path / "poly"
+    doc.write_bytes(b'{"vertices": [[0, 0], [4, 0], [0, 4],]}')
+    capsys.readouterr()
+    assert run_command(["sigma", "--input", str(doc)]) == (2, "")
+    assert capsys.readouterr().err == "latsize: malformed JSON input: Expecting value at line 1 column 38\n"
+    for data in (b"\xef\xbb\xbf0 0\n4 0\n0 4\n", b'\xef\xbb\xbf{"vertices": [[0, 0], [4, 0], [0, 4]]}'):
+        doc.write_bytes(data)
+        assert run_command(["sigma", "--input", str(doc)]) == (0, "4\n"), data
 
 
 def test_empty_polygon_exits_3(capsys):

@@ -12,6 +12,7 @@ from latsize import (
     EmptyPolygonError,
     apply_map,
     are_equivalent,
+    census,
     LatticePolygon,
     hull,
     integral_length,
@@ -309,6 +310,10 @@ def test_rectangle_and_prism_recognition_stable():
                 image = apply_map(random_unimodular_map(seed * 13 + 3 * a + b), prism)
                 got = recognize_special(image)
                 assert (got.kind, got.params) == ("lawrence_prism", (a, b)), (a, b, seed)
+    # a prism's top is longer than its bottom: equal parallel edges make a rectangle, named first
+    shapes = [recognize_special(delta) for delta in census(3) if delta.is_two_dim]
+    prisms = [s for s in shapes if s is not None and s.kind == "lawrence_prism"]
+    assert prisms and all(s.params[0] > s.params[1] for s in prisms)
 
 
 def test_pick_identity_on_random_polygons():
