@@ -13,11 +13,15 @@ it. A file that parses as JSON is {"vertices": [[x, y], ...]} or
 "{" or "[", is malformed JSON and exits 2 with the decoder's line and
 column; any other text is the line format, one vertex "x y" per line.
 
-peel and every --trace print one entry per run of skins; _RUNS, which --help
-prints, gives the format, and the comment above it that of the plain
---witness line. An integer of --vertices, of the line format of --input
-(_INTEGER) and of --poly (newton.parse_laurent) is ASCII digits, after an
-optional sign; anything else exits 2, and --help says so.
+Each command builds one JSON document, and _emit prints it: whole with
+--json, else as plain lines read off it. Plain output is the value (a list
+joined by spaces), then, when the document has a witness, the witness line;
+peel prints one line per run, and analyze four "key value" lines (genus,
+gonality, s2_bound, s11_bound). peel and every --trace document one entry
+per run of skins; _RUNS, which --help prints, gives the format, and the
+comment above it the witness line. An integer of --vertices, of the line
+format of --input (_INTEGER) and of --poly (newton.parse_laurent) is ASCII
+digits, after an optional sign; anything else exits 2, and --help says so.
 
 sigma, square and box read their values off the reduced basis and do not
 peel. Every call checks them in O(n) (size._checked_map): the witness must
@@ -57,10 +61,12 @@ if TYPE_CHECKING:
     from .size import SizeCertificate, Step
 
 
-# The run format of peel and --trace, printed by --help. Plain --witness
-# (sigma, square and box) prints the witness map x -> M*x + t as a second
-# line "m11,m12;m21,m22 t1,t2", after the value: the rows of M, then t, in
-# the point syntax of --vertices. The --witness help says so too.
+# The run format of peel and --trace, printed by --help. Plain output is
+# read off the JSON document (_emit): the value, a list joined by spaces,
+# then with --witness (sigma, square and box) the witness map x -> M*x + t
+# as the line "m11,m12;m21,m22 t1,t2": the rows of M, then t, in the point
+# syntax of --vertices, as the --witness help says too. peel prints its runs
+# as below, and analyze four lines "key value".
 _RUNS = """\
 runs: peel and every --trace print one entry per run of skins. An entry with
 "count" c and "shift" [[dx,dy],...] stands for the c skins skin + t*shift,
@@ -218,15 +224,13 @@ def _json_vertices(doc: object) -> list[Point]:
     return pts
 
 
-def _witness(doc: dict, args: argparse.Namespace, phi: AffineUnimodularMap, plain: str) -> str:
-    """plain, and with --witness phi put into doc and its line after plain; see the comment on _RUNS."""
-    if not args.witness:
-        return plain
-    doc["witness"] = {
-        "matrix": [[phi.m11, phi.m12], [phi.m21, phi.m22]],
-        "translation": [phi.t1, phi.t2],
-    }
-    return f"{plain}\n{_points([(phi.m11, phi.m12), (phi.m21, phi.m22)])} {phi.t1},{phi.t2}"
+def _witness(doc: dict, args: argparse.Namespace, phi: AffineUnimodularMap) -> None:
+    """With --witness, put phi into doc."""
+    if args.witness:
+        doc["witness"] = {
+            "matrix": [[phi.m11, phi.m12], [phi.m21, phi.m22]],
+            "translation": [phi.t1, phi.t2],
+        }
 
 
 def _run_doc(skin: LatticePolygon, rule: str, contribution: int, count: int, shift: tuple) -> dict:
@@ -254,12 +258,25 @@ def _trace_doc(steps: tuple[Step, ...]) -> list[dict]:
     return out
 
 
-def _emit(doc: dict, args: argparse.Namespace, plain: str) -> str:
-    if args.json:
+def _words(value: object) -> str:
+    return " ".join(str(v) for v in value) if isinstance(value, list) else str(value)
+
+
+def _emit(doc: dict, as_json: bool) -> str:
+    """The stdout of a command: its document as JSON, or the plain lines read off it."""
+    if as_json:
         import json
 
         return json.dumps(doc, indent=2) + "\n"
-    return plain + "\n"
+    if doc["command"] == "peel":
+        lines = [f"{_points(run['skin'])} {run['count']} {_points(run['shift'])}" for run in doc["trace"]]
+    elif doc["command"] == "analyze":
+        lines = [f"{key} {_words(doc[key])}" for key in ("genus", "gonality", "s2_bound", "s11_bound")]
+    else:
+        lines = [_words(doc["value"])]
+        if "witness" in doc:
+            lines.append(f"{_points(doc['witness']['matrix'])} {_points([doc['witness']['translation']])}")
+    return "\n".join(lines) + "\n"
 
 
 def _check(condition: bool, message: str) -> None:
@@ -267,7 +284,7 @@ def _check(condition: bool, message: str) -> None:
         raise InternalConsistencyError(message)
 
 
-def _size_command(args: argparse.Namespace) -> str:
+def _size_command(args: argparse.Namespace) -> dict:
     from .size import lattice_size_sigma, lattice_size_square
 
     shape = args.command  # sigma or square
@@ -281,13 +298,13 @@ def _size_command(args: argparse.Namespace) -> str:
         value = oracle_size(delta, shape)
         _check(value == cert.value, f"{shape} value {cert.value} disagrees with the oracle's {value}")
     doc: dict = {"command": shape, "value": cert.value}
-    plain = _witness(doc, args, cert.witness, str(cert.value))
+    _witness(doc, args, cert.witness)
     if args.trace:
         doc["trace"] = _trace_doc(trace)
-    return _emit(doc, args, plain)
+    return doc
 
 
-def _width_command(args: argparse.Namespace) -> str:
+def _width_command(args: argparse.Namespace) -> dict:
     from .width import lattice_width
 
     delta = _read_polygon(args)
@@ -304,10 +321,10 @@ def _width_command(args: argparse.Namespace) -> str:
     }
     if args.trace:
         doc["trace"] = _trace_doc(trace)
-    return _emit(doc, args, str(result.width))
+    return doc
 
 
-def _box_command(args: argparse.Namespace) -> str:
+def _box_command(args: argparse.Namespace) -> dict:
     from .size import minimal_box
 
     delta = _read_polygon(args)
@@ -318,26 +335,23 @@ def _box_command(args: argparse.Namespace) -> str:
         box = oracle_box(delta)
         _check(box == (cert.a, cert.b), f"box {(cert.a, cert.b)} disagrees with the oracle box {box}")
     doc: dict = {"command": "box", "value": [cert.a, cert.b]}
-    return _emit(doc, args, _witness(doc, args, cert.witness, f"{cert.a} {cert.b}"))
+    _witness(doc, args, cert.witness)
+    return doc
 
 
-def _peel_command(args: argparse.Namespace) -> str:
+def _peel_command(args: argparse.Namespace) -> dict:
     from .interior import onion_skins
 
     delta = _read_polygon(args)
     runs = onion_skins(delta).runs
-    doc = {
+    return {
         "command": "peel",
         "value": sum(count for _, _, count in runs),
         "trace": [_run_doc(skin, "Skin", 0, count, shift) for skin, shift, count in runs],
     }
-    plain = "\n".join(
-        f"{_points(entry['skin'])} {entry['count']} {_points(entry['shift'])}" for entry in doc["trace"]
-    )
-    return _emit(doc, args, plain)
 
 
-def _analyze_command(args: argparse.Namespace) -> str:
+def _analyze_command(args: argparse.Namespace) -> dict:
     result = analyze(parse_laurent(args.poly))
     inner = result.interior
     if args.verify and not inner.is_empty:
@@ -350,7 +364,7 @@ def _analyze_command(args: argparse.Namespace) -> str:
             checked == (result.gonality, result.s2_bound, result.s11_bound),
             "gonality, s2 and s11 disagree with the recursive width and the oracle on the interior",
         )
-    doc = {
+    return {
         "command": "analyze",
         "value": result.genus_bound,
         "genus": result.genus_bound,
@@ -362,26 +376,14 @@ def _analyze_command(args: argparse.Namespace) -> str:
         ),
         "caveats": list(result.caveats),
     }
-    plain = "\n".join(
-        [
-            f"genus {result.genus_bound}",
-            f"gonality {result.gonality}",
-            f"s2_bound {result.s2_bound}",
-            f"s11_bound {result.s11_bound[0]} {result.s11_bound[1]}",
-        ]
-    )
-    return _emit(doc, args, plain)
 
 
-def _oracle_command(args: argparse.Namespace) -> str:
+def _oracle_command(args: argparse.Namespace) -> dict:
     from .oracle import oracle_box, oracle_size
 
     delta = _read_polygon(args)
-    if args.shape == "box":
-        a, b = oracle_box(delta)
-        return _emit({"command": "oracle", "value": [a, b]}, args, f"{a},{b}")
-    value = oracle_size(delta, args.shape)
-    return _emit({"command": "oracle", "value": value}, args, str(value))
+    value = list(oracle_box(delta)) if args.shape == "box" else oracle_size(delta, args.shape)
+    return {"command": "oracle", "value": value}
 
 
 # Each command: its handler, its description and the flags the handler reads
@@ -417,7 +419,7 @@ def run_command(argv: list[str]) -> CommandResult:
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), "")
     try:
-        return CommandResult(0, _COMMANDS[args.command][0](args))
+        return CommandResult(0, _emit(_COMMANDS[args.command][0](args), args.json))
     except (LatsizeError, SyntaxError, ValueError, OSError) as exc:
         print(f"latsize: {exc}", file=sys.stderr)
         return CommandResult(getattr(exc, "exit_code", 2), "")

@@ -75,8 +75,6 @@ from .polygon import (
     LatticePolygon,
     Point,
     SpecialShape,
-    are_equivalent,
-    hull,
     integral_length,
     recognize_special,
 )
@@ -421,27 +419,25 @@ def fit_into(
             raise ValueError("target size must be non-negative")
         a_cap = b_cap = size
 
-    if delta.is_point:
-        x, y = delta.vertices[0]
-        return AffineUnimodularMap.translation(-x, -y)
-    if delta.is_segment:
-        length = integral_length(*delta.vertices)
-        if length <= a_cap:
-            return are_equivalent(delta, hull([(0, 0), (length, 0)]))
-        if shape == BOX and length <= b_cap:
-            return are_equivalent(delta, hull([(0, 0), (0, length)]))
-        return None
-
     if shape == SIGMA and delta.area2 > a_cap * a_cap:
         return None
     if shape in (SQUARE, BOX) and delta.area2 > 2 * a_cap * b_cap:
+        return None
+
+    short, long, w, (_, f_long, _), dots_short, dots_long = _checked_basis(delta)
+    if w == 0:
+        # a point or a segment: long runs along it with width f_long, its
+        # lattice length, and short is constant on it
+        if f_long <= a_cap:
+            return AffineUnimodularMap(*long, *short, -min(dots_long), -min(dots_short))
+        if shape == BOX and f_long <= b_cap:
+            return AffineUnimodularMap(*short, *long, -min(dots_short), -min(dots_long))
         return None
 
     # The rows (long, short) of the reduced basis become coordinates: the
     # functional y * long + x * short takes the values y * p + x * q on the
     # pairs (p, q) of verts, the images of the vertices under psi, which
     # are the dot lists of long and short that the memo entry keeps.
-    short, long, w, (_, f_long, _), dots_short, dots_long = _checked_basis(delta)
     psi = AffineUnimodularMap(long[0], long[1], short[0], short[1], 0, 0)
     verts = list(zip(dots_long, dots_short))
 

@@ -127,9 +127,60 @@ def test_width_trace_and_verify_check_the_value(monkeypatch):
 
 def test_oracle_subcommand():
     assert run_command(["oracle", "--shape", "sigma", "--vertices", HEPTAGON]).stdout == "10\n"
-    assert run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2"]).stdout == "2,5\n"
+    assert run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2"]).stdout == "2 5\n"
     doc = json.loads(run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2", "--json"]).stdout)
     assert doc == {"command": "oracle", "value": [2, 5]}
+
+
+def _plain_rule(doc: dict) -> str:
+    """Plain output read off a --json document.
+
+    The value, a list joined by spaces, then the witness line
+    "m11,m12;m21,m22 t1,t2" when the document has one; peel prints a line
+    "SKIN COUNT SHIFT" per run, and analyze four lines "key value".
+    """
+    def words(value):
+        return " ".join(str(v) for v in value) if isinstance(value, list) else str(value)
+
+    def points(pairs):
+        return ";".join(f"{x},{y}" for x, y in pairs)
+
+    if doc["command"] == "peel":
+        lines = [f"{points(run['skin'])} {run['count']} {points(run['shift'])}" for run in doc["trace"]]
+    elif doc["command"] == "analyze":
+        lines = [f"{key} {words(doc[key])}" for key in ("genus", "gonality", "s2_bound", "s11_bound")]
+    else:
+        lines = [words(doc["value"])]
+        if "witness" in doc:
+            (m11, m12), (m21, m22) = doc["witness"]["matrix"]
+            t1, t2 = doc["witness"]["translation"]
+            lines.append(f"{m11},{m12};{m21},{m22} {t1},{t2}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_plain_output_is_read_off_the_json_document():
+    import latsize.cli
+
+    # the heptagon, 6*Sigma, a segment of lattice length 3 and a point
+    polygons = [["--vertices", v] for v in (HEPTAGON, "0,0;6,0;0,6", "-1,2;5,5", "2,-3")]
+    polys = [["--poly", p] for p in ("y^2 + x^7 + 1", "x^-2*y^-2 + x^2 + y^2")]
+    sub = latsize.cli._build_parser()._subparsers._group_actions[0]
+    runs = 0
+    for command, parser in sub.choices.items():
+        # every combination of the flags the command takes, and every --shape
+        flags = [a.option_strings[0] for a in parser._actions if a.nargs == 0 and a.dest not in ("help", "json")]
+        shapes = next(([["--shape", c] for c in a.choices] for a in parser._actions if a.dest == "shape"), [[]])
+        for n in range(len(flags) + 1):
+            for chosen in itertools.combinations(flags, n):
+                for shape in shapes:
+                    for source in polys if command == "analyze" else polygons:
+                        argv = [command, *source, *chosen, *shape]
+                        plain, doc = run_command(argv), run_command([*argv, "--json"])
+                        assert plain.exit_code == doc.exit_code == 0, argv
+                        assert plain.stdout == _plain_rule(json.loads(doc.stdout)), argv
+                        runs += 1
+    # width 4 flag sets, sigma and square 8, box 4, peel 1, oracle 3 shapes; analyze 2
+    assert runs == 4 * (4 + 8 + 8 + 4 + 1 + 3) + 2 * 2, runs
 
 
 def test_exit_code_syntax_errors():
