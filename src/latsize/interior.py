@@ -288,24 +288,20 @@ def onion_skins(delta: LatticePolygon) -> OnionTrace:
     delta_i > 0 (see interior_hull); edges with delta_i <= 0 never vanish.
     Each two-dimensional run costs one uniform-shift test (_uniform_shift),
     on its first skin, which gives the moves and count in one walk of its
-    edges, plus one column scan (_column_hull): on that skin if its peel is
-    not uniform, else on the last skin of the run, whose peel the run lemma
-    shows is not uniform, so it is not tested again. A point or segment is
-    the last skin, in a run of its own.
+    edges, plus one column scan (_column_hull) on the last skin of the run,
+    whose peel the run lemma shows is not uniform, so it is not tested
+    again. A skin whose peel is not uniform is a run of its own, count 1
+    with no moves, and so its own last skin. A point or segment is the last
+    skin, in a run of its own.
     """
     if delta.is_empty:
         raise EmptyPolygonError("cannot peel the empty polygon")
     runs: list[_Run] = []
     skin = delta
     while skin.is_two_dim:
-        uniform = _uniform_shift(skin)
-        if uniform is None:
-            runs.append((skin, (), 1))
-            skin = _column_hull(skin)
-        else:
-            shift, count = uniform
-            runs.append((skin, shift, count))
-            skin = _column_hull(_moved(skin, shift, count - 1))
+        shift, count = _uniform_shift(skin) or ((), 1)
+        runs.append((skin, shift, count))
+        skin = _column_hull(_moved(skin, shift, count - 1))
     if not skin.is_empty:
         runs.append((skin, (), 1))
     return OnionTrace(tuple(runs))

@@ -60,22 +60,29 @@ def in_box(a: int, b: int, pt: tuple[int, int]) -> bool:
     return 0 <= pt[0] <= a and 0 <= pt[1] <= b
 
 
+class AlarmRang(Exception):
+    """Raised by alarm when the block runs too long."""
+
+
 @contextmanager
 def alarm(seconds: int) -> Iterator[None]:
-    """Raise TimeoutError in the main thread if the block runs longer than seconds.
+    """Raise AlarmRang in the main thread if the block runs longer than seconds.
 
+    AlarmRang is none of the types that cli.run_command turns into an exit
+    code (LatsizeError, SyntaxError, ValueError, OSError), so a call that
+    hangs cannot read as exit 2; the builtin TimeoutError is an OSError.
     The error is raised again at the with statement: the frame the alarm
     interrupts may have no line number, which pytest cannot report.
     """
     def ring(signum, frame):
-        raise TimeoutError
+        raise AlarmRang
 
     previous = signal.signal(signal.SIGALRM, ring)
     signal.alarm(seconds)
     try:
         yield
-    except TimeoutError:
-        raise TimeoutError(f"the call did not end within {seconds} s") from None
+    except AlarmRang:
+        raise AlarmRang(f"the call did not end within {seconds} s") from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

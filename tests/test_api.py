@@ -1,4 +1,9 @@
-"""The public surface of the package."""
+"""The public surface of the package.
+
+These tests also run against the installed package, from a copy of tests/
+outside the checkout, so they find the package's files through
+latsize.__file__ and read no path under src/.
+"""
 
 import ast
 import os

@@ -1,4 +1,9 @@
-"""Command-line behavior: reference outputs, JSON stability, exit codes."""
+"""Command-line behavior: reference outputs, JSON stability, exit codes.
+
+These tests also run against the installed package, from a copy of tests/
+outside the checkout, so they reach latsize only by import and read no path
+under src/.
+"""
 
 import hashlib
 import itertools
@@ -16,6 +21,8 @@ from latsize import (
     ZeroPolynomialError,
 )
 from latsize.cli import run_command
+
+from conftest import AlarmRang, alarm
 
 HEPTAGON = "8,0;6,1;2,4;0,6;0,8;3,7;5,6"
 
@@ -38,31 +45,48 @@ def test_square_reference_output():
 def test_width_and_box_outputs():
     assert run_command(["width", "--vertices", HEPTAGON]).stdout == "5\n"
     assert run_command(["box", "--vertices", HEPTAGON]).stdout == "5 8\n"
+    # the tie set beyond the basis entry is measured on its dot lists: with
+    # short = (0,1) and long = (1,0), (2,-1) is 2*long - short and (1,-2) is
+    # long - 2*short; the thin triangle has +-short as its one optimal direction
+    cases = [("0,0;1,0;2,2;1,2", [[0, 1], [1, 0], [1, -1], [2, -1]]),
+             ("0,0;2,1;2,2;0,1", [[0, 1], [1, 0], [1, -1], [1, -2]]), ("0,0;7,0;0,2", [[0, 1]])]
+    for vertices, directions in cases:
+        doc = json.loads(run_command(["width", "--vertices", vertices, "--json"]).stdout)
+        assert doc["directions"] == directions, vertices
 
 
 def test_analyze_json_document():
-    result = run_command(["analyze", "--poly", "y^2 + x^7 + 1", "--json"])
-    assert result.exit_code == 0
-    doc = json.loads(result.stdout)
-    assert doc["command"] == "analyze"
-    assert doc["genus"] == 3
-    assert doc["gonality"] == 2
-    assert doc["s2_bound"] == 5
-    assert doc["s11_bound"] == [2, 4]
-    assert doc["caveats"]
+    # genus 0 reads the empty interior's conventions, width -1, square -1 and
+    # Sigma -2: the rational values
+    for poly, values in (("y^2 + x^7 + 1", (3, 2, 5, [2, 4])), ("x + y + 1", (0, 1, 1, [1, 1]))):
+        result = run_command(["analyze", "--poly", poly, "--json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert doc["command"] == "analyze"
+        assert (doc["genus"], doc["gonality"], doc["s2_bound"], doc["s11_bound"]) == values, poly
+        assert doc["caveats"]
 
 
 def test_json_output_is_byte_stable():
-    args = ["sigma", "--vertices", HEPTAGON, "--json", "--witness", "--trace"]
-    first = run_command(args)
-    second = run_command(args)
-    assert first.exit_code == second.exit_code == 0
-    assert first.stdout == second.stdout
-    doc = json.loads(first.stdout)
-    assert doc["value"] == 10
-    assert doc["witness"]["matrix"][0] and doc["witness"]["translation"]
-    assert doc["trace"][0]["rule"] == "LawrencePrism(4,2)"
-    assert [step["contribution"] for step in doc["trace"]] == [6, 3, 3]
+    # (argv, value, the (rule, contribution, count) of each trace entry)
+    cases = [
+        (["sigma", "--vertices", HEPTAGON, "--witness"], 10,
+         [("LawrencePrism(4,2)", 6, 1), ("GenericStep", 3, 1), ("GenericStep", 3, 1)]),
+        (["sigma", "--vertices", "0,0;9,0;0,4"], 9,
+         [("DegenerateBaseSearch", 3, 1), ("ParallelEdge(5,1)", 4, 1), ("ParallelEdge(9,5)", 4, 1)]),
+        # the width is the third shape of the same recursion: 6*Sigma is the point (1,1) plus 3 per skin
+        (["width", "--vertices", "0,0;6,0;0,6"], 6, [("DegenerateBaseSearch", 0, 1), ("GenericStep", 3, 2)]),
+    ]
+    for argv, value, trace in cases:
+        args = [*argv, "--json", "--trace"]
+        first = run_command(args)
+        second = run_command(args)
+        assert first.exit_code == second.exit_code == 0
+        assert first.stdout == second.stdout
+        doc = json.loads(first.stdout)
+        assert doc["value"] == value, argv
+        assert "--witness" not in argv or (doc["witness"]["matrix"][0] and doc["witness"]["translation"])
+        assert [(step["rule"], step["contribution"], step["count"]) for step in doc["trace"]] == trace, argv
 
 
 def test_trace_skins_are_canonical(heptagon):
@@ -77,6 +101,12 @@ def test_verify_flags_pass():
     assert run_command(["width", "--vertices", HEPTAGON, "--verify"]).exit_code == 0
     assert run_command(["box", "--vertices", "0,0;5,0;0,2", "--verify"]).exit_code == 0
     assert run_command(["analyze", "--poly", "y^2 + x^9 + 1", "--verify"]).exit_code == 0
+    # the recursion routes walk the chain of onion skins, and the value is printed as without them
+    for argv, value in ((["box", "--vertices", "0,0;7,0;0,2", "--verify"], "2 7"),
+                        (["width", "--vertices", "0,0;9,0;0,4", "--verify"], "4"),
+                        (["sigma", "--vertices", "0,0;9,0;0,4", "--verify"], "9"),
+                        (["square", "--vertices", "0,0;9,0;0,4", "--trace", "--verify"], "9")):
+        assert run_command(argv) == (0, value + "\n"), argv
 
 
 def test_analyze_verify_checks_upsilon_triangles(monkeypatch):
@@ -130,6 +160,8 @@ def test_oracle_subcommand():
     assert run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2"]).stdout == "2 5\n"
     doc = json.loads(run_command(["oracle", "--shape", "box", "--vertices", "0,0;5,0;0,2", "--json"]).stdout)
     assert doc == {"command": "oracle", "value": [2, 5]}
+    # the default shape is sigma; the heptagon's square size is 8
+    assert run_command(["oracle", "--vertices", HEPTAGON]).stdout == "10\n"
 
 
 def _plain_rule(doc: dict) -> str:
@@ -163,7 +195,7 @@ def test_plain_output_is_read_off_the_json_document():
 
     # the heptagon, 6*Sigma, a segment of lattice length 3 and a point
     polygons = [["--vertices", v] for v in (HEPTAGON, "0,0;6,0;0,6", "-1,2;5,5", "2,-3")]
-    polys = [["--poly", p] for p in ("y^2 + x^7 + 1", "x^-2*y^-2 + x^2 + y^2")]
+    polys = [["--poly", p] for p in ("y^2 + x^7 + 1", "x^-2*y^-2 + x^2 + y^2", "x + y + 1")]
     sub = latsize.cli._build_parser()._subparsers._group_actions[0]
     runs = 0
     for command, parser in sub.choices.items():
@@ -179,8 +211,8 @@ def test_plain_output_is_read_off_the_json_document():
                         assert plain.exit_code == doc.exit_code == 0, argv
                         assert plain.stdout == _plain_rule(json.loads(doc.stdout)), argv
                         runs += 1
-    # width 4 flag sets, sigma and square 8, box 4, peel 1, oracle 3 shapes; analyze 2
-    assert runs == 4 * (4 + 8 + 8 + 4 + 1 + 3) + 2 * 2, runs
+    # on 4 polygons, width 4 flag sets, sigma and square 8, box 4, peel 1, oracle 3 shapes; on 3 polynomials, analyze 2
+    assert runs == 4 * (4 + 8 + 8 + 4 + 1 + 3) + 3 * 2, runs
 
 
 def test_exit_code_syntax_errors():
@@ -217,6 +249,23 @@ def test_exit_code_is_the_error_types(error, code, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "latsize: refused\n")
 
 
+def test_a_hang_under_the_alarm_is_no_exit_code(monkeypatch):
+    # the alarm's error is none that run_command maps to an exit code, so a
+    # call that never returns fails the check it runs in instead of exiting 2
+    import latsize.cli
+
+    def hang(args):
+        while True:
+            pass
+
+    monkeypatch.setitem(latsize.cli._COMMANDS, "width", (hang, *latsize.cli._COMMANDS["width"][1:]))
+    result = None
+    with pytest.raises(AlarmRang):
+        with alarm(1):
+            result = run_command(["width", "--vertices", "0,0;1,0;0,1"])
+    assert result is None
+
+
 def test_input_reads_malformed_json_as_json_and_skips_a_byte_order_mark(tmp_path, capsys):
     doc = tmp_path / "poly"
     doc.write_bytes(b'{"vertices": [[0, 0], [4, 0], [0, 4],]}')
@@ -241,6 +290,9 @@ def test_guard_bound_exits_2():
     assert run_command(["sigma", f"--vertices={big + 1},0;0,0;0,1"]).exit_code == 2
     assert run_command(["sigma", f"--vertices=-{big + 1},0;0,0;0,1"]).exit_code == 2
     assert run_command(["width", f"--vertices={big},0;0,0;0,1"]).stdout == "1\n"
+    # a standard triangle is one run, so its width trace ends at the guard
+    with alarm(1):
+        assert run_command(["width", "--poly", f"x^{big} + y^{big} + 1", "--trace"]) == (0, f"{big}\n")
 
 
 def test_input_file_json_and_lines(tmp_path):
@@ -297,6 +349,8 @@ def test_plain_witness_is_a_second_line(capsys):
 def test_poly_input_for_polygon_commands():
     assert run_command(["sigma", "--poly", "y^2 + x^5 + 1"]).stdout == "5\n"
     assert run_command(["width", "--poly", "y^2 + x^5 + 1"]).stdout == "2\n"
+    # the Newton polygon of y^2 + x^7 + 1 is conv{(0,0), (7,0), (0,2)}: the witness maps it into [0,2] x [0,7]
+    assert run_command(["box", "--poly", "y^2 + x^7 + 1", "--witness"]).stdout == "2 7\n0,1;1,0 0,0\n"
 
 
 def test_json_input_contract(tmp_path, capsys):
@@ -415,10 +469,11 @@ def test_help_documents_the_run_format(capsys):
         assert latsize.cli._RUNS in capsys.readouterr().out, argv
     # the format is written once, in _RUNS; the module docstring points to it
     assert "_RUNS" in latsize.cli.__doc__ and latsize.cli._RUNS not in latsize.cli.__doc__
-    # its example is the first line that peel prints for 6*Sigma
+    # its example is the first line that peel prints for 6*Sigma: one uniform
+    # run of two skins, the run length that one walk of its edges gives, then the point (2,2)
     example = "0,0;6,0;0,6 2 1,1;-2,1;1,-2"
     assert f'e.g. "{example}"' in latsize.cli._RUNS.replace("\n", " ")
-    assert run_command(["peel", "--vertices", "0,0;6,0;0,6"]).stdout.splitlines()[0] == example
+    assert run_command(["peel", "--vertices", "0,0;6,0;0,6"]) == (0, f"{example}\n2,2 1 0,0\n")
 
 
 # The options that every command accepted when all commands shared one flag
