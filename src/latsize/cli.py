@@ -22,6 +22,10 @@ per run of skins; _RUNS, which --help prints, gives the format, and the
 comment above it the witness line. An integer of --vertices, of the line
 format of --input (_INTEGER) and of --poly (newton.parse_laurent) is ASCII
 digits, after an optional sign; anything else exits 2, and --help says so.
+Every option is spelled out in full and every input source is given once:
+a prefix such as --vert is an unknown argument, and a second --input,
+--vertices or --poly is an error rather than the value that counts, so
+both exit 2.
 
 sigma, square and box read their values off the reduced basis and do not
 peel. Every call checks them in O(n) (size._checked_map): the witness must
@@ -131,23 +135,33 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+class _Once(argparse.Action):
+    """Store an input source's value, and reject a second one rather than let it override the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given twice")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latsize",
+        allow_abbrev=False,
         description="Exact lattice widths, lattice sizes and Newton-polygon bounds.",
         epilog=_RUNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (_, desc, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=desc, description=desc, epilog=_RUNS,
+        p = sub.add_parser(name, help=desc, description=desc, epilog=_RUNS, allow_abbrev=False,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         if name == "analyze":
-            p.add_argument("--poly", required=True, help=_HELP["--poly"])
+            p.add_argument("--poly", required=True, action=_Once, help=_HELP["--poly"])
         else:
             source = p.add_mutually_exclusive_group(required=True)
             for flag in ("--input", "--vertices", "--poly"):
-                source.add_argument(flag, help=_HELP[flag])
+                source.add_argument(flag, action=_Once, help=_HELP[flag])
         for flag in flags.split():
             text = _VERIFY[name] if flag == "--verify" else _HELP[flag]
             p.add_argument(flag, action="store_true", help=text)
@@ -389,7 +403,8 @@ def _oracle_command(args: argparse.Namespace) -> dict:
 # Each command: its handler, its description and the flags the handler reads
 # (oracle reads --shape too). Every command but analyze also takes exactly one
 # input source, and analyze takes --poly, so argparse rejects a flag that
-# would do nothing, a second source or none with exit code 2.
+# would do nothing, a second source (the same one again too, _Once) or none
+# with exit code 2.
 _COMMANDS = {
     "width": (_width_command, "lattice width with optimal directions", "--json --trace --verify"),
     "sigma": (_size_command, "lattice size w.r.t. the standard triangle (by default its lower "

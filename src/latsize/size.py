@@ -21,8 +21,8 @@ Every rule is affine in the step along a run, so one rule function, _step,
 takes a segment of n skins in O(1): the body of a run (all its skins but the
 last, which peel uniformly) and the last skin of a run (n = 1) alike, and
 its trace has one Step per segment, not per skin. Each segment of a size
-takes its parallel-edge hit from one lookup of the edge normals of the skin
-after its first (parallel_edge_exception); the width looks up none.
+looks its parallel-edge hit up by edge normal on the skin after its first
+(parallel_edge_exception); the width looks up none.
 
 Each size comes by three independent routes:
 
@@ -140,61 +140,56 @@ class ParallelEdgeHit(NamedTuple):
     tau_prime: tuple[Point, ...]
 
 
-def parallel_edge_exception(
-    delta: LatticePolygon, gamma: LatticePolygon, threshold: int
-) -> Optional[ParallelEdgeHit]:
-    """Scan the edges of delta for the parallel-edge exception against gamma, its interior hull.
+def parallel_edge_exception(delta: LatticePolygon, gamma: LatticePolygon) -> Optional[ParallelEdgeHit]:
+    """The parallel-edge hit of delta against gamma, its interior hull: an edge with r - s >= 3, or None.
 
-    For every edge of delta, the face of gamma on the inward unit shift of its
-    supporting line is located (an edge, a single vertex of length zero, or
-    nothing). Among the pairs with r - s >= threshold the first one maximizing
-    r - s is returned, where r and s are the integral lengths of the edge and
-    of the face. A one-dimensional gamma counts as an edge of itself.
+    For every edge tau of delta, of lattice length r, s is the lattice
+    length of the face tau' of gamma on the inward unit shift of tau's
+    supporting line; the first edge maximizing r - s among those with
+    r - s >= 3 is returned. A one-dimensional gamma counts as an edge of
+    itself.
 
     The caller passes the interior hull, as _size_value does by construction:
     the first skin of the next run at a run's end, the skin one shift on
     (interior._moved) on a run's body. That is not checked, which would peel
     delta again; only an empty gamma, which has no face, raises ValueError.
 
-    A face of positive length on the line a*x + b*y = c - 1 is the edge of
-    gamma with the outward normal (a, b), so it is found by a dict lookup on
-    gamma's edge normals. Only an edge of delta that could still win and
-    whose normal gamma lacks needs a pass over gamma's vertices, to find a
-    vertex on the line; a point or segment gamma has no edge normals, so its
-    vertices are always scanned. That costs O(n + m) for n edges of delta
-    and m of gamma, plus O(m) per such edge, against O(n * m) for a pass per
-    edge.
+    The face is found by a dict lookup on gamma's outward edge normals, by
+    this lemma. Let gamma be non-empty and tau lie on a*x + b*y = c, with
+    delta in a*x + b*y <= c, and r >= 3. Then gamma meets the line
+    a*x + b*y = c - 1. Proof: map tau to [(0,0), (r,0)], with delta in
+    y >= 0, and take an interior lattice point p = (p1, h). If h = 1 we are
+    done. Otherwise T = conv{(0,0), (r,0), p} lies in delta, and its section
+    at y = 1 has length r * (h - 1) / h >= 3/2 > 1, so the open section
+    holds a lattice point, interior to T and so to delta. As every interior
+    lattice point has a*x + b*y <= c - 1, the face of gamma on that line is
+    its edge of outward normal (a, b), or the whole of gamma when it is a
+    segment parallel to tau, or else one vertex, of s = 0. An edge with
+    r < 3 never reaches r - s >= 3, so it is skipped, and no level needs a
+    check. The face's vertices come in gamma's order, as a filter of its
+    vertices gives them.
     """
     if gamma.is_empty:
         raise ValueError("gamma must be the non-empty interior hull of delta")
     gvs = gamma.vertices
     m = len(gvs)
-    faces: Optional[dict[tuple[int, int], tuple[int, int]]] = None
+    # outward normal -> the face's vertices; a segment faces both ways, a point has no normal
+    if m == 2:
+        (x0, y0), (x1, y1) = gvs
+        g = integral_length(*gvs)
+        faces = {((y1 - y0) // g, (x0 - x1) // g): gvs, ((y0 - y1) // g, (x1 - x0) // g): gvs}
+    else:
+        faces = {(a, b): (gvs[j], gvs[j + 1]) if j + 1 < m else (gvs[0], gvs[j])
+                 for j, (a, b, _) in enumerate(gamma.edge_constraints)}
     best: Optional[ParallelEdgeHit] = None
     for (p, q), (a, b, c) in zip(delta.edges(), delta.edge_constraints):
         r = integral_length(p, q)
-        # s >= 0, so r bounds r - s
-        if r < threshold or (best is not None and r <= best.r - best.s):
+        if r < 3:
             continue
-        if faces is None:
-            # outward normal -> (c, index of the edge's first vertex)
-            faces = {(a2, b2): (c2, j) for j, (a2, b2, c2) in enumerate(gamma.edge_constraints)}
         face = faces.get((a, b))
-        if face is not None:
-            if face[0] != c - 1:
-                continue
-            j = face[1]
-            # the face's vertices in gamma's order, as a filter of gvs gives them
-            tau_prime = (gvs[j], gvs[j + 1]) if j + 1 < m else (gvs[0], gvs[j])
-            s = integral_length(*tau_prime)
-        else:
-            vals = [a * x + b * y for x, y in gvs]
-            if max(vals) != c - 1:
-                continue
-            tau_prime = tuple(v for v, t in zip(gvs, vals) if t == c - 1)
-            s = integral_length(*tau_prime) if len(tau_prime) == 2 else 0
-        if r - s >= threshold and (best is None or r - s > best.r - best.s):
-            best = ParallelEdgeHit(r, s, (p, q), tau_prime)
+        s = integral_length(*face) if face else 0
+        if r - s >= 3 and (best is None or r - s > best.r - best.s):
+            best = ParallelEdgeHit(r, s, (p, q), face or tuple(v for v in gvs if a * v[0] + b * v[1] == c - 1))
     return best
 
 
@@ -241,6 +236,19 @@ def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...
     non-empty interior hull adds 2 (Castryck and Cools). The width reads no
     parallel-edge hit and no rectangle, so each of its segments is a
     generic step.
+
+    A body and the step just inside it, its run's last skin or the
+    innermost skin, make one trace entry when they share rule and
+    contribution, as that already makes the params continue along the
+    run. A GenericStep has none. A last skin's rectangle is the body's less
+    2 per skin by construction. A ParallelEdge body (r, s) falls by r - s
+    per skin, and _step checked that it falls to the inner value r' over
+    the body, so an equal fall r' - s' makes (r', s') the body's params at
+    its end. At the innermost skin a contribution equals a body's fall only
+    for a GenericStep of value 1 (Sigma's unit triangle, or the unit square
+    and the other polygons of square size 1) and for Sigma's rectangle
+    (1, 1), where the body's rectangle, falling to a sum of 2, ends at
+    (1, 1) too.
     """
     if delta.is_empty:
         return _BASE[shape], ()
@@ -258,27 +266,20 @@ def _size_value(delta: LatticePolygon, shape: str) -> tuple[int, tuple[Step, ...
         if gamma is not None:
             end = _moved(skin, shift, count - 1)
             last = (end, (), 1, rectangle and tuple(p - 2 * (count - 1) for p in rectangle),
-                    parallel_edge_exception(end, gamma, 3) if shape != WIDTH else None)
+                    parallel_edge_exception(end, gamma) if shape != WIDTH else None)
             value, step = _step(last, value, fall)
             trace.append(step)
         gamma = skin
         if count > 1:
-            hit = parallel_edge_exception(skin, _moved(skin, shift, 1), 3) if shape != WIDTH else None
+            hit = parallel_edge_exception(skin, _moved(skin, shift, 1)) if shape != WIDTH else None
             value, step = _step((skin, shift, count - 1, rectangle, hit), value, fall)
             inner = trace[-1]
-            if (inner.rule, inner.contribution, inner.params) == (step.rule, step.contribution,
-                                                                   _params_at(step, step.count)):
+            if (inner.rule, inner.contribution) == (step.rule, step.contribution):
                 # the skin just inside continues the run: one entry for both
                 trace[-1] = step._replace(count=step.count + 1)
             else:
                 trace.append(step)
     return value, tuple(trace)
-
-
-def _params_at(step: Step, t: int) -> tuple[int, ...]:
-    """The params of skin t of a run step: edge lengths, falling linearly along the run."""
-    fall = 2 if step.rule == RULE_RECTANGLE else step.contribution
-    return tuple(p - t * fall for p in step.params)
 
 
 def _innermost_step(

@@ -73,8 +73,13 @@ def _min_convex(a: Sequence[int], b: Sequence[int], known: dict[int, int]) -> tu
     bisection in it finds the smallest k with f(k) <= f(k + 1). Gallop and
     bisection share points, so every value is looked up in known first, and
     f is measured only for a k not in it, by one _line_width call; that
-    value is added to known. known always ends up with f(1), and with f(-1)
-    whenever f(0) <= f(1).
+    value is added to known. known always ends up with f(1), with f(-1)
+    whenever f(0) <= f(1), and with f(k + 1) for the k returned: either the
+    last hi of the bisection was a point mid with f(mid + 1) measured, or
+    it was 0, with f(1) known. It is never the right end edge + step of a
+    rightward gallop's bracket: the gallop stopped there on
+    f(edge + step) >= f(edge), so by convexity f(k) <= f(k + 1) already
+    holds at k = edge + step - 1.
     """
     f0, f1 = known[0], known.get(1)
     if f1 is None:
@@ -182,18 +187,18 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
     first pass, along (1, 0) + j * (0, 1) or (0, 1) + j * (1, 0), takes them
     with both row widths in one sweep of the vertices (_pair_extremes), as
     the widths along (1, -1) and (1, 1): each width is the largest less the
-    least of its form. Every later pass has at least one carried in (see
-    below) and measures only a missing one. f is convex along the line, as
-    the max over pairs of vertices of an affine function of j, so when
-    neither neighbour is below f(0), f(0) is the least width on the line:
-    the pass stops without a search, with the entry that the search would
-    give. Only a pass that moves r1 runs the line search _min_convex, whose
-    argmin k is then not 0 and f(k) < f(0).
+    least of its form. Every later pass has f(1) carried in (see below and
+    _min_convex) and measures f(-1) only when it is missing. f is convex
+    along the line, as the max over pairs of vertices of an affine function
+    of j, so when neither neighbour is below f(0), f(0) is the least width
+    on the line: the pass stops without a search, with the entry that the
+    search would give. Only a pass that moves r1 runs the line search
+    _min_convex, whose argmin k is then not 0 and f(k) < f(0).
 
     The vertices are projected once, onto (1, 0) and (0, 1): their x and y
     lists are the dot lists a of r1 and b of r2. A point k of a pass line
     is measured as max - min of a_i + k * b_i by one call of _line_width,
-    here for a missing neighbour and in _min_convex for the search, which
+    here for a missing f(-1) and in _min_convex for the search, which
     takes both in one pass over a and b, so neither a direction tuple nor
     a list of dots is built; a moves with r1 (a <- a + k * b), and the
     lists swap when the rows swap. The update is a plain loop, so no
@@ -205,8 +210,9 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
     f_minus = f(-1) and f_plus = f(1). A search seeds its dict known with
     f(-1), f(0) and f(1) and fills it; when r1 moves to r1 + k * r2, the
     line stays, and f(k - 1) and f(k + 1) from known are the neighbours of
-    the new r1. When the rows swap, the new line r2 + j * r1 meets the old
-    one at j = +-1 (r2 +- r1 = +-(r1 +- r2), of the same width), so both
+    the new r1; known always holds f(k + 1), and f(k - 1) may be missing.
+    When the rows swap, the new line r2 + j * r1 meets the old one at
+    j = +-1 (r2 +- r1 = +-(r1 +- r2), of the same width), so both
     neighbours stay as they are. No other width of a line is read again:
     after a move without a swap, k is the least argmin, so neither
     neighbour is narrower and the pass stops. The final pass, along
@@ -226,13 +232,11 @@ def _gauss_reduce(delta: LatticePolygon) -> _BasisEntry:
             r1, r2, w1, w2, a, b = r2, r1, w2, w1, b, a
         if f_minus is None:
             f_minus = _line_width(a, b, -1)
-        if f_plus is None:
-            f_plus = _line_width(a, b, 1)
         if f_minus >= w1 and f_plus >= w1:
             return r2, r1, w2, (f_minus, w1, f_plus), tuple(b), tuple(a)
         known = {-1: f_minus, 0: w1, 1: f_plus}
         k, w1 = _min_convex(a, b, known)
-        f_minus, f_plus = known.get(k - 1), known.get(k + 1)
+        f_minus, f_plus = known.get(k - 1), known[k + 1]
         r1 = (r1[0] + k * r2[0], r1[1] + k * r2[1])
         # a plain loop, as a comprehension would make k a closure cell
         moved, a = a, []

@@ -164,7 +164,7 @@ def test_record_reprs_are_pinned():
         lattice_width(standard_triangle(2)),
         lattice_size_sigma(standard_triangle(1)),
         minimal_box(rectangle(1, 2)),
-        parallel_edge_exception(standard_triangle(4), interior_hull(standard_triangle(4)), 3),
+        parallel_edge_exception(standard_triangle(4), interior_hull(standard_triangle(4))),
         lattice_width_recursive(rectangle(6, 6))[1][-1],
         onion_skins(upsilon(2)),
         parse_laurent("y^2 + x^3 - 1/2"),

@@ -509,19 +509,28 @@ def test_every_option_does_something(tmp_path):
     built = {(command, option) for command, parser in sub.choices.items()
              for action in parser._actions if action.dest != "help" for option in action.option_strings}
     assert built == pairs - _DEAD and len(built) == 38
-    # exactly one input source: none, two or three exit 2
+    # exactly one input source: none, two or three exit 2, and so does one given twice
     for command in set(commands) - {"analyze"}:
         assert run_command([command]).exit_code == 2, command
         for n in (2, 3):
             for chosen in itertools.combinations(sources, n):
                 argv = [command] + [arg for option in chosen for arg in (option, values[option])]
                 assert run_command(argv).exit_code == 2, argv
+        for option in sources:
+            assert run_command([command, option, values[option], option, values[option]]).exit_code == 2
     assert run_command(["analyze"]).exit_code == 2
+    assert run_command(["analyze", "--poly", "x + y + 1", "--poly", "x^3 + y^3 + 1"]).exit_code == 2
+    assert run_command(["width", "--vertices", "0,0;1,0;0,1", "--vertices", "0,0;5,0;0,5"]).exit_code == 2
+    # no option is taken by a prefix, with a negative vertex or without
+    for vertices in ("0,0;1,0;0,1", "-1,0;1,0;0,1"):
+        assert run_command(["width", "--vertices", vertices]).exit_code == 0
+        assert run_command(["width", "--vert", vertices]).exit_code == 2, vertices
 
 
 def test_unknown_flag_names_the_command(capsys):
     # a flag the command does not take is reported with that command's usage
-    cases = [("peel", "--verify"), ("box", "--trace"), ("width", "--witness"), ("oracle", "--trace")]
+    cases = [("peel", "--verify"), ("box", "--trace"), ("width", "--witness"), ("oracle", "--trace"),
+             ("width", "--js"), ("sigma", "--wit"), ("square", "--verif")]
     for command, option in cases:
         assert run_command([command, "--vertices", "0,0;3,0;0,3", option]).exit_code == 2, (command, option)
         err = capsys.readouterr().err

@@ -107,6 +107,8 @@ def test_newton_polygon_reference_shapes():
     assert newton_polygon(parse_laurent("y^2 + x^5 + 1")) == hull([(0, 0), (5, 0), (0, 2)])
     assert newton_polygon(parse_laurent("x^-2*y^-2 + x^2 + y^2 + 1")) == upsilon(2)
     assert newton_polygon(parse_laurent("x^3")).vertices == ((3, 0),)
+    with pytest.raises(ZeroPolynomialError):
+        newton_polygon(LaurentPolynomial({}))
 
 
 def test_analyze_reference_examples():

@@ -53,6 +53,8 @@ def test_oracle_size_reference_values(heptagon):
     assert oracle_size(hull([(7, -2)]), "sigma") == 0
     with pytest.raises(EmptyPolygonError):
         oracle_size(hull([]), "sigma")
+    with pytest.raises(EmptyPolygonError, match="oracle_box"):
+        oracle_box(hull([]))
 
 
 def test_oracle_size_takes_sigma_or_square_only(monkeypatch):

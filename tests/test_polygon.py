@@ -233,6 +233,8 @@ def test_are_equivalent_reflexive_and_invertible(heptagon):
 
 
 def test_are_equivalent_degenerate():
+    assert are_equivalent(hull([]), hull([])) == AffineUnimodularMap.identity()
+    assert are_equivalent(hull([(1, 2)]), hull([(0, 0), (2, 2)])) is None
     assert are_equivalent(hull([(1, 2)]), hull([(5, -1)])) is not None
     assert are_equivalent(hull([(0, 0), (2, 2)]), hull([(1, 0), (3, 1)])) is None
     seg = are_equivalent(hull([(0, 0), (2, 2)]), hull([(0, 0), (0, 2)]))

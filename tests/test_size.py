@@ -54,7 +54,7 @@ def translated(poly, t):
 
 def test_parallel_edge_on_dilated_triangle():
     delta = standard_triangle(4)
-    hit = parallel_edge_exception(delta, interior_hull(delta), 3)
+    hit = parallel_edge_exception(delta, interior_hull(delta))
     assert (hit.r, hit.s) == (4, 1)
 
 
@@ -62,21 +62,21 @@ def test_parallel_edge_on_weierstrass():
     delta = weierstrass(4)
     gamma = interior_hull(delta)
     assert gamma.vertices == ((1, 1), (4, 1))
-    hit = parallel_edge_exception(delta, gamma, 3)
+    hit = parallel_edge_exception(delta, gamma)
     assert (hit.r, hit.s) == (9, 3)
     assert hit.tau_prime == ((1, 1), (4, 1))
 
 
 def test_parallel_edge_absent_on_square():
     delta = rectangle(3, 3)
-    assert parallel_edge_exception(delta, interior_hull(delta), 3) is None
+    assert parallel_edge_exception(delta, interior_hull(delta)) is None
 
 
 def test_parallel_edge_rejects_wrong_gamma():
     # the caller passes the interior hull, which is not checked; an empty one has no face to scan
     delta = standard_triangle(4)
     with pytest.raises(ValueError, match="non-empty interior hull"):
-        parallel_edge_exception(delta, hull([]), 3)
+        parallel_edge_exception(delta, hull([]))
 
 
 def _reference_hit(delta, gamma, threshold):
@@ -95,19 +95,29 @@ def _reference_hit(delta, gamma, threshold):
 
 
 def test_parallel_edge_lookup_matches_the_full_scan(box3_census):
+    # every consecutive skin pair and every run body (its first skin against
+    # its second), against the scan of every vertex of the inner skin; and
+    # the lemma that makes a lookup enough: the inner skin reaches the
+    # inward unit shift of every edge of lattice length 3 or more
     polygons = list(box3_census)
     polygons += [apply_map(random_unimodular_map(i), delta) for i, delta in enumerate(box3_census)]
     polygons += [random_polygon(seed, k) for k in (5, 20, 40, 80, 160) for seed in range(40)]
     kinds = Counter()
     for delta in polygons:
-        skins = onion_skins(delta).skins
-        for outer, inner in zip(skins, skins[1:]):
+        chain = onion_skins(delta)
+        skins = chain.skins
+        pairs = list(zip(skins, skins[1:]))
+        pairs += [(skin, _moved(skin, shift, 1)) for skin, shift, count in chain.runs if count > 1]
+        for outer, inner in pairs:
             kinds[inner.kind] += 1
-            for threshold in range(5):
-                want = _reference_hit(outer, inner, threshold)
-                kinds["hit"] += want is not None
-                assert parallel_edge_exception(outer, inner, threshold) == want, (outer, threshold)
-    assert kinds["point"] and kinds["segment"] and kinds["polygon"] and kinds["hit"], kinds
+            want = _reference_hit(outer, inner, 3)
+            kinds["hit"] += want is not None
+            assert parallel_edge_exception(outer, inner) == want, outer
+            for (p, q), (a, b, c) in zip(outer.edges(), outer.edge_constraints):
+                if integral_length(p, q) >= 3:
+                    kinds["long edge"] += 1
+                    assert max(a * x + b * y for x, y in inner.vertices) == c - 1, (outer, p, q)
+    assert kinds["point"] and kinds["segment"] and kinds["polygon"] and kinds["hit"] and kinds["long edge"], kinds
 
 
 def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
@@ -121,9 +131,9 @@ def test_each_skin_hit_is_computed_once_per_chain(monkeypatch):
     computed, recognized = Counter(), Counter()
     lookup, recognize = latsize.size.parallel_edge_exception, latsize.size.recognize_special
 
-    def counting(delta, gamma, threshold):
+    def counting(delta, gamma):
         computed[delta] += 1
-        return lookup(delta, gamma, threshold)
+        return lookup(delta, gamma)
 
     def counting_special(delta):
         recognized[delta] += 1
@@ -348,20 +358,20 @@ def test_each_segment_step_checks_its_inner_value():
     skin = rectangle(2, 7).translate((1, 1))  # the last skin of rectangle(4, 9), around a segment of length 5
     rectangle_end = (skin, (), 1, (2, 7), None)
     assert onion_skins(rectangle(4, 9)).runs[0][1:] == (((1, 1), (-1, 1), (-1, -1), (1, -1)), 2)
-    assert (recognize_special(skin).params, parallel_edge_exception(skin, interior_hull(skin), 3)) == ((2, 7), None)
+    assert (recognize_special(skin).params, parallel_edge_exception(skin, interior_hull(skin))) == ((2, 7), None)
     hit = ParallelEdgeHit(9, 3, ((0, 0), (9, 0)), ((1, 1), (4, 1)))  # r = 9 around a segment of length 3
     parallel_end = (weierstrass(4), (), 1, None, hit)
-    assert parallel_edge_exception(weierstrass(4), interior_hull(weierstrass(4)), 3) == hit
+    assert parallel_edge_exception(weierstrass(4), interior_hull(weierstrass(4))) == hit
     shift = ((1, 1), (-2, 1), (1, -2))
     hit = ParallelEdgeHit(40, 37, ((0, 0), (40, 0)), ((1, 1), (38, 1)))
     body = (standard_triangle(40), shift, 13, None, hit)  # 40 * Sigma down to 4 * Sigma, then Sigma
     assert onion_skins(standard_triangle(40)).runs == ((standard_triangle(40), shift, 14),)
-    assert parallel_edge_exception(standard_triangle(40), _moved(standard_triangle(40), shift, 1), 3) == hit
+    assert parallel_edge_exception(standard_triangle(40), _moved(standard_triangle(40), shift, 1)) == hit
     upsilon_shift = ((1, 1), (-1, 0), (0, -1))
     generic_body = (upsilon(5), upsilon_shift, 4, None, None)  # Upsilon_5 down to Upsilon_2, around Upsilon_1
     assert onion_skins(upsilon(5)).runs[0] == (upsilon(5), upsilon_shift, 5)
     assert recognize_special(upsilon(5)).kind == "upsilon"
-    assert parallel_edge_exception(upsilon(5), _moved(upsilon(5), upsilon_shift, 1), 3) is None
+    assert parallel_edge_exception(upsilon(5), _moved(upsilon(5), upsilon_shift, 1)) is None
     for segment, inner, value in ((rectangle_end, 5, 9), (parallel_end, 3, 9), (body, 1, 40)):
         assert _step(segment, inner, 3)[0] == value
         for wrong in (inner - 1, inner + 1):
@@ -642,6 +652,8 @@ def test_fit_rejects_unknown_shape():
             fit_into(delta, "nonsense", 3)
     with pytest.raises(ValueError):
         oracle_size(standard_triangle(3), "nonsense")
+    with pytest.raises(ValueError, match="non-negative"):
+        fit_into(standard_triangle(3), "sigma", -1)
 
 
 def test_segment_witnesses_reach_both_targets():

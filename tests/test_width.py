@@ -649,7 +649,8 @@ def test_min_convex_matches_the_line_search_reference(pieces, carried):
     at every k that a search reads, so the width is the max of the pieces
     plus _FAR. known is seeded with f(0), or also with the widths at -1 and
     1 that a pass holds before its search; _gauss_reduce then reads the
-    argmin and its neighbours from the final known.
+    argmin and its neighbours from the final known, where f(k + 1) is always
+    found.
     """
     from latsize import width
 
@@ -675,6 +676,7 @@ def test_min_convex_matches_the_line_search_reference(pieces, carried):
         with mock.patch.object(width, "_line_width", logged):
             results.append((search(known), calls, list(known.items())))
     assert results[0] == results[1]
-    (k, fk), calls, _ = results[0]
+    (k, fk), calls, known = results[0]
+    assert k + 1 in dict(known)
     assert all(_line_width(a, b, j) == f(j) for j in calls)
     assert fk == f(k) == min(f(k + j) for j in range(-3, 4))
